@@ -2,13 +2,16 @@
 float spectral splitting, degenerate-metric solves, and joint diagonalization.
 
 Exact-mode matrices are numpy object arrays of Fractions; float-mode matrices
-are float64 arrays. Both support @ and transpose, so callers stay mode-generic.
+are float64 arrays. Products go through `matmul`, which takes either kind and
+runs exact products on integer numerators, so callers stay mode-generic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +30,42 @@ def as_object_matrix(rows) -> np.ndarray:
 
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
+
+
+def _cleared(a: np.ndarray) -> tuple:
+    """(num, den): Python-int object array num and common denominator den, a = num / den."""
+    den = math.lcm(*(x.denominator for x in a.flat))
+    num = np.empty(a.shape, dtype=object)
+    num.flat = [x.numerator * (den // x.denominator) for x in a.flat]
+    return num, den
+
+
+def matmul(*mats: np.ndarray) -> np.ndarray:
+    """Product of a chain of matrices, evaluated right to left.
+
+    Float arrays multiply as usual. Exact object arrays (int/Fraction entries)
+    are cleared to integer numerators over one common denominator each,
+    multiplied as Python ints, and divided once at the end, so the chain
+    builds one Fraction per result entry instead of one per scalar operation.
+    """
+    if all(m.dtype != object for m in mats):
+        return reduce(lambda acc, m: m @ acc, reversed(mats))
+    num, den = _cleared(mats[-1])
+    for m in reversed(mats[:-1]):
+        left, left_den = _cleared(m)
+        num = left @ num
+        den *= left_den
+    out = np.empty(num.shape, dtype=object)
+    out.flat = [Fraction(v, den) for v in num.flat]
+    return out
+
+
+def gram_product(coef: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """coef^T @ mat @ coef for symmetric mat, mirrored to be exactly symmetric."""
+    out = matmul(coef.T, mat, coef)
+    upper = np.triu_indices(out.shape[0], 1)
+    out[upper[1], upper[0]] = out[upper]
+    return out
 
 
 def exact_rref(rows: list) -> tuple:
@@ -180,9 +219,9 @@ def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:
             out[:] = Fraction(0)
             return out
         return np.zeros((split.combos.shape[0], rhs.shape[1]))
-    coeffs = split.combos.T @ rhs
+    coeffs = matmul(split.combos.T, rhs)
     coeffs = coeffs / split.norms2[:, None]
-    return split.combos @ coeffs
+    return matmul(split.combos, coeffs)
 
 
 def orthonormal_columns(split: GramSplit) -> np.ndarray:

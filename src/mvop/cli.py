@@ -42,6 +42,7 @@ from .measures import (
     JacobiPair1D,
     circle_functional,
     discrete_functional,
+    gaussian_functional,
     jacobi_to_moments,
     product_functional,
     table_functional,
@@ -191,6 +192,8 @@ def functional_from_payload(payload, needed_depth: int):
                 for sub in _require(payload, "factors")
             ]
             return product_functional(factors)
+        if mtype == "gaussian":
+            return gaussian_functional()
         if mtype in ("circle", "half_circle"):
             depth = int(payload.get("max_degree", needed_depth))
             return circle_functional(half=mtype == "half_circle", max_degree=depth)

@@ -22,7 +22,13 @@ from .errors import (
     SpecFormatError,
     ValidationFailedError,
 )
-from .fock import FockData, _seminorm_residual, check_commutation, creation_matrix
+from .fock import (
+    FockData,
+    _seminorm_residual,
+    annihilation_blocks,
+    check_commutation,
+    creation_matrix,
+)
 from .gradation import index_weight
 from .measures import DiscreteMeasure
 from .polynomial import monomials_of_degree, space_dimension
@@ -331,19 +337,9 @@ def validate(
             scale = max(1.0, float(np.max(np.abs(_linalg.to_float(s)), initial=0.0)))
             add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
 
-    aminus = []
-    for i in range(d):
-        per: list = [None]
-        for n in range(1, n_max + 1):
-            rhs = aplus[i][n - 1].T @ grams[n]
-            a = _linalg.pseudo_apply(splits[n - 1], rhs)
-            residual = float(
-                np.max(np.abs(_linalg.to_float(grams[n - 1] @ a - rhs)), initial=0.0)
-            )
-            scale = max(1.0, float(np.max(np.abs(_linalg.to_float(rhs)), initial=0.0)))
-            add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-            per.append(a)
-        aminus.append(per)
+    aminus, residuals = annihilation_blocks(aplus, grams, splits)
+    for (i, n), (residual, scale) in residuals.items():
+        add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
 
     fock = FockData(
         dimension=d,

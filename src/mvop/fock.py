@@ -1,10 +1,13 @@
 """Creation, preservation, and annihilation block operators on a gradation.
 
 The degree slices of a gradation serve as levels of a finite-depth Fock
-representation. Creation blocks are the canonical index shifts in candidate
-coordinates; preservation and annihilation blocks are recovered from the Gram
-matrices so that multiplication by each coordinate decomposes as
-X_i = A_i^+ + A_i^0 + A_i^-.
+representation, so that multiplication by each coordinate decomposes as
+X_i = A_i^+ + A_i^0 + A_i^-. Creation blocks are the canonical index shifts
+in candidate coordinates. The preservation block solves G_n A_i^0 = R with
+R = coef_n^T L_i coef_n, the candidates of degree n taken against the
+localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)). The annihilation block
+solves G_{n-1} A_i^- = (A_i^+)^T G_n; `annihilation_blocks` does that solve
+for assembled and for externally supplied blocks alike.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis
-from .polynomial import Polynomial, monomials_of_degree
+from .gradation import GradationBasis, moment_matrix
+from .polynomial import monomials_of_degree
 from .scalars import Tolerances
 
 
@@ -97,14 +100,44 @@ def _max_abs(mat) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _gram_solve(split: _linalg.GramSplit, gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale).
+
+    residual is the max-entry residual of the solve and scale = max(1, max |rhs|).
+    """
+    a = _linalg.pseudo_apply(split, rhs)
+    residual = _max_abs(_linalg.matmul(gram, a) - rhs)
+    return a, residual, max(1.0, _max_abs(rhs))
+
+
+def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
+    """Annihilation blocks from G_{n-1} A_i^- = (A_i^+)^T G_n.
+
+    Returns (aminus, residuals): aminus[i][n] for n = 1..depth (entry 0 is
+    None), and residuals[(i, n)] = (residual, scale) of each solve, which
+    holds when residual <= tol.adj * scale.
+    """
+    aminus = []
+    residuals = {}
+    for i, creation in enumerate(aplus):
+        per_level: list = [None]
+        for n in range(1, len(grams)):
+            rhs = _linalg.matmul(creation[n - 1].T, grams[n])
+            a, residual, scale = _gram_solve(splits[n - 1], grams[n - 1], rhs)
+            per_level.append(a)
+            residuals[(i, n)] = (residual, scale)
+        aminus.append(per_level)
+    return aminus, residuals
+
+
 def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockData:
     """Assemble creation, preservation, and annihilation blocks from a gradation.
 
-    Preservation blocks solve G_n A = M with M the coordinate-multiplication
-    Gram; annihilation blocks solve G_{n-1} A = (A^+)^T G_n. Both solves use
-    the range part of the Gram splitting, and the defining identities are
-    re-checked afterwards (they must hold because the right-hand sides lie in
-    the Gram range for moment-born data).
+    Preservation blocks solve G_n A = R with R the localizing-matrix Gram of
+    the candidates; annihilation blocks solve G_{n-1} A = (A^+)^T G_n. Both
+    solves use the range part of the Gram splitting, and the defining
+    identities are re-checked afterwards (they must hold because the
+    right-hand sides lie in the Gram range for moment-born data).
 
     Raises
     ------
@@ -124,7 +157,8 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
     d = g.dimension
     exact = g.exact
     dtype = object if exact else float
-    grams = [g.level(n).gram for n in range(depth + 1)]
+    grams = [lev.gram for lev in g.levels]
+    splits = [lev.split for lev in g.levels]
 
     aplus = [
         [creation_matrix(d, i, n, dtype=dtype) for n in range(depth)]
@@ -133,42 +167,27 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
 
     azero = []
     for i in range(d):
-        xi = Polynomial.variable(d, i)
+        localizing = moment_matrix(functional, depth, tuple(int(k == i) for k in range(d)))
         per_level = []
-        for n in range(depth + 1):
-            lev = g.level(n)
-            k = lev.dimension
-            m = np.empty((k, k), dtype=dtype)
-            for r in range(k):
-                shifted = lev.candidates[r] * xi
-                for c in range(r, k):
-                    v = functional.expectation(shifted * lev.candidates[c])
-                    m[r, c] = v
-                    m[c, r] = v
-            a = _linalg.pseudo_apply(lev.split, m)
-            residual = _max_abs(grams[n] @ a - m)
-            if residual > tol.adj * max(1.0, _max_abs(m)):
+        for lev in g.levels:
+            size = lev.coef.shape[0]
+            rhs = _linalg.gram_product(lev.coef, localizing[:size, :size])
+            a, residual, scale = _gram_solve(lev.split, lev.gram, rhs)
+            if residual > tol.adj * scale:
                 raise InternalConsistencyError(
-                    f"preservation solve failed at coordinate {i + 1}, degree {n}: "
+                    f"preservation solve failed at coordinate {i + 1}, degree {lev.degree}: "
                     f"residual {residual:.3e}"
                 )
             per_level.append(a)
         azero.append(per_level)
 
-    aminus = []
-    for i in range(d):
-        per_level: list = [None]
-        for n in range(1, depth + 1):
-            rhs = aplus[i][n - 1].T @ grams[n]
-            a = _linalg.pseudo_apply(g.level(n - 1).split, rhs)
-            residual = _max_abs(grams[n - 1] @ a - rhs)
-            if residual > tol.adj * max(1.0, _max_abs(rhs)):
-                raise InternalConsistencyError(
-                    f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
-                    f"residual {residual:.3e}"
-                )
-            per_level.append(a)
-        aminus.append(per_level)
+    aminus, residuals = annihilation_blocks(aplus, grams, splits)
+    for (i, n), (residual, scale) in residuals.items():
+        if residual > tol.adj * scale:
+            raise InternalConsistencyError(
+                f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
+                f"residual {residual:.3e}"
+            )
 
     return FockData(
         dimension=d,

@@ -1,11 +1,19 @@
 """Degree-graded orthogonal decomposition of a moment functional.
 
-For each degree n the monomials x^alpha are corrected by their projection
-onto everything of lower degree, producing candidate polynomials whose span
-is the degree-n slice of the orthogonal gradation. The Gram matrix of the
-candidates (in graded lexicographic order) carries the geometry: its range
+Everything is linear algebra on the moment matrix M, with rows and columns
+indexed by the monomials of degree <= max_degree in graded lexicographic
+order and entries M[a, b] = Lambda(x^(a+b)). A polynomial is a coefficient
+column over those monomials, and Lambda(f g) = f^T M g.
+
+For each degree n the candidates are the monomials of degree n corrected by
+their projection onto every lower slice: starting from the unit columns, one
+block Gram-Schmidt step per lower level m subtracts
+U_m diag(1/nu_m) U_m^T M coef, where U_m holds the orthogonal basis of slice m
+and nu_m its squared norms. The Gram matrix G_n = coef^T M coef of the
+candidates is the Schur complement of M on the degree-n block; its range
 gives an orthogonal basis of the slice, its kernel the degree-n null
-directions of the functional.
+directions of the functional. Polynomial objects are built from coefficient
+columns only on request.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 from . import _linalg
 from .errors import DepthExceededError
 from .measures import MomentFunctional, as_float_functional
-from .polynomial import Polynomial, monomials_of_degree
+from .polynomial import Polynomial, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
 
 
@@ -39,17 +47,46 @@ def resolve_mode(functional: MomentFunctional, mode: str) -> str:
     return mode
 
 
+def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.ndarray:
+    """Lambda(x^(a+b+shift)) for a, b over the monomials of degree <= degree.
+
+    Rows and columns follow ``monomials_up_to`` (graded-lex), so the matrix
+    of a lower degree is a leading block. Without shift this is the moment
+    matrix; with shift = e_i it is the localizing matrix of x_i. Each distinct
+    moment is fetched once; the array is object-typed for exact functionals.
+    """
+    d = functional.dimension
+    shift = tuple(shift) if shift is not None else (0,) * d
+    # a multi-index is encoded as the integer with digits alpha_j in base
+    # `base`, which exceeds every exponent, so encodings add like multi-indices
+    base = 2 * degree + max(shift) + 1
+    kind = np.int64 if base**d < 2**63 else object
+    radix = np.array([base**j for j in range(d)], dtype=kind)
+    keys = np.array(monomials_up_to(d, degree), dtype=kind) @ radix
+    sums = keys[:, None] + keys[None, :] + np.array(shift, dtype=kind) @ radix
+    distinct, where = np.unique(sums, return_inverse=True)
+    values = np.array(
+        [functional.moment(tuple(int(key) // base**j % base for j in range(d))) for key in distinct],
+        dtype=object if functional.exact else float,
+    )
+    return values[where].reshape(sums.shape)
+
+
 @dataclass
 class DegreeBasis:
-    """One degree slice: candidates, their Gram matrix, and its splitting."""
+    """One degree slice: candidate coefficients, their Gram matrix, and its splitting.
+
+    coef holds one candidate per column, over the monomials of degree
+    <= degree (graded-lex rows): column j is x^monomials[j] minus its
+    projection onto the lower slices.
+    """
 
     degree: int
     monomials: tuple
     weights: tuple
-    candidates: list
+    coef: np.ndarray
     gram: np.ndarray
     split: _linalg.GramSplit
-    _ortho_cache: list | None = None
 
     @property
     def dimension(self) -> int:
@@ -71,24 +108,27 @@ class DegreeBasis:
             out[i, :] = out[i, :] / scale
         return out
 
-    def _combined(self, coeffs) -> Polynomial:
-        f = Polynomial.zero(self.candidates[0].dimension)
-        for c, cand in zip(coeffs, self.candidates):
-            if c != 0:
-                f = f + c * cand
-        return f
+    def _polynomials(self, vecs: np.ndarray) -> list:
+        d = len(self.monomials[0])
+        rows = monomials_up_to(d, self.degree)
+        return [Polynomial(d, dict(zip(rows, vecs[:, j]))) for j in range(vecs.shape[1])]
+
+    def combine(self, columns: np.ndarray) -> list:
+        """One polynomial per column: the candidates weighted by its entries."""
+        return self._polynomials(_linalg.matmul(self.coef, columns))
+
+    @property
+    def candidates(self) -> list:
+        """The candidate polynomials, in the order of `monomials`."""
+        return self._polynomials(self.coef)
 
     def ortho_basis(self) -> list:
         """Orthogonal polynomials spanning the slice; squared norms in split.norms2."""
-        if self._ortho_cache is None:
-            self._ortho_cache = [
-                self._combined(self.split.combos[:, j]) for j in range(self.rank)
-            ]
-        return self._ortho_cache
+        return self.combine(self.split.combos)
 
     def null_basis(self) -> list:
         """Polynomials of this degree annihilated by the seminorm."""
-        return [self._combined(self.split.null[:, j]) for j in range(self.nullity)]
+        return self.combine(self.split.null)
 
 
 class GradationBasis:
@@ -179,34 +219,38 @@ def build_gradations(
         functional = as_float_functional(functional)
     exact = mode == "exact"
     d = functional.dimension
+    moments = moment_matrix(functional, max_degree)
 
     levels = []
+    lower = []  # per level m: (U_m diag(1/nu_m), U_m^T M) of its orthogonal basis
     for n in range(max_degree + 1):
         monos = monomials_of_degree(d, n)
-        candidates = []
-        for alpha in monos:
-            c = Polynomial.monomial(alpha)
-            for lev in levels:
-                for j, u in enumerate(lev.ortho_basis()):
-                    coeff = functional.expectation(c * u) / lev.split.norms2[j]
-                    if coeff != 0:
-                        c = c - coeff * u
-            candidates.append(c)
-
         k = len(monos)
-        gram = np.empty((k, k), dtype=object if exact else float)
-        for i in range(k):
-            for j in range(i, k):
-                v = functional.expectation(candidates[i] * candidates[j])
-                gram[i, j] = v
-                gram[j, i] = v
+        size = len(monomials_up_to(d, n))
+        coef = np.zeros((size, k), dtype=object if exact else float)
+        for j in range(k):
+            coef[size - k + j, j] = 1
+        for scaled, paired in lower:
+            coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
+        gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
+        if split.nullity:
+            # restrict to the range: P^T G P with P = G^+ G, the projector along
+            # the kernel. Exact Grams are unchanged; float Grams lose the
+            # rounding-level eigenvalues the rank decision counts as null, so
+            # every later seminorm sees the quotient the split sees.
+            gram = _linalg.gram_product(_linalg.pseudo_apply(split, gram), gram)
+        if split.rank:
+            ortho = _linalg.matmul(coef, split.combos)
+            lower.append(
+                (ortho / split.norms2[None, :], _linalg.matmul(ortho.T, moments[:size]))
+            )
         levels.append(
             DegreeBasis(
                 degree=n,
                 monomials=monos,
                 weights=tuple(index_weight(a) for a in monos),
-                candidates=candidates,
+                coef=coef,
                 gram=gram,
                 split=split,
             )

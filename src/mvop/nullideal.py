@@ -131,13 +131,7 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
             else np.zeros((len(monos), 0), dtype=object if exact else float)
         )
         new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
-        fresh = []
-        for j in range(new_dirs.shape[1]):
-            f = Polynomial.zero(d)
-            for r in range(new_dirs.shape[0]):
-                if new_dirs[r, j] != 0:
-                    f = f + new_dirs[r, j] * lev.candidates[r]
-            fresh.append(_monic(f))
+        fresh = [_monic(f) for f in lev.combine(new_dirs)]
         for f in fresh:
             generators.append((n, f))
         if fresh:

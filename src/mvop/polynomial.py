@@ -241,18 +241,3 @@ class Polynomial:
             raise ValueError(f"polynomial has degree {self.degree} > {n}")
         return [self.terms.get(alpha, 0) for alpha in monomials_of_degree(self.dimension, n)]
 
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def eval_poly(f: Polynomial, point) -> Scalar:
-    return f.evaluate(point)
-
-
-def top_homogeneous(f: Polynomial, n: int) -> list:
-    return f.top_homogeneous(n)

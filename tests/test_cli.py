@@ -86,6 +86,23 @@ def test_rank_square(capsys, square_spec):
     assert out["first_deficient_degree"] == 2
 
 
+def test_rank_gaussian_specs(capsys, tmp_path):
+    gaussian = {"type": "gaussian"}
+    cases = [
+        ({"type": "product", "factors": [gaussian, gaussian]}, [1, 2, 3, 4, 5]),
+        (gaussian, [1, 1, 1, 1, 1]),
+    ]
+    for spec, dims in cases:
+        path = tmp_path / "gaussian.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_json(capsys, ["rank", "--spec", str(path), "--max-degree", "4"])
+        assert code == 0
+        assert out["mode"] == "exact"
+        assert [row["dimension"] for row in out["table"]] == dims
+        assert [row["rank"] for row in out["table"]] == dims
+        assert out["has_deficiency"] is False
+
+
 def test_null_circle(capsys, circle_spec):
     code, out = run_json(capsys, ["null", "--spec", circle_spec, "--max-degree", "3"])
     assert code == 0
@@ -117,6 +134,16 @@ def test_capcheck_circle(capsys, circle_spec):
     assert out["max_commutation_residual"] <= 1e-10
     assert all(row["passed"] for row in out["commutation"])
     assert all(row["residual"] <= 1e-12 for row in out["adjointness"])
+
+
+def test_capcheck_circle_depth_ten(capsys, tmp_path):
+    # float circle at depth 10 used to fail CR3 at degree 9 (residual 3.3e-9)
+    path = tmp_path / "circle22.json"
+    path.write_text(json.dumps({"type": "circle", "max_degree": 22}))
+    code, out = run_json(capsys, ["capcheck", "--spec", str(path), "--max-degree", "10"])
+    assert code == 0
+    assert out["passed"] is True
+    assert out["max_commutation_residual"] <= 1e-12
 
 
 def test_marginal_one_coordinate(capsys, circle_spec):

@@ -77,6 +77,15 @@ def test_commutation_passes_on_circle(circle_fock):
     assert report.failures() == []
 
 
+@pytest.mark.parametrize("depth", [10, 11, 12])
+def test_commutation_passes_on_deep_float_circle(depth):
+    # these depths used to fail CR3 at degree depth - 1 in float mode
+    circle = mvop.circle_functional(max_degree=2 * depth + 2)
+    report = mvop.check_commutation(mvop.assemble_fock(mvop.build_gradations(circle, depth)))
+    assert report.passed, report.failures()
+    assert report.max_residual <= 1e-12
+
+
 def test_commutation_passes_exact(square_gradation, skew_fn):
     square_fock = mvop.assemble_fock(square_gradation)
     report = mvop.check_commutation(square_fock)
