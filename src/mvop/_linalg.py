@@ -1,9 +1,15 @@
-"""Internal linear algebra: exact rational kernels and metric orthogonalization,
-float spectral splitting, degenerate-metric solves, and joint diagonalization.
+"""Internal linear algebra: exact products, kernels and Gram splits, float
+spectral splitting, degenerate-metric solves, and joint diagonalization.
 
 Exact-mode matrices are numpy object arrays of Fractions; float-mode matrices
-are float64 arrays. Products go through `matmul`, which takes either kind and
-runs exact products on integer numerators, so callers stay mode-generic.
+are float64 arrays. Exact work runs on integer numerators: each matrix is
+cleared to Python ints over one common denominator, and a Fraction is built
+only per result entry. Products go through `matmul`, which takes either kind,
+so callers stay mode-generic; `max_quadratic` gives Gram seminorms; the exact
+Gram split and `exact_nullspace` share one fraction-free elimination
+(Bareiss 1968) and need rational entries. A product or seminorm of an object
+array holding a float entry runs on plain objects instead, so perturbed exact
+blocks still yield residuals.
 """
 
 from __future__ import annotations
@@ -32,12 +38,23 @@ def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
-def _cleared(a: np.ndarray) -> tuple:
-    """(num, den): Python-int object array num and common denominator den, a = num / den."""
-    den = math.lcm(*(x.denominator for x in a.flat))
+def _cleared(a: np.ndarray):
+    """(num, den) with a = num / den: Python-int numerators over the lcm of the denominators.
+
+    Returns None if an entry has no denominator (a float), found in the same
+    pass that takes the lcm, so the caller can fall back to object arithmetic.
+    """
+    try:
+        den = math.lcm(*(x.denominator for x in a.flat))
+    except AttributeError:
+        return None
     num = np.empty(a.shape, dtype=object)
     num.flat = [x.numerator * (den // x.denominator) for x in a.flat]
     return num, den
+
+
+def _chain(mats) -> np.ndarray:
+    return reduce(lambda acc, m: m @ acc, reversed(mats))
 
 
 def matmul(*mats: np.ndarray) -> np.ndarray:
@@ -47,17 +64,36 @@ def matmul(*mats: np.ndarray) -> np.ndarray:
     are cleared to integer numerators over one common denominator each,
     multiplied as Python ints, and divided once at the end, so the chain
     builds one Fraction per result entry instead of one per scalar operation.
+    An object array holding a float entry multiplies as plain objects.
     """
     if all(m.dtype != object for m in mats):
-        return reduce(lambda acc, m: m @ acc, reversed(mats))
-    num, den = _cleared(mats[-1])
-    for m in reversed(mats[:-1]):
-        left, left_den = _cleared(m)
+        return _chain(mats)
+    cleared = [_cleared(m) for m in mats]
+    if any(c is None for c in cleared):
+        return _chain(mats)
+    num, den = cleared[-1]
+    for left, left_den in reversed(cleared[:-1]):
         num = left @ num
         den *= left_den
     out = np.empty(num.shape, dtype=object)
     out.flat = [Fraction(v, den) for v in num.flat]
     return out
+
+
+def max_quadratic(cols: np.ndarray, gram: np.ndarray):
+    """max over the columns c of c^T gram c, for exact object arrays.
+
+    On integer numerators only the diagonal of cols^T gram cols is formed,
+    and its entries share one positive denominator, so a single Fraction is
+    built, from the largest numerator. A float entry falls back to the object
+    product.
+    """
+    c, g = _cleared(cols), _cleared(gram)
+    if c is None or g is None:
+        quad = cols.T @ gram @ cols
+        return max(quad[i, i] for i in range(quad.shape[0]))
+    (num, den), (gram_num, gram_den) = c, g
+    return Fraction(max((num * (gram_num @ num)).sum(axis=0)), den * den * gram_den)
 
 
 def gram_product(coef: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -68,50 +104,56 @@ def gram_product(coef: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_rref(rows: list) -> tuple:
-    """Row-reduce a matrix of Fractions in place-free fashion; returns (rref, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
+def _eliminate(m: np.ndarray, rows, col: int, pivot_row: int, prev: int) -> None:
+    """One fraction-free elimination step (Bareiss 1968) on the given rows of m, in place.
+
+    Each row becomes (pivot * row - row[col] * pivot_row_vector) / prev; the
+    division is exact, since every entry stays a minor of the input.
+    """
+    pivot = m[pivot_row, col]
+    m[rows] = (pivot * m[rows] - np.outer(m[rows, col], m[pivot_row])) // prev
+
+
+def _integer_rref(num: np.ndarray) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (m, pivots, scale) with the reduced row echelon form equal to
+    m[:len(pivots)] / scale: every pivot entry ends equal to the last pivot.
+    """
+    m = num.copy()
+    nrows = m.shape[0]
+    pivots: list = []
+    scale = 1
+    for c in range(m.shape[1]):
+        r = len(pivots)
         if r == nrows:
             break
-    return mat, pivots
+        nonzero = np.flatnonzero(m[r:, c])
+        if not nonzero.size:
+            continue
+        p = r + int(nonzero[0])
+        m[[r, p]] = m[[p, r]]
+        _eliminate(m, np.arange(nrows) != r, c, r, scale)
+        scale = m[r, c]
+        pivots.append(c)
+    return m, pivots, scale
 
 
-def exact_nullspace(rows: list) -> list:
-    """Basis of the exact nullspace; each vector is a list of Fractions."""
-    if not rows:
-        return []
-    rref, pivots = exact_rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+def _kernel(m: np.ndarray, pivots: list, scale: int) -> np.ndarray:
+    """RREF kernel basis as columns: one unit free coordinate each, Fraction entries."""
+    ncols = m.shape[1]
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    out = np.full((ncols, len(free)), Fraction(0), dtype=object)
+    for k, f in enumerate(free):
+        out[f, k] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -rref[i][f]
-        basis.append(v)
-    return basis
+            out[p, k] = Fraction(-m[i, f], scale)
+    return out
 
 
-def exact_rank(rows: list) -> int:
-    return len(exact_rref(rows)[1]) if rows else 0
+def exact_nullspace(a: np.ndarray) -> np.ndarray:
+    """Kernel basis of an exact matrix as columns of Fractions (the RREF kernel)."""
+    return _kernel(*_integer_rref(_cleared(a)[0]))
 
 
 @dataclass
@@ -146,29 +188,23 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
 
     Float mode: eigendecomposition; eigenvalues <= the rank cutoff are null,
     anything below -tol_psd (scaled) means the data is not a moment functional.
-    Exact mode: exact kernel plus metric Gram-Schmidt on a pivot-coordinate
-    complement; any non-positive pivot norm means the same inconsistency.
+    Exact mode: one fraction-free Gauss-Jordan pass on the integer numerators
+    gives the pivot columns and the RREF kernel; the combos are the
+    G-orthogonal unit-triangular vectors on the pivot coordinates, from an
+    LDL^T of the pivot block, and any non-positive pivot norm means the same
+    inconsistency.
     """
     d = gram.shape[0]
     if d == 0:
         empty = np.zeros((0, 0)) if not exact else as_object_matrix([])
         return GramSplit(empty, np.zeros((0,)), empty)
     if exact:
-        rows = [[Fraction(gram[i, j]) for j in range(d)] for i in range(d)]
-        null_vecs = exact_nullspace(rows)
-        _, pivots = exact_rref(rows)
-        basis = []
-        for p in pivots:
-            e = [Fraction(0)] * d
-            e[p] = Fraction(1)
-            basis.append(e)
-        combos, norms2 = _metric_gram_schmidt(basis, rows)
-        null = as_object_matrix(list(map(list, zip(*null_vecs)))) if null_vecs else np.empty((d, 0), dtype=object)
-        combo_mat = as_object_matrix(list(map(list, zip(*combos)))) if combos else np.empty((d, 0), dtype=object)
-        norms_arr = np.empty((len(norms2),), dtype=object)
-        for k, v in enumerate(norms2):
-            norms_arr[k] = v
-        return GramSplit(combo_mat, norms_arr, null)
+        num, den = _cleared(gram)
+        rref = _integer_rref(num)
+        pivots = rref[1]
+        combos = np.full((d, len(pivots)), Fraction(0), dtype=object)
+        combos[pivots], norms2 = _pivot_ldl(num[np.ix_(pivots, pivots)], den)
+        return GramSplit(combos, norms2, _kernel(*rref))
     g = to_float(gram)
     g = (g + g.T) / 2.0
     evals, evecs = np.linalg.eigh(g)
@@ -182,29 +218,33 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     return GramSplit(evecs[:, keep], evals[keep], evecs[:, ~keep])
 
 
-def _metric_gram_schmidt(basis: list, gram_rows: list) -> tuple:
-    """G-orthogonalize exact vectors without normalization; norms stay rational."""
-    d = len(gram_rows)
+def _pivot_ldl(h: np.ndarray, den: int) -> tuple:
+    """G-orthogonal combos and squared norms on the pivot block H = h / den.
 
-    def metric_dot(u, v):
-        gv = [sum(gram_rows[i][j] * v[j] for j in range(d)) for i in range(d)]
-        return sum(u[i] * gv[i] for i in range(d))
-
-    ortho: list = []
-    norms2: list = []
-    for v in basis:
-        u = list(v)
-        for w, n2 in zip(ortho, norms2):
-            coeff = metric_dot(w, u) / n2
-            u = [x - coeff * y for x, y in zip(u, w)]
-        n2 = metric_dot(u, u)
-        if n2 <= 0:
+    With H = L D L^T, the combos are the columns of L^-T: unit upper
+    triangular and pairwise H-orthogonal, so they equal metric Gram-Schmidt of
+    the pivot unit vectors, and D holds their squared norms. Fraction-free
+    forward elimination of [h^T | I] keeps row k equal to delta_k times row k
+    of [D L^T | L^-1], delta_k the k-th leading principal minor of h, so each
+    entry takes one division. Any non-positive D entry means the Gram matrix
+    is not positive semidefinite.
+    """
+    r = h.shape[0]
+    m = np.concatenate([h.T, np.eye(r, dtype=int).astype(object)], axis=1)
+    combos = np.empty((r, r), dtype=object)
+    norms2 = np.empty((r,), dtype=object)
+    prev = 1
+    for k in range(r):
+        norm2 = Fraction(m[k, k], prev * den)
+        if norm2 <= 0:
             raise InconsistentMomentsError(
-                f"exact Gram matrix is not positive semidefinite (pivot norm {n2})"
+                f"exact Gram matrix is not positive semidefinite (pivot norm {norm2})"
             )
-        ortho.append(u)
-        norms2.append(n2)
-    return ortho, norms2
+        norms2[k] = norm2
+        combos[:, k] = [Fraction(v, prev) for v in m[k, r:]]
+        _eliminate(m, slice(k + 1, None), k, k, prev)
+        prev = m[k, k]
+    return combos, norms2
 
 
 def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .fock import (
     FockData,
+    _max_abs,
     _seminorm_residual,
     annihilation_blocks,
     check_commutation,
@@ -321,18 +322,19 @@ def validate(
         null = splits[n].null
         if null.shape[1] == 0:
             continue
+        scale = max(1.0, _max_abs(grams[n]))
+        next_scale = max(1.0, _max_abs(grams[n + 1])) if n < n_max else None
         for i in range(d):
             if n < n_max:
-                residual = _seminorm_residual(aplus[i][n] @ null, grams[n + 1])
-                scale = max(1.0, float(np.max(np.abs(_linalg.to_float(grams[n + 1])))))
-                add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
-            residual = _seminorm_residual(bzero[i][n] @ null, grams[n])
-            scale = max(1.0, float(np.max(np.abs(_linalg.to_float(grams[n])))))
+                shifted = _linalg.matmul(aplus[i][n], null)
+                residual = _seminorm_residual(shifted, grams[n + 1])
+                add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
+            residual = _seminorm_residual(_linalg.matmul(bzero[i][n], null), grams[n])
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
 
     for i in range(d):
         for n in range(n_max + 1):
-            s = grams[n] @ bzero[i][n]
+            s = _linalg.matmul(grams[n], bzero[i][n])
             residual = float(np.max(np.abs(_linalg.to_float(s - s.T)), initial=0.0))
             scale = max(1.0, float(np.max(np.abs(_linalg.to_float(s)), initial=0.0)))
             add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)

@@ -8,11 +8,18 @@ R = coef_n^T L_i coef_n, the candidates of degree n taken against the
 localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)). The annihilation block
 solves G_{n-1} A_i^- = (A_i^+)^T G_n; `annihilation_blocks` does that solve
 for assembled and for externally supplied blocks alike.
+
+Residual checks (adjointness, symmetry, the commutation relations, the
+vacuum words) take their products through `_linalg.matmul`, so exact blocks
+are multiplied on integer numerators; each commutation relation is one
+product of its stacked factors, measured in the target-level Gram seminorm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,8 +213,8 @@ def adjointness_residuals(fock: FockData) -> dict:
     out = {}
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
-            lhs = fock.grams[n - 1] @ fock.aminus[i][n]
-            rhs = fock.aplus[i][n - 1].T @ fock.grams[n]
+            lhs = _linalg.matmul(fock.grams[n - 1], fock.aminus[i][n])
+            rhs = _linalg.matmul(fock.aplus[i][n - 1].T, fock.grams[n])
             out[(i + 1, n)] = _max_abs(lhs - rhs) / max(1.0, _max_abs(rhs))
     return out
 
@@ -217,7 +224,7 @@ def azero_symmetry_residuals(fock: FockData) -> dict:
     out = {}
     for i in range(fock.dimension):
         for n in range(fock.depth + 1):
-            s = fock.grams[n] @ fock.azero[i][n]
+            s = _linalg.matmul(fock.grams[n], fock.azero[i][n])
             out[(i + 1, n)] = _max_abs(s - s.T) / max(1.0, _max_abs(s))
     return out
 
@@ -225,19 +232,17 @@ def azero_symmetry_residuals(fock: FockData) -> dict:
 def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, rank_tol: float = 1e-10) -> float:
     """Largest Gram seminorm over the columns of a block.
 
-    Exact blocks are measured in rational arithmetic, so a column lying in
-    the kernel scores exactly zero. Float blocks are measured against the
-    rank-retained eigenspace of the Gram matrix: eigendirections below
-    rank_tol (relative) belong to the quotient kernel, and evaluating the
-    raw quadratic form there would turn rounding noise of size eps into a
-    sqrt(eps) artifact.
+    Exact blocks are measured in rational arithmetic, on integer numerators,
+    so a column lying in the kernel scores exactly zero. Float blocks are
+    measured against the rank-retained eigenspace of the Gram matrix:
+    eigendirections below rank_tol (relative) belong to the quotient kernel,
+    and evaluating the raw quadratic form there would turn rounding noise of
+    size eps into a sqrt(eps) artifact.
     """
     if cols.size == 0:
         return 0.0
     if cols.dtype == object and gram.dtype == object:
-        quad = cols.T @ gram @ cols
-        worst = max(quad[i, i] for i in range(quad.shape[0]))
-        return math.sqrt(max(0.0, float(worst)))
+        return math.sqrt(max(0.0, float(_linalg.max_quadratic(cols, gram))))
     c = _linalg.to_float(cols)
     g = _linalg.to_float(gram)
     w, v = np.linalg.eigh(0.5 * (g + g.T))
@@ -295,6 +300,7 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
     tol = tol or fock.tolerances
     n_max = fock.depth
     report = CommutationReport(depth=n_max)
+    blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
 
     def ap(i, n):
         return fock.aplus[i][n]
@@ -303,22 +309,30 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
         return fock.azero[i][n]
 
     def am(i, n):
-        # annihilation kills the vacuum level
-        if n == 0:
-            size = fock.grams[0].shape[0]
-            return np.zeros((0, size), dtype=object if fock.exact else float)
         return fock.aminus[i][n]
 
-    def record(relation, pair, n, block, target_level, parts):
-        scale = max([1.0] + [_max_abs(p) for p in parts])
-        residual = _seminorm_residual(block, fock.grams[target_level])
+    @functools.cache
+    def scale(kind, i, n):
+        return _max_abs(blocks[kind][i][n])
+
+    def combine(terms):
+        # sum of left @ right; exact terms run as one integer product of the
+        # stacked factors, float terms add up in the order written
+        if fock.exact:
+            return _linalg.matmul(
+                np.hstack([left for left, _ in terms]), np.vstack([right for _, right in terms])
+            )
+        return functools.reduce(operator.add, (left @ right for left, right in terms))
+
+    def record(relation, pair, n, terms, target_level, parts):
+        residual = _seminorm_residual(combine(terms), fock.grams[target_level])
         report.entries.append(
             CommutationEntry(
                 relation=relation,
                 pair=pair,
                 degree=n,
                 residual=residual,
-                tolerance=tol.comm * scale,
+                tolerance=tol.comm * max([1.0] + [scale(*p) for p in parts]),
             )
         )
 
@@ -326,42 +340,39 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
         for k in range(j + 1, fock.dimension):
             pair = (j + 1, k + 1)
             for n in range(n_max - 1):
-                block = ap(j, n + 1) @ ap(k, n) - ap(k, n + 1) @ ap(j, n)
-                record("CR1", pair, n, block, n + 2, [ap(j, n), ap(k, n + 1)])
+                terms = [(ap(j, n + 1), ap(k, n)), (-ap(k, n + 1), ap(j, n))]
+                record("CR1", pair, n, terms, n + 2, [("+", j, n), ("+", k, n + 1)])
             for n in range(n_max):
-                block = (
-                    ap(j, n) @ az(k, n)
-                    - az(k, n + 1) @ ap(j, n)
-                    + az(j, n + 1) @ ap(k, n)
-                    - ap(k, n) @ az(j, n)
-                )
-                parts = [ap(j, n), ap(k, n), az(j, n + 1), az(k, n + 1)]
-                record("CR2", pair, n, block, n + 1, parts)
+                terms = [
+                    (ap(j, n), az(k, n)),
+                    (az(k, n + 1), -ap(j, n)),
+                    (az(j, n + 1), ap(k, n)),
+                    (-ap(k, n), az(j, n)),
+                ]
+                parts = [("+", j, n), ("+", k, n), ("0", j, n + 1), ("0", k, n + 1)]
+                record("CR2", pair, n, terms, n + 1, parts)
             for n in range(n_max):
-                if n == 0:
-                    block = (
-                        -am(k, n + 1) @ ap(j, n)
-                        + az(j, n) @ az(k, n)
-                        - az(k, n) @ az(j, n)
-                        + am(j, n + 1) @ ap(k, n)
-                    )
-                else:
-                    block = (
-                        ap(j, n - 1) @ am(k, n)
-                        - am(k, n + 1) @ ap(j, n)
-                        + az(j, n) @ az(k, n)
-                        - az(k, n) @ az(j, n)
-                        + am(j, n + 1) @ ap(k, n)
-                        - ap(k, n - 1) @ am(j, n)
-                    )
-                parts = [az(j, n), az(k, n), am(j, n + 1), am(k, n + 1)]
-                record("CR3", pair, n, block, n, parts)
+                terms = [
+                    (am(k, n + 1), -ap(j, n)),
+                    (az(j, n), az(k, n)),
+                    (-az(k, n), az(j, n)),
+                    (am(j, n + 1), ap(k, n)),
+                ]
+                if n:
+                    # terms through the annihilation block of level n, which
+                    # the vacuum level lacks
+                    terms = [(ap(j, n - 1), am(k, n))] + terms + [(-ap(k, n - 1), am(j, n))]
+                parts = [("0", j, n), ("0", k, n), ("-", j, n + 1), ("-", k, n + 1)]
+                record("CR3", pair, n, terms, n, parts)
     return report
 
 
 def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
     """One application of X_i = A_i^+ + A_i^0 + A_i^- to a level-indexed state."""
     out: dict = {}
+    # float products are small matrix-vector ones, where matmul's dispatch
+    # would cost more than the product
+    mul = _linalg.matmul if fock.exact else np.matmul
 
     def accumulate(level, vec):
         if level in out:
@@ -374,10 +385,10 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
             )
-        accumulate(n + 1, fock.aplus[i][n] @ v)
-        accumulate(n, fock.azero[i][n] @ v)
+        accumulate(n + 1, mul(fock.aplus[i][n], v))
+        accumulate(n, mul(fock.azero[i][n], v))
         if n >= 1:
-            accumulate(n - 1, fock.aminus[i][n] @ v)
+            accumulate(n - 1, mul(fock.aminus[i][n], v))
     return out
 
 

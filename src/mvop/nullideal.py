@@ -78,11 +78,7 @@ def _new_kernel_directions(kernel: np.ndarray, inherited: np.ndarray, exact: boo
         return kernel
     if exact:
         # v = kernel @ y with inherited^T v = 0
-        coeffs = _linalg.exact_nullspace((inherited.T @ kernel).tolist())
-        if not coeffs:
-            return kernel[:, :0]
-        y = np.array([[c for c in col] for col in coeffs], dtype=object).T
-        return kernel @ y
+        return _linalg.matmul(kernel, _linalg.exact_nullspace(_linalg.matmul(inherited.T, kernel)))
     u, s, _ = np.linalg.svd(inherited, full_matrices=False)
     cut = _linalg.rank_cutoff(inherited.shape[0], s[0] if s.size else 0.0, tol_rank)
     u = u[:, s > cut]
