@@ -1,0 +1,59 @@
+"""CLI stdout, byte for byte, against committed golden files.
+
+Every case runs one exact-mode subcommand on a spec or payload under
+tests/golden/ and compares its stdout with tests/golden/<case>.out. Float
+runs are left out: their last digits depend on the BLAS build.
+
+Regenerate the goldens (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_cli_bytes.py``.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from mvop.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (case name, argv with spec and payload paths relative to GOLDEN, exit code)
+CASES = [
+    (f"{cmd}-{spec}", [cmd, "--spec", f"{spec}.json", "--max-degree", "3", "--mode", "exact"], 0)
+    for spec in ("square", "skew")
+    for cmd in ("omega", "rank", "null", "moments", "capcheck")
+]
+CASES += [
+    (
+        f"marginal{coords.replace(',', '')}-{spec}",
+        ["marginal", "--spec", f"{spec}.json", "--max-degree", "3", "--mode", "exact", "--coords", coords],
+        0,
+    )
+    for spec in ("square", "skew")
+    for coords in ("1", "1,2")
+]
+CASES += [
+    ("favard-genuine", ["favard", "--fock", "square_fock.json", "--mode", "exact"], 0),
+    ("favard-tampered", ["favard", "--fock", "square_fock_tampered.json", "--mode", "exact"], 3),
+]
+
+
+def _run(argv) -> tuple:
+    argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_cli_stdout_matches_golden(name, argv, code):
+    got_code, out = _run(argv)
+    assert got_code == code
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for name, argv, _ in CASES:
+        (GOLDEN / f"{name}.out").write_text(_run(argv)[1], encoding="utf-8")
