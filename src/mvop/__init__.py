@@ -39,9 +39,7 @@ from .fock import (
     azero_symmetry_residuals,
     check_commutation,
     creation_matrix,
-    gram_of,
     nonzero_spectrum,
-    omega_matrix,
     vacuum_moment,
     x_commutator_residual,
 )
@@ -119,7 +117,6 @@ __all__ = [
     "discrete_functional",
     "gaussian_functional",
     "graded_lex_key",
-    "gram_of",
     "grams_from_diagonal_table",
     "index_weight",
     "jacobi_1d",
@@ -130,7 +127,6 @@ __all__ = [
     "monomials_up_to",
     "nonzero_spectrum",
     "null_polynomials",
-    "omega_matrix",
     "product_functional",
     "rank_sequence",
     "reconstruct_discrete",

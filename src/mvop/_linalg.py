@@ -26,14 +26,6 @@ from .errors import InconsistentMomentsError
 EPS = float(np.finfo(np.float64).eps)
 
 
-def as_object_matrix(rows) -> np.ndarray:
-    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            out[i, j] = value
-    return out
-
-
 def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
@@ -196,7 +188,7 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     """
     d = gram.shape[0]
     if d == 0:
-        empty = np.zeros((0, 0)) if not exact else as_object_matrix([])
+        empty = np.empty((0, 0), dtype=object if exact else float)
         return GramSplit(empty, np.zeros((0,)), empty)
     if exact:
         num, den = _cleared(gram)

@@ -200,8 +200,11 @@ def functional_from_payload(payload, needed_depth: int):
         if mtype == "moments_table":
             dimension = int(_require(payload, "dimension"))
             depth = int(_require(payload, "depth"))
+            raw_entries = _require(payload, "entries")
+            if not isinstance(raw_entries, dict):
+                raise SpecFormatError("moments_table 'entries' must be an object")
             entries = {}
-            for key, value in _require(payload, "entries").items():
+            for key, value in raw_entries.items():
                 try:
                     alpha = tuple(int(part) for part in str(key).split(","))
                 except ValueError:

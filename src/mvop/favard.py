@@ -5,6 +5,8 @@ this module checks the conditions under which the data comes from a genuine
 moment functional, and, when every Gram slice eventually degenerates to rank
 zero, reconstructs the finitely supported representing measure by jointly
 diagonalizing the coordinate operators on the non-degenerate quotient.
+Supplied blocks are completed by `fock.complete_fock`, the routine that
+completes moment-born ones, and checked with the same residuals.
 """
 
 from __future__ import annotations
@@ -25,21 +27,34 @@ from .errors import (
 from .fock import (
     FockData,
     _max_abs,
+    _residual,
     _seminorm_residual,
-    annihilation_blocks,
     check_commutation,
-    creation_matrix,
+    complete_fock,
+    symmetry_residuals,
 )
-from .gradation import index_weight
+from .gradation import index_weight, resolve_mode
 from .measures import DiscreteMeasure
 from .polynomial import monomials_of_degree, space_dimension
 from .scalars import Tolerances, format_scalar, is_rational, parse_scalar
 
 
-def _as_matrix(rows, exact: bool) -> np.ndarray:
-    if exact:
-        return np.array([[v for v in row] for row in rows], dtype=object)
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
+def _parse_block(rows) -> np.ndarray:
+    """A payload block from its list of rows; object dtype when every entry is rational."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SpecFormatError(f"a block must be a list of rows, got {rows!r}")
+    parsed = [[parse_scalar(v) for v in row] for row in rows]
+    if all(is_rational(v) for row in parsed for v in row):
+        return np.array(parsed, dtype=object)
+    return np.array([[float(v) for v in row] for row in parsed], dtype=float)
+
+
+def _zero_bzero(dimension: int, depth: int) -> list:
+    # object dtype keeps an all-rational payload in exact mode
+    return [
+        [np.zeros((space_dimension(dimension, n),) * 2, dtype=object) for n in range(depth + 1)]
+        for _ in range(dimension)
+    ]
 
 
 @dataclass
@@ -70,9 +85,8 @@ class FockInput:
             k = space_dimension(d, n)
             if g.shape != (k, k):
                 raise ValueError(f"Gram at degree {n} has shape {g.shape}, expected ({k}, {k})")
-            asym = _linalg.to_float(g - g.T)
-            scale = max(1.0, float(np.max(np.abs(_linalg.to_float(g)), initial=0.0)))
-            if asym.size and float(np.max(np.abs(asym))) > 1e-10 * scale:
+            asym, scale = _residual(g, g.T)
+            if asym > 1e-10 * scale:
                 raise ValueError(f"Gram at degree {n} is not symmetric")
         for i, per_level in enumerate(self.bzero):
             if len(per_level) != n_max + 1:
@@ -115,13 +129,7 @@ class FockInput:
                 g[j, :] = g[j, :] * (w if exact else float(w))
             grams.append(g)
         if bzero is None:
-            bzero = [
-                [
-                    np.zeros((space_dimension(dimension, n),) * 2, dtype=object)
-                    for n in range(len(omegas))
-                ]
-                for _ in range(dimension)
-            ]
+            bzero = _zero_bzero(dimension, len(omegas) - 1)
         return cls(dimension=dimension, depth=len(omegas) - 1, grams=grams, bzero=bzero)
 
     @classmethod
@@ -141,9 +149,7 @@ class FockInput:
             raise SpecFormatError(f"'{key}' must list {n_max + 1} blocks")
         blocks = []
         for n, rows in enumerate(raw_blocks):
-            parsed = [[parse_scalar(v) for v in row] for row in rows]
-            exact = all(is_rational(v) for row in parsed for v in row)
-            mat = _as_matrix(parsed, exact)
+            mat = _parse_block(rows)
             k = space_dimension(d, n)
             if mat.shape != (k, k):
                 raise SpecFormatError(
@@ -152,14 +158,7 @@ class FockInput:
             blocks.append(mat)
         raw_b = payload.get("bzero")
         if raw_b is None:
-            # object dtype keeps an all-rational payload in exact mode
-            bzero = [
-                [
-                    np.zeros((space_dimension(d, n),) * 2, dtype=object)
-                    for n in range(n_max + 1)
-                ]
-                for _ in range(d)
-            ]
+            bzero = _zero_bzero(d, n_max)
         else:
             if not isinstance(raw_b, list) or len(raw_b) != d:
                 raise SpecFormatError(f"'bzero' must list {d} coordinate families")
@@ -167,12 +166,7 @@ class FockInput:
             for per in raw_b:
                 if not isinstance(per, list) or len(per) != n_max + 1:
                     raise SpecFormatError(f"each 'bzero' family must list {n_max + 1} blocks")
-                mats = []
-                for rows in per:
-                    parsed = [[parse_scalar(v) for v in row] for row in rows]
-                    exact = all(is_rational(v) for row in parsed for v in row)
-                    mats.append(_as_matrix(parsed, exact))
-                bzero.append(mats)
+                bzero.append([_parse_block(rows) for rows in per])
         try:
             if key == "omega":
                 return cls.from_omegas(d, blocks, bzero)
@@ -249,18 +243,6 @@ class ValidationReport:
         )
 
 
-def _resolve_exact(fi: FockInput, mode: str) -> bool:
-    if mode == "auto":
-        return fi.exact
-    if mode == "exact":
-        if not fi.exact:
-            raise ValueError("exact mode requires rational blocks")
-        return True
-    if mode == "float":
-        return False
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def validate(
     fi: FockInput, *, mode: str = "auto", tol: Tolerances | None = None
 ) -> ValidationReport:
@@ -275,7 +257,7 @@ def validate(
     dependent checks are skipped.
     """
     tol = tol or Tolerances()
-    exact = _resolve_exact(fi, mode)
+    exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
     grams = (
         [g.copy() for g in fi.grams]
@@ -296,7 +278,6 @@ def validate(
 
     add("normalization", "vacuum Gram", abs(float(grams[0][0, 0]) - 1.0), tol.comm)
     psd_ok = True
-    splits = []
     for n, g in enumerate(grams):
         gf = _linalg.to_float(g)
         evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
@@ -308,13 +289,10 @@ def validate(
     if not psd_ok or not report.checks[0].passed:
         return report
 
-    for n, g in enumerate(grams):
-        splits.append(_linalg.split_gram(g, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd))
-
-    dtype = object if exact else float
-    aplus = [
-        [creation_matrix(d, i, n, dtype=dtype) for n in range(n_max)] for i in range(d)
+    splits = [
+        _linalg.split_gram(g, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd) for g in grams
     ]
+    fock, adjointness = complete_fock(grams, splits, bzero, exact)
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
@@ -326,32 +304,16 @@ def validate(
         next_scale = max(1.0, _max_abs(grams[n + 1])) if n < n_max else None
         for i in range(d):
             if n < n_max:
-                shifted = _linalg.matmul(aplus[i][n], null)
+                shifted = _linalg.matmul(fock.aplus[i][n], null)
                 residual = _seminorm_residual(shifted, grams[n + 1])
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
             residual = _seminorm_residual(_linalg.matmul(bzero[i][n], null), grams[n])
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
 
-    for i in range(d):
-        for n in range(n_max + 1):
-            s = _linalg.matmul(grams[n], bzero[i][n])
-            residual = float(np.max(np.abs(_linalg.to_float(s - s.T)), initial=0.0))
-            scale = max(1.0, float(np.max(np.abs(_linalg.to_float(s)), initial=0.0)))
-            add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-
-    aminus, residuals = annihilation_blocks(aplus, grams, splits)
-    for (i, n), (residual, scale) in residuals.items():
+    for (i, n), (residual, scale) in symmetry_residuals(grams, bzero).items():
+        add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
+    for (i, n), (residual, scale) in adjointness.items():
         add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-
-    fock = FockData(
-        dimension=d,
-        depth=n_max,
-        exact=exact,
-        grams=grams,
-        aplus=aplus,
-        azero=bzero,
-        aminus=aminus,
-    )
     for entry in check_commutation(fock, tol=tol).entries:
         add(
             entry.relation,
@@ -361,6 +323,24 @@ def validate(
         )
     report.fock = fock
     return report
+
+
+def _orthonormal_compression(fock: FockData, tol: Tolerances) -> tuple:
+    """Float Gram splits, their orthonormal combos Q_n, and lift.
+
+    lift(A, t, s) = Q_t^T G_t A Q_s compresses a block from level s to level t
+    onto the orthonormal quotients, where the Fock operators are symmetric.
+    """
+    grams = [_linalg.to_float(g) for g in fock.grams]
+    splits = [
+        _linalg.split_gram(g, exact=False, tol_rank=tol.rank, tol_psd=tol.psd) for g in grams
+    ]
+    qs = [_linalg.orthonormal_columns(s) for s in splits]
+
+    def lift(mat, target, source):
+        return qs[target].T @ grams[target] @ _linalg.to_float(mat) @ qs[source]
+
+    return splits, qs, lift
 
 
 def _snap(value: float, tol: float = 1e-8, max_den: int = 64):
@@ -399,10 +379,7 @@ def reconstruct_discrete(
     if not report.passed:
         raise ValidationFailedError(f"blocks failed validation: {report.summary()}")
     fock = report.fock
-    splits = [
-        _linalg.split_gram(_linalg.to_float(g), exact=False, tol_rank=tol.rank, tol_psd=tol.psd)
-        for g in fock.grams
-    ]
+    splits, qs, lift = _orthonormal_compression(fock, tol)
     cutoff = None
     for n, split in enumerate(splits):
         if split.rank == 0:
@@ -414,22 +391,19 @@ def reconstruct_discrete(
             f"finite support is not certified"
         )
 
-    qs = [_linalg.orthonormal_columns(splits[n]) for n in range(cutoff)]
-    sizes = [q.shape[1] for q in qs]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = np.concatenate([[0], np.cumsum([q.shape[1] for q in qs[:cutoff]])])
     total = int(offsets[-1])
-    grams_f = [_linalg.to_float(g) for g in fock.grams]
 
     operators = []
     for i in range(fi.dimension):
         x = np.zeros((total, total))
         for n in range(cutoff):
             lo, hi = offsets[n], offsets[n + 1]
-            b = qs[n].T @ grams_f[n] @ _linalg.to_float(fock.azero[i][n]) @ qs[n]
+            b = lift(fock.azero[i][n], n, n)
             x[lo:hi, lo:hi] = 0.5 * (b + b.T)
             if n + 1 < cutoff:
                 lo2, hi2 = offsets[n + 1], offsets[n + 2]
-                c = qs[n + 1].T @ grams_f[n + 1] @ _linalg.to_float(fock.aplus[i][n]) @ qs[n]
+                c = lift(fock.aplus[i][n], n + 1, n)
                 x[lo2:hi2, lo:hi] = c
                 x[lo:hi, lo2:hi2] = c.T
         operators.append(x)
@@ -504,7 +478,7 @@ def diagonal_product_check(
     def ratio(num, den):
         if den == 0:
             return None if num != 0 else 0
-        return num / den if exact else float(num) / float(den)
+        return Fraction(num, den) if exact else float(num) / float(den)
 
     omegas, etas = [], []
     for k in range(1, n_max + 1):
@@ -519,13 +493,7 @@ def diagonal_product_check(
 
     for n in range(n_max + 1):
         for k in range(n + 1):
-            expected = math.prod(omegas[:k]) * math.prod(etas[: n - k]) if not exact else None
-            if exact:
-                expected = 1
-                for v in omegas[:k]:
-                    expected *= v
-                for v in etas[: n - k]:
-                    expected *= v
+            expected = math.prod(omegas[:k]) * math.prod(etas[: n - k])
             actual = dtable[n][k]
             if exact:
                 ok = actual == expected
@@ -613,16 +581,7 @@ def self_adjointness_bound(
             f"degrees must lie in 1..{n_max - 2} so both raising steps stay in depth"
         )
 
-    splits = [
-        _linalg.split_gram(_linalg.to_float(g), exact=False, tol_rank=tol.rank, tol_psd=tol.psd)
-        for g in fock.grams
-    ]
-    qs = [_linalg.orthonormal_columns(s) for s in splits]
-    grams_f = [_linalg.to_float(g) for g in fock.grams]
-
-    def lift(mat, target, source):
-        return qs[target].T @ grams_f[target] @ _linalg.to_float(mat) @ qs[source]
-
+    _, _, lift = _orthonormal_compression(fock, tol)
     bounds = []
     for n in degrees:
         worst = 0.0

@@ -6,8 +6,10 @@ X_i = A_i^+ + A_i^0 + A_i^-. Creation blocks are the canonical index shifts
 in candidate coordinates. The preservation block solves G_n A_i^0 = R with
 R = coef_n^T L_i coef_n, the candidates of degree n taken against the
 localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)). The annihilation block
-solves G_{n-1} A_i^- = (A_i^+)^T G_n; `annihilation_blocks` does that solve
-for assembled and for externally supplied blocks alike.
+solves G_{n-1} A_i^- = (A_i^+)^T G_n. `complete_fock` adds the creation and
+annihilation blocks to given Gram and preservation blocks, for assembled and
+for externally supplied blocks alike, and `_residual` is the one
+(residual, scale) measure of every solve and symmetry check.
 
 Residual checks (adjointness, symmetry, the commutation relations, the
 vacuum words) take their products through `_linalg.matmul`, so exact blocks
@@ -45,14 +47,6 @@ def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
         shifted = tuple(e + (1 if k == i else 0) for k, e in enumerate(alpha))
         out[row_pos[shifted], c] = one
     return out
-
-
-def gram_of(g: GradationBasis, n: int) -> np.ndarray:
-    return g.level(n).gram
-
-
-def omega_matrix(g: GradationBasis, n: int) -> np.ndarray:
-    return g.level(n).omega()
 
 
 def nonzero_spectrum(g: GradationBasis, n: int, *, tol: Tolerances | None = None) -> list:
@@ -107,14 +101,15 @@ def _max_abs(mat) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _gram_solve(split: _linalg.GramSplit, gram: np.ndarray, rhs: np.ndarray) -> tuple:
-    """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale).
+def _residual(lhs, rhs) -> tuple:
+    """(max |lhs - rhs|, max(1, max |rhs|)): a residual and the scale it is judged against."""
+    return _max_abs(lhs - rhs), max(1.0, _max_abs(rhs))
 
-    residual is the max-entry residual of the solve and scale = max(1, max |rhs|).
-    """
+
+def _gram_solve(split: _linalg.GramSplit, gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale)."""
     a = _linalg.pseudo_apply(split, rhs)
-    residual = _max_abs(_linalg.matmul(gram, a) - rhs)
-    return a, residual, max(1.0, _max_abs(rhs))
+    return (a, *_residual(_linalg.matmul(gram, a), rhs))
 
 
 def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
@@ -137,14 +132,32 @@ def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
     return aminus, residuals
 
 
+def complete_fock(
+    grams: list, splits: list, azero: list, exact: bool, gradation: GradationBasis | None = None
+) -> tuple:
+    """The Fock representation of Gram and preservation blocks.
+
+    Shared by moment-born blocks (`assemble_fock`) and supplied ones
+    (`favard.validate`): the creation blocks are the canonical shifts, the
+    annihilation blocks come from `annihilation_blocks`. Returns
+    (FockData, residuals), residuals as returned by `annihilation_blocks`.
+    """
+    d, depth = len(azero), len(grams) - 1
+    dtype = object if exact else float
+    aplus = [[creation_matrix(d, i, n, dtype=dtype) for n in range(depth)] for i in range(d)]
+    aminus, residuals = annihilation_blocks(aplus, grams, splits)
+    fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation)
+    return fock, residuals
+
+
 def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockData:
     """Assemble creation, preservation, and annihilation blocks from a gradation.
 
     Preservation blocks solve G_n A = R with R the localizing-matrix Gram of
-    the candidates; annihilation blocks solve G_{n-1} A = (A^+)^T G_n. Both
-    solves use the range part of the Gram splitting, and the defining
-    identities are re-checked afterwards (they must hold because the
-    right-hand sides lie in the Gram range for moment-born data).
+    the candidates; the rest is `complete_fock`. Both solves use the range
+    part of the Gram splitting, and the defining identities are re-checked
+    afterwards (they must hold because the right-hand sides lie in the Gram
+    range for moment-born data).
 
     Raises
     ------
@@ -162,16 +175,6 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             f"but only {functional.max_reliable_degree} are reliable"
         )
     d = g.dimension
-    exact = g.exact
-    dtype = object if exact else float
-    grams = [lev.gram for lev in g.levels]
-    splits = [lev.split for lev in g.levels]
-
-    aplus = [
-        [creation_matrix(d, i, n, dtype=dtype) for n in range(depth)]
-        for i in range(d)
-    ]
-
     azero = []
     for i in range(d):
         localizing = moment_matrix(functional, depth, tuple(int(k == i) for k in range(d)))
@@ -188,24 +191,16 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             per_level.append(a)
         azero.append(per_level)
 
-    aminus, residuals = annihilation_blocks(aplus, grams, splits)
+    fock, residuals = complete_fock(
+        [lev.gram for lev in g.levels], [lev.split for lev in g.levels], azero, g.exact, g
+    )
     for (i, n), (residual, scale) in residuals.items():
         if residual > tol.adj * scale:
             raise InternalConsistencyError(
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
             )
-
-    return FockData(
-        dimension=d,
-        depth=depth,
-        exact=exact,
-        grams=grams,
-        aplus=aplus,
-        azero=azero,
-        aminus=aminus,
-        gradation=g,
-    )
+    return fock
 
 
 def adjointness_residuals(fock: FockData) -> dict:
@@ -214,19 +209,27 @@ def adjointness_residuals(fock: FockData) -> dict:
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
             lhs = _linalg.matmul(fock.grams[n - 1], fock.aminus[i][n])
-            rhs = _linalg.matmul(fock.aplus[i][n - 1].T, fock.grams[n])
-            out[(i + 1, n)] = _max_abs(lhs - rhs) / max(1.0, _max_abs(rhs))
+            residual, scale = _residual(lhs, _linalg.matmul(fock.aplus[i][n - 1].T, fock.grams[n]))
+            out[(i + 1, n)] = residual / scale
+    return out
+
+
+def symmetry_residuals(grams: list, azero: list) -> dict:
+    """(residual, scale) of the asymmetry of G_n A_i^0, keyed by (i, n)."""
+    out = {}
+    for i, per_level in enumerate(azero):
+        for n, (gram, block) in enumerate(zip(grams, per_level)):
+            s = _linalg.matmul(gram, block)
+            out[(i, n)] = _residual(s, s.T)
     return out
 
 
 def azero_symmetry_residuals(fock: FockData) -> dict:
     """Max-entry asymmetry of G_n A_i^0, keyed by (i+1, n)."""
-    out = {}
-    for i in range(fock.dimension):
-        for n in range(fock.depth + 1):
-            s = _linalg.matmul(fock.grams[n], fock.azero[i][n])
-            out[(i + 1, n)] = _max_abs(s - s.T) / max(1.0, _max_abs(s))
-    return out
+    return {
+        (i + 1, n): residual / scale
+        for (i, n), (residual, scale) in symmetry_residuals(fock.grams, fock.azero).items()
+    }
 
 
 def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, rank_tol: float = 1e-10) -> float:

@@ -37,13 +37,14 @@ def index_weight(alpha) -> Fraction:
     return Fraction(num, math.factorial(sum(alpha)))
 
 
-def resolve_mode(functional: MomentFunctional, mode: str) -> str:
+def resolve_mode(rational: bool, mode: str) -> str:
+    """Resolve a requested mode to "exact" or "float", given whether all the data is rational."""
     if mode == "auto":
-        return "exact" if functional.exact else "float"
+        return "exact" if rational else "float"
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and not functional.exact:
-        raise ValueError("exact mode requires a functional with rational moments")
+    if mode == "exact" and not rational:
+        raise ValueError("exact mode requires rational data")
     return mode
 
 
@@ -209,7 +210,7 @@ def build_gradations(
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     tol = tol or Tolerances()
-    mode = resolve_mode(functional, mode)
+    mode = resolve_mode(functional.exact, mode)
     if 2 * max_degree > functional.max_reliable_degree:
         raise DepthExceededError(
             f"gradation to degree {max_degree} needs moments to {2 * max_degree}, "

@@ -87,7 +87,7 @@ def jacobi_1d(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     tol = tol or Tolerances()
-    mode = resolve_mode(functional, mode)
+    mode = resolve_mode(functional.exact, mode)
     if 2 * depth > functional.max_reliable_degree:
         raise DepthExceededError(
             f"recurrence to depth {depth} needs moments to {2 * depth}, "

@@ -330,7 +330,7 @@ def table_functional(dimension: int, entries: dict, depth: int) -> MomentFunctio
     """Lookup-backed functional from an explicit moment table.
 
     Every multi-index of total degree <= depth must be present, and the
-    zero-index entry must equal 1.
+    zero-index entry must equal 1 (checked by MomentFunctional).
     """
     table = {tuple(k): v for k, v in entries.items()}
     missing = [a for a in monomials_up_to(dimension, depth) if a not in table]
@@ -339,11 +339,5 @@ def table_functional(dimension: int, entries: dict, depth: int) -> MomentFunctio
             f"moment table is missing {len(missing)} entries within depth {depth}, "
             f"first missing: {missing[0]}"
         )
-    zero_entry = table[(0,) * dimension]
-    normalized = (
-        zero_entry == 1 if is_rational(zero_entry) else abs(zero_entry - 1.0) <= 1e-12
-    )
-    if not normalized:
-        raise SpecFormatError(f"moment table is not normalized: entry at 0 is {zero_entry}")
     exact = all(is_rational(v) for v in table.values())
     return MomentFunctional(dimension, table.__getitem__, depth, exact=exact, tag="table")

@@ -69,9 +69,8 @@ class Tolerances:
     comm: float = 1e-10
     adj: float = 1e-10
     psd: float = 1e-10
-    eval: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rank", "null", "comm", "adj", "psd", "eval"):
+        for name in ("rank", "null", "comm", "adj", "psd"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"tolerance {name} must be positive")

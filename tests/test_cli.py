@@ -247,6 +247,27 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("favard", {"dimension": 1, "depth": 0, "gram": [5]}),
+        ("favard", {"dimension": 1, "depth": 0, "gram": [[5]]}),
+        ("favard", {"dimension": 1, "depth": 0, "gram": [[[1]]], "bzero": [[[5]]]}),
+        ("rank", {"type": "moments_table", "dimension": 1, "depth": 1, "entries": [1, 0]}),
+    ],
+    ids=["block-not-list", "row-not-list", "bzero-row-not-list", "table-entries-not-object"],
+)
+def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(payload))
+    flag = "--fock" if command == "favard" else "--spec"
+    code = main([command, flag, str(path), "--max-degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_exit_code_on_bad_spec_version(capsys, tmp_path):
     path = tmp_path / "v2.json"
     path.write_text(json.dumps({"spec_version": 2, "type": "circle"}))

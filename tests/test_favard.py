@@ -28,6 +28,28 @@ def test_validate_passes_exact(square_fn):
     assert all(c.residual == 0 for c in report.checks)
 
 
+@pytest.mark.parametrize("name", ["square_fn", "circle"])
+def test_validate_completes_the_same_blocks(request, name):
+    # moment-born blocks and the same blocks supplied to validate share one completion
+    fock = mvop.assemble_fock(mvop.build_gradations(request.getfixturevalue(name), 3))
+    again = mvop.validate(mvop.FockInput.from_fock_data(fock)).fock
+    assert again.exact == fock.exact
+    for kind in ("aplus", "azero", "aminus"):
+        for mine, theirs in zip(getattr(again, kind), getattr(fock, kind)):
+            for n, (a, b) in enumerate(zip(mine, theirs)):
+                if b is None:
+                    assert a is None
+                elif fock.exact:
+                    assert a.dtype == object and a.tolist() == b.tolist()
+                elif kind == "aminus" and fock.gradation.level(n - 1).nullity:
+                    # the gradation splits a rank-deficient float Gram before
+                    # restricting it to its range, validate splits the
+                    # restricted one, so the solves differ by rounding
+                    assert np.max(np.abs(a - b)) <= 1e-15
+                else:
+                    assert np.array_equal(a, b)
+
+
 def test_diagonal_blocks_without_product_structure_fail():
     omegas = [
         np.array([[1.0]]),
@@ -215,6 +237,15 @@ def test_diagonal_product_check_rejects_mixed_entry():
     assert (n, k) == (2, 1)
     assert expected == Fraction(1, 6)
     assert got == Fraction(1, 5)
+
+
+def test_diagonal_product_check_int_table_stays_exact():
+    # int / int ratios used to turn 1/49 into a float, so 49 * (1/49) missed 1
+    result = mvop.diagonal_product_check([[1], [1, 49], [1, 49, 1], [1, 49, 1, 49]])
+    assert result.is_product
+    assert result.omegas == (49, Fraction(1, 49), 49)
+    assert result.etas == (1, 1, 1)
+    assert all(isinstance(v, Fraction) for v in result.omegas + result.etas)
 
 
 def test_diagonal_product_check_zero_edge_cannot_restart():

@@ -157,8 +157,8 @@ def test_x_commutator_residual(circle_fock):
 
 
 def test_gram_accessors(circle_gradation):
-    g2 = mvop.gram_of(circle_gradation, 2)
-    o2 = mvop.omega_matrix(circle_gradation, 2)
+    g2 = circle_gradation.level(2).gram
+    o2 = circle_gradation.level(2).omega()
     assert g2.shape == (3, 3)
     assert o2[1, 1] == pytest.approx(2.0 * g2[1, 1])
 
