@@ -33,6 +33,11 @@ CASES += [
     for spec in ("square", "skew")
     for coords in ("1", "1,2")
 ]
+# a 3-D measure whose null ideal has generators at degrees 2 and 3
+CASES += [
+    (f"{cmd}-six3d", [cmd, "--spec", "six3d.json", "--max-degree", "3", "--mode", "exact"], 0)
+    for cmd in ("null", "rank")
+]
 CASES += [
     ("favard-genuine", ["favard", "--fock", "square_fock.json", "--mode", "exact"], 0),
     ("favard-tampered", ["favard", "--fock", "square_fock_tampered.json", "--mode", "exact"], 3),
