@@ -265,27 +265,23 @@ def orthonormal_columns(split: GramSplit) -> np.ndarray:
     return combos / np.sqrt(norms2)[None, :]
 
 
-def simultaneous_diagonalize(mats: list, seed: int, tol: float) -> tuple:
+def simultaneous_diagonalize(mats: list, seed: int, tol: float) -> np.ndarray:
     """Jointly diagonalize commuting symmetric float matrices.
 
-    Tries eigenvectors of a seeded random linear combination (up to 5 draws),
-    then falls back to sequential block refinement. Returns (W, method) with
-    W orthogonal and every W^T M W diagonal within tol (scaled per matrix).
-    Raises ArithmeticError if no basis passes the check.
+    Takes the eigenvectors of a seeded random linear combination (up to 5
+    draws). Returns W orthogonal with every W^T M W diagonal within tol
+    (scaled per matrix). Raises ArithmeticError if no draw passes the check.
     """
     dim = mats[0].shape[0]
     if dim == 0:
-        return np.zeros((0, 0)), "empty"
+        return np.zeros((0, 0))
     rng = np.random.default_rng(seed)
     for _ in range(5):
         c = rng.standard_normal(len(mats))
         combined = sum(ci * m for ci, m in zip(c, mats))
         _, w = np.linalg.eigh((combined + combined.T) / 2.0)
         if _all_diagonal(mats, w, tol):
-            return w, "random-combination"
-    w = _sequential_refinement(mats)
-    if _all_diagonal(mats, w, tol):
-        return w, "sequential"
+            return w
     raise ArithmeticError("matrices could not be jointly diagonalized within tolerance")
 
 
@@ -296,28 +292,3 @@ def _all_diagonal(mats, w, tol) -> bool:
         if np.max(np.abs(off)) > tol * max(1.0, float(np.max(np.abs(m)))):
             return False
     return True
-
-
-def _sequential_refinement(mats: list) -> np.ndarray:
-    """Eigen-split on the first matrix, then refine inside degenerate blocks."""
-    dim = mats[0].shape[0]
-    w = np.eye(dim)
-    blocks = [list(range(dim))]
-    for m in mats:
-        new_blocks = []
-        for block in blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            cols = w[:, block]
-            sub = cols.T @ m @ cols
-            evals, evecs = np.linalg.eigh((sub + sub.T) / 2.0)
-            w[:, block] = cols @ evecs
-            gap = 1e-6 * max(1.0, float(np.max(np.abs(evals))))
-            start = 0
-            for i in range(1, len(block) + 1):
-                if i == len(block) or evals[i] - evals[i - 1] > gap:
-                    new_blocks.append(block[start:i])
-                    start = i
-        blocks = new_blocks
-    return w

@@ -35,7 +35,7 @@ from .fock import (
     check_commutation,
     vacuum_moment,
 )
-from .gradation import build_gradations
+from .gradation import build_gradations, resolve_mode
 from .marginal import MarginalSpec, jacobi_1d, marginal_functional
 from .measures import (
     DiscreteMeasure,
@@ -399,14 +399,16 @@ def cmd_marginal(args, tol: Tolerances):
         "coords": [c + 1 for c in coords],
         "depth": n,
     }
+    marginal = marginal_functional(spec)
     if len(coords) == 1:
-        pair = jacobi_1d(marginal_functional(spec), n, mode=args.mode, tol=tol)
-        exact = pair.is_exact
+        mode = resolve_mode(marginal.exact, args.mode)
+        pair = jacobi_1d(marginal, n, mode=mode, tol=tol)
+        exact = mode == "exact"
         out["omegas"] = [format_scalar(v, exact) for v in pair.omegas]
         out["alphas"] = [format_scalar(v, exact) for v in pair.alphas]
-        out["mode"] = "exact" if exact else "float"
+        out["mode"] = mode
     else:
-        g = build_gradations(marginal_functional(spec), n, mode=args.mode, tol=tol)
+        g = build_gradations(marginal, n, mode=args.mode, tol=tol)
         out["mode"] = g.mode
         out["blocks"] = [
             {"degree": m, "omega": _dump_matrix(g.level(m).omega(), g.exact)}

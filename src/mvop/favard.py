@@ -254,7 +254,8 @@ def validate(
     solvability of the annihilation blocks; and the three commutation
     relations of the quantum decomposition. The report carries one entry per
     check; `passed` is the overall verdict. If positivity already fails the
-    dependent checks are skipped.
+    dependent checks are skipped. In exact mode a Gram block also fails
+    positivity when its exact split meets a non-positive pivot.
     """
     tol = tol or Tolerances()
     exact = resolve_mode(fi.exact, mode) == "exact"
@@ -277,21 +278,27 @@ def validate(
         )
 
     add("normalization", "vacuum Gram", abs(float(grams[0][0, 0]) - 1.0), tol.comm)
-    psd_ok = True
+    splits = []
     for n, g in enumerate(grams):
         gf = _linalg.to_float(g)
         evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
         lam_max = float(np.max(np.abs(evals), initial=0.0))
         residual = max(0.0, -float(evals[0])) if evals.size else 0.0
-        add("psd", f"degree {n}", residual, tol.psd * max(1.0, lam_max))
-        if not report.checks[-1].passed:
-            psd_ok = False
-    if not psd_ok or not report.checks[0].passed:
+        tolerance = tol.psd * max(1.0, lam_max)
+        if residual <= tolerance:
+            try:
+                splits.append(
+                    _linalg.split_gram(g, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
+                )
+            except InconsistentMomentsError:
+                # the split rejects what the binary64 spectrum let pass (in
+                # exact mode a non-positive pivot: a negative direction below
+                # binary64 resolution), so the check fails with no tolerance
+                residual, tolerance = max(residual, math.ulp(0.0)), 0.0
+        add("psd", f"degree {n}", residual, tolerance)
+    if len(splits) < len(grams) or not report.checks[0].passed:
         return report
 
-    splits = [
-        _linalg.split_gram(g, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd) for g in grams
-    ]
     fock, adjointness = complete_fock(grams, splits, bzero, exact)
 
     # condition (i): kernel directions stay seminorm-zero under creation and
@@ -305,9 +312,9 @@ def validate(
         for i in range(d):
             if n < n_max:
                 shifted = _linalg.matmul(fock.aplus[i][n], null)
-                residual = _seminorm_residual(shifted, grams[n + 1])
+                residual = _seminorm_residual(shifted, grams[n + 1], tol.rank)
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
-            residual = _seminorm_residual(_linalg.matmul(bzero[i][n], null), grams[n])
+            residual = _seminorm_residual(_linalg.matmul(bzero[i][n], null), grams[n], tol.rank)
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
 
     for (i, n), (residual, scale) in symmetry_residuals(grams, bzero).items():
@@ -409,7 +416,7 @@ def reconstruct_discrete(
         operators.append(x)
 
     try:
-        w, _method = _linalg.simultaneous_diagonalize(operators, seed=seed, tol=1e-8)
+        w = _linalg.simultaneous_diagonalize(operators, seed=seed, tol=1e-8)
     except ArithmeticError as exc:
         raise ValidationFailedError(
             f"coordinate operators could not be jointly diagonalized: {exc}"

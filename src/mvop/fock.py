@@ -232,15 +232,15 @@ def azero_symmetry_residuals(fock: FockData) -> dict:
     }
 
 
-def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, rank_tol: float = 1e-10) -> float:
+def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, tol_rank: float) -> float:
     """Largest Gram seminorm over the columns of a block.
 
     Exact blocks are measured in rational arithmetic, on integer numerators,
     so a column lying in the kernel scores exactly zero. Float blocks are
-    measured against the rank-retained eigenspace of the Gram matrix:
-    eigendirections below rank_tol (relative) belong to the quotient kernel,
-    and evaluating the raw quadratic form there would turn rounding noise of
-    size eps into a sqrt(eps) artifact.
+    measured against the eigendirections above the rank cutoff of
+    `split_gram` and above tol_rank relative to the top eigenvalue: the rest
+    belong to the quotient kernel, and evaluating the raw quadratic form
+    there would turn rounding noise of size eps into a sqrt(eps) artifact.
     """
     if cols.size == 0:
         return 0.0
@@ -252,7 +252,7 @@ def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, rank_tol: float = 1e-
     top = float(np.max(w, initial=0.0))
     if top <= 0.0:
         return 0.0
-    keep = w > rank_tol * top
+    keep = w > max(_linalg.rank_cutoff(len(w), top, tol_rank), tol_rank * top)
     if not np.any(keep):
         return 0.0
     proj = (v[:, keep] * np.sqrt(w[keep])).T @ c
@@ -328,7 +328,7 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
         return functools.reduce(operator.add, (left @ right for left, right in terms))
 
     def record(relation, pair, n, terms, target_level, parts):
-        residual = _seminorm_residual(combine(terms), fock.grams[target_level])
+        residual = _seminorm_residual(combine(terms), fock.grams[target_level], tol.rank)
         report.entries.append(
             CommutationEntry(
                 relation=relation,
@@ -446,6 +446,7 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
         for level in set(jk) | set(kj):
             zero = np.zeros(fock.grams[level].shape[0], dtype=object if fock.exact else float)
             diff = jk.get(level, zero) - kj.get(level, zero)
-            total += _seminorm_residual(diff[:, None], fock.grams[level]) ** 2
+            seminorm = _seminorm_residual(diff[:, None], fock.grams[level], fock.tolerances.rank)
+            total += seminorm**2
         worst = max(worst, math.sqrt(total))
     return worst

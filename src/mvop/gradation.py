@@ -235,12 +235,6 @@ def build_gradations(
             coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
         gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
-        if split.nullity:
-            # restrict to the range: P^T G P with P = G^+ G, the projector along
-            # the kernel. Exact Grams are unchanged; float Grams lose the
-            # rounding-level eigenvalues the rank decision counts as null, so
-            # every later seminorm sees the quotient the split sees.
-            gram = _linalg.gram_product(_linalg.pseudo_apply(split, gram), gram)
         if split.rank:
             ortho = _linalg.matmul(coef, split.combos)
             lower.append(

@@ -2,8 +2,10 @@
 
 Polynomials annihilated by the seminorm of a functional form an ideal. Per
 degree, the Gram kernel consists of the top coefficient vectors of the null
-polynomials; stripping the directions inherited from lower degrees (shifted
-earlier generators) leaves the genuinely new generators of that degree.
+polynomials; stripping the directions inherited from the degree below (the
+creation shifts of its kernel, which carry every shifted earlier generator)
+leaves the genuinely new generators of that degree. Generators are built as
+Polynomial objects only from those new kernel columns.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
+from .fock import creation_matrix
 from .gradation import GradationBasis
-from .polynomial import Polynomial, monomials_of_degree
+from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,17 @@ def _new_kernel_directions(kernel: np.ndarray, inherited: np.ndarray, exact: boo
 def base_generators(g: GradationBasis) -> NullIdealBasis:
     """Degree-minimal generators of the null ideal up to the built depth.
 
-    At each degree the Gram kernel is compared with the span of the top
-    coefficient vectors of shifted lower-degree generators; only kernel
-    directions outside that span yield new generators, returned as monic
-    polynomials. The reduction log records, per deficient degree, how many
-    kernel directions were inherited versus new.
+    Null polynomials form an ideal, so x_i p is null whenever p is: the
+    degree-n Gram kernel contains the creation shifts A_i^+ K_{n-1} of the
+    degree-(n-1) kernel, which span the top coefficient vectors of every
+    shifted lower-degree generator. Only kernel directions outside that span
+    yield new generators, returned as monic polynomials. The reduction log
+    records, per deficient degree, how many kernel directions were inherited
+    versus new.
     """
     exact = g.exact
     d = g.dimension
+    dtype = object if exact else float
     generators: list = []
     by_degree: dict = {}
     log = []
@@ -111,25 +117,12 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
         kernel = lev.split.null
         if kernel.shape[1] == 0:
             continue
-        monos = monomials_of_degree(d, n)
-        pos = {a: j for j, a in enumerate(monos)}
-        columns = []
-        for m, gen in generators:
-            for beta in monomials_of_degree(d, n - m):
-                shifted = Polynomial.monomial(beta) * gen
-                col = np.zeros(len(monos), dtype=object if exact else float)
-                for alpha, coeff in zip(monomials_of_degree(d, n), shifted.top_homogeneous(n)):
-                    col[pos[alpha]] = coeff
-                columns.append(col)
-        inherited = (
-            np.column_stack(columns)
-            if columns
-            else np.zeros((len(monos), 0), dtype=object if exact else float)
-        )
+        # the degree-0 Gram is the positive vacuum norm, so n >= 1 here
+        below = g.level(n - 1).split.null
+        inherited = np.hstack([creation_matrix(d, i, n - 1, dtype) @ below for i in range(d)])
         new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]
-        for f in fresh:
-            generators.append((n, f))
+        generators.extend(fresh)
         if fresh:
             by_degree[n] = fresh
         log.append(
@@ -143,7 +136,7 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
     return NullIdealBasis(
         dimension=d,
         max_degree=g.max_degree,
-        generators=[f for _, f in generators],
+        generators=generators,
         by_degree=by_degree,
         reduction_log=log,
     )

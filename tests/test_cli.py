@@ -168,6 +168,17 @@ def test_marginal_two_coordinates(capsys, square_spec):
     assert len(out["blocks"]) == 3
 
 
+def test_marginal_one_coordinate_empty_float_mode(capsys, square_spec):
+    # depth 0 has no coefficients, so the mode label cannot come from them
+    code, out = run_json(
+        capsys,
+        ["marginal", "--spec", square_spec, "--coords", "1", "--max-degree", "0", "--mode", "float"],
+    )
+    assert code == 0
+    assert out["mode"] == "float"
+    assert out["omegas"] == [] and out["alphas"] == []
+
+
 def test_marginal_needs_coords(capsys, circle_spec):
     code, out = run_cli(capsys, ["marginal", "--spec", circle_spec, "--max-degree", "3"])
     assert code == 1
@@ -202,6 +213,23 @@ def test_favard_rejects_invalid_blocks(capsys, tmp_path):
     assert code == 3
     assert out["status"] == "invalid"
     assert "CR3" in out["reason"]
+
+
+def test_favard_rejects_exact_gram_below_float_resolution(capsys, tmp_path):
+    # determinant -1e-20: binary64 sees a PSD matrix, the exact split does not
+    payload = {
+        "dimension": 2,
+        "depth": 1,
+        "gram": [[[1]], [[1, 1], [1, "99999999999999999999/100000000000000000000"]]],
+    }
+    path = tmp_path / "near_singular.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_json(capsys, ["favard", "--fock", str(path), "--mode", "exact"])
+    assert code == 3
+    assert out["status"] == "invalid"
+    assert [(c["name"], c["detail"]) for c in out["checks"] if not c["passed"]] == [
+        ("psd", "degree 1")
+    ]
 
 
 def test_favard_refuses_full_rank(capsys, tmp_path, gauss2):

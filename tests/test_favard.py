@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mvop
+from mvop import _linalg
 
 
 def fock_input_of(functional, depth):
@@ -36,16 +37,11 @@ def test_validate_completes_the_same_blocks(request, name):
     assert again.exact == fock.exact
     for kind in ("aplus", "azero", "aminus"):
         for mine, theirs in zip(getattr(again, kind), getattr(fock, kind)):
-            for n, (a, b) in enumerate(zip(mine, theirs)):
+            for a, b in zip(mine, theirs):
                 if b is None:
                     assert a is None
                 elif fock.exact:
                     assert a.dtype == object and a.tolist() == b.tolist()
-                elif kind == "aminus" and fock.gradation.level(n - 1).nullity:
-                    # the gradation splits a rank-deficient float Gram before
-                    # restricting it to its range, validate splits the
-                    # restricted one, so the solves differ by rounding
-                    assert np.max(np.abs(a - b)) <= 1e-15
                 else:
                     assert np.array_equal(a, b)
 
@@ -99,6 +95,25 @@ def test_non_psd_gram_short_circuits(square_fn):
     assert not report.positive
     names = {c.name for c in report.checks}
     assert names == {"normalization", "psd"}
+
+
+def test_exact_psd_is_decided_by_the_exact_split():
+    # [[1, 1], [1, 1 - 1e-20]] has determinant -1e-20: not positive
+    # semidefinite, though binary64 rounds it to a PSD matrix; the index
+    # weights up to degree 1 are 1, so these omegas are the Grams
+    omegas = [
+        np.array([[1]], dtype=object),
+        np.array([[1, 1], [1, 1 - Fraction(1, 10**20)]], dtype=object),
+    ]
+    fi = mvop.FockInput.from_omegas(2, omegas)
+    report = mvop.validate(fi)
+    assert not report.passed
+    assert not report.positive
+    assert [(c.name, c.detail) for c in report.failures()] == [("psd", "degree 1")]
+    assert {c.name for c in report.checks} == {"normalization", "psd"}
+    assert report.fock is None
+    # the float view of the same blocks cannot see the negative direction
+    assert mvop.validate(fi, mode="float").positive
 
 
 def test_unnormalized_vacuum_rejected(square_fn):
@@ -332,3 +347,12 @@ def test_self_adjointness_degree_window(circle_fock):
         mvop.self_adjointness_bound(circle_fock, degrees=[7])
     with pytest.raises(ValueError):
         mvop.self_adjointness_bound(circle_fock, degrees=[0])
+
+
+def test_joint_diagonalization_rejects_non_commuting_pair():
+    a = np.diag([1.0, -1.0])
+    b = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ArithmeticError):
+        _linalg.simultaneous_diagonalize([a, b], seed=0, tol=1e-8)
+    w = _linalg.simultaneous_diagonalize([a, 2 * a + np.eye(2)], seed=0, tol=1e-8)
+    assert np.allclose(w.T @ w, np.eye(2))

@@ -86,6 +86,18 @@ def test_commutation_passes_on_deep_float_circle(depth):
     assert report.max_residual <= 1e-12
 
 
+def test_commutation_passes_on_wide_float_measure():
+    # seven atoms with coordinates up to 30: the degree-3 Gram has rounding
+    # eigenvalues ~2e-8 above the split's cutoff, which its top eigenvalue
+    # ~7e6 dwarfs, so the seminorm must also drop every direction below
+    # tol.rank relative to the top eigenvalue
+    atoms = ((-30, -23), (-16, -12), (-15, 21), (-2, 1), (17, 29), (21, 29), (24, -5))
+    weights = tuple(k / 28 for k in (3, 4, 6, 5, 1, 1, 8))
+    f = mvop.discrete_functional(mvop.DiscreteMeasure(atoms=atoms, weights=weights))
+    report = mvop.check_commutation(mvop.assemble_fock(mvop.build_gradations(f, 3)))
+    assert report.passed, report.failures()
+
+
 def test_commutation_passes_exact(square_gradation, skew_fn):
     square_fock = mvop.assemble_fock(square_gradation)
     report = mvop.check_commutation(square_fock)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mvop
+from mvop import _linalg
 from mvop.gradation import index_weight
 
 
@@ -130,3 +131,19 @@ def test_candidates_are_monic_in_leading_monomial(circle_gradation):
 def test_mode_validation(square_fn):
     with pytest.raises(ValueError):
         mvop.build_gradations(square_fn, 2, mode="symbolic")
+
+
+@pytest.mark.parametrize("name, depth", [("circle", 8), ("half_circle", 7), ("square_fn", 3)])
+def test_level_split_is_the_split_of_the_stored_gram(request, name, depth):
+    # no Gram is rewritten after its rank decision
+    g = mvop.build_gradations(request.getfixturevalue(name), depth)
+    assert any(lev.nullity for lev in g.levels)
+    for lev in g.levels:
+        again = _linalg.split_gram(lev.gram, exact=g.exact, tol_rank=g.tol.rank, tol_psd=g.tol.psd)
+        for field in ("combos", "norms2", "null"):
+            mine, theirs = getattr(lev.split, field), getattr(again, field)
+            assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+            if g.exact:
+                assert mine.tolist() == theirs.tolist()
+            else:
+                assert np.array_equal(mine, theirs)

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvop
+from mvop.nullideal import _monic, _new_kernel_directions
 
 
 def moment_matrix_ranks(functional, n_max, tol=1e-8):
@@ -179,3 +182,74 @@ def test_rank_sequence_fields(square_gradation):
     assert rs.dims == (1, 2, 3, 4)
     assert rs.ranks == (1, 2, 1, 0)
     assert rs.nullities == (0, 0, 2, 4)
+
+
+def ref_base_generators(g):
+    """Exact generators with the inherited directions at degree n built as the
+    top coefficients of x^beta * gen, for every earlier generator gen of degree
+    m and every monomial x^beta of degree n - m."""
+    d = g.dimension
+    generators, log = [], []
+    for n in range(g.max_degree + 1):
+        lev = g.level(n)
+        kernel = lev.split.null
+        if kernel.shape[1] == 0:
+            continue
+        columns = [
+            (mvop.Polynomial.monomial(beta) * gen).top_homogeneous(n)
+            for m, gen in generators
+            for beta in mvop.monomials_of_degree(d, n - m)
+        ]
+        inherited = np.array(columns, dtype=object).reshape(len(columns), lev.dimension).T
+        new_dirs = _new_kernel_directions(kernel, inherited, True, 0)
+        fresh = [_monic(f) for f in lev.combine(new_dirs)]
+        generators += [(n, f) for f in fresh]
+        nu = kernel.shape[1]
+        log.append({"degree": n, "kernel": nu, "inherited": nu - len(fresh), "new": len(fresh)})
+    return [f for _, f in generators], log
+
+
+def assert_generators_match_reference(functional, depth):
+    g = mvop.build_gradations(functional, depth)
+    assert g.exact
+    basis = mvop.base_generators(g)
+    generators, log = ref_base_generators(g)
+    assert basis.reduction_log == log
+    assert [f.terms for f in basis.generators] == [f.terms for f in generators]
+    assert [f.degree for f in basis.generators] == [f.degree for f in generators]
+
+
+SIX_POINTS_3D = mvop.DiscreteMeasure(
+    atoms=((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1), (1, 2, 0)),
+    weights=tuple(Fraction(k, 8) for k in (2, 1, 1, 2, 1, 1)),
+)
+
+
+@pytest.mark.parametrize("name", ["square_fn", "skew_fn", "diamond_fn", "six_points_3d"])
+def test_inherited_directions_match_generator_products(request, name):
+    if name == "six_points_3d":
+        functional, depth = mvop.discrete_functional(SIX_POINTS_3D), 3
+    else:
+        functional, depth = request.getfixturevalue(name), 4
+    assert_generators_match_reference(functional, depth)
+
+
+small_rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def rational_measures(draw):
+    d = draw(st.sampled_from([2, 3]))
+    atoms = draw(
+        st.lists(st.tuples(*[small_rationals] * d), min_size=1, max_size=8, unique=True)
+    )
+    raw = draw(st.lists(st.integers(1, 9), min_size=len(atoms), max_size=len(atoms)))
+    weights = tuple(Fraction(r, sum(raw)) for r in raw)
+    return mvop.DiscreteMeasure(atoms=tuple(atoms), weights=weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_measures())
+def test_inherited_directions_match_generator_products_random(measure):
+    depth = 4 if measure.dimension == 2 else 3
+    assert_generators_match_reference(mvop.discrete_functional(measure), depth)
