@@ -4,8 +4,10 @@ Every case runs one exact-mode subcommand on a spec or payload under
 tests/golden/ and compares its stdout with tests/golden/<case>.out. Float
 runs are left out: their last digits depend on the BLAS build.
 
-Regenerate the goldens (only when an output change is intended) with
-``PYTHONPATH=src python tests/test_cli_bytes.py``.
+``PYTHONPATH=src python tests/test_cli_bytes.py`` writes the golden of
+every case whose file is missing and prints the cases it skipped, so adding
+a case never rewrites a pinned file. To regenerate a golden on purpose
+(only when an output change is intended), delete its file first.
 """
 
 import contextlib
@@ -36,7 +38,13 @@ CASES += [
 # a 3-D measure whose null ideal has generators at degrees 2 and 3
 CASES += [
     (f"{cmd}-six3d", [cmd, "--spec", "six3d.json", "--max-degree", "3", "--mode", "exact"], 0)
-    for cmd in ("null", "rank")
+    for cmd in ("null", "rank", "moments", "capcheck")
+]
+# a 3-D product of a Gaussian, a rational recurrence and a 3-atom factor,
+# with a degree-3 null generator
+CASES += [
+    (f"{cmd}-prod3", [cmd, "--spec", "prod3.json", "--max-degree", "3", "--mode", "exact"], 0)
+    for cmd in ("omega", "rank", "null", "moments", "capcheck")
 ]
 CASES += [
     ("favard-genuine", ["favard", "--fock", "square_fock.json", "--mode", "exact"], 0),
@@ -61,4 +69,9 @@ def test_cli_stdout_matches_golden(name, argv, code):
 
 if __name__ == "__main__":
     for name, argv, _ in CASES:
-        (GOLDEN / f"{name}.out").write_text(_run(argv)[1], encoding="utf-8")
+        path = GOLDEN / f"{name}.out"
+        if path.exists():
+            print(f"skipped {name}: {path.name} exists")
+        else:
+            path.write_text(_run(argv)[1], encoding="utf-8")
+            print(f"wrote {path.name}")
