@@ -1,14 +1,14 @@
 """Internal linear algebra: exact products, kernels and Gram splits, float
 spectral splitting, degenerate-metric solves, and joint diagonalization.
 
-Exact-mode matrices are numpy object arrays of Fractions; float-mode matrices
-are float64 arrays. Exact work runs on integer numerators: each matrix is
-cleared to Python ints over one common denominator, and a Fraction is built
-only per result entry. Products go through `matmul`, which takes either kind,
-so callers stay mode-generic; `max_quadratic` gives Gram seminorms; the exact
-Gram split and `exact_nullspace` share one fraction-free elimination
-(Bareiss 1968) and need rational entries. A product or seminorm of an object
-array holding a float entry runs on plain objects instead, so perturbed exact
+Exact matrices are computed on as `Cleared` pairs (Python-int numerators over
+one denominator): `cleared` makes them from Fraction arrays once where a
+computation starts, `published` makes Fraction arrays once at the API edge.
+`matmul` takes float arrays, pairs, or exact object arrays (returned as
+Fractions), so callers stay mode-generic; `max_quadratic` gives Gram
+seminorms; the exact Gram split and `exact_nullspace` share one fraction-free
+elimination (Bareiss 1968). An object array holding a float entry cannot be
+cleared (TypeError) and is multiplied as plain objects, so perturbed exact
 blocks still yield residuals.
 """
 
@@ -30,69 +30,128 @@ def to_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64)
 
 
-def _cleared(a: np.ndarray):
-    """(num, den) with a = num / den: Python-int numerators over the lcm of the denominators.
+class Cleared:
+    """An exact matrix num / den: int-object numerators over one int den > 0.
 
-    Returns None if an entry has no denominator (a float), found in the same
-    pass that takes the lcm, so the caller can fall back to object arithmetic.
+    Always reduced, gcd(den, every numerator) = 1, so den is the lcm of the
+    entries' denominators. Supports ``.T``, ``[]``, ``[] =``, ``-``, ``+``, ``/``.
     """
+
+    dtype = np.dtype(object)
+
+    def __init__(self, num: np.ndarray, den: int):
+        g = math.gcd(den, *num.flat) * (1 if den > 0 else -1)
+        self.num, self.den = (num, den) if g == 1 else (num // g, den // g)
+        self.shape = num.shape
+
+    @property
+    def T(self) -> "Cleared":
+        return Cleared(self.num.T, self.den)
+
+    def __getitem__(self, idx) -> "Cleared":
+        return Cleared(self.num[idx], self.den)
+
+    def __setitem__(self, idx, value: "Cleared") -> None:
+        den = math.lcm(self.den, value.den)
+        num = self.num * (den // self.den)
+        num[idx] = value.num * (den // value.den)
+        self.__init__(num, den)
+
+    def __neg__(self) -> "Cleared":
+        return Cleared(-self.num, self.den)
+
+    def __sub__(self, other: "Cleared") -> "Cleared":
+        den = math.lcm(self.den, other.den)
+        return Cleared(self.num * (den // self.den) - other.num * (den // other.den), den)
+
+    def __add__(self, other: "Cleared") -> "Cleared":
+        return self - -other
+
+    def __truediv__(self, other: "Cleared") -> "Cleared":
+        # a / da over b / db is a * db / (da * b), taken over the lcm of |da * b|
+        dens = self.den * other.num
+        den = math.lcm(*dens.flat)
+        return Cleared(self.num * other.den * (den // dens), den)
+
+
+def cleared(x):
+    """The computing form of an array or GramSplit: int/Fraction arrays become pairs.
+
+    Float arrays and pairs come back as they are; TypeError on a float entry.
+    """
+    if isinstance(x, GramSplit):
+        return GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
+    if isinstance(x, Cleared) or x.dtype != object:
+        return x
     try:
-        den = math.lcm(*(x.denominator for x in a.flat))
+        den = math.lcm(*(v.denominator for v in x.flat))
     except AttributeError:
-        return None
-    num = np.empty(a.shape, dtype=object)
-    num.flat = [x.numerator * (den // x.denominator) for x in a.flat]
-    return num, den
+        raise TypeError("exact matrix holds a float entry") from None
+    num = [v.numerator * (den // v.denominator) for v in x.flat]
+    return Cleared(np.array(num, dtype=object).reshape(x.shape), den)
+
+
+def published(x):
+    """The API-edge form of `cleared`'s output: pairs become Fraction arrays."""
+    if isinstance(x, GramSplit):
+        return GramSplit(published(x.combos), published(x.norms2), published(x.null))
+    if not isinstance(x, Cleared):
+        return x
+    return np.array([Fraction(v, x.den) for v in x.num.flat], dtype=object).reshape(x.shape)
+
+
+def stack(mats: list, axis: int):
+    """Concatenation along axis; pairs go over the lcm of their denominators."""
+    if not isinstance(mats[0], Cleared):
+        return np.concatenate(mats, axis=axis)
+    den = math.lcm(*(m.den for m in mats))
+    return Cleared(np.concatenate([m.num * (den // m.den) for m in mats], axis=axis), den)
 
 
 def _chain(mats) -> np.ndarray:
     return reduce(lambda acc, m: m @ acc, reversed(mats))
 
 
-def matmul(*mats: np.ndarray) -> np.ndarray:
+def matmul(*mats):
     """Product of a chain of matrices, evaluated right to left.
 
-    Float arrays multiply as usual. Exact object arrays (int/Fraction entries)
-    are cleared to integer numerators over one common denominator each,
-    multiplied as Python ints, and divided once at the end, so the chain
-    builds one Fraction per result entry instead of one per scalar operation.
-    An object array holding a float entry multiplies as plain objects.
+    Float arrays multiply as usual, and pairs as one integer product. Exact
+    object arrays are multiplied as pairs and returned as a Fraction array;
+    one holding a float entry multiplies as plain objects.
     """
     if all(m.dtype != object for m in mats):
         return _chain(mats)
-    cleared = [_cleared(m) for m in mats]
-    if any(c is None for c in cleared):
+    try:
+        pairs = [cleared(m) for m in mats]
+    except TypeError:
         return _chain(mats)
-    num, den = cleared[-1]
-    for left, left_den in reversed(cleared[:-1]):
-        num = left @ num
-        den *= left_den
-    out = np.empty(num.shape, dtype=object)
-    out.flat = [Fraction(v, den) for v in num.flat]
-    return out
+    num = reduce(lambda acc, m: m.num @ acc, reversed(pairs[:-1]), pairs[-1].num)
+    product = Cleared(num, math.prod(m.den for m in pairs))
+    return product if any(isinstance(m, Cleared) for m in mats) else published(product)
 
 
-def max_quadratic(cols: np.ndarray, gram: np.ndarray):
-    """max over the columns c of c^T gram c, for exact object arrays.
+def max_quadratic(cols, gram):
+    """max over the columns c of c^T gram c, for exact pairs or object arrays.
 
     On integer numerators only the diagonal of cols^T gram cols is formed,
     and its entries share one positive denominator, so a single Fraction is
     built, from the largest numerator. A float entry falls back to the object
     product.
     """
-    c, g = _cleared(cols), _cleared(gram)
-    if c is None or g is None:
+    try:
+        c, g = cleared(cols), cleared(gram)
+    except TypeError:
         quad = cols.T @ gram @ cols
         return max(quad[i, i] for i in range(quad.shape[0]))
-    (num, den), (gram_num, gram_den) = c, g
-    return Fraction(max((num * (gram_num @ num)).sum(axis=0)), den * den * gram_den)
+    return Fraction(max((c.num * (g.num @ c.num)).sum(axis=0)), c.den * c.den * g.den)
 
 
-def gram_product(coef: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """coef^T @ mat @ coef for symmetric mat, mirrored to be exactly symmetric."""
+def gram_product(coef, mat):
+    """coef^T @ mat @ coef for symmetric mat; a float one is mirrored to be exactly symmetric."""
     out = matmul(coef.T, mat, coef)
-    upper = np.triu_indices(out.shape[0], 1)
-    out[upper[1], upper[0]] = out[upper]
+    if not isinstance(out, Cleared):
+        upper = np.triu_indices(out.shape[0], 1)
+        out[upper[1], upper[0]] = out[upper]
     return out
 
 
@@ -131,21 +190,20 @@ def _integer_rref(num: np.ndarray) -> tuple:
     return m, pivots, scale
 
 
-def _kernel(m: np.ndarray, pivots: list, scale: int) -> np.ndarray:
-    """RREF kernel basis as columns: one unit free coordinate each, Fraction entries."""
+def _kernel(m: np.ndarray, pivots: list, scale: int) -> Cleared:
+    """RREF kernel basis as columns: one unit free coordinate each."""
     ncols = m.shape[1]
     free = [c for c in range(ncols) if c not in set(pivots)]
-    out = np.full((ncols, len(free)), Fraction(0), dtype=object)
+    out = np.zeros((ncols, len(free)), dtype=object)
     for k, f in enumerate(free):
-        out[f, k] = Fraction(1)
-        for i, p in enumerate(pivots):
-            out[p, k] = Fraction(-m[i, f], scale)
-    return out
+        out[f, k] = scale
+        out[pivots, k] = -m[: len(pivots), f]
+    return Cleared(out, scale)
 
 
 def exact_nullspace(a: np.ndarray) -> np.ndarray:
     """Kernel basis of an exact matrix as columns of Fractions (the RREF kernel)."""
-    return _kernel(*_integer_rref(_cleared(a)[0]))
+    return published(_kernel(*_integer_rref(cleared(a).num)))
 
 
 @dataclass
@@ -184,19 +242,21 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     gives the pivot columns and the RREF kernel; the combos are the
     G-orthogonal unit-triangular vectors on the pivot coordinates, from an
     LDL^T of the pivot block, and any non-positive pivot norm means the same
-    inconsistency.
+    inconsistency; a split of pairs for a `Cleared` Gram, else of Fractions.
     """
     d = gram.shape[0]
     if d == 0:
         empty = np.empty((0, 0), dtype=object if exact else float)
         return GramSplit(empty, np.zeros((0,)), empty)
     if exact:
-        num, den = _cleared(gram)
-        rref = _integer_rref(num)
+        pair = cleared(gram)
+        rref = _integer_rref(pair.num)
         pivots = rref[1]
-        combos = np.full((d, len(pivots)), Fraction(0), dtype=object)
-        combos[pivots], norms2 = _pivot_ldl(num[np.ix_(pivots, pivots)], den)
-        return GramSplit(combos, norms2, _kernel(*rref))
+        pivot_combos, norms2 = _pivot_ldl(pair.num[np.ix_(pivots, pivots)], pair.den)
+        combos = np.zeros((d, len(pivots)), dtype=object)
+        combos[pivots] = pivot_combos.num
+        split = GramSplit(Cleared(combos, pivot_combos.den), norms2, _kernel(*rref))
+        return split if pair is gram else published(split)
     g = to_float(gram)
     g = (g + g.T) / 2.0
     evals, evecs = np.linalg.eigh(g)
@@ -223,34 +283,27 @@ def _pivot_ldl(h: np.ndarray, den: int) -> tuple:
     """
     r = h.shape[0]
     m = np.concatenate([h.T, np.eye(r, dtype=int).astype(object)], axis=1)
-    combos = np.empty((r, r), dtype=object)
-    norms2 = np.empty((r,), dtype=object)
-    prev = 1
+    # prevs[k] = delta_(k-1) > 0, by induction over the positive pivots
+    prevs = np.ones((r + 1,), dtype=object)
     for k in range(r):
-        norm2 = Fraction(m[k, k], prev * den)
-        if norm2 <= 0:
+        if m[k, k] <= 0:
             raise InconsistentMomentsError(
-                f"exact Gram matrix is not positive semidefinite (pivot norm {norm2})"
+                "exact Gram matrix is not positive semidefinite "
+                f"(pivot norm {Fraction(m[k, k], prevs[k] * den)})"
             )
-        norms2[k] = norm2
-        combos[:, k] = [Fraction(v, prev) for v in m[k, r:]]
-        _eliminate(m, slice(k + 1, None), k, k, prev)
-        prev = m[k, k]
-    return combos, norms2
+        _eliminate(m, slice(k + 1, None), k, k, prevs[k])
+        prevs[k + 1] = m[k, k]
+    # combo k: row k of the L^-1 part over delta_(k-1); norm k: m[k, k] over that * den
+    combos = Cleared(m[:, r:].T, 1) / Cleared(prevs[None, :r], 1)
+    return combos, Cleared(np.diagonal(m).copy(), 1) / Cleared(prevs[:r] * den, 1)
 
 
 def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:
     """Apply the Gram pseudo-inverse to rhs using a precomputed split.
 
     Exact for rhs columns inside the Gram range (both modes); the float path
-    is the Moore-Penrose action with the split's rank cutoff.
+    is the Moore-Penrose action with the split's rank cutoff (rank 0: zeros).
     """
-    if split.rank == 0:
-        if split.combos.dtype == object:
-            out = np.empty((split.combos.shape[0], rhs.shape[1]), dtype=object)
-            out[:] = Fraction(0)
-            return out
-        return np.zeros((split.combos.shape[0], rhs.shape[1]))
     coeffs = matmul(split.combos.T, rhs)
     coeffs = coeffs / split.norms2[:, None]
     return matmul(split.combos, coeffs)

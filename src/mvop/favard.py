@@ -27,6 +27,7 @@ from .errors import (
 from .fock import (
     FockData,
     _max_abs,
+    _published,
     _residual,
     _seminorm_residual,
     check_commutation,
@@ -260,16 +261,12 @@ def validate(
     tol = tol or Tolerances()
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
-    grams = (
-        [g.copy() for g in fi.grams]
-        if exact
-        else [_linalg.to_float(g) for g in fi.grams]
-    )
-    bzero = (
-        [[b.copy() for b in per] for per in fi.bzero]
-        if exact
-        else [[_linalg.to_float(b) for b in per] for per in fi.bzero]
-    )
+    public = np.copy if exact else _linalg.to_float
+    public_grams = [public(g) for g in fi.grams]
+    public_bzero = [[public(b) for b in per] for per in fi.bzero]
+    # the checks run on the blocks' computing form, each cleared once
+    grams = [_linalg.cleared(g) for g in public_grams]
+    bzero = [[_linalg.cleared(b) for b in per] for per in public_bzero]
     report = ValidationReport(depth=n_max)
 
     def add(name, detail, residual, tolerance):
@@ -277,10 +274,10 @@ def validate(
             ValidationCheck(name=name, detail=detail, residual=float(residual), tolerance=tolerance)
         )
 
-    add("normalization", "vacuum Gram", abs(float(grams[0][0, 0]) - 1.0), tol.comm)
+    add("normalization", "vacuum Gram", abs(float(public_grams[0][0, 0]) - 1.0), tol.comm)
     splits = []
     for n, g in enumerate(grams):
-        gf = _linalg.to_float(g)
+        gf = _linalg.to_float(public_grams[n])
         evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
         lam_max = float(np.max(np.abs(evals), initial=0.0))
         residual = max(0.0, -float(evals[0])) if evals.size else 0.0
@@ -328,7 +325,7 @@ def validate(
             entry.residual,
             entry.tolerance,
         )
-    report.fock = fock
+    report.fock = _published(fock, public_grams, public_bzero)
     return report
 
 

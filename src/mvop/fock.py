@@ -11,10 +11,11 @@ annihilation blocks to given Gram and preservation blocks, for assembled and
 for externally supplied blocks alike, and `_residual` is the one
 (residual, scale) measure of every solve and symmetry check.
 
-Residual checks (adjointness, symmetry, the commutation relations, the
-vacuum words) take their products through `_linalg.matmul`, so exact blocks
-are multiplied on integer numerators; each commutation relation is one
-product of its stacked factors, measured in the target-level Gram seminorm.
+Exact blocks are computed on as `_linalg.Cleared` pairs through both solves
+and published as Fraction arrays once (`_published`); each check clears every
+block once per call (`_cleared_fock`), so blocks edited in place are seen. A
+commutation relation is one product of its stacked factors, measured in the
+target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -95,8 +97,33 @@ class FockData:
     def tolerances(self) -> Tolerances:
         return self.gradation.tol if self.gradation is not None else Tolerances()
 
+    def __getstate__(self):
+        # the vacuum-word memo belongs to these blocks: a copy starts its own
+        return {k: v for k, v in self.__dict__.items() if k != "_vacuum"}
+
+
+def _cleared_fock(fock: FockData) -> FockData:
+    """fock with its blocks cleared (`_linalg.cleared`); itself if a block holds a float."""
+    try:
+        (grams,), aplus, azero, aminus = (
+            [[b if b is None else _linalg.cleared(b) for b in per] for per in family]
+            for family in ([fock.grams], fock.aplus, fock.azero, fock.aminus)
+        )
+    except TypeError:
+        return fock
+    return replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
+
+
+def _published(fock: FockData, grams: list, azero: list) -> FockData:
+    """Computed blocks with the caller's public grams and azero, and Fraction A^- blocks."""
+    aminus = [[None] + [_linalg.published(b) for b in per[1:]] for per in fock.aminus]
+    return replace(fock, grams=grams, azero=azero, aminus=aminus)
+
 
 def _max_abs(mat) -> float:
+    if isinstance(mat, _linalg.Cleared):
+        # rounding is monotone: max |num| / den rounded once is the max rounded entry
+        return max(map(abs, mat.num.flat), default=0) / mat.den
     a = _linalg.to_float(mat)
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -106,7 +133,7 @@ def _residual(lhs, rhs) -> tuple:
     return _max_abs(lhs - rhs), max(1.0, _max_abs(rhs))
 
 
-def _gram_solve(split: _linalg.GramSplit, gram: np.ndarray, rhs: np.ndarray) -> tuple:
+def _gram_solve(split: _linalg.GramSplit, gram, rhs) -> tuple:
     """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale)."""
     a = _linalg.pseudo_apply(split, rhs)
     return (a, *_residual(_linalg.matmul(gram, a), rhs))
@@ -139,7 +166,8 @@ def complete_fock(
 
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
     (`favard.validate`): the creation blocks are the canonical shifts, the
-    annihilation blocks come from `annihilation_blocks`. Returns
+    annihilation blocks come from `annihilation_blocks`, in the form of the
+    given blocks (`_published` makes cleared ones public). Returns
     (FockData, residuals), residuals as returned by `annihilation_blocks`.
     """
     d, depth = len(azero), len(grams) - 1
@@ -175,14 +203,16 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             f"but only {functional.max_reliable_degree} are reliable"
         )
     d = g.dimension
+    computed = [[_linalg.cleared(x) for x in (lev.coef, lev.gram, lev.split)] for lev in g.levels]
     azero = []
     for i in range(d):
-        localizing = moment_matrix(functional, depth, tuple(int(k == i) for k in range(d)))
+        shift = tuple(int(k == i) for k in range(d))
+        localizing = _linalg.cleared(moment_matrix(functional, depth, shift))
         per_level = []
-        for lev in g.levels:
-            size = lev.coef.shape[0]
-            rhs = _linalg.gram_product(lev.coef, localizing[:size, :size])
-            a, residual, scale = _gram_solve(lev.split, lev.gram, rhs)
+        for lev, (coef, gram, split) in zip(g.levels, computed):
+            size = coef.shape[0]
+            rhs = _linalg.gram_product(coef, localizing[:size, :size])
+            a, residual, scale = _gram_solve(split, gram, rhs)
             if residual > tol.adj * scale:
                 raise InternalConsistencyError(
                     f"preservation solve failed at coordinate {i + 1}, degree {lev.degree}: "
@@ -192,7 +222,7 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
         azero.append(per_level)
 
     fock, residuals = complete_fock(
-        [lev.gram for lev in g.levels], [lev.split for lev in g.levels], azero, g.exact, g
+        [gram for _, gram, _ in computed], [split for *_, split in computed], azero, g.exact, g
     )
     for (i, n), (residual, scale) in residuals.items():
         if residual > tol.adj * scale:
@@ -200,11 +230,13 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
             )
-    return fock
+    azero = [[_linalg.published(a) for a in per] for per in azero]
+    return _published(fock, [lev.gram for lev in g.levels], azero)
 
 
 def adjointness_residuals(fock: FockData) -> dict:
     """Max-entry residual of G_{n-1} A_i^- = (A_i^+)^T G_n, keyed by (i+1, n)."""
+    fock = _cleared_fock(fock)
     out = {}
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
@@ -226,13 +258,14 @@ def symmetry_residuals(grams: list, azero: list) -> dict:
 
 def azero_symmetry_residuals(fock: FockData) -> dict:
     """Max-entry asymmetry of G_n A_i^0, keyed by (i+1, n)."""
+    fock = _cleared_fock(fock)
     return {
         (i + 1, n): residual / scale
         for (i, n), (residual, scale) in symmetry_residuals(fock.grams, fock.azero).items()
     }
 
 
-def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, tol_rank: float) -> float:
+def _seminorm_residual(cols, gram, tol_rank: float) -> float:
     """Largest Gram seminorm over the columns of a block.
 
     Exact blocks are measured in rational arithmetic, on integer numerators,
@@ -242,7 +275,7 @@ def _seminorm_residual(cols: np.ndarray, gram: np.ndarray, tol_rank: float) -> f
     belong to the quotient kernel, and evaluating the raw quadratic form
     there would turn rounding noise of size eps into a sqrt(eps) artifact.
     """
-    if cols.size == 0:
+    if 0 in cols.shape:
         return 0.0
     if cols.dtype == object and gram.dtype == object:
         return math.sqrt(max(0.0, float(_linalg.max_quadratic(cols, gram))))
@@ -301,6 +334,7 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
     the null directions of the functional do not register.
     """
     tol = tol or fock.tolerances
+    fock = _cleared_fock(fock)
     n_max = fock.depth
     report = CommutationReport(depth=n_max)
     blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
@@ -322,9 +356,8 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
         # sum of left @ right; exact terms run as one integer product of the
         # stacked factors, float terms add up in the order written
         if fock.exact:
-            return _linalg.matmul(
-                np.hstack([left for left, _ in terms]), np.vstack([right for _, right in terms])
-            )
+            lefts, rights = zip(*terms)
+            return _linalg.matmul(_linalg.stack(lefts, axis=1), _linalg.stack(rights, axis=0))
         return functools.reduce(operator.add, (left @ right for left, right in terms))
 
     def record(relation, pair, n, terms, target_level, parts):
@@ -378,10 +411,7 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
     mul = _linalg.matmul if fock.exact else np.matmul
 
     def accumulate(level, vec):
-        if level in out:
-            out[level] = out[level] + vec
-        else:
-            out[level] = vec
+        out[level] = out[level] + vec if level in out else vec
 
     for n, v in state.items():
         if n + 1 > fock.depth:
@@ -401,6 +431,12 @@ def vacuum_moment(fock: FockData, alpha):
     The word X_1^{a_1} ... X_d^{a_d} is applied to the vacuum rightmost
     factor first; the result is the vacuum coefficient of the final state.
     For moment-born data this reproduces the mixed moments.
+
+    States are memoized on the FockData: the state of alpha is X_i applied to
+    that of alpha - e_i, i the lowest index with alpha_i > 0, so all words up
+    to a degree cost one application each. The memo (and its cleared blocks)
+    is valid while the blocks are not edited in place; a copy or
+    `dataclasses.replace` of the FockData starts a fresh one.
     """
     alpha = tuple(alpha)
     if len(alpha) != fock.dimension:
@@ -413,15 +449,21 @@ def vacuum_moment(fock: FockData, alpha):
         raise DepthExceededError(
             f"word of degree {sum(alpha)} exceeds built depth {fock.depth}"
         )
-    one = 1 if fock.exact else 1.0
-    state = {0: np.array([one], dtype=object if fock.exact else float)}
-    for i in range(fock.dimension - 1, -1, -1):
-        for _ in range(alpha[i]):
-            state = apply_coordinate(fock, i, state)
-    vac = state.get(0)
-    if vac is None:
-        return 0 if fock.exact else 0.0
-    return vac[0]
+    if "_vacuum" not in fock.__dict__:
+        vacuum = np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)
+        fock._vacuum = (_cleared_fock(fock), {(0,) * fock.dimension: {0: vacuum}})
+    blocks, states = fock._vacuum
+
+    def state(word):
+        if word not in states:
+            i = next(k for k, e in enumerate(word) if e)
+            below = word[:i] + (word[i] - 1,) + word[i + 1 :]
+            states[word] = apply_coordinate(blocks, i, state(below))
+        return states[word]
+
+    # level 0 is never empty: A^0 maps it to itself
+    vac = state(alpha)[0]
+    return Fraction(vac.num[0], vac.den) if isinstance(vac, _linalg.Cleared) else vac[0]
 
 
 def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
@@ -434,19 +476,20 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
         raise DepthExceededError(
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
         )
+    blocks = _cleared_fock(fock)
     size = fock.grams[n].shape[0]
     worst = 0.0
     for col in range(size):
         e = np.zeros(size, dtype=object if fock.exact else float)
         e[col] = 1 if fock.exact else 1.0
         state = {n: e}
-        jk = apply_coordinate(fock, j, apply_coordinate(fock, k, state))
-        kj = apply_coordinate(fock, k, apply_coordinate(fock, j, state))
+        jk = apply_coordinate(blocks, j, apply_coordinate(blocks, k, state))
+        kj = apply_coordinate(blocks, k, apply_coordinate(blocks, j, state))
         total = 0.0
+        # both words reach the same levels
         for level in set(jk) | set(kj):
-            zero = np.zeros(fock.grams[level].shape[0], dtype=object if fock.exact else float)
-            diff = jk.get(level, zero) - kj.get(level, zero)
-            seminorm = _seminorm_residual(diff[:, None], fock.grams[level], fock.tolerances.rank)
+            diff = jk[level] - kj[level]
+            seminorm = _seminorm_residual(diff[:, None], blocks.grams[level], fock.tolerances.rank)
             total += seminorm**2
         worst = max(worst, math.sqrt(total))
     return worst

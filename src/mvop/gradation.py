@@ -13,7 +13,8 @@ and nu_m its squared norms. The Gram matrix G_n = coef^T M coef of the
 candidates is the Schur complement of M on the degree-n block; its range
 gives an orthogonal basis of the slice, its kernel the degree-n null
 directions of the functional. Polynomial objects are built from coefficient
-columns only on request.
+columns only on request. Exact mode runs on `_linalg.Cleared` pairs from the
+moment matrix to each split; every level's arrays become Fractions once.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def build_gradations(
         functional = as_float_functional(functional)
     exact = mode == "exact"
     d = functional.dimension
-    moments = moment_matrix(functional, max_degree)
+    moments = _linalg.cleared(moment_matrix(functional, max_degree))
 
     levels = []
     lower = []  # per level m: (U_m diag(1/nu_m), U_m^T M) of its orthogonal basis
@@ -228,11 +229,16 @@ def build_gradations(
         monos = monomials_of_degree(d, n)
         k = len(monos)
         size = len(monomials_up_to(d, n))
-        coef = np.zeros((size, k), dtype=object if exact else float)
+        unit = np.zeros((size, k), dtype=object if exact else float)
         for j in range(k):
-            coef[size - k + j, j] = 1
+            unit[size - k + j, j] = 1
+        coef = _linalg.cleared(unit)
         for scaled, paired in lower:
             coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
+        if exact:
+            # the rows no projection reaches keep the int entries of the unit block
+            top = lower[-1][0].shape[0] if lower else 0
+            unit[:top] = _linalg.published(coef[:top])
         gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
         if split.rank:
@@ -245,9 +251,9 @@ def build_gradations(
                 degree=n,
                 monomials=monos,
                 weights=tuple(index_weight(a) for a in monos),
-                coef=coef,
-                gram=gram,
-                split=split,
+                coef=unit,
+                gram=_linalg.published(gram),
+                split=_linalg.published(split),
             )
         )
 

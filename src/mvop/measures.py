@@ -300,25 +300,26 @@ def jacobi_to_moments(pair: JacobiPair1D, depth: int) -> MomentFunctional:
     m_k is the (0,0) entry of the k-th power of the truncated transfer matrix
     of size depth+1 (monic normalization: unit subdiagonal, alphas on the
     diagonal, omegas on the superdiagonal); rational inputs stay rational.
+    Row i of it adds v[i-1], alpha_i v[i] and omega_i v[i+1], in that order.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     omegas, alphas = pair.extended(depth)
     exact = pair.is_exact
     size = depth + 1
-    zero = Fraction(0) if exact else 0.0
-    t = [[zero] * size for _ in range(size)]
-    for k in range(size):
-        if k < depth:
-            t[k][k] = alphas[k] if exact else float(alphas[k])
-            t[k + 1][k] = Fraction(1) if exact else 1.0
-            t[k][k + 1] = omegas[k] if exact else float(omegas[k])
-    moments = []
-    v = [zero] * size
-    v[0] = Fraction(1) if exact else 1.0
-    for _ in range(depth + 1):
+    if not exact:
+        omegas, alphas = [float(w) for w in omegas], [float(a) for a in alphas]
+    v = [Fraction(1) if exact else 1.0] + [Fraction(0) if exact else 0.0] * depth
+    moments = [v[0]]
+    for _ in range(depth):
+        v = [
+            sum(
+                ([v[i - 1]] if i else [])
+                + ([alphas[i] * v[i], omegas[i] * v[i + 1]] if i < depth else [])
+            )
+            for i in range(size)
+        ]
         moments.append(v[0])
-        v = [sum(t[i][j] * v[j] for j in range(size)) for i in range(size)]
 
     def compute(alpha):
         return moments[alpha[0]]

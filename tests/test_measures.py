@@ -205,6 +205,46 @@ def test_jacobi_to_moments_matches_spectral_oracle():
             assert float(f.moment((k,))) == pytest.approx(want[k], abs=1e-9)
 
 
+def dense_transfer_moments(pair, depth):
+    """m_k as the (0,0) entry of T^k, T the dense truncated transfer matrix."""
+    omegas, alphas = pair.extended(depth)
+    exact = pair.is_exact
+    size = depth + 1
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    t = [[zero] * size for _ in range(size)]
+    for k in range(depth):
+        t[k][k] = alphas[k] if exact else float(alphas[k])
+        t[k + 1][k] = one
+        t[k][k + 1] = omegas[k] if exact else float(omegas[k])
+    v = [one] + [zero] * depth
+    out = []
+    for _ in range(depth + 1):
+        out.append(v[0])
+        v = [sum(t[i][j] * v[j] for j in range(size)) for i in range(size)]
+    return out
+
+
+@pytest.mark.parametrize("depth", [0, 1, 10])
+def test_jacobi_to_moments_matches_dense_transfer(depth):
+    rng = np.random.default_rng(depth)
+    for _ in range(6):
+        omegas = tuple(Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 5))) for _ in range(10))
+        alphas = tuple(Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5))) for _ in range(10))
+        rational = mvop.JacobiPair1D(omegas, alphas)
+        floats = mvop.JacobiPair1D(
+            tuple(float(w) * 1.1 for w in omegas), tuple(float(a) - 0.3 for a in alphas)
+        )
+        for pair in (rational, floats):
+            f = mvop.jacobi_to_moments(pair, depth)
+            got = [f.moment((k,)) for k in range(depth + 1)]
+            want = dense_transfer_moments(pair, depth)
+            assert [type(v) for v in got] == [type(v) for v in want]
+            if pair.is_exact:
+                assert got == want
+            else:
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_jacobi_to_moments_depth_guard():
     pair = mvop.JacobiPair1D(omegas=(1, 1), alphas=(0, 0))
     f = mvop.jacobi_to_moments(pair, 2)

@@ -1,0 +1,150 @@
+"""Vacuum words share prefixes, and checks see blocks edited in place.
+
+`vacuum_moment` memoizes states per FockData, so reading every word up to
+the depth costs one application of a coordinate per word. The values must
+equal a replay of each word from the vacuum, done here with plain `@`
+products: equal and of the same type in exact mode, bit for bit in float
+mode. The checks of public blocks clear them once per call, so an in-place
+edit is seen by the next call; a copy of a FockData starts its own memo.
+"""
+
+import copy
+import dataclasses
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mvop
+from mvop import fock as fock_module
+from mvop.cli import functional_from_payload
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _spec(name, depth):
+    payload = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    return functional_from_payload(payload, 2 * depth + 2)
+
+
+BUILDERS = {
+    "gauss3": (lambda: mvop.product_functional([mvop.gaussian_functional()] * 3), 4),
+    "six3d": (lambda: _spec("six3d.json", 3), 3),
+    "prod3": (lambda: _spec("prod3.json", 3), 3),
+    "circle": (lambda: mvop.circle_functional(max_degree=26), 12),
+}
+
+
+def assembled(name):
+    make, depth = BUILDERS[name]
+    return mvop.assemble_fock(mvop.build_gradations(make(), depth))
+
+
+def skewed():
+    atoms = ((6, 0), (3, 3), (0, 0), (3, -3), (Fraction(3, 2), Fraction(-9, 4)))
+    weights = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 8), Fraction(1, 4), Fraction(1, 4))
+    f = mvop.discrete_functional(mvop.DiscreteMeasure(atoms=atoms, weights=weights))
+    return mvop.assemble_fock(mvop.build_gradations(f, 4))
+
+
+def replay(fock, alpha):
+    """The word applied from the vacuum, rightmost factor first, by plain block products."""
+    state = {0: np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)}
+    for i in reversed(range(fock.dimension)):
+        for _ in range(alpha[i]):
+            out = {}
+            for n, v in state.items():
+                moves = [(n + 1, fock.aplus[i][n]), (n, fock.azero[i][n])]
+                if n:
+                    moves.append((n - 1, fock.aminus[i][n]))
+                for level, block in moves:
+                    w = block @ v
+                    out[level] = out[level] + w if level in out else w
+            state = out
+    return state[0][0]
+
+
+def assert_same_word(got, want, exact):
+    if exact:
+        assert got == want and type(got) is type(want)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.fixture
+def applications(monkeypatch):
+    """Counts the applications of a coordinate made through the library."""
+    count = [0]
+    apply = fock_module.apply_coordinate
+
+    def counting(*args):
+        count[0] += 1
+        return apply(*args)
+
+    monkeypatch.setattr(fock_module, "apply_coordinate", counting)
+    return count
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_each_word_costs_one_application(name, applications):
+    fock = assembled(name)
+    words = mvop.monomials_up_to(fock.dimension, fock.depth)
+    order = list(words)
+    random.Random(5).shuffle(order)
+    got = {w: mvop.vacuum_moment(fock, w) for w in order}
+    assert applications[0] == sum(1 for w in words if sum(w) >= 1)
+    applications[0] = 0
+    again = {w: mvop.vacuum_moment(fock, w) for w in words}
+    assert applications[0] == 0
+    for w in words:
+        assert_same_word(again[w], got[w], fock.exact)
+        assert_same_word(got[w], replay(fock, w), fock.exact)
+    if fock.exact:
+        zero = got[(0,) * fock.dimension]
+        assert zero == 1 and type(zero) is int
+
+
+def test_checks_see_blocks_edited_in_place():
+    fock = skewed()
+
+    def results(f):
+        return (
+            [(e.relation, e.pair, e.degree, e.residual) for e in mvop.check_commutation(f).entries],
+            mvop.azero_symmetry_residuals(f),
+            mvop.adjointness_residuals(f),
+            mvop.x_commutator_residual(f, 0, 1, 1),
+        )
+
+    before = results(fock)
+    fock.azero[0][1][0, 1] += Fraction(1, 7)
+    fock.aminus[1][2][0, 0] += Fraction(1, 5)
+    after = results(fock)
+    assert after == results(copy.deepcopy(fock))
+    for old, new in zip(before, after):
+        assert old != new
+
+
+def test_copies_start_their_own_memo():
+    fock = skewed()
+    words = mvop.monomials_up_to(2, fock.depth)
+    before = {w: mvop.vacuum_moment(fock, w) for w in words}
+
+    twin = copy.deepcopy(fock)
+    twin.azero[0][0][0, 0] += 1
+    for w in words:
+        assert_same_word(mvop.vacuum_moment(twin, w), replay(twin, w), True)
+    assert mvop.vacuum_moment(twin, (1, 0)) != before[(1, 0)]
+
+    azero = [[b.copy() for b in per] for per in fock.azero]
+    azero[1][0][0, 0] += 1
+    replaced = dataclasses.replace(fock, azero=azero)
+    for w in words:
+        assert_same_word(mvop.vacuum_moment(replaced, w), replay(replaced, w), True)
+    assert mvop.vacuum_moment(replaced, (0, 1)) != before[(0, 1)]
+
+    for w in words:
+        assert mvop.vacuum_moment(fock, w) == before[w]
+        assert_same_word(before[w], replay(fock, w), True)
