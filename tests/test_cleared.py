@@ -119,7 +119,9 @@ def test_max_abs_rounds_once_like_the_entries():
     # the same double as the largest rounded entry
     den = 3 * 2**60
     big = 2**113 + 1
-    mat = np.array([[Fraction(big, den), Fraction(-big - 2, den)], [Fraction(0), Fraction(1, den)]], dtype=object)
+    mat = np.array(
+        [[Fraction(big, den), Fraction(-big - 2, den)], [Fraction(0), Fraction(1, den)]], dtype=object
+    )
     want = max(abs(float(x)) for x in mat.flat)
     assert _max_abs(_linalg.cleared(mat)) == want
 
@@ -153,13 +155,16 @@ def test_every_pipeline_pair_is_reduced(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(Cleared, "__init__", recording_init)
+    recurrence = mvop.JacobiPair1D((Fraction(3, 2), 2, Fraction(5, 4)) * 4, (0, Fraction(1, 2), -1) * 4)
+    weights = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    atoms = mvop.DiscreteMeasure(((-1,), (Fraction(1, 2),), (2,)), weights)
     measures = [
         mvop.product_functional([mvop.gaussian_functional()] * 3),
         mvop.product_functional(
             [
                 mvop.gaussian_functional(),
-                mvop.jacobi_to_moments(mvop.JacobiPair1D((Fraction(3, 2), 2, Fraction(5, 4)) * 4, (0, Fraction(1, 2), -1) * 4), 12),
-                mvop.discrete_functional(mvop.DiscreteMeasure(((-1,), (Fraction(1, 2),), (2,)), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))),
+                mvop.jacobi_to_moments(recurrence, 12),
+                mvop.discrete_functional(atoms),
             ]
         ),
         mvop.discrete_functional(
