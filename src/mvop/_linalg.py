@@ -250,6 +250,8 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
         return GramSplit(empty, np.zeros((0,)), empty)
     if exact:
         pair = cleared(gram)
+        if (pair.num != pair.num.T).any():
+            raise InconsistentMomentsError("exact Gram matrix is not symmetric")
         rref = _integer_rref(pair.num)
         pivots = rref[1]
         pivot_combos, norms2 = _pivot_ldl(pair.num[np.ix_(pivots, pivots)], pair.den)

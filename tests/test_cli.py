@@ -282,8 +282,15 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         ("favard", {"dimension": 1, "depth": 0, "gram": [[5]]}),
         ("favard", {"dimension": 1, "depth": 0, "gram": [[[1]]], "bzero": [[[5]]]}),
         ("rank", {"type": "moments_table", "dimension": 1, "depth": 1, "entries": [1, 0]}),
+        ("favard", {"dimension": 2, "depth": 1, "gram": [[[1]], [[1, "1/1000000000000"], [0, 1]]]}),
     ],
-    ids=["block-not-list", "row-not-list", "bzero-row-not-list", "table-entries-not-object"],
+    ids=[
+        "block-not-list",
+        "row-not-list",
+        "bzero-row-not-list",
+        "table-entries-not-object",
+        "asymmetric-rational-gram",
+    ],
 )
 def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
     path = tmp_path / "malformed.json"

@@ -116,6 +116,25 @@ def test_exact_psd_is_decided_by_the_exact_split():
     assert mvop.validate(fi, mode="float").positive
 
 
+def test_rational_gram_must_be_exactly_symmetric():
+    payload = {"dimension": 2, "depth": 1, "gram": [[[1]], [[1, "1/1000000000000"], [0, 1]]]}
+    with pytest.raises(mvop.SpecFormatError, match="Gram at degree 1 is not symmetric"):
+        mvop.FockInput.from_json_dict(payload)
+    # a float Gram keeps the rounding allowance
+    payload["gram"][1][0][1] = 1e-12
+    assert not mvop.FockInput.from_json_dict(payload).exact
+
+
+def test_asymmetric_exact_gram_fails_psd(square_fn):
+    fi = fock_input_of(square_fn, 2)
+    fi.grams[1] = np.array([[1, Fraction(1, 10**12)], [0, 1]], dtype=object)
+    with pytest.raises(mvop.InconsistentMomentsError, match="exact Gram matrix is not symmetric"):
+        _linalg.split_gram(fi.grams[1], exact=True, tol_rank=1e-10, tol_psd=1e-10)
+    report = mvop.validate(fi)
+    assert [(c.name, c.detail, c.tolerance) for c in report.failures()] == [("psd", "degree 1", 0.0)]
+    assert report.fock is None
+
+
 def test_unnormalized_vacuum_rejected(square_fn):
     fi = fock_input_of(square_fn, 2)
     fi.grams[0] = np.array([[2]], dtype=object)
