@@ -6,8 +6,9 @@ one denominator): `cleared` makes them from Fraction arrays once where a
 computation starts, `published` makes Fraction arrays once at the API edge.
 `matmul` takes float arrays, pairs, or exact object arrays (returned as
 Fractions), so callers stay mode-generic; `max_quadratic` gives Gram
-seminorms; the exact Gram split and `exact_nullspace` share one fraction-free
-elimination (Bareiss 1968). An object array holding a float entry cannot be
+seminorms. One fraction-free elimination per exact Gram (Bareiss 1968) gives
+its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
+A is that of the Gram A^T A. An object array holding a float entry cannot be
 cleared (TypeError) and is multiplied as plain objects, so perturbed exact
 blocks still yield residuals.
 """
@@ -165,47 +166,6 @@ def _eliminate(m: np.ndarray, rows, col: int, pivot_row: int, prev: int) -> None
     m[rows] = (pivot * m[rows] - np.outer(m[rows, col], m[pivot_row])) // prev
 
 
-def _integer_rref(num: np.ndarray) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of an integer matrix.
-
-    Returns (m, pivots, scale) with the reduced row echelon form equal to
-    m[:len(pivots)] / scale: every pivot entry ends equal to the last pivot.
-    """
-    m = num.copy()
-    nrows = m.shape[0]
-    pivots: list = []
-    scale = 1
-    for c in range(m.shape[1]):
-        r = len(pivots)
-        if r == nrows:
-            break
-        nonzero = np.flatnonzero(m[r:, c])
-        if not nonzero.size:
-            continue
-        p = r + int(nonzero[0])
-        m[[r, p]] = m[[p, r]]
-        _eliminate(m, np.arange(nrows) != r, c, r, scale)
-        scale = m[r, c]
-        pivots.append(c)
-    return m, pivots, scale
-
-
-def _kernel(m: np.ndarray, pivots: list, scale: int) -> Cleared:
-    """RREF kernel basis as columns: one unit free coordinate each."""
-    ncols = m.shape[1]
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    out = np.zeros((ncols, len(free)), dtype=object)
-    for k, f in enumerate(free):
-        out[f, k] = scale
-        out[pivots, k] = -m[: len(pivots), f]
-    return Cleared(out, scale)
-
-
-def exact_nullspace(a: np.ndarray) -> np.ndarray:
-    """Kernel basis of an exact matrix as columns of Fractions (the RREF kernel)."""
-    return published(_kernel(*_integer_rref(cleared(a).num)))
-
-
 @dataclass
 class GramSplit:
     """Positive/null splitting of a symmetric PSD Gram matrix.
@@ -238,27 +198,17 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
 
     Float mode: eigendecomposition; eigenvalues <= the rank cutoff are null,
     anything below -tol_psd (scaled) means the data is not a moment functional.
-    Exact mode: one fraction-free Gauss-Jordan pass on the integer numerators
-    gives the pivot columns and the RREF kernel; the combos are the
-    G-orthogonal unit-triangular vectors on the pivot coordinates, from an
-    LDL^T of the pivot block, and any non-positive pivot norm means the same
-    inconsistency; a split of pairs for a `Cleared` Gram, else of Fractions.
+    Exact mode: `_exact_split`, a split of pairs for a `Cleared` Gram, else of
+    Fractions; an asymmetric Gram or a non-positive pivot norm means the same
+    inconsistency.
     """
     d = gram.shape[0]
     if d == 0:
         empty = np.empty((0, 0), dtype=object if exact else float)
         return GramSplit(empty, np.zeros((0,)), empty)
     if exact:
-        pair = cleared(gram)
-        if (pair.num != pair.num.T).any():
-            raise InconsistentMomentsError("exact Gram matrix is not symmetric")
-        rref = _integer_rref(pair.num)
-        pivots = rref[1]
-        pivot_combos, norms2 = _pivot_ldl(pair.num[np.ix_(pivots, pivots)], pair.den)
-        combos = np.zeros((d, len(pivots)), dtype=object)
-        combos[pivots] = pivot_combos.num
-        split = GramSplit(Cleared(combos, pivot_combos.den), norms2, _kernel(*rref))
-        return split if pair is gram else published(split)
+        split = _exact_split(cleared(gram))
+        return split if isinstance(gram, Cleared) else published(split)
     g = to_float(gram)
     g = (g + g.T) / 2.0
     evals, evecs = np.linalg.eigh(g)
@@ -272,32 +222,44 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     return GramSplit(evecs[:, keep], evals[keep], evecs[:, ~keep])
 
 
-def _pivot_ldl(h: np.ndarray, den: int) -> tuple:
-    """G-orthogonal combos and squared norms on the pivot block H = h / den.
+def _exact_split(gram: Cleared) -> GramSplit:
+    """One fraction-free forward elimination of [num | I], row by row in index order.
 
-    With H = L D L^T, the combos are the columns of L^-T: unit upper
-    triangular and pairwise H-orthogonal, so they equal metric Gram-Schmidt of
-    the pivot unit vectors, and D holds their squared norms. Fraction-free
-    forward elimination of [h^T | I] keeps row k equal to delta_k times row k
-    of [D L^T | L^-1], delta_k the k-th leading principal minor of h, so each
-    entry takes one division. Any non-positive D entry means the Gram matrix
-    is not positive semidefinite.
+    Each row is eliminated by the earlier pivot rows only, so with delta the
+    leading minor of those pivots its I-part is delta times e_k minus the
+    G-projection of e_k onto them. Row k is null when its Schur part (columns
+    k..d-1) is zero: in a symmetric Gram, column k then lies in the span of
+    the earlier columns, and the I-part over delta is the RREF kernel column,
+    with its unit on k. Otherwise k is a pivot: the I-part over delta is the
+    combo, the pivot unit vector made G-orthogonal to the earlier combos
+    (L^-T of the pivot block's LDL^T), and the Schur diagonal over den * delta
+    is its squared norm, which must be positive.
     """
-    r = h.shape[0]
-    m = np.concatenate([h.T, np.eye(r, dtype=int).astype(object)], axis=1)
-    # prevs[k] = delta_(k-1) > 0, by induction over the positive pivots
-    prevs = np.ones((r + 1,), dtype=object)
-    for k in range(r):
+    num, d = gram.num, gram.shape[0]
+    if (num != num.T).any():
+        raise InconsistentMomentsError("exact Gram matrix is not symmetric")
+    m = np.concatenate([num, np.eye(d, dtype=int).astype(object)], axis=1)
+    # deltas[k]: the leading minor of the pivots before row k, positive by induction
+    deltas = np.ones((d,), dtype=object)
+    pivots, nulls = [], []
+    for k in range(d):
+        deltas[k] = m[pivots[-1], pivots[-1]] if pivots else 1
+        if not m[k, k:d].any():
+            nulls.append(k)
+            continue
         if m[k, k] <= 0:
             raise InconsistentMomentsError(
                 "exact Gram matrix is not positive semidefinite "
-                f"(pivot norm {Fraction(m[k, k], prevs[k] * den)})"
+                f"(pivot norm {Fraction(m[k, k], deltas[k] * gram.den)})"
             )
-        _eliminate(m, slice(k + 1, None), k, k, prevs[k])
-        prevs[k + 1] = m[k, k]
-    # combo k: row k of the L^-1 part over delta_(k-1); norm k: m[k, k] over that * den
-    combos = Cleared(m[:, r:].T, 1) / Cleared(prevs[None, :r], 1)
-    return combos, Cleared(np.diagonal(m).copy(), 1) / Cleared(prevs[:r] * den, 1)
+        _eliminate(m, slice(k + 1, None), k, k, deltas[k])
+        pivots.append(k)
+
+    def over_delta(rows):
+        return Cleared(m[rows, d:].T, 1) / Cleared(deltas[None, rows], 1)
+
+    norms2 = Cleared(m[pivots, pivots], 1) / Cleared(deltas[pivots] * gram.den, 1)
+    return GramSplit(over_delta(pivots), norms2, over_delta(nulls))
 
 
 def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:

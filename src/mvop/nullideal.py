@@ -80,8 +80,10 @@ def _new_kernel_directions(kernel: np.ndarray, inherited: np.ndarray, exact: boo
     if inherited.shape[1] == 0:
         return kernel
     if exact:
-        # v = kernel @ y with inherited^T v = 0
-        return _linalg.matmul(kernel, _linalg.exact_nullspace(_linalg.matmul(inherited.T, kernel)))
+        # v = kernel @ y with inherited^T v = 0: y in the kernel of a = inherited^T kernel,
+        # which is the kernel of the Gram a^T a, with the same RREF basis
+        gram = _linalg.matmul(kernel.T, inherited, inherited.T, kernel)
+        return _linalg.matmul(kernel, _linalg.split_gram(gram, True, tol_rank, tol_rank).null)
     u, s, _ = np.linalg.svd(inherited, full_matrices=False)
     cut = _linalg.rank_cutoff(inherited.shape[0], s[0] if s.size else 0.0, tol_rank)
     u = u[:, s > cut]

@@ -19,6 +19,7 @@ import mvop
 from mvop import _linalg
 from mvop.errors import InconsistentMomentsError
 from mvop.fock import annihilation_blocks, creation_matrix
+from mvop.nullideal import _new_kernel_directions
 from mvop.scalars import Tolerances
 
 # ---------------------------------------------------------------- references
@@ -334,6 +335,63 @@ def test_split_on_fixed_grams():
     ]
     for rows in cases:
         assert_split_matches(np.array(rows, dtype=object))
+
+
+def test_split_on_elimination_branch_points():
+    cases = [
+        # zero diagonals (so zero rows and columns) before a later pivot
+        [[0, 0, 0], [0, 0, 0], [0, 0, 5]],
+        [[0, 0], [0, Fraction(1, 3)]],
+        # a zero diagonal with a nonzero off-diagonal entry: pivot norm 0
+        [[0, 1], [1, 2]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 0]],
+        [[0] * 4] * 4,
+        [[0]],
+        [[Fraction(3, 2)]],
+        [[-2]],
+    ]
+    for rows in cases:
+        assert_split_matches(np.array(rows, dtype=object))
+    with pytest.raises(InconsistentMomentsError, match=r"\(pivot norm 0\)$"):
+        _linalg.split_gram(np.array(cases[3], dtype=object), exact=True, tol_rank=1e-10, tol_psd=1e-10)
+
+
+@st.composite
+def rectangular(draw, cols=None):
+    """A rational matrix of drawn rank (0 to full), with zeroed rows and columns and copied rows."""
+    rows, cols = draw(st.integers(1, 6)), cols or draw(st.integers(1, 6))
+    rank = draw(st.integers(0, min(rows, cols)))
+
+    def block(n, m):
+        entries = draw(st.lists(small_rationals, min_size=n * m, max_size=n * m))
+        return np.array(entries, dtype=object).reshape(n, m)
+
+    a = np.zeros((rows, cols), dtype=object) + block(rows, rank) @ block(rank, cols)
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        a[i, :] = 0
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        a[:, j] = 0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)), max_size=2)):
+        a[j] = a[i]
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular())
+def test_gram_kernel_is_the_rref_kernel(a):
+    null = _linalg.split_gram(_linalg.matmul(a.T, a), exact=True, tol_rank=1e-10, tol_psd=1e-10).null
+    assert null.T.tolist() == ref_nullspace(a.tolist())
+    assert all(type(v) is Fraction for v in null.flat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rectangular(), st.data())
+def test_new_kernel_directions_exact(kernel, data):
+    inherited = data.draw(rectangular(cols=kernel.shape[0])).T
+    got = _new_kernel_directions(kernel, inherited, True, 1e-10)
+    want = [kernel @ np.array(v, dtype=object) for v in ref_nullspace((inherited.T @ kernel).tolist())]
+    assert got.shape == (kernel.shape[0], len(want))
+    assert got.T.tolist() == [list(col) for col in want]
 
 
 # ---------------------------------------------------------------- float entries
