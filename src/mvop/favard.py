@@ -26,6 +26,8 @@ from .errors import (
 )
 from .fock import (
     FockData,
+    _floored,
+    _recorded_tolerance,
     _max_abs,
     _published,
     _residual,
@@ -257,7 +259,8 @@ def validate(
     relations of the quantum decomposition. The report carries one entry per
     check; `passed` is the overall verdict. If positivity already fails the
     dependent checks are skipped. In exact mode a Gram block also fails
-    positivity when its exact split meets a non-positive pivot.
+    positivity when its exact split meets an asymmetric Gram or a
+    non-positive pivot, and every other check passes only with residual 0.
     """
     tol = tol or Tolerances()
     exact = resolve_mode(fi.exact, mode) == "exact"
@@ -270,12 +273,13 @@ def validate(
     bzero = [[_linalg.cleared(b) for b in per] for per in public_bzero]
     report = ValidationReport(depth=n_max)
 
-    def add(name, detail, residual, tolerance):
-        report.checks.append(
-            ValidationCheck(name=name, detail=detail, residual=float(residual), tolerance=tolerance)
-        )
+    def add(name, detail, residual, tolerance, exact_residual=exact):
+        residual = float(residual)
+        tolerance = _recorded_tolerance(residual, tolerance, exact_residual)
+        report.checks.append(ValidationCheck(name, detail, residual, tolerance))
 
-    add("normalization", "vacuum Gram", abs(float(public_grams[0][0, 0]) - 1.0), tol.comm)
+    vacuum = public_grams[0][0, 0]
+    add("normalization", "vacuum Gram", _floored(abs(float(vacuum) - 1.0), vacuum != 1), tol.comm)
     splits = []
     for n, g in enumerate(grams):
         gf = _linalg.to_float(public_grams[n])
@@ -293,7 +297,8 @@ def validate(
                 # exact mode a non-positive pivot: a negative direction below
                 # binary64 resolution), so the check fails with no tolerance
                 residual, tolerance = max(residual, math.ulp(0.0)), 0.0
-        add("psd", f"degree {n}", residual, tolerance)
+        # a binary64 residual: in exact mode the split above decides
+        add("psd", f"degree {n}", residual, tolerance, exact_residual=False)
     if len(splits) < len(grams) or not report.checks[0].passed:
         return report
 

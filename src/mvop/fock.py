@@ -16,6 +16,9 @@ and published as Fraction arrays once (`_published`); each check clears every
 block once per call (`_cleared_fock`), so blocks edited in place are seen. A
 commutation relation is one product of its stacked factors, measured in the
 target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
+A residual computed on pairs is decided on its exact value: its binary64
+image stays above 0.0 when it is nonzero (`_floored`), and then it fails
+(`_recorded_tolerance`).
 """
 
 from __future__ import annotations
@@ -120,10 +123,26 @@ def _published(fock: FockData, grams: list, azero: list) -> FockData:
     return replace(fock, grams=grams, azero=azero, aminus=aminus)
 
 
+def _floored(value: float, nonzero) -> float:
+    """The binary64 image of an exact residual, kept above 0.0 when the residual is nonzero."""
+    return max(value, math.ulp(0.0)) if nonzero else value
+
+
+def _recorded_tolerance(residual: float, tolerance: float, exact: bool) -> float:
+    """The tolerance a residual is recorded against.
+
+    A residual computed on exact pairs passes only at zero: a nonzero one
+    within tolerance is recorded against 0, like an exact psd failure. A
+    float residual, or one already beyond tolerance, keeps its tolerance.
+    """
+    return 0.0 if exact and 0.0 < residual <= tolerance else tolerance
+
+
 def _max_abs(mat) -> float:
     if isinstance(mat, _linalg.Cleared):
         # rounding is monotone: max |num| / den rounded once is the max rounded entry
-        return max(map(abs, mat.num.flat), default=0) / mat.den
+        top = max(map(abs, mat.num.flat), default=0)
+        return _floored(top / mat.den, top)
     a = _linalg.to_float(mat)
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -203,6 +222,8 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             f"but only {functional.max_reliable_degree} are reliable"
         )
     d = g.dimension
+    # an exact solve holds only with residual 0
+    limit = 0.0 if g.exact else tol.adj
     computed = [[_linalg.cleared(x) for x in (lev.coef, lev.gram, lev.split)] for lev in g.levels]
     azero = []
     for i in range(d):
@@ -213,7 +234,7 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             size = coef.shape[0]
             rhs = _linalg.gram_product(coef, localizing[:size, :size])
             a, residual, scale = _gram_solve(split, gram, rhs)
-            if residual > tol.adj * scale:
+            if residual > limit * scale:
                 raise InternalConsistencyError(
                     f"preservation solve failed at coordinate {i + 1}, degree {lev.degree}: "
                     f"residual {residual:.3e}"
@@ -225,7 +246,7 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
         [gram for _, gram, _ in computed], [split for *_, split in computed], azero, g.exact, g
     )
     for (i, n), (residual, scale) in residuals.items():
-        if residual > tol.adj * scale:
+        if residual > limit * scale:
             raise InternalConsistencyError(
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
@@ -278,7 +299,8 @@ def _seminorm_residual(cols, gram, tol_rank: float) -> float:
     if 0 in cols.shape:
         return 0.0
     if cols.dtype == object and gram.dtype == object:
-        return math.sqrt(max(0.0, float(_linalg.max_quadratic(cols, gram))))
+        quad = _linalg.max_quadratic(cols, gram)
+        return _floored(math.sqrt(max(0.0, float(quad))), quad > 0)
     c = _linalg.to_float(cols)
     g = _linalg.to_float(gram)
     w, v = np.linalg.eigh(0.5 * (g + g.T))
@@ -331,10 +353,12 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
     [A_j^+, A_k^-] + [A_j^0, A_k^0] + [A_j^-, A_k^+] = 0
     must vanish (checked up to degree depth-1). Residuals are measured as the
     largest target-level Gram seminorm over block columns, so components in
-    the null directions of the functional do not register.
+    the null directions of the functional do not register. Residuals of exact
+    blocks pass only at zero.
     """
     tol = tol or fock.tolerances
     fock = _cleared_fock(fock)
+    on_pairs = isinstance(fock.grams[0], _linalg.Cleared)
     n_max = fock.depth
     report = CommutationReport(depth=n_max)
     blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
@@ -362,13 +386,14 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
 
     def record(relation, pair, n, terms, target_level, parts):
         residual = _seminorm_residual(combine(terms), fock.grams[target_level], tol.rank)
+        tolerance = tol.comm * max([1.0] + [scale(*p) for p in parts])
         report.entries.append(
             CommutationEntry(
                 relation=relation,
                 pair=pair,
                 degree=n,
                 residual=residual,
-                tolerance=tol.comm * max([1.0] + [scale(*p) for p in parts]),
+                tolerance=_recorded_tolerance(residual, tolerance, on_pairs),
             )
         )
 

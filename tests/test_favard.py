@@ -1,11 +1,16 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvop
 from mvop import _linalg
+
+
+SQUARE_FOCK = Path(__file__).parent / "golden" / "square_fock.json"
 
 
 def fock_input_of(functional, depth):
@@ -133,6 +138,38 @@ def test_asymmetric_exact_gram_fails_psd(square_fn):
     report = mvop.validate(fi)
     assert [(c.name, c.detail, c.tolerance) for c in report.failures()] == [("psd", "degree 1", 0.0)]
     assert report.fock is None
+
+
+def test_exact_vacuum_normalization_is_exact():
+    payload = json.loads(SQUARE_FOCK.read_text())
+    payload["gram"][0][0][0] = "1000000000001/1000000000000"
+    fi = mvop.FockInput.from_json_dict(payload)
+    report = mvop.validate(fi)
+    assert [(c.name, c.residual, c.tolerance) for c in report.failures()] == [
+        ("normalization", pytest.approx(1e-12), 0.0)
+    ]
+    with pytest.raises(mvop.ValidationFailedError):
+        mvop.reconstruct_discrete(fi)
+    # a deviation binary64 rounds to zero still fails
+    payload["gram"][0][0][0] = f"{10**400 + 1}/{10**400}"
+    report = mvop.validate(mvop.FockInput.from_json_dict(payload))
+    assert [(c.name, c.residual, c.tolerance) for c in report.failures()] == [
+        ("normalization", math.ulp(0.0), 0.0)
+    ]
+
+
+def test_exact_residuals_fail_when_nonzero():
+    # 1/10^12 off in one preservation entry: hermiticity and CR2 residuals of
+    # 1e-12, inside the 1e-10 float tolerance
+    payload = json.loads(SQUARE_FOCK.read_text())
+    payload["bzero"][0][1][0][1] = "1/1000000000000"
+    report = mvop.validate(mvop.FockInput.from_json_dict(payload))
+    assert [(c.name, c.detail, c.residual, c.tolerance) for c in report.failures()] == [
+        ("hermiticity", "coordinate 1, degree 1", 1e-12, 0.0),
+        ("CR2", "pair (1, 2), degree 0", 1e-12, 0.0),
+        ("CR2", "pair (1, 2), degree 1", 1e-12, 0.0),
+    ]
+    assert all(c.residual == 0 for c in report.checks if c.passed)
 
 
 def test_unnormalized_vacuum_rejected(square_fn):

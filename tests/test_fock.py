@@ -115,6 +115,26 @@ def test_perturbed_preservation_fails_commutation(square_gradation):
     assert any(e.relation in ("CR2", "CR3") for e in report.failures())
 
 
+def test_exact_commutation_fails_on_any_nonzero_residual(square_gradation):
+    # 1/10^12 is within the 1e-10 float tolerance; an exact residual passes only at zero
+    fock = mvop.assemble_fock(square_gradation)
+    fock.azero[0][1][0, 1] += Fraction(1, 10**12)
+    report = mvop.check_commutation(fock)
+    assert not report.passed
+    assert [(e.relation, e.degree, e.residual, e.tolerance) for e in report.failures()] == [
+        ("CR2", 0, 1e-12, 0.0),
+        ("CR2", 1, 1e-12, 0.0),
+    ]
+    assert all(e.residual == 0 for e in report.entries if e.passed)
+
+
+def test_exact_solve_check_raises_on_any_nonzero_residual(square_fn):
+    g = mvop.build_gradations(square_fn, 3)
+    g.levels[1].gram[0, 0] += Fraction(1, 10**12)
+    with pytest.raises(mvop.InternalConsistencyError, match="annihilation solve failed"):
+        mvop.assemble_fock(g)
+
+
 def test_vacuum_moment_circle(circle_fock, circle):
     vacuum = mvop.vacuum_moment(circle_fock, (2, 2))
     assert vacuum == pytest.approx(0.125, abs=1e-12)
