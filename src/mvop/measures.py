@@ -67,6 +67,9 @@ class MomentFunctional:
     def moment(self, alpha):
         """The mixed moment Lambda(x^alpha)."""
         alpha = tuple(alpha)
+        # only checked multi-indices enter the cache, so a hit needs no check
+        if alpha in self._cache:
+            return self._cache[alpha]
         if len(alpha) != self.dimension:
             raise ValueError(
                 f"multi-index {alpha} has length {len(alpha)}, expected {self.dimension}"
@@ -78,8 +81,7 @@ class MomentFunctional:
                 f"moment of degree {sum(alpha)} requested, but only degrees "
                 f"<= {self.max_reliable_degree} are reliable"
             )
-        if alpha not in self._cache:
-            self._cache[alpha] = self._compute(alpha)
+        self._cache[alpha] = self._compute(alpha)
         return self._cache[alpha]
 
     def expectation(self, f: Polynomial):

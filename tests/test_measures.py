@@ -62,6 +62,24 @@ def test_moment_index_validation():
         g.moment((-1,))
 
 
+def test_moment_cache_hit_returns_the_cached_value():
+    calls = []
+
+    def compute(alpha):
+        calls.append(alpha)
+        return Fraction(1, 1 + sum(alpha))
+
+    f = mvop.MomentFunctional(2, compute, 4, exact=True, tag="counted")
+    first = f.moment([1, 2])
+    assert f.moment((1, 2)) is first
+    for bad, error in [((1, 2, 0), ValueError), ((-1, 1), ValueError), ((3, 2), mvop.DepthExceededError)]:
+        for _ in range(2):
+            with pytest.raises(error):
+                f.moment(bad)
+    # the normalization check, then one computation; bad indices never reach it
+    assert calls == [(0, 0), (1, 2)]
+
+
 def test_expectation_is_linear():
     g = mvop.gaussian_functional()
     x = mvop.Polynomial.variable(1, 0)
