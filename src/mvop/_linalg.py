@@ -156,16 +156,6 @@ def gram_product(coef, mat):
     return out
 
 
-def _eliminate(m: np.ndarray, rows, col: int, pivot_row: int, prev: int) -> None:
-    """One fraction-free elimination step (Bareiss 1968) on the given rows of m, in place.
-
-    Each row becomes (pivot * row - row[col] * pivot_row_vector) / prev; the
-    division is exact, since every entry stays a minor of the input.
-    """
-    pivot = m[pivot_row, col]
-    m[rows] = (pivot * m[rows] - np.outer(m[rows, col], m[pivot_row])) // prev
-
-
 @dataclass
 class GramSplit:
     """Positive/null splitting of a symmetric PSD Gram matrix.
@@ -226,8 +216,8 @@ def _exact_split(gram: Cleared) -> GramSplit:
     """One fraction-free forward elimination of [num | I], row by row in index order.
 
     Each row is eliminated by the earlier pivot rows only, so with delta the
-    leading minor of those pivots its I-part is delta times e_k minus the
-    G-projection of e_k onto them. Row k is null when its Schur part (columns
+    principal minor of num on those pivots its I-part is delta times e_k minus
+    the G-projection of e_k onto them. Row k is null when its Schur part (columns
     k..d-1) is zero: in a symmetric Gram, column k then lies in the span of
     the earlier columns, and the I-part over delta is the RREF kernel column,
     with its unit on k. Otherwise k is a pivot: the I-part over delta is the
@@ -239,7 +229,7 @@ def _exact_split(gram: Cleared) -> GramSplit:
     if (num != num.T).any():
         raise InconsistentMomentsError("exact Gram matrix is not symmetric")
     m = np.concatenate([num, np.eye(d, dtype=int).astype(object)], axis=1)
-    # deltas[k]: the leading minor of the pivots before row k, positive by induction
+    # deltas[k]: the principal minor of num on the pivots before row k, positive by induction
     deltas = np.ones((d,), dtype=object)
     pivots, nulls = [], []
     for k in range(d):
@@ -252,7 +242,9 @@ def _exact_split(gram: Cleared) -> GramSplit:
                 "exact Gram matrix is not positive semidefinite "
                 f"(pivot norm {Fraction(m[k, k], deltas[k] * gram.den)})"
             )
-        _eliminate(m, slice(k + 1, None), k, k, deltas[k])
+        # one fraction-free step (Bareiss 1968): the division is exact, as every
+        # entry stays a minor of [num | I]
+        m[k + 1 :] = (m[k, k] * m[k + 1 :] - np.outer(m[k + 1 :, k], m[k])) // deltas[k]
         pivots.append(k)
 
     def over_delta(rows):

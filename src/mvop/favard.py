@@ -89,8 +89,12 @@ class FockInput:
             if g.shape != (k, k):
                 raise ValueError(f"Gram at degree {n} has shape {g.shape}, expected ({k}, {k})")
             # a rational Gram is symmetric exactly, a float one within rounding
-            asym, scale = _residual(g, g.T)
-            if (g != g.T).any() if all(map(is_rational, g.flat)) else asym > 1e-10 * scale:
+            if all(map(is_rational, g.flat)):
+                asymmetric = (g != g.T).any()
+            else:
+                asym, scale = _residual(g, g.T)
+                asymmetric = asym > 1e-10 * scale
+            if asymmetric:
                 raise ValueError(f"Gram at degree {n} is not symmetric")
         for i, per_level in enumerate(self.bzero):
             if len(per_level) != n_max + 1:

@@ -222,8 +222,6 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             f"but only {functional.max_reliable_degree} are reliable"
         )
     d = g.dimension
-    # an exact solve holds only with residual 0
-    limit = 0.0 if g.exact else tol.adj
     computed = [[_linalg.cleared(x) for x in (lev.coef, lev.gram, lev.split)] for lev in g.levels]
     azero = []
     for i in range(d):
@@ -234,7 +232,7 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             size = coef.shape[0]
             rhs = _linalg.gram_product(coef, localizing[:size, :size])
             a, residual, scale = _gram_solve(split, gram, rhs)
-            if residual > limit * scale:
+            if residual > _recorded_tolerance(residual, tol.adj * scale, g.exact):
                 raise InternalConsistencyError(
                     f"preservation solve failed at coordinate {i + 1}, degree {lev.degree}: "
                     f"residual {residual:.3e}"
@@ -246,7 +244,7 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
         [gram for _, gram, _ in computed], [split for *_, split in computed], azero, g.exact, g
     )
     for (i, n), (residual, scale) in residuals.items():
-        if residual > limit * scale:
+        if residual > _recorded_tolerance(residual, tol.adj * scale, g.exact):
             raise InternalConsistencyError(
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
