@@ -83,7 +83,7 @@ def _new_kernel_directions(kernel: np.ndarray, inherited: np.ndarray, exact: boo
         # v = kernel @ y with inherited^T v = 0: y in the kernel of a = inherited^T kernel,
         # which is the kernel of the Gram a^T a, with the same RREF basis
         gram = _linalg.matmul(kernel.T, inherited, inherited.T, kernel)
-        return _linalg.matmul(kernel, _linalg.split_gram(gram, True, tol_rank, tol_rank).null)
+        return _linalg.matmul(kernel, _linalg.split_gram(gram, True, 0.0, 0.0).null)
     u, s, _ = np.linalg.svd(inherited, full_matrices=False)
     cut = _linalg.rank_cutoff(inherited.shape[0], s[0] if s.size else 0.0, tol_rank)
     u = u[:, s > cut]
