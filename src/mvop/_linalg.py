@@ -265,15 +265,6 @@ def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:
     return matmul(split.combos, coeffs)
 
 
-def orthonormal_columns(split: GramSplit) -> np.ndarray:
-    """Float combo matrix Q with Q^T G Q = I (columns scaled by 1/sqrt(norm2))."""
-    combos = to_float(split.combos)
-    norms2 = to_float(split.norms2)
-    if combos.shape[1] == 0:
-        return combos
-    return combos / np.sqrt(norms2)[None, :]
-
-
 def simultaneous_diagonalize(mats: list, seed: int, tol: float) -> np.ndarray:
     """Jointly diagonalize commuting symmetric float matrices.
 

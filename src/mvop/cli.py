@@ -524,7 +524,10 @@ def main(argv=None) -> int:
     tol = Tolerances() if args.tol_rank is None else Tolerances(rank=args.tol_rank)
 
     try:
-        obj, code = COMMANDS[args.command](args, tol)
+        # an overflow reaches the user once, as a non-finite output value
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj, code = COMMANDS[args.command](args, tol)
+            out = emit(obj, args.format)
     except (SpecFormatError, DepthExceededError, json.JSONDecodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -534,7 +537,7 @@ def main(argv=None) -> int:
     except ValidationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(emit(obj, args.format))
+    print(out)
     return code
 
 

@@ -6,7 +6,8 @@ moment functional, and, when every Gram slice eventually degenerates to rank
 zero, reconstructs the finitely supported representing measure by jointly
 diagonalizing the coordinate operators on the non-degenerate quotient.
 Supplied blocks are completed by `fock.complete_fock`, the routine that
-completes moment-born ones, and checked with the same residuals.
+completes moment-born ones, and checked with the same residuals. Each
+payload Gram is split once, in validation; reconstruction reads those splits.
 """
 
 from __future__ import annotations
@@ -262,11 +263,16 @@ def validate(
     solvability of the annihilation blocks; and the three commutation
     relations of the quantum decomposition. The report carries one entry per
     check; `passed` is the overall verdict. If positivity already fails the
-    dependent checks are skipped. In exact mode a Gram block also fails
-    positivity when its exact split meets an asymmetric Gram or a
-    non-positive pivot, and every other check passes only with residual 0.
+    dependent checks are skipped. In exact mode the exact split alone decides
+    positivity: a pass records residual 0; an asymmetric Gram or a
+    non-positive pivot records the binary64 negativity (at least ulp(0))
+    against tolerance 0. Every other exact check passes only at residual 0.
     """
-    tol = tol or Tolerances()
+    return _validate(fi, mode, tol or Tolerances())[0]
+
+
+def _validate(fi: FockInput, mode: str, tol: Tolerances) -> tuple:
+    """`validate`'s report and its Gram splits: pairs in exact mode, all of them if positive."""
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
     public = np.copy if exact else _linalg.to_float
@@ -284,13 +290,19 @@ def validate(
 
     vacuum = public_grams[0][0, 0]
     add("normalization", "vacuum Gram", _floored(abs(float(vacuum) - 1.0), vacuum != 1), tol.comm)
-    splits = []
-    for n, g in enumerate(grams):
+
+    def spectrum(n):
+        """The negativity and spectral radius of the symmetrized binary64 Gram."""
         gf = _linalg.to_float(public_grams[n])
         evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
-        lam_max = float(np.max(np.abs(evals), initial=0.0))
-        residual = max(0.0, -float(evals[0])) if evals.size else 0.0
-        tolerance = tol.psd * max(1.0, lam_max)
+        top = float(np.max(np.abs(evals), initial=0.0))
+        return max(0.0, -float(np.min(evals, initial=0.0))), top
+
+    splits = []
+    for n, g in enumerate(grams):
+        # in exact mode the exact split alone decides, and a pass has residual 0
+        residual, top = (0.0, _max_abs(g)) if exact else spectrum(n)
+        tolerance = tol.psd * max(1.0, top)
         if residual <= tolerance:
             try:
                 splits.append(
@@ -298,13 +310,13 @@ def validate(
                 )
             except InconsistentMomentsError:
                 # the split rejects what the binary64 spectrum let pass (in
-                # exact mode a non-positive pivot: a negative direction below
-                # binary64 resolution), so the check fails with no tolerance
-                residual, tolerance = max(residual, math.ulp(0.0)), 0.0
-        # a binary64 residual: in exact mode the split above decides
+                # exact mode: an asymmetric Gram or a non-positive pivot, whose
+                # negative direction may lie below binary64 resolution), so
+                # the check fails with no tolerance
+                residual, tolerance = max(spectrum(n)[0], math.ulp(0.0)), 0.0
         add("psd", f"degree {n}", residual, tolerance, exact_residual=False)
     if len(splits) < len(grams) or not report.checks[0].passed:
-        return report
+        return report, splits
 
     fock, adjointness = complete_fock(grams, splits, bzero, exact)
 
@@ -336,25 +348,32 @@ def validate(
             entry.tolerance,
         )
     report.fock = _published(fock, public_grams, public_bzero)
-    return report
+    return report, splits
 
 
-def _orthonormal_compression(fock: FockData, tol: Tolerances) -> tuple:
-    """Float Gram splits, their orthonormal combos Q_n, and lift.
+def _orthonormal_compression(fock: FockData, splits: list):
+    """lift(A, t, s) = Q_t^T G_t A Q_s, a block from level s to level t on the quotients.
 
-    lift(A, t, s) = Q_t^T G_t A Q_s compresses a block from level s to level t
-    onto the orthonormal quotients, where the Fock operators are symmetric.
+    Q_n = C_n D_n^(-1/2), from the combos C_n and squared norms D_n of the
+    given split of G_n; on the quotients the Fock operators are symmetric.
+    For exact splits C_t^T G_t A C_s is formed exactly and rounded once, so
+    it does not inherit the conditioning of the monomial Grams.
     """
+    if isinstance(splits[0].combos, _linalg.Cleared):
+        scales = [1 / np.sqrt(_linalg.to_float(_linalg.published(s.norms2))) for s in splits]
+
+        def lift(mat, t, s):
+            block = _linalg.matmul(splits[t].combos.T, fock.grams[t], mat, splits[s].combos)
+            return scales[t][:, None] * _linalg.to_float(_linalg.published(block)) * scales[s]
+
+        return lift
     grams = [_linalg.to_float(g) for g in fock.grams]
-    splits = [
-        _linalg.split_gram(g, exact=False, tol_rank=tol.rank, tol_psd=tol.psd) for g in grams
-    ]
-    qs = [_linalg.orthonormal_columns(s) for s in splits]
+    qs = [_linalg.to_float(s.combos) / np.sqrt(_linalg.to_float(s.norms2)) for s in splits]
 
-    def lift(mat, target, source):
-        return qs[target].T @ grams[target] @ _linalg.to_float(mat) @ qs[source]
+    def lift(mat, t, s):
+        return qs[t].T @ grams[t] @ _linalg.to_float(mat) @ qs[s]
 
-    return splits, qs, lift
+    return lift
 
 
 def _snap(value: float, tol: float = 1e-8, max_den: int = 64):
@@ -375,11 +394,13 @@ def reconstruct_discrete(
 
     Requires some Gram slice of rank zero within the depth (otherwise the
     data does not certify finite support and NotFinitelySupportedError is
-    raised). The coordinate operators are compressed to the orthonormal
-    quotient of the non-degenerate slices and jointly diagonalized; atoms are
-    read off the diagonals, weights off the squared vacuum row. Coordinates
-    and weights within 1e-8 of a fraction with denominator <= 64 are snapped;
-    the raw binary64 values are kept alongside.
+    raised). Ranks and quotients come from the Gram splits of the one
+    validation run, exact for exact blocks. The coordinate operators are
+    compressed to the orthonormal quotient of the non-degenerate slices and
+    jointly diagonalized in binary64; atoms are read off the diagonals,
+    weights off the squared vacuum row. Coordinates and weights within 1e-8
+    of a fraction with denominator <= 64 are snapped; the raw binary64
+    values are kept alongside.
 
     Raises
     ------
@@ -388,24 +409,19 @@ def reconstruct_discrete(
     NotFinitelySupportedError
         If no Gram slice within the depth has rank zero.
     """
-    tol = tol or Tolerances()
-    report = validate(fi, mode=mode, tol=tol)
+    report, splits = _validate(fi, mode, tol or Tolerances())
     if not report.passed:
         raise ValidationFailedError(f"blocks failed validation: {report.summary()}")
     fock = report.fock
-    splits, qs, lift = _orthonormal_compression(fock, tol)
-    cutoff = None
-    for n, split in enumerate(splits):
-        if split.rank == 0:
-            cutoff = n
-            break
+    lift = _orthonormal_compression(fock, splits)
+    cutoff = next((n for n, split in enumerate(splits) if split.rank == 0), None)
     if cutoff is None:
         raise NotFinitelySupportedError(
             f"no Gram slice of rank zero within depth {fi.depth}; "
             f"finite support is not certified"
         )
 
-    offsets = np.concatenate([[0], np.cumsum([q.shape[1] for q in qs[:cutoff]])])
+    offsets = np.concatenate([[0], np.cumsum([s.rank for s in splits[:cutoff]])])
     total = int(offsets[-1])
 
     operators = []
@@ -440,10 +456,8 @@ def reconstruct_discrete(
     raw_atoms = tuple(coords for _, coords, _ in found)
     raw_weights = tuple(wt for _, _, wt in found)
 
-    snapped_weights = tuple(_snap(wt) for wt in raw_weights)
-    if all(is_rational(wt) for wt in snapped_weights) and sum(snapped_weights) == 1:
-        weights = snapped_weights
-    else:
+    weights = tuple(_snap(wt) for wt in raw_weights)
+    if not all(is_rational(wt) for wt in weights) or sum(weights) != 1:
         weights = raw_weights
     return DiscreteMeasure(
         atoms=atoms, weights=weights, raw_atoms=raw_atoms, raw_weights=raw_weights
@@ -595,7 +609,8 @@ def self_adjointness_bound(
             f"degrees must lie in 1..{n_max - 2} so both raising steps stay in depth"
         )
 
-    _, _, lift = _orthonormal_compression(fock, tol)
+    splits = [_linalg.split_gram(_linalg.to_float(g), False, tol.rank, tol.psd) for g in fock.grams]
+    lift = _orthonormal_compression(fock, splits)
     bounds = []
     for n in degrees:
         worst = 0.0

@@ -8,6 +8,7 @@ strings like "3/8", or decimal strings like "0.25" (exact: 1/4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,15 +25,15 @@ def parse_scalar(value) -> Scalar:
     """Parse a document value into int, Fraction, or float.
 
     Strings are parsed exactly: "3/8" -> Fraction(3, 8), "0.25" -> Fraction(1, 4).
-    JSON integers stay int, JSON floats stay float.
+    JSON integers stay int, JSON floats stay float unless NaN or infinite.
     """
     if isinstance(value, bool):
         raise SpecFormatError(f"boolean is not a valid scalar: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, float):
-        return value
-    if isinstance(value, Fraction):
+        if not math.isfinite(value):
+            raise SpecFormatError(f"non-finite scalar {value!r}")
         return value
     if isinstance(value, str):
         try:

@@ -197,6 +197,26 @@ def test_favard_reconstructs_square(capsys, square_fock_payload):
     assert np.max(np.abs(raw - np.array(sorted(atoms), dtype=float))) <= 1e-8
 
 
+def test_favard_reconstructs_small_scale_measure(capsys, tmp_path):
+    # a genuine 6-atom measure at scale 1/8: its degree-2 Gram has an exact
+    # eigenvalue under the float rank floor, so reconstruction must read the
+    # exact ranks of validation
+    atoms = (
+        (-6, -2), (1, Fraction(3, 2)), (Fraction(7, 4), 8), (2, Fraction(1, 4)), (3, Fraction(-3, 2)), (4, Fraction(-7, 2))
+    )
+    atoms = tuple(tuple(c * Fraction(1, 8) for c in a) for a in atoms)
+    weights = tuple(Fraction(w, 32) for w in (1, 5, 9, 3, 9, 5))
+    functional = mvop.discrete_functional(mvop.DiscreteMeasure(atoms=atoms, weights=weights))
+    fi = mvop.FockInput.from_fock_data(mvop.assemble_fock(mvop.build_gradations(functional, 6)))
+    path = tmp_path / "six_atoms.json"
+    path.write_text(json.dumps(fi.to_json_dict()))
+    code, out = run_json(capsys, ["favard", "--fock", str(path)])
+    assert code == 0
+    assert out["status"] == "reconstructed"
+    found = [tuple(as_fraction(c) for c in atom) for atom in out["measure"]["atoms"]]
+    assert found == sorted(atoms)
+
+
 def test_favard_rejects_invalid_blocks(capsys, tmp_path):
     payload = {
         "dimension": 2,
@@ -301,6 +321,29 @@ def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (
+            "marginal",
+            '{"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": Infinity}}',
+        ),
+        ("rank", '{"type": "discrete", "atoms": [[NaN, 0], [1, 1]], "weights": [0.5, 0.5]}'),
+        ("favard", '{"dimension": 1, "depth": 1, "gram": [[[1e308]], [[1e308]]], "bzero": [[[[1e308]], [[1e308]]]]}'),
+    ],
+    ids=["infinite-moment", "nan-atom", "overflowing-payload"],
+)
+def test_non_finite_values_give_one_error_line(capsys, tmp_path, command, text):
+    path = tmp_path / "non_finite.json"
+    path.write_text(text)
+    flag = "--fock" if command == "favard" else "--spec"
+    code = main([command, flag, str(path), "--max-degree", "1", "--coords", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_exit_code_on_bad_spec_version(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +234,14 @@ def test_reconstruct_square(square_fn, square_measure):
     assert np.max(np.abs(raw - snapped)) <= 1e-8
 
 
+def test_reconstruct_square_float(square_fn, square_measure):
+    # float blocks are split and compressed in binary64 from validation's eigensplits
+    fi = fock_input_of(square_fn, 3)
+    measure = mvop.reconstruct_discrete(fi, mode="float")
+    assert sorted(measure.atoms) == sorted(square_measure.atoms)
+    assert measure.weights == (Fraction(1, 4),) * 4
+
+
 def test_reconstruct_point_mass():
     m = mvop.DiscreteMeasure(atoms=((Fraction(1, 2), Fraction(-2, 3)),), weights=(1,))
     fi = fock_input_of(mvop.discrete_functional(m), 1)
@@ -412,3 +421,71 @@ def test_joint_diagonalization_rejects_non_commuting_pair():
         _linalg.simultaneous_diagonalize([a, b], seed=0, tol=1e-8)
     w = _linalg.simultaneous_diagonalize([a, 2 * a + np.eye(2)], seed=0, tol=1e-8)
     assert np.allclose(w.T @ w, np.eye(2))
+
+
+# a genuine 6-atom measure whose float-split reconstruction read x = 2 as
+# 1.99999998957 at scale 1 and could not be jointly diagonalized at scale 1/8
+SIX_ATOMS = (
+    (-6, -2), (1, Fraction(3, 2)), (Fraction(7, 4), 8), (2, Fraction(1, 4)), (3, Fraction(-3, 2)), (4, Fraction(-7, 2))
+)
+SIX_WEIGHTS = tuple(Fraction(w, 32) for w in (1, 5, 9, 3, 9, 5))
+
+
+def scaled_measure(atoms, weights, scale):
+    return mvop.DiscreteMeasure(atoms=[tuple(c * scale for c in a) for a in atoms], weights=weights)
+
+
+def random_measure(rng, k, bound):
+    """k distinct planar atoms p/q with |p| <= bound and q in 1..4, integer weights."""
+    atoms = set()
+    while len(atoms) < k:
+        atoms.add(tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 4)) for _ in range(2)))
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    return tuple(sorted(atoms)), tuple(Fraction(w, sum(raw)) for w in raw)
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 8)], ids=["1", "1/8"])
+def test_reconstruct_six_atom_measure_exactly(scale):
+    m = scaled_measure(SIX_ATOMS, SIX_WEIGHTS, scale)
+    rec = mvop.reconstruct_discrete(fock_input_of(mvop.discrete_functional(m), 6))
+    assert rec.atoms == m.atoms
+    assert rec.weights == m.weights
+
+
+def test_reconstruct_small_scale_measures():
+    # scaled by 1/64 the Grams' eigenvalues fall below the float rank floor;
+    # reconstruction reads the exact ranks of validate's splits instead
+    rng = random.Random(64)
+    for _ in range(40):
+        atoms, weights = random_measure(rng, rng.randint(1, 8), 8)
+        m = scaled_measure(atoms, weights, Fraction(1, 64))
+        rec = mvop.reconstruct_discrete(fock_input_of(mvop.discrete_functional(m), len(atoms)))
+        true = np.array(m.atoms, dtype=float)
+        raw = np.array(rec.raw_atoms)
+        assert raw.shape == true.shape
+        nearest = np.abs(raw[None, :, :] - true[:, None, :]).max(axis=2).min(axis=1)
+        assert nearest.max() <= 1e-9 * np.abs(true).max()
+
+
+def test_exact_psd_residuals_are_zero():
+    rng = random.Random(32)
+    for _ in range(12):
+        atoms, weights = random_measure(rng, rng.randint(2, 8), 32)
+        fi = fock_input_of(mvop.discrete_functional(mvop.DiscreteMeasure(atoms, weights)), len(atoms))
+        psd = [c for c in mvop.validate(fi).checks if c.name == "psd"]
+        assert [c.residual for c in psd] == [0.0] * (fi.depth + 1)
+        assert all(c.tolerance == 1e-10 * max(1.0, float(np.abs(fi.grams[n]).max())) for n, c in enumerate(psd))
+
+
+def test_reconstruction_reads_the_splits_of_validation(monkeypatch, square_fn):
+    fi = fock_input_of(square_fn, 3)
+    calls = []
+    split_gram = _linalg.split_gram
+    monkeypatch.setattr(_linalg, "split_gram", lambda *a, **k: calls.append(1) or split_gram(*a, **k))
+
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("exact validation took a binary64 spectrum")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
+    assert len(mvop.reconstruct_discrete(fi).atoms) == 4
+    assert len(calls) == fi.depth + 1
