@@ -305,9 +305,7 @@ def _validate(fi: FockInput, mode: str, tol: Tolerances) -> tuple:
         tolerance = tol.psd * max(1.0, top)
         if residual <= tolerance:
             try:
-                splits.append(
-                    _linalg.split_gram(g, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
-                )
+                splits.append(_linalg.split_gram(g, exact, tol.rank, tol.psd))
             except InconsistentMomentsError:
                 # the split rejects what the binary64 spectrum let pass (in
                 # exact mode: an asymmetric Gram or a non-positive pivot, whose
@@ -360,11 +358,13 @@ def _orthonormal_compression(fock: FockData, splits: list):
     it does not inherit the conditioning of the monomial Grams.
     """
     if isinstance(splits[0].combos, _linalg.Cleared):
-        scales = [1 / np.sqrt(_linalg.to_float(_linalg.published(s.norms2))) for s in splits]
+        # a pair's num / den rounds each entry once (int true division)
+        left = [_linalg.matmul(s.combos.T, g) for s, g in zip(splits, fock.grams)]
+        scales = [1 / np.sqrt(_linalg.to_float(s.norms2.num / s.norms2.den)) for s in splits]
 
         def lift(mat, t, s):
-            block = _linalg.matmul(splits[t].combos.T, fock.grams[t], mat, splits[s].combos)
-            return scales[t][:, None] * _linalg.to_float(_linalg.published(block)) * scales[s]
+            block = _linalg.matmul(left[t], mat, splits[s].combos)
+            return scales[t][:, None] * _linalg.to_float(block.num / block.den) * scales[s]
 
         return lift
     grams = [_linalg.to_float(g) for g in fock.grams]
