@@ -456,8 +456,10 @@ def reconstruct_discrete(
     raw_atoms = tuple(coords for _, coords, _ in found)
     raw_weights = tuple(wt for _, _, wt in found)
 
-    weights = tuple(_snap(wt) for wt in raw_weights)
-    if not all(is_rational(wt) for wt in weights) or sum(weights) != 1:
+    snapped_weights = tuple(_snap(wt) for wt in raw_weights)
+    if all(is_rational(wt) for wt in snapped_weights) and sum(snapped_weights) == 1:
+        weights = snapped_weights
+    else:
         weights = raw_weights
     return DiscreteMeasure(
         atoms=atoms, weights=weights, raw_atoms=raw_atoms, raw_weights=raw_weights

@@ -423,8 +423,9 @@ def test_joint_diagonalization_rejects_non_commuting_pair():
     assert np.allclose(w.T @ w, np.eye(2))
 
 
-# a genuine 6-atom measure whose float-split reconstruction read x = 2 as
-# 1.99999998957 at scale 1 and could not be jointly diagonalized at scale 1/8
+# a genuine 6-atom measure: a binary64 re-split of its Grams reads its atom
+# x = 2 as 1.99999998957, and at scale 1/8 its degree-2 Gram has an exact
+# eigenvalue of 7.7e-11, under the float rank floor
 SIX_ATOMS = (
     (-6, -2), (1, Fraction(3, 2)), (Fraction(7, 4), 8), (2, Fraction(1, 4)), (3, Fraction(-3, 2)), (4, Fraction(-7, 2))
 )
