@@ -521,9 +521,9 @@ def main(argv=None) -> int:
     if args.max_degree < 0:
         print("error: --max-degree must be >= 0", file=sys.stderr)
         return 1
-    tol = Tolerances() if args.tol_rank is None else Tolerances(rank=args.tol_rank)
 
     try:
+        tol = Tolerances() if args.tol_rank is None else Tolerances(rank=args.tol_rank)
         # an overflow reaches the user once, as a non-finite output value
         with np.errstate(over="ignore", invalid="ignore"):
             obj, code = COMMANDS[args.command](args, tol)

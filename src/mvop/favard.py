@@ -7,13 +7,16 @@ zero, reconstructs the finitely supported representing measure by jointly
 diagonalizing the coordinate operators on the non-degenerate quotient.
 Supplied blocks are completed by `fock.complete_fock`, the routine that
 completes moment-born ones, and checked with the same residuals. Each
-payload Gram is split once, in validation; reconstruction reads those splits.
+payload is validated once: a FockInput keeps its last validation with copies
+of the blocks it checked, and `validate` and `reconstruct_discrete` reuse it
+while the blocks, the mode and the tolerances stay the same. Reconstruction
+reads that validation's cleared blocks and Gram splits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +33,6 @@ from .fock import (
     _floored,
     _recorded_tolerance,
     _max_abs,
-    _published,
     _residual,
     _seminorm_residual,
     check_commutation,
@@ -74,6 +76,12 @@ class FockInput:
     depth: int
     grams: list
     bzero: list
+    # (key, copies of the blocks, _Validation) of the last validation, see `_validate`
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # the memo belongs to these blocks: a copy starts its own
+        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
 
     def __post_init__(self):
         d, n_max = self.dimension, self.depth
@@ -267,33 +275,91 @@ def validate(
     positivity: a pass records residual 0; an asymmetric Gram or a
     non-positive pivot records the binary64 negativity (at least ulp(0))
     against tolerance 0. Every other exact check passes only at residual 0.
+
+    The checks run once per unchanged payload: called again on the same
+    FockInput with the same mode and tolerances and bit-identical blocks,
+    `validate` (and `reconstruct_discrete`) reuse the run; any edit to a
+    block runs them afresh. Each call returns a new report that shares no
+    array with that run, so editing it changes no later result.
     """
-    return _validate(fi, mode, tol or Tolerances())[0]
+    run = _validate(fi, mode, tol or Tolerances())
+    report = run.report(fi.depth)
+    fock = run.fock
+    if fock is not None:
+        public = np.copy if fock.exact else _linalg.to_float
+        report.fock = replace(
+            fock,
+            grams=[public(g) for g in fi.grams],
+            azero=[[public(b) for b in per] for per in fi.bzero],
+            aplus=[[b.copy() for b in per] for per in fock.aplus],
+            aminus=[[None] + [np.copy(_linalg.published(b)) for b in per[1:]] for per in fock.aminus],
+        )
+    return report
 
 
-def _validate(fi: FockInput, mode: str, tol: Tolerances) -> tuple:
-    """`validate`'s report and its Gram splits: pairs in exact mode, all of them if positive."""
+@dataclass(frozen=True)
+class _Validation:
+    """One validation run, held by the FockInput it checked and never handed out.
+
+    checks: (name, detail, residual, tolerance) per check, in report order.
+    fock: the completed blocks in computing form (pairs in exact mode), set
+    once positivity passed. splits: the Gram splits, all of them if positive.
+    """
+
+    checks: tuple
+    fock: FockData | None
+    splits: list
+
+    def report(self, depth: int) -> ValidationReport:
+        return ValidationReport(depth, [ValidationCheck(*c) for c in self.checks])
+
+
+def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
+    """fi's validation under mode and tol, run again only when fi's blocks, mode or tol changed.
+
+    The run is reused while the key and the block counts are equal and every
+    block has the dtype, shape and bytes of the copy kept with it. An object
+    array's bytes are its element pointers, and the copy keeps the elements
+    alive, so equal bytes mean the same immutable scalars: an in-place edit, a
+    reassigned block or a float put in place of an equal rational all miss.
+    """
+    key = (fi.dimension, fi.depth, mode, tol, len(fi.grams), tuple(map(len, fi.bzero)))
+    blocks = [np.asarray(b) for b in (*fi.grams, *(b for per in fi.bzero for b in per))]
+    if fi._memo is not None:
+        kept_key, kept, run = fi._memo
+        if kept_key == key and all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(kept, blocks)
+        ):
+            return run
+    kept = [b.copy() for b in blocks]
+    run = _run_validation(fi, mode, tol)
+    fi._memo = (key, kept, run)
+    return run
+
+
+def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
+    """The checks of `validate` on fi's blocks, each cleared once."""
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
-    public = np.copy if exact else _linalg.to_float
-    public_grams = [public(g) for g in fi.grams]
-    public_bzero = [[public(b) for b in per] for per in fi.bzero]
     # the checks run on the blocks' computing form, each cleared once
-    grams = [_linalg.cleared(g) for g in public_grams]
-    bzero = [[_linalg.cleared(b) for b in per] for per in public_bzero]
-    report = ValidationReport(depth=n_max)
+    form = _linalg.cleared if exact else _linalg.to_float
+    grams = [form(g) for g in fi.grams]
+    bzero = [[form(b) for b in per] for per in fi.bzero]
+    checks = []
 
     def add(name, detail, residual, tolerance, exact_residual=exact):
         residual = float(residual)
         tolerance = _recorded_tolerance(residual, tolerance, exact_residual)
-        report.checks.append(ValidationCheck(name, detail, residual, tolerance))
+        checks.append((name, detail, residual, tolerance))
 
-    vacuum = public_grams[0][0, 0]
+    # in exact mode grams holds pairs, so the vacuum entry is read off the payload
+    vacuum = (fi.grams if exact else grams)[0][0, 0]
     add("normalization", "vacuum Gram", _floored(abs(float(vacuum) - 1.0), vacuum != 1), tol.comm)
 
     def spectrum(n):
         """The negativity and spectral radius of the symmetrized binary64 Gram."""
-        gf = _linalg.to_float(public_grams[n])
+        gf = _linalg.to_float(fi.grams[n])
         evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
         top = float(np.max(np.abs(evals), initial=0.0))
         return max(0.0, -float(np.min(evals, initial=0.0))), top
@@ -313,8 +379,9 @@ def _validate(fi: FockInput, mode: str, tol: Tolerances) -> tuple:
                 # the check fails with no tolerance
                 residual, tolerance = max(spectrum(n)[0], math.ulp(0.0)), 0.0
         add("psd", f"degree {n}", residual, tolerance, exact_residual=False)
-    if len(splits) < len(grams) or not report.checks[0].passed:
-        return report, splits
+    normalized = checks[0][2] <= checks[0][3]
+    if len(splits) < len(grams) or not normalized:
+        return _Validation(tuple(checks), None, splits)
 
     fock, adjointness = complete_fock(grams, splits, bzero, exact)
 
@@ -345,21 +412,21 @@ def _validate(fi: FockInput, mode: str, tol: Tolerances) -> tuple:
             entry.residual,
             entry.tolerance,
         )
-    report.fock = _published(fock, public_grams, public_bzero)
-    return report, splits
+    return _Validation(tuple(checks), fock, splits)
 
 
-def _orthonormal_compression(fock: FockData, splits: list):
+def _orthonormal_compression(grams: list, splits: list):
     """lift(A, t, s) = Q_t^T G_t A Q_s, a block from level s to level t on the quotients.
 
     Q_n = C_n D_n^(-1/2), from the combos C_n and squared norms D_n of the
     given split of G_n; on the quotients the Fock operators are symmetric.
-    For exact splits C_t^T G_t A C_s is formed exactly and rounded once, so
-    it does not inherit the conditioning of the monomial Grams.
+    Exact splits come with the cleared Grams and blocks of `_validate`: there
+    C_t^T G_t A C_s is formed exactly and rounded once, so it does not
+    inherit the conditioning of the monomial Grams.
     """
     if isinstance(splits[0].combos, _linalg.Cleared):
         # a pair's num / den rounds each entry once (int true division)
-        left = [_linalg.matmul(s.combos.T, g) for s, g in zip(splits, fock.grams)]
+        left = [_linalg.matmul(s.combos.T, g) for s, g in zip(splits, grams)]
         scales = [1 / np.sqrt(_linalg.to_float(s.norms2.num / s.norms2.den)) for s in splits]
 
         def lift(mat, t, s):
@@ -367,7 +434,7 @@ def _orthonormal_compression(fock: FockData, splits: list):
             return scales[t][:, None] * _linalg.to_float(block.num / block.den) * scales[s]
 
         return lift
-    grams = [_linalg.to_float(g) for g in fock.grams]
+    grams = [_linalg.to_float(g) for g in grams]
     qs = [_linalg.to_float(s.combos) / np.sqrt(_linalg.to_float(s.norms2)) for s in splits]
 
     def lift(mat, t, s):
@@ -394,8 +461,10 @@ def reconstruct_discrete(
 
     Requires some Gram slice of rank zero within the depth (otherwise the
     data does not certify finite support and NotFinitelySupportedError is
-    raised). Ranks and quotients come from the Gram splits of the one
-    validation run, exact for exact blocks. The coordinate operators are
+    raised). The blocks are validated first; a run `validate` made on the
+    same unchanged FockInput with the same mode and tolerances is reused (see
+    `validate`). Ranks and quotients come from that run's cleared blocks and
+    Gram splits, exact for exact blocks. The coordinate operators are
     compressed to the orthonormal quotient of the non-degenerate slices and
     jointly diagonalized in binary64; atoms are read off the diagonals,
     weights off the squared vacuum row. Coordinates and weights within 1e-8
@@ -409,11 +478,12 @@ def reconstruct_discrete(
     NotFinitelySupportedError
         If no Gram slice within the depth has rank zero.
     """
-    report, splits = _validate(fi, mode, tol or Tolerances())
-    if not report.passed:
-        raise ValidationFailedError(f"blocks failed validation: {report.summary()}")
-    fock = report.fock
-    lift = _orthonormal_compression(fock, splits)
+    run = _validate(fi, mode, tol or Tolerances())
+    verdict = run.report(fi.depth)
+    if not verdict.passed:
+        raise ValidationFailedError(f"blocks failed validation: {verdict.summary()}")
+    fock, splits = run.fock, run.splits
+    lift = _orthonormal_compression(fock.grams, splits)
     cutoff = next((n for n, split in enumerate(splits) if split.rank == 0), None)
     if cutoff is None:
         raise NotFinitelySupportedError(
@@ -612,7 +682,7 @@ def self_adjointness_bound(
         )
 
     splits = [_linalg.split_gram(_linalg.to_float(g), False, tol.rank, tol.psd) for g in fock.grams]
-    lift = _orthonormal_compression(fock, splits)
+    lift = _orthonormal_compression(fock.grams, splits)
     bounds = []
     for n in degrees:
         worst = 0.0

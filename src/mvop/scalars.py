@@ -73,5 +73,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank", "null", "comm", "adj", "psd"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
+            value = getattr(self, name)
+            # a NaN tolerance fails every comparison and an infinite one accepts everything
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be positive and finite, got {value!r}")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mvop
+from mvop import _linalg
 from mvop.cli import main
 
 
@@ -197,6 +198,15 @@ def test_favard_reconstructs_square(capsys, square_fock_payload):
     assert np.max(np.abs(raw - np.array(sorted(atoms), dtype=float))) <= 1e-8
 
 
+def test_favard_splits_each_gram_once(capsys, monkeypatch, square_fock_payload):
+    calls = []
+    split_gram = _linalg.split_gram
+    monkeypatch.setattr(_linalg, "split_gram", lambda *a, **k: calls.append(1) or split_gram(*a, **k))
+    code, out = run_json(capsys, ["favard", "--fock", square_fock_payload])
+    assert code == 0 and out["status"] == "reconstructed"
+    assert len(calls) == out["depth"] + 1
+
+
 def test_favard_reconstructs_small_scale_measure(capsys, tmp_path):
     # a genuine 6-atom measure at scale 1/8: its degree-2 Gram has an exact
     # eigenvalue under the float rank floor, so reconstruction must read the
@@ -364,6 +374,15 @@ def test_exit_code_on_inconsistent_moments(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, _ = run_cli(capsys, ["omega", "--spec", str(path), "--max-degree", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_tolerance_gives_one_error_line(capsys, square_spec, value):
+    code = main(["capcheck", "--spec", square_spec, "--max-degree", "3", "--mode", "float", "--tol-rank", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance rank ") and captured.err.count("\n") == 1
 
 
 def test_exit_code_on_usage_error(capsys):

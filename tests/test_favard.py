@@ -490,3 +490,77 @@ def test_reconstruction_reads_the_splits_of_validation(monkeypatch, square_fn):
     monkeypatch.setattr(np.linalg, "eigvalsh", no_spectrum)
     assert len(mvop.reconstruct_discrete(fi).atoms) == 4
     assert len(calls) == fi.depth + 1
+
+
+def count_splits(monkeypatch) -> list:
+    calls = []
+    split_gram = _linalg.split_gram
+    monkeypatch.setattr(_linalg, "split_gram", lambda *a, **k: calls.append(1) or split_gram(*a, **k))
+    return calls
+
+
+def test_validate_then_reconstruct_splits_each_gram_once(monkeypatch, square_fn):
+    fi = fock_input_of(square_fn, 3)
+    split_calls = count_splits(monkeypatch)
+    assert mvop.validate(fi).passed
+    assert len(mvop.reconstruct_discrete(fi).atoms) == 4
+    assert mvop.validate(fi).passed
+    assert len(split_calls) == fi.depth + 1
+
+
+def test_in_place_edit_after_validate_is_validated_again(square_fn):
+    fi = fock_input_of(square_fn, 3)
+    assert mvop.validate(fi).passed
+    fi.bzero[0][1][0, 1] += Fraction(1, 1000)
+    with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
+        mvop.reconstruct_discrete(fi)
+
+
+def _fresh_gram(fi):
+    # equal values, new element objects
+    fi.grams[2] = np.array([[Fraction(v) for v in row] for row in fi.grams[2].tolist()], dtype=object)
+
+
+def _equal_float(fi):
+    fi.bzero[0][1][0, 0] = float(fi.bzero[0][1][0, 0])
+
+
+@pytest.mark.parametrize(
+    "edit, kwargs",
+    [
+        (_fresh_gram, {}),
+        (_equal_float, {}),
+        (None, {"mode": "float"}),
+        (None, {"tol": mvop.Tolerances(rank=1e-9)}),
+    ],
+    ids=["reassigned-gram", "float-for-rational", "other-mode", "other-tol"],
+)
+def test_changed_payload_or_options_validate_again(monkeypatch, square_fn, square_measure, edit, kwargs):
+    fi = fock_input_of(square_fn, 3)
+    split_calls = count_splits(monkeypatch)
+    assert mvop.validate(fi).passed
+    if edit is not None:
+        edit(fi)
+    measure = mvop.reconstruct_discrete(fi, **kwargs)
+    assert sorted(measure.atoms) == sorted(square_measure.atoms)
+    assert len(split_calls) == 2 * (fi.depth + 1)
+
+
+def test_editing_a_report_changes_no_later_result(square_fn):
+    genuine = fock_input_of(square_fn, 3)
+    expected = mvop.reconstruct_discrete(fock_input_of(square_fn, 3))
+    report = mvop.validate(genuine)
+    report.fock.azero[0][1][0, 1] += 5
+    report.fock.aplus[0][1][0, 0] = 7
+    report.checks.clear()
+    assert mvop.reconstruct_discrete(genuine) == expected
+    again = mvop.validate(genuine)
+    assert again.passed and again.fock.aplus[0][1][0, 0] == 1
+
+    tampered = fock_input_of(square_fn, 3)
+    tampered.bzero[0][1][0, 1] += Fraction(1, 1000)
+    report = mvop.validate(tampered)
+    report.checks.clear()
+    assert report.passed
+    with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
+        mvop.reconstruct_discrete(tampered)
