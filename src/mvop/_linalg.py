@@ -10,7 +10,9 @@ seminorms. One fraction-free elimination per exact Gram (Bareiss 1968) gives
 its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
 A is that of the Gram A^T A. An object array holding a float entry cannot be
 cleared (TypeError) and is multiplied as plain objects, so perturbed exact
-blocks still yield residuals.
+blocks still yield residuals. A computing form handed from one layer to the
+next is `Guarded` by the public arrays it was made from, and is used only
+while they are unchanged.
 """
 
 from __future__ import annotations
@@ -99,6 +101,32 @@ def published(x):
     if not isinstance(x, Cleared):
         return x
     return np.array([Fraction(v, x.den) for v in x.num.flat], dtype=object).reshape(x.shape)
+
+
+class Guarded:
+    """A value derived from some public arrays, kept with shallow copies of them.
+
+    `holds(arrays)` is true while there are as many arrays as copies and each
+    has the dtype, shape and bytes of its copy. An object array's bytes are
+    its element pointers, and the copy keeps the elements alive, so equal
+    bytes mean the same immutable scalars: an in-place edit, a reassigned
+    array or a float put in place of an equal rational all fail the test.
+    """
+
+    def __init__(self, arrays: list, value):
+        self.copies = [a.copy() for a in arrays]
+        self.value = value
+
+    def holds(self, arrays: list) -> bool:
+        return len(arrays) == len(self.copies) and all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(self.copies, arrays)
+        )
+
+
+def recall(memo: Guarded | None, arrays: list):
+    """memo's value while it holds for arrays, else None."""
+    return memo.value if memo is not None and memo.holds(arrays) else None
 
 
 def stack(mats: list, axis: int):

@@ -389,14 +389,19 @@ def cmd_marginal(args, tol: Tolerances):
     if not args.coords:
         raise SpecFormatError("marginal needs --coords, e.g. --coords 1 or --coords 1,2")
     try:
-        coords = tuple(int(part) - 1 for part in args.coords.split(","))
+        coords = tuple(int(part) for part in args.coords.split(","))
     except ValueError:
         raise SpecFormatError(f"bad --coords value {args.coords!r}") from None
     f = _load_functional(args, 2 * n)
-    spec = MarginalSpec(source=f, coords=coords)
+    # checked here so that the messages use the 1-based numbering of --coords
+    if any(c < 1 or c > f.dimension for c in coords):
+        raise SpecFormatError(f"coordinates {coords} outside 1..{f.dimension}")
+    if any(b <= a for a, b in zip(coords, coords[1:])):
+        raise SpecFormatError(f"coordinates must be strictly increasing, got {coords}")
+    spec = MarginalSpec(source=f, coords=tuple(c - 1 for c in coords))
     out = {
         "command": "marginal",
-        "coords": [c + 1 for c in coords],
+        "coords": list(coords),
         "depth": n,
     }
     marginal = marginal_functional(spec)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .fock import (
     FockData,
+    _creation_blocks,
     _floored,
     _recorded_tolerance,
     _max_abs,
@@ -76,8 +77,8 @@ class FockInput:
     depth: int
     grams: list
     bzero: list
-    # (key, copies of the blocks, _Validation) of the last validation, see `_validate`
-    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the (key, _Validation) of the last validation, guarded by the blocks, see `_validate`
+    _memo: _linalg.Guarded | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
         # the memo belongs to these blocks: a copy starts its own
@@ -291,7 +292,7 @@ def validate(
             fock,
             grams=[public(g) for g in fi.grams],
             azero=[[public(b) for b in per] for per in fi.bzero],
-            aplus=[[b.copy() for b in per] for per in fock.aplus],
+            aplus=_creation_blocks(fock.dimension, fock.depth, object if fock.exact else float),
             aminus=[[None] + [np.copy(_linalg.published(b)) for b in per[1:]] for per in fock.aminus],
         )
     return report
@@ -317,24 +318,17 @@ class _Validation:
 def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
     """fi's validation under mode and tol, run again only when fi's blocks, mode or tol changed.
 
-    The run is reused while the key and the block counts are equal and every
-    block has the dtype, shape and bytes of the copy kept with it. An object
-    array's bytes are its element pointers, and the copy keeps the elements
-    alive, so equal bytes mean the same immutable scalars: an in-place edit, a
-    reassigned block or a float put in place of an equal rational all miss.
+    The run is reused while the key and the block counts are equal and the
+    blocks are unchanged (`_linalg.Guarded`): an in-place edit, a reassigned
+    block or a float put in place of an equal rational all miss.
     """
     key = (fi.dimension, fi.depth, mode, tol, len(fi.grams), tuple(map(len, fi.bzero)))
     blocks = [np.asarray(b) for b in (*fi.grams, *(b for per in fi.bzero for b in per))]
-    if fi._memo is not None:
-        kept_key, kept, run = fi._memo
-        if kept_key == key and all(
-            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in zip(kept, blocks)
-        ):
-            return run
-    kept = [b.copy() for b in blocks]
+    kept = _linalg.recall(fi._memo, blocks)
+    if kept is not None and kept[0] == key:
+        return kept[1]
     run = _run_validation(fi, mode, tol)
-    fi._memo = (key, kept, run)
+    fi._memo = _linalg.Guarded(blocks, (key, run))
     return run
 
 

@@ -11,11 +11,14 @@ annihilation blocks to given Gram and preservation blocks, for assembled and
 for externally supplied blocks alike, and `_residual` is the one
 (residual, scale) measure of every solve and symmetry check.
 
-Exact blocks are computed on as `_linalg.Cleared` pairs through both solves
-and published as Fraction arrays once (`_published`); each check clears every
-block once per call (`_cleared_fock`), so blocks edited in place are seen. A
-commutation relation is one product of its stacked factors, measured in the
-target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
+Exact blocks are computed on as `_linalg.Cleared` pairs through both solves,
+starting from the pairs `build_gradations` kept for its levels, and published
+as Fraction arrays once (`_published`). The FockData keeps those pairs,
+guarded by its public blocks, and the checks and vacuum words read them
+while the blocks are unchanged; a block edited in place makes the next check
+clear the blocks afresh (`_cleared_fock`), so it is seen. A commutation
+relation is one product of its stacked factors, measured in the target-level
+Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
 A residual computed on pairs is decided on its exact value: its binary64
 image stays above 0.0 when it is nonzero (`_floored`), and then it fails
 (`_recorded_tolerance`).
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, moment_matrix
+from .gradation import GradationBasis, _cleared_moment_matrix, _computing_levels
 from .polynomial import monomials_of_degree
 from .scalars import Tolerances
 
@@ -101,26 +104,53 @@ class FockData:
         return self.gradation.tol if self.gradation is not None else Tolerances()
 
     def __getstate__(self):
-        # the vacuum-word memo belongs to these blocks: a copy starts its own
-        return {k: v for k, v in self.__dict__.items() if k != "_vacuum"}
+        # the memos belong to these blocks: a copy starts its own
+        return {k: v for k, v in self.__dict__.items() if k not in ("_vacuum", "_computing")}
+
+
+def _public_blocks(fock: FockData) -> list:
+    families = ([fock.grams], fock.aplus, fock.azero, fock.aminus)
+    return [b for family in families for per in family for b in per if b is not None]
 
 
 def _cleared_fock(fock: FockData) -> FockData:
-    """fock with its blocks cleared (`_linalg.cleared`); itself if a block holds a float."""
-    try:
-        (grams,), aplus, azero, aminus = (
-            [[b if b is None else _linalg.cleared(b) for b in per] for per in family]
-            for family in ([fock.grams], fock.aplus, fock.azero, fock.aminus)
-        )
-    except TypeError:
+    """fock with its blocks in computing form (`_linalg.cleared`); itself if nothing is to clear.
+
+    Float blocks, and blocks already held as pairs, are their own computing
+    form. Exact public blocks are cleared once and kept on fock, guarded by
+    them (`_linalg.Guarded`): `assemble_fock` keeps the pairs it computed on,
+    and any call after an in-place edit clears afresh and keeps the new
+    pairs. A block holding a float entry cannot be cleared: then fock itself.
+    """
+    if isinstance(fock.grams[0], _linalg.Cleared):
         return fock
-    return replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
+    blocks = _public_blocks(fock)
+    if all(b.dtype != object for b in blocks):
+        return fock
+    computed = _linalg.recall(fock.__dict__.get("_computing"), blocks)
+    if computed is None:
+        try:
+            (grams,), aplus, azero, aminus = (
+                [[b if b is None else _linalg.cleared(b) for b in per] for per in family]
+                for family in ([fock.grams], fock.aplus, fock.azero, fock.aminus)
+            )
+        except TypeError:
+            return fock
+        computed = replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
+        fock._computing = _linalg.Guarded(blocks, computed)
+    return computed
+
+
+def _creation_blocks(d: int, depth: int, dtype) -> list:
+    return [[creation_matrix(d, i, n, dtype=dtype) for n in range(depth)] for i in range(d)]
 
 
 def _published(fock: FockData, grams: list, azero: list) -> FockData:
-    """Computed blocks with the caller's public grams and azero, and Fraction A^- blocks."""
+    """Computed blocks with the caller's public grams and azero, int A^+ and Fraction A^- blocks."""
+    # exact A^+ blocks are computed on as pairs, and published as fresh int arrays
+    aplus = _creation_blocks(fock.dimension, fock.depth, object) if fock.exact else fock.aplus
     aminus = [[None] + [_linalg.published(b) for b in per[1:]] for per in fock.aminus]
-    return replace(fock, grams=grams, azero=azero, aminus=aminus)
+    return replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
 
 
 def _floored(value: float, nonzero) -> float:
@@ -185,13 +215,15 @@ def complete_fock(
 
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
     (`favard.validate`): the creation blocks are the canonical shifts, the
-    annihilation blocks come from `annihilation_blocks`, in the form of the
-    given blocks (`_published` makes cleared ones public). Returns
-    (FockData, residuals), residuals as returned by `annihilation_blocks`.
+    annihilation blocks come from `annihilation_blocks`, all in computing
+    form (`_published` makes them public). Returns (FockData, residuals),
+    residuals as returned by `annihilation_blocks`.
     """
     d, depth = len(azero), len(grams) - 1
-    dtype = object if exact else float
-    aplus = [[creation_matrix(d, i, n, dtype=dtype) for n in range(depth)] for i in range(d)]
+    aplus = [
+        [_linalg.cleared(b) for b in per]
+        for per in _creation_blocks(d, depth, object if exact else float)
+    ]
     aminus, residuals = annihilation_blocks(aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation)
     return fock, residuals
@@ -222,11 +254,11 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             f"but only {functional.max_reliable_degree} are reliable"
         )
     d = g.dimension
-    computed = [[_linalg.cleared(x) for x in (lev.coef, lev.gram, lev.split)] for lev in g.levels]
+    computed = _computing_levels(g)
     azero = []
     for i in range(d):
         shift = tuple(int(k == i) for k in range(d))
-        localizing = _linalg.cleared(moment_matrix(functional, depth, shift))
+        localizing = _cleared_moment_matrix(functional, depth, shift)
         per_level = []
         for lev, (coef, gram, split) in zip(g.levels, computed):
             size = coef.shape[0]
@@ -249,8 +281,13 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
             )
-    azero = [[_linalg.published(a) for a in per] for per in azero]
-    return _published(fock, [lev.gram for lev in g.levels], azero)
+    public = _published(
+        fock, [lev.gram for lev in g.levels], [[_linalg.published(a) for a in per] for per in azero]
+    )
+    if g.exact:
+        # the checks read the pairs computed here while the public blocks are unchanged
+        public._computing = _linalg.Guarded(_public_blocks(public), fock)
+    return public
 
 
 def adjointness_residuals(fock: FockData) -> dict:
@@ -457,9 +494,10 @@ def vacuum_moment(fock: FockData, alpha):
 
     States are memoized on the FockData: the state of alpha is X_i applied to
     that of alpha - e_i, i the lowest index with alpha_i > 0, so all words up
-    to a degree cost one application each. The memo (and its cleared blocks)
-    is valid while the blocks are not edited in place; a copy or
-    `dataclasses.replace` of the FockData starts a fresh one.
+    to a degree cost one application each. The memo takes the blocks in
+    computing form at the first call (`_cleared_fock`, so edits made before
+    it are seen) and is valid while the blocks are not edited in place; a
+    copy or `dataclasses.replace` of the FockData starts a fresh one.
     """
     alpha = tuple(alpha)
     if len(alpha) != fock.dimension:

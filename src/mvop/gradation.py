@@ -14,7 +14,10 @@ candidates is the Schur complement of M on the degree-n block; its range
 gives an orthogonal basis of the slice, its kernel the degree-n null
 directions of the functional. Polynomial objects are built from coefficient
 columns only on request. Exact mode runs on `_linalg.Cleared` pairs from the
-moment matrix to each split; every level's arrays become Fractions once.
+moment matrix, each of whose distinct moments is cleared once, to each
+split; every level's arrays become Fractions once. The gradation keeps those
+pairs, guarded by the published level arrays, and `assemble_fock` reads them
+while the levels are unchanged (`_computing_levels`).
 """
 
 from __future__ import annotations
@@ -49,14 +52,8 @@ def resolve_mode(rational: bool, mode: str) -> str:
     return mode
 
 
-def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.ndarray:
-    """Lambda(x^(a+b+shift)) for a, b over the monomials of degree <= degree.
-
-    Rows and columns follow ``monomials_up_to`` (graded-lex), so the matrix
-    of a lower degree is a leading block. Without shift this is the moment
-    matrix; with shift = e_i it is the localizing matrix of x_i. Each distinct
-    moment is fetched once; the array is object-typed for exact functionals.
-    """
+def _distinct_moments(functional: MomentFunctional, degree: int, shift) -> tuple:
+    """(values, where): the distinct moments of `moment_matrix` and the index of each entry."""
     d = functional.dimension
     shift = tuple(shift) if shift is not None else (0,) * d
     # a multi-index is encoded as the integer with digits alpha_j in base
@@ -71,7 +68,32 @@ def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.n
         [functional.moment(tuple(int(key) // base**j % base for j in range(d))) for key in distinct],
         dtype=object if functional.exact else float,
     )
-    return values[where].reshape(sums.shape)
+    return values, where.reshape(sums.shape)
+
+
+def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.ndarray:
+    """Lambda(x^(a+b+shift)) for a, b over the monomials of degree <= degree.
+
+    Rows and columns follow ``monomials_up_to`` (graded-lex), so the matrix
+    of a lower degree is a leading block. Without shift this is the moment
+    matrix; with shift = e_i it is the localizing matrix of x_i. Each distinct
+    moment is fetched once; the array is object-typed for exact functionals.
+    """
+    values, where = _distinct_moments(functional, degree, shift)
+    return values[where]
+
+
+def _cleared_moment_matrix(functional: MomentFunctional, degree: int, shift=None):
+    """`moment_matrix` in computing form: each distinct moment is cleared once.
+
+    An exact matrix is the pair of the distinct moments' numerators, spread
+    by index, over their one denominator; a float matrix is returned as is.
+    """
+    values, where = _distinct_moments(functional, degree, shift)
+    values = _linalg.cleared(values)
+    if isinstance(values, _linalg.Cleared):
+        return _linalg.Cleared(values.num[where], values.den)
+    return values[where]
 
 
 @dataclass
@@ -176,6 +198,35 @@ class GradationBasis:
     def dimension_table(self) -> list:
         return [(lev.degree, lev.dimension, lev.rank, lev.nullity) for lev in self.levels]
 
+    def __getstate__(self):
+        # the kept computing form belongs to these levels: a copy starts without it
+        return {k: v for k, v in self.__dict__.items() if k != "_computing"}
+
+
+def _level_arrays(levels: list) -> list:
+    return [
+        a
+        for lev in levels
+        for a in (lev.coef, lev.gram, lev.split.combos, lev.split.norms2, lev.split.null)
+    ]
+
+
+def _computing_levels(g: GradationBasis) -> list:
+    """(coef, gram, split) of every level of g in computing form (`_linalg.cleared`).
+
+    Exact levels reuse the pairs `build_gradations` computed on while the
+    published level arrays are unchanged (`_linalg.Guarded`); otherwise they
+    are cleared afresh, and those pairs are kept instead. Float levels are
+    their own computing form.
+    """
+    arrays = _level_arrays(g.levels)
+    computed = _linalg.recall(g.__dict__.get("_computing"), arrays)
+    if computed is None:
+        computed = [[_linalg.cleared(x) for x in (lev.coef, lev.gram, lev.split)] for lev in g.levels]
+        if g.exact:
+            g._computing = _linalg.Guarded(arrays, computed)
+    return computed
+
 
 def build_gradations(
     functional: MomentFunctional,
@@ -221,9 +272,9 @@ def build_gradations(
         functional = as_float_functional(functional)
     exact = mode == "exact"
     d = functional.dimension
-    moments = _linalg.cleared(moment_matrix(functional, max_degree))
+    moments = _cleared_moment_matrix(functional, max_degree)
 
-    levels = []
+    levels, computed = [], []
     lower = []  # per level m: (U_m diag(1/nu_m), U_m^T M) of its orthogonal basis
     for n in range(max_degree + 1):
         monos = monomials_of_degree(d, n)
@@ -256,5 +307,9 @@ def build_gradations(
                 split=_linalg.published(split),
             )
         )
+        computed.append((coef, gram, split))
 
-    return GradationBasis(functional, max_degree, mode, tol, levels)
+    g = GradationBasis(functional, max_degree, mode, tol, levels)
+    if exact:
+        g._computing = _linalg.Guarded(_level_arrays(levels), computed)
+    return g

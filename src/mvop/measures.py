@@ -238,10 +238,13 @@ def circle_functional(half: bool = False, max_degree: int = 12) -> MomentFunctio
     n_q = 4 * max_degree + 8
     theta = 2.0 * math.pi * np.arange(n_q) / n_q
     cos_t, sin_t = np.cos(theta), np.sin(theta)
+    # each node power once per functional, by the expression it replaces
+    cpow = [cos_t**a for a in range(max_degree + 1)]
+    spow = [sin_t**b for b in range(max_degree + 1)]
 
     def compute(alpha):
         a, b = alpha
-        return float(np.mean(cos_t**a * sin_t**b))
+        return float(np.mean(cpow[a] * spow[b]))
 
     return MomentFunctional(2, compute, max_degree, exact=False, tag="circle")
 

@@ -185,6 +185,23 @@ def test_marginal_needs_coords(capsys, circle_spec):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "coords, message",
+    [
+        ("3", "coordinates (3,) outside 1..2"),
+        ("0", "coordinates (0,) outside 1..2"),
+        ("2,1", "coordinates must be strictly increasing, got (2, 1)"),
+    ],
+    ids=["3", "0", "2,1"],
+)
+def test_marginal_bad_coords_speak_one_based(capsys, square_spec, coords, message):
+    code = main(["marginal", "--spec", square_spec, "--coords", coords, "--max-degree", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_favard_reconstructs_square(capsys, square_fock_payload):
     code, out = run_json(capsys, ["favard", "--fock", square_fock_payload])
     assert code == 0

@@ -27,6 +27,20 @@ def test_circle_moments_match_closed_form(circle):
             assert got == pytest.approx(circle_moment_oracle(a, b), abs=1e-12)
 
 
+def test_circle_moments_are_the_direct_quadrature():
+    # node powers are computed once per functional; every moment keeps the
+    # bits of the direct expression on the trapezoid nodes
+    degree = 26
+    circle = mvop.circle_functional(max_degree=degree)
+    n_q = 4 * degree + 8
+    theta = 2.0 * math.pi * np.arange(n_q) / n_q
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    for a in range(degree + 1):
+        for b in range(degree + 1 - a):
+            want = float(np.mean(cos_t**a * sin_t**b))
+            assert np.float64(circle.moment((a, b))).tobytes() == np.float64(want).tobytes()
+
+
 def test_half_circle_moments_match_quadrature(half_circle):
     for a in range(7):
         for b in range(7 - a):

@@ -13,7 +13,7 @@ import pytest
 
 import mvop
 from mvop import _linalg
-from mvop.gradation import moment_matrix
+from mvop.gradation import _cleared_moment_matrix, moment_matrix
 
 
 def _gauss3():
@@ -81,6 +81,20 @@ def test_moment_matrix_layout():
             assert localizing[r, c] == f.moment((a[0] + b[0], a[1] + b[1] + 1))
     float_hankel = moment_matrix(mvop.as_float_functional(f), 3)
     assert float_hankel.dtype == np.float64
+
+
+@pytest.mark.parametrize("shift", [None, (0, 1), (1, 0)])
+def test_cleared_moment_matrix_is_the_cleared_matrix(shift):
+    # clearing each distinct moment once and spreading the numerators gives
+    # the pair of the whole matrix: the same numerators over the same denominator
+    f = _discrete()
+    got = _cleared_moment_matrix(f, 4, shift)
+    want = _linalg.cleared(moment_matrix(f, 4, shift))
+    assert got.den == want.den and got.num.tolist() == want.num.tolist()
+    assert all(type(v) is int for v in got.num.flat)
+    float_f = mvop.as_float_functional(f)
+    float_got = _cleared_moment_matrix(float_f, 4, shift)
+    assert float_got.tobytes() == moment_matrix(float_f, 4, shift).tobytes()
 
 
 def test_exact_matmul_matches_fraction_products():

@@ -1,11 +1,13 @@
-"""Vacuum words share prefixes, and checks see blocks edited in place.
+"""Vacuum words share prefixes, layers hand over their pairs, and checks see edits.
 
 `vacuum_moment` memoizes states per FockData, so reading every word up to
 the depth costs one application of a coordinate per word. The values must
 equal a replay of each word from the vacuum, done here with plain `@`
 products: equal and of the same type in exact mode, bit for bit in float
-mode. The checks of public blocks clear them once per call, so an in-place
-edit is seen by the next call; a copy of a FockData starts its own memo.
+mode. Exact gradations and FockData keep the pairs they were computed on,
+guarded by their public arrays: assembly clears no level, and the checks
+and vacuum words clear no block, while an in-place edit is seen by the next
+call. A copy of a FockData or GradationBasis starts with no memo.
 """
 
 import copy
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 import mvop
+from mvop import _linalg
 from mvop import fock as fock_module
 from mvop.cli import functional_from_payload
 
@@ -107,17 +110,17 @@ def test_each_word_costs_one_application(name, applications):
         assert zero == 1 and type(zero) is int
 
 
+def results(f):
+    return (
+        [(e.relation, e.pair, e.degree, e.residual) for e in mvop.check_commutation(f).entries],
+        mvop.azero_symmetry_residuals(f),
+        mvop.adjointness_residuals(f),
+        mvop.x_commutator_residual(f, 0, 1, 1),
+    )
+
+
 def test_checks_see_blocks_edited_in_place():
     fock = skewed()
-
-    def results(f):
-        return (
-            [(e.relation, e.pair, e.degree, e.residual) for e in mvop.check_commutation(f).entries],
-            mvop.azero_symmetry_residuals(f),
-            mvop.adjointness_residuals(f),
-            mvop.x_commutator_residual(f, 0, 1, 1),
-        )
-
     before = results(fock)
     fock.azero[0][1][0, 1] += Fraction(1, 7)
     fock.aminus[1][2][0, 0] += Fraction(1, 5)
@@ -148,3 +151,94 @@ def test_copies_start_their_own_memo():
     for w in words:
         assert mvop.vacuum_moment(fock, w) == before[w]
         assert_same_word(before[w], replay(fock, w), True)
+
+
+@pytest.fixture
+def clearings(monkeypatch):
+    """The argument of every `_linalg.cleared` call made through the library."""
+    calls = []
+    clear = _linalg.cleared
+
+    def counting(x):
+        calls.append(x)
+        return clear(x)
+
+    monkeypatch.setattr(_linalg, "cleared", counting)
+    return calls
+
+
+def level_arrays(g):
+    return [
+        a
+        for lev in g.levels
+        for a in (lev.split, lev.coef, lev.gram, lev.split.combos, lev.split.norms2, lev.split.null)
+    ]
+
+
+@pytest.mark.parametrize("name", ["prod3", "six3d"])
+def test_layers_hand_over_their_pairs(name, clearings):
+    make, depth = BUILDERS[name]
+    g = mvop.build_gradations(make(), depth)
+    levels = level_arrays(g)
+    clearings.clear()
+    fock = mvop.assemble_fock(g)
+    assert not [x for x in clearings if any(x is a for a in levels)]
+
+    clearings.clear()
+    results(fock)
+    for w in mvop.monomials_up_to(fock.dimension, fock.depth):
+        mvop.vacuum_moment(fock, w)
+    blocks = [x for x in clearings if isinstance(x, np.ndarray) and x.dtype == object and x.ndim == 2]
+    assert blocks == []
+
+
+def test_edit_right_after_assembly_is_seen():
+    fock = skewed()
+    fock.azero[0][1][0, 1] += Fraction(1, 7)
+    words = mvop.monomials_up_to(2, fock.depth)
+    got = (results(fock), [mvop.vacuum_moment(fock, w) for w in words])
+    twin = copy.deepcopy(fock)
+    assert got == (results(twin), [mvop.vacuum_moment(twin, w) for w in words])
+    untouched = skewed()
+    assert got[0] != results(untouched)
+    assert got[1] != [mvop.vacuum_moment(untouched, w) for w in words]
+
+
+def outcome(g):
+    """The blocks assembled from g with their entry types, or the error raised."""
+    try:
+        fock = mvop.assemble_fock(g)
+    except mvop.InternalConsistencyError as exc:
+        return str(exc)
+    blocks = [fock.grams, *fock.aplus, *fock.azero, *fock.aminus]
+    return [[(type(v), v) for v in b.flat] for per in blocks for b in per if b is not None]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lev: lev.gram.__setitem__((0, 0), lev.gram[0, 0] + Fraction(1, 3)),
+        lambda lev: lev.coef.__setitem__((0, -1), lev.coef[0, -1] + Fraction(1, 3)),
+        lambda lev: lev.split.norms2.__setitem__(0, 2 * lev.split.norms2[0]),
+    ],
+    ids=["gram", "coef", "norms2"],
+)
+def test_level_edited_before_assembly_is_seen(edit):
+    g = mvop.build_gradations(_spec("prod3.json", 3), 3)
+    before = outcome(copy.deepcopy(g))
+    edit(g.levels[2])
+    got = outcome(g)
+    assert got == outcome(copy.deepcopy(g))
+    assert got != before
+
+
+def test_copies_carry_no_memo():
+    fock = assembled("prod3")
+    mvop.check_commutation(fock)
+    mvop.vacuum_moment(fock, (1, 0, 0))
+    memos = ("_computing", "_vacuum")
+    assert all(m in fock.__dict__ for m in memos) and "_computing" in fock.gradation.__dict__
+    twin = copy.deepcopy(fock)
+    assert not any(m in twin.__dict__ for m in memos)
+    assert "_computing" not in twin.gradation.__dict__
+    assert "_computing" not in copy.deepcopy(fock.gradation).__dict__
