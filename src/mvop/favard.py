@@ -16,7 +16,7 @@ reads that validation's cleared blocks and Gram splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,8 +30,8 @@ from .errors import (
 )
 from .fock import (
     FockData,
-    _creation_blocks,
     _floored,
+    _published,
     _recorded_tolerance,
     _max_abs,
     _residual,
@@ -285,15 +285,12 @@ def validate(
     """
     run = _validate(fi, mode, tol or Tolerances())
     report = run.report(fi.depth)
-    fock = run.fock
-    if fock is not None:
-        public = np.copy if fock.exact else _linalg.to_float
-        report.fock = replace(
-            fock,
-            grams=[public(g) for g in fi.grams],
-            azero=[[public(b) for b in per] for per in fi.bzero],
-            aplus=_creation_blocks(fock.dimension, fock.depth, object if fock.exact else float),
-            aminus=[[None] + [np.copy(_linalg.published(b)) for b in per[1:]] for per in fock.aminus],
+    if run.fock is not None:
+        # the report gets copies of the payload's blocks (binary64 ones in float
+        # mode), so editing it changes neither fi nor the kept run
+        copy = np.copy if run.fock.exact else (lambda b: np.array(b, dtype=np.float64))
+        report.fock = _published(
+            run.fock, [copy(g) for g in fi.grams], [[copy(b) for b in per] for per in fi.bzero]
         )
     return report
 

@@ -146,10 +146,17 @@ def _creation_blocks(d: int, depth: int, dtype) -> list:
 
 
 def _published(fock: FockData, grams: list, azero: list) -> FockData:
-    """Computed blocks with the caller's public grams and azero, int A^+ and Fraction A^- blocks."""
-    # exact A^+ blocks are computed on as pairs, and published as fresh int arrays
-    aplus = _creation_blocks(fock.dimension, fock.depth, object) if fock.exact else fock.aplus
-    aminus = [[None] + [_linalg.published(b) for b in per[1:]] for per in fock.aminus]
+    """Computed blocks with the caller's public grams and azero, A^+ and A^- shared with nothing.
+
+    Float blocks are copied. Exact A^- pairs are published as Fraction
+    arrays, and exact A^+ blocks are built afresh as int arrays.
+    """
+    public = _linalg.published if fock.exact else np.copy
+    if fock.exact:
+        aplus = _creation_blocks(fock.dimension, fock.depth, object)
+    else:
+        aplus = [[public(b) for b in per] for per in fock.aplus]
+    aminus = [[None] + [public(b) for b in per[1:]] for per in fock.aminus]
     return replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
 
 
@@ -465,6 +472,8 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
 
 def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
     """One application of X_i = A_i^+ + A_i^0 + A_i^- to a level-indexed state."""
+    if not 0 <= i < fock.dimension:
+        raise ValueError(f"coordinate {i} outside 0..{fock.dimension - 1}")
     out: dict = {}
     # float products are small matrix-vector ones, where matmul's dispatch
     # would cost more than the product
@@ -474,6 +483,8 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
         out[level] = out[level] + vec if level in out else vec
 
     for n, v in state.items():
+        if n < 0:
+            raise ValueError(f"state level {n} must be non-negative")
         if n + 1 > fock.depth:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
@@ -533,6 +544,11 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
     Needs n <= depth - 2 so both applications stay within the built blocks.
     Coordinates are 0-based.
     """
+    for c in (j, k):
+        if not 0 <= c < fock.dimension:
+            raise ValueError(f"coordinate {c} outside 0..{fock.dimension - 1}")
+    if n < 0:
+        raise ValueError(f"degree {n} must be non-negative")
     if n > fock.depth - 2:
         raise DepthExceededError(
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"

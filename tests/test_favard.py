@@ -546,21 +546,35 @@ def test_changed_payload_or_options_validate_again(monkeypatch, square_fn, squar
     assert len(split_calls) == 2 * (fi.depth + 1)
 
 
-def test_editing_a_report_changes_no_later_result(square_fn):
-    genuine = fock_input_of(square_fn, 3)
-    expected = mvop.reconstruct_discrete(fock_input_of(square_fn, 3))
-    report = mvop.validate(genuine)
-    report.fock.azero[0][1][0, 1] += 5
-    report.fock.aplus[0][1][0, 0] = 7
-    report.checks.clear()
-    assert mvop.reconstruct_discrete(genuine) == expected
-    again = mvop.validate(genuine)
-    assert again.passed and again.fock.aplus[0][1][0, 0] == 1
+def float_input_of(functional, depth):
+    fi = fock_input_of(functional, depth)
+    return mvop.FockInput(
+        fi.dimension,
+        fi.depth,
+        [g.astype(np.float64) for g in fi.grams],
+        [[b.astype(np.float64) for b in per] for per in fi.bzero],
+    )
 
-    tampered = fock_input_of(square_fn, 3)
-    tampered.bzero[0][1][0, 1] += Fraction(1, 1000)
-    report = mvop.validate(tampered)
-    report.checks.clear()
-    assert report.passed
-    with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
-        mvop.reconstruct_discrete(tampered)
+
+def test_editing_a_report_changes_no_later_result(square_fn):
+    # a float64 payload's blocks could be handed out as they are: they must be copied too
+    for payload_of in (fock_input_of, float_input_of):
+        genuine = payload_of(square_fn, 3)
+        expected = mvop.reconstruct_discrete(payload_of(square_fn, 3))
+        report = mvop.validate(genuine)
+        report.fock.azero[0][1][0, 1] += 5
+        report.fock.grams[1][0, 0] += 3
+        report.fock.aplus[0][1][0, 0] = 7
+        report.fock.aminus[0][1][0, 0] += 11
+        report.checks.clear()
+        assert mvop.reconstruct_discrete(genuine) == expected
+        again = mvop.validate(genuine)
+        assert again.passed and again.fock.aplus[0][1][0, 0] == 1
+
+        tampered = payload_of(square_fn, 3)
+        tampered.bzero[0][1][0, 1] += Fraction(1, 1000)
+        report = mvop.validate(tampered)
+        report.checks.clear()
+        assert report.passed
+        with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
+            mvop.reconstruct_discrete(tampered)

@@ -164,6 +164,11 @@ def test_apply_coordinate_moves_levels(circle_fock):
     top = {circle_fock.depth: np.ones(circle_fock.depth + 1)}
     with pytest.raises(mvop.DepthExceededError):
         mvop.apply_coordinate(circle_fock, 0, top)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="coordinate"):
+            mvop.apply_coordinate(circle_fock, i, state)
+    with pytest.raises(ValueError, match="level"):
+        mvop.apply_coordinate(circle_fock, 0, {-1: np.array([1.0])})
 
 
 def test_spectrum_invariant_under_coordinate_swap(skew_fn):
@@ -186,6 +191,14 @@ def test_x_commutator_residual(circle_fock):
         assert mvop.x_commutator_residual(circle_fock, 0, 1, n) <= 1e-10
     with pytest.raises(mvop.DepthExceededError):
         mvop.x_commutator_residual(circle_fock, 0, 1, circle_fock.depth - 1)
+    for j, k in ((-1, 0), (0, -1), (5, 0), (0, 2)):
+        with pytest.raises(ValueError, match="coordinate"):
+            mvop.x_commutator_residual(circle_fock, j, k, 0)
+    with pytest.raises(ValueError, match="degree"):
+        mvop.x_commutator_residual(circle_fock, 0, 1, -1)
+    line = mvop.assemble_fock(mvop.build_gradations(mvop.gaussian_functional(), 3))
+    with pytest.raises(ValueError, match="degree"):
+        mvop.x_commutator_residual(line, 0, 0, -1)
 
 
 def test_gram_accessors(circle_gradation):
