@@ -3,7 +3,9 @@ spectral splitting, degenerate-metric solves, and joint diagonalization.
 
 Exact matrices are computed on as `Cleared` pairs (Python-int numerators over
 one denominator): `cleared` makes them from Fraction arrays once where a
-computation starts, `published` makes Fraction arrays once at the API edge.
+computation starts, `published` makes Fraction arrays at the API edge. A
+`Deferred` holder keeps the pairs of its exact public arrays and publishes
+each attribute on its first read, so an array nobody reads is never built.
 `matmul` takes float arrays, pairs, or exact object arrays (returned as
 Fractions), so callers stay mode-generic; `max_quadratic` gives Gram
 seminorms. One fraction-free elimination per exact Gram (Bareiss 1968) gives
@@ -11,14 +13,14 @@ its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
 A is that of the Gram A^T A. An object array holding a float entry cannot be
 cleared (TypeError) and is multiplied as plain objects, so perturbed exact
 blocks still yield residuals. A computing form handed from one layer to the
-next is `Guarded` by the public arrays it was made from, and is used only
-while they are unchanged.
+next is pending until its public value is read, and from then on `Guarded` by
+the public arrays: it is used only while they are unchanged (`computing`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 
@@ -78,10 +80,14 @@ class Cleared:
 
 
 def cleared(x):
-    """The computing form of an array or GramSplit: int/Fraction arrays become pairs.
+    """The computing form of an array, GramSplit or (nested) list of them: int/Fraction arrays become pairs.
 
-    Float arrays and pairs come back as they are; TypeError on a float entry.
+    Float arrays, pairs and None come back as they are; TypeError on a float entry.
     """
+    if isinstance(x, list):
+        return [cleared(v) for v in x]
+    if x is None:
+        return None
     if isinstance(x, GramSplit):
         return GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
     if isinstance(x, Cleared) or x.dtype != object:
@@ -96,6 +102,8 @@ def cleared(x):
 
 def published(x):
     """The API-edge form of `cleared`'s output: pairs become Fraction arrays."""
+    if isinstance(x, list):
+        return [published(v) for v in x]
     if isinstance(x, GramSplit):
         return GramSplit(published(x.combos), published(x.norms2), published(x.null))
     if not isinstance(x, Cleared):
@@ -129,6 +137,98 @@ def recall(memo: Guarded | None, arrays: list):
     return memo.value if memo is not None and memo.holds(arrays) else None
 
 
+def _arrays(x) -> list:
+    """The arrays of a public value: an array, a GramSplit, or a nested list of them and None."""
+    if isinstance(x, list):
+        return [a for v in x for a in _arrays(v)]
+    if isinstance(x, GramSplit):
+        return [x.combos, x.norms2, x.null]
+    return [] if x is None else [x]
+
+
+class Pending:
+    """A public value not built yet: its computing form and how to publish it.
+
+    form is the computing form, or a function giving the current one when the
+    value is published from other holders' attributes; publish(form) builds
+    the public value, by default `published(form)`.
+    """
+
+    def __init__(self, form, publish=None):
+        self.form, self.publish = form, publish or published
+
+    def current(self):
+        return self.form() if callable(self.form) else self.form
+
+
+class Deferred:
+    """Base of a dataclass holder whose exact public arrays are built on first read.
+
+    A field given as a `Pending` is left unset, and its entry is kept in
+    ``_computing``. The first read of the field publishes it and, at that
+    moment, keeps a `Guarded` copy of its arrays with its computing form, so
+    no public array exists that an edit could change unseen. `computing`
+    gives the computing form. Copies (`__getstate__`, hence `copy`,
+    `deepcopy` and pickling), `dataclasses.replace` and ``==`` read every
+    field, so they hold the public arrays and none of the memos; assigning
+    a field replaces its pending value.
+    """
+
+    _memos = ("_computing",)
+
+    def __post_init__(self):
+        pending = {k: v for k, v in self.__dict__.items() if isinstance(v, Pending)}
+        if pending:
+            for name in pending:
+                del self.__dict__[name]
+            self._computing = pending
+
+    def __getattr__(self, name):
+        # reached only for a name the instance lacks, so a pending field is published here
+        entry = self.__dict__.get("_computing", {}).get(name)
+        if not isinstance(entry, Pending):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        form = entry.current()
+        value = entry.publish(form)
+        self.__dict__[name] = value
+        self._computing[name] = Guarded(_arrays(value), form)
+        return value
+
+    def __getstate__(self):
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state.update((k, v) for k, v in self.__dict__.items() if k not in state and k not in self._memos)
+        return state
+
+
+def peek(holder: Deferred, name: str):
+    """holder.name if it is public, else its pending computing form: for shapes, never published."""
+    if name in holder.__dict__:
+        return holder.__dict__[name]
+    return holder._computing[name].current()
+
+
+def computing(holder: Deferred, name: str):
+    """holder.name in computing form (`cleared`).
+
+    A pending field gives its kept form, with no test. A public one gives the
+    form kept with it while its arrays are unchanged (`Guarded`); otherwise
+    it is cleared afresh, and that form is kept. A value of float arrays is
+    its own computing form, and nothing is kept for it.
+    """
+    kept = holder.__dict__.get("_computing", {})
+    if name not in holder.__dict__:
+        return kept[name].current()
+    value = holder.__dict__[name]
+    arrays = _arrays(value)
+    entry = kept.get(name)
+    if isinstance(entry, Guarded) and entry.holds(arrays):
+        return entry.value
+    form = cleared(value)
+    if any(a.dtype == object for a in arrays):
+        holder.__dict__.setdefault("_computing", {})[name] = Guarded(arrays, form)
+    return form
+
+
 def stack(mats: list, axis: int):
     """Concatenation along axis; pairs go over the lcm of their denominators."""
     if not isinstance(mats[0], Cleared):
@@ -146,14 +246,15 @@ def matmul(*mats):
 
     Float arrays multiply as usual, and pairs as one integer product. Exact
     object arrays are multiplied as pairs and returned as a Fraction array;
-    one holding a float entry multiplies as plain objects.
+    one holding a float entry multiplies as plain objects, with any pair
+    published.
     """
     if all(m.dtype != object for m in mats):
         return _chain(mats)
     try:
         pairs = [cleared(m) for m in mats]
     except TypeError:
-        return _chain(mats)
+        return _chain([published(m) for m in mats])
     num = reduce(lambda acc, m: m.num @ acc, reversed(pairs[:-1]), pairs[-1].num)
     product = Cleared(num, math.prod(m.den for m in pairs))
     return product if any(isinstance(m, Cleared) for m in mats) else published(product)

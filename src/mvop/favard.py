@@ -10,14 +10,16 @@ completes moment-born ones, and checked with the same residuals. Each
 payload is validated once: a FockInput keeps its last validation with copies
 of the blocks it checked, and `validate` and `reconstruct_discrete` reuse it
 while the blocks, the mode and the tolerances stay the same. Reconstruction
-reads that validation's cleared blocks and Gram splits.
+reads that validation's cleared blocks and Gram splits. The exact blocks of
+a report are built only when `report.fock` is first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .errors import (
 from .fock import (
     FockData,
     _floored,
-    _published,
+    _pending_blocks,
     _recorded_tolerance,
     _max_abs,
     _residual,
@@ -281,18 +283,41 @@ def validate(
     FockInput with the same mode and tolerances and bit-identical blocks,
     `validate` (and `reconstruct_discrete`) reuse the run; any edit to a
     block runs them afresh. Each call returns a new report that shares no
-    array with that run, so editing it changes no later result.
+    array with that run, so editing it changes no later result. Its exact
+    blocks are built on their first read of `report.fock`, from the run's
+    pairs and from the copies of the payload blocks the run was validated on.
     """
     run = _validate(fi, mode, tol or Tolerances())
     report = run.report(fi.depth)
     if run.fock is not None:
-        # the report gets copies of the payload's blocks (binary64 ones in float
-        # mode), so editing it changes neither fi nor the kept run
-        copy = np.copy if run.fock.exact else (lambda b: np.array(b, dtype=np.float64))
-        report.fock = _published(
-            run.fock, [copy(g) for g in fi.grams], [[copy(b) for b in per] for per in fi.bzero]
-        )
+        report.fock = _report_fock(run.fock, fi)
     return report
+
+
+def _report_fock(fock: FockData, fi: FockInput) -> FockData:
+    """A report's blocks, shared with neither fi nor the kept run: payload grams and A^0 are copied.
+
+    Float blocks are copied now, as binary64. Exact ones are published on
+    first read, the payload's from the copies fi's validation memo keeps of
+    the blocks it checked, which nothing edits.
+    """
+    if not fock.exact:
+        copy = partial(np.array, dtype=np.float64)
+        return replace(
+            fock,
+            grams=[copy(g) for g in fi.grams],
+            aplus=[[np.copy(b) for b in per] for per in fock.aplus],
+            azero=[[copy(b) for b in per] for per in fi.bzero],
+            aminus=[[None] + [np.copy(b) for b in per[1:]] for per in fock.aminus],
+        )
+    checked = fi._memo.copies
+    grams, bzero = checked[: fi.depth + 1], iter(checked[fi.depth + 1 :])
+    bzero = [[next(bzero) for _ in per] for per in fock.azero]
+    return _pending_blocks(
+        fock,
+        _linalg.Pending(fock.grams, lambda _: [np.copy(g) for g in grams]),
+        _linalg.Pending(fock.azero, lambda _: [[np.copy(b) for b in per] for per in bzero]),
+    )
 
 
 @dataclass(frozen=True)
@@ -317,7 +342,8 @@ def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
 
     The run is reused while the key and the block counts are equal and the
     blocks are unchanged (`_linalg.Guarded`): an in-place edit, a reassigned
-    block or a float put in place of an equal rational all miss.
+    block or a float put in place of an equal rational all miss. The memo's
+    copies of the blocks, grams first, are what an exact report publishes.
     """
     key = (fi.dimension, fi.depth, mode, tol, len(fi.grams), tuple(map(len, fi.bzero)))
     blocks = [np.asarray(b) for b in (*fi.grams, *(b for per in fi.bzero for b in per))]

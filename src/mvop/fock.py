@@ -12,13 +12,14 @@ for externally supplied blocks alike, and `_residual` is the one
 (residual, scale) measure of every solve and symmetry check.
 
 Exact blocks are computed on as `_linalg.Cleared` pairs through both solves,
-starting from the pairs `build_gradations` kept for its levels, and published
-as Fraction arrays once (`_published`). The FockData keeps those pairs,
-guarded by its public blocks, and the checks and vacuum words read them
-while the blocks are unchanged; a block edited in place makes the next check
-clear the blocks afresh (`_cleared_fock`), so it is seen. A commutation
-relation is one product of its stacked factors, measured in the target-level
-Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
+starting from the pairs `build_gradations` kept for its levels. The FockData
+keeps those pairs and publishes each family of blocks on its first read
+(`_linalg.Deferred`): A^0 and A^- as Fraction arrays, A^+ as int arrays, and
+the grams as the levels' own. The checks and vacuum words read the pairs, so
+a forward run that reads no block builds none; a family edited after its
+first read is cleared afresh by the next check (`_cleared_fock`), so the
+edit is seen. A commutation relation is one product of its stacked factors,
+measured in the target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
 A residual computed on pairs is decided on its exact value: its binary64
 image stays above 0.0 when it is nonzero (`_floored`), and then it fails
 (`_recorded_tolerance`).
@@ -46,6 +47,8 @@ def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
 
     Column alpha has a single unit entry in the row of alpha + e_i.
     """
+    if not 0 <= i < dimension:
+        raise ValueError(f"coordinate {i} outside 0..{dimension - 1}")
     cols = monomials_of_degree(dimension, n)
     rows = monomials_of_degree(dimension, n + 1)
     row_pos = {a: r for r, a in enumerate(rows)}
@@ -81,13 +84,15 @@ def nonzero_spectrum(g: GradationBasis, n: int, *, tol: Tolerances | None = None
 
 
 @dataclass
-class FockData:
+class FockData(_linalg.Deferred):
     """Block operators of the Fock representation up to a fixed depth.
 
     aplus[i][n] maps degree n to n+1 (n = 0..depth-1); azero[i][n] acts on
     degree n (n = 0..depth); aminus[i][n] maps degree n to n-1 (n = 1..depth,
     entry 0 is None). gradation is set when the blocks were assembled from a
-    moment functional, None when they came from external data.
+    moment functional, None when they came from external data. Exact blocks
+    of `assemble_fock` and of a `validate` report are published on their
+    first read.
     """
 
     dimension: int
@@ -99,65 +104,51 @@ class FockData:
     aminus: list
     gradation: GradationBasis | None = None
 
+    _memos = ("_computing", "_vacuum")
+
     @property
     def tolerances(self) -> Tolerances:
         return self.gradation.tol if self.gradation is not None else Tolerances()
 
-    def __getstate__(self):
-        # the memos belong to these blocks: a copy starts its own
-        return {k: v for k, v in self.__dict__.items() if k not in ("_vacuum", "_computing")}
 
-
-def _public_blocks(fock: FockData) -> list:
-    families = ([fock.grams], fock.aplus, fock.azero, fock.aminus)
-    return [b for family in families for per in family for b in per if b is not None]
+_FAMILIES = ("grams", "aplus", "azero", "aminus")
 
 
 def _cleared_fock(fock: FockData) -> FockData:
-    """fock with its blocks in computing form (`_linalg.cleared`); itself if nothing is to clear.
+    """fock with its blocks in computing form (`_linalg.computing`); itself if nothing is to clear.
 
     Float blocks, and blocks already held as pairs, are their own computing
-    form. Exact public blocks are cleared once and kept on fock, guarded by
-    them (`_linalg.Guarded`): `assemble_fock` keeps the pairs it computed on,
-    and any call after an in-place edit clears afresh and keeps the new
-    pairs. A block holding a float entry cannot be cleared: then fock itself.
+    form. Pending blocks give the pairs they were computed on. Exact public
+    blocks give the pairs kept with them while they are unchanged; after an
+    in-place edit they are cleared afresh, and the new pairs are kept. A
+    block holding a float entry cannot be cleared: then fock itself.
     """
-    if isinstance(fock.grams[0], _linalg.Cleared):
-        return fock
-    blocks = _public_blocks(fock)
-    if all(b.dtype != object for b in blocks):
-        return fock
-    computed = _linalg.recall(fock.__dict__.get("_computing"), blocks)
-    if computed is None:
-        try:
-            (grams,), aplus, azero, aminus = (
-                [[b if b is None else _linalg.cleared(b) for b in per] for per in family]
-                for family in ([fock.grams], fock.aplus, fock.azero, fock.aminus)
-            )
-        except TypeError:
+    if "_computing" not in fock.__dict__:
+        families = ([fock.grams], fock.aplus, fock.azero, fock.aminus)
+        blocks = [b for family in families for per in family for b in per if b is not None]
+        if isinstance(blocks[0], _linalg.Cleared) or all(b.dtype != object for b in blocks):
             return fock
-        computed = replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
-        fock._computing = _linalg.Guarded(blocks, computed)
-    return computed
+    try:
+        return replace(fock, **{name: _linalg.computing(fock, name) for name in _FAMILIES})
+    except TypeError:
+        return fock
 
 
-def _creation_blocks(d: int, depth: int, dtype) -> list:
-    return [[creation_matrix(d, i, n, dtype=dtype) for n in range(depth)] for i in range(d)]
+def _creation_blocks(d: int, depth: int) -> list:
+    """Public exact creation blocks: int arrays, shared with nothing."""
+    return [[creation_matrix(d, i, n, dtype=object) for n in range(depth)] for i in range(d)]
 
 
-def _published(fock: FockData, grams: list, azero: list) -> FockData:
-    """Computed blocks with the caller's public grams and azero, A^+ and A^- shared with nothing.
+def _pending_blocks(fock: FockData, grams: _linalg.Pending, azero: _linalg.Pending) -> FockData:
+    """An exact FockData whose blocks are published on first read, from fock's pairs.
 
-    Float blocks are copied. Exact A^- pairs are published as Fraction
-    arrays, and exact A^+ blocks are built afresh as int arrays.
+    The caller gives how the grams and A^0 are published; A^- pairs become
+    Fraction arrays, and A^+ blocks are built afresh as int arrays.
     """
-    public = _linalg.published if fock.exact else np.copy
-    if fock.exact:
-        aplus = _creation_blocks(fock.dimension, fock.depth, object)
-    else:
-        aplus = [[public(b) for b in per] for per in fock.aplus]
-    aminus = [[None] + [public(b) for b in per[1:]] for per in fock.aminus]
-    return replace(fock, grams=grams, aplus=aplus, azero=azero, aminus=aminus)
+    d, depth = fock.dimension, fock.depth
+    aplus = _linalg.Pending(fock.aplus, lambda _: _creation_blocks(d, depth))
+    aminus = _linalg.Pending(fock.aminus)
+    return FockData(d, depth, True, grams, aplus, azero, aminus, fock.gradation)
 
 
 def _floored(value: float, nonzero) -> float:
@@ -223,14 +214,12 @@ def complete_fock(
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
     (`favard.validate`): the creation blocks are the canonical shifts, the
     annihilation blocks come from `annihilation_blocks`, all in computing
-    form (`_published` makes them public). Returns (FockData, residuals),
-    residuals as returned by `annihilation_blocks`.
+    form. Returns (FockData, residuals), residuals as returned by
+    `annihilation_blocks`.
     """
     d, depth = len(azero), len(grams) - 1
-    aplus = [
-        [_linalg.cleared(b) for b in per]
-        for per in _creation_blocks(d, depth, object if exact else float)
-    ]
+    dtype = object if exact else float
+    aplus = [[_linalg.cleared(creation_matrix(d, i, n, dtype)) for n in range(depth)] for i in range(d)]
     aminus, residuals = annihilation_blocks(aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation)
     return fock, residuals
@@ -288,13 +277,14 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
             )
-    public = _published(
-        fock, [lev.gram for lev in g.levels], [[_linalg.published(a) for a in per] for per in azero]
+    if not g.exact:
+        return fock
+    # the grams are the levels' own, so a level gram edited after its first read is seen
+    grams = _linalg.Pending(
+        lambda: [_linalg.computing(lev, "gram") for lev in g.levels],
+        lambda _: [lev.gram for lev in g.levels],
     )
-    if g.exact:
-        # the checks read the pairs computed here while the public blocks are unchanged
-        public._computing = _linalg.Guarded(_public_blocks(public), fock)
-    return public
+    return _pending_blocks(fock, grams, _linalg.Pending(azero))
 
 
 def adjointness_residuals(fock: FockData) -> dict:
@@ -554,7 +544,7 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
         )
     blocks = _cleared_fock(fock)
-    size = fock.grams[n].shape[0]
+    size = blocks.grams[n].shape[0]
     worst = 0.0
     for col in range(size):
         e = np.zeros(size, dtype=object if fock.exact else float)

@@ -15,9 +15,11 @@ gives an orthogonal basis of the slice, its kernel the degree-n null
 directions of the functional. Polynomial objects are built from coefficient
 columns only on request. Exact mode runs on `_linalg.Cleared` pairs from the
 moment matrix, each of whose distinct moments is cleared once, to each
-split; every level's arrays become Fractions once. The gradation keeps those
-pairs, guarded by the published level arrays, and `assemble_fock` reads them
-while the levels are unchanged (`_computing_levels`).
+split. Each level keeps those pairs and publishes its `coef`, `gram` and
+`split` as Fraction arrays on their first read (`_linalg.Deferred`);
+`assemble_fock`, the ranks and the null-ideal generators read the pairs, so
+a level nobody reads builds no Fraction array, and a level edited after its
+first read is cleared afresh (`_computing_levels`).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -97,12 +100,13 @@ def _cleared_moment_matrix(functional: MomentFunctional, degree: int, shift=None
 
 
 @dataclass
-class DegreeBasis:
+class DegreeBasis(_linalg.Deferred):
     """One degree slice: candidate coefficients, their Gram matrix, and its splitting.
 
     coef holds one candidate per column, over the monomials of degree
     <= degree (graded-lex rows): column j is x^monomials[j] minus its
-    projection onto the lower slices.
+    projection onto the lower slices. An exact level built by
+    `build_gradations` publishes coef, gram and split on their first read.
     """
 
     degree: int
@@ -118,11 +122,11 @@ class DegreeBasis:
 
     @property
     def rank(self) -> int:
-        return self.split.rank
+        return _linalg.peek(self, "split").rank
 
     @property
     def nullity(self) -> int:
-        return self.split.nullity
+        return _linalg.peek(self, "split").nullity
 
     def omega(self) -> np.ndarray:
         """Form generator: the Gram matrix with rows rescaled by 1/w(alpha)."""
@@ -137,9 +141,13 @@ class DegreeBasis:
         rows = monomials_up_to(d, self.degree)
         return [Polynomial(d, dict(zip(rows, vecs[:, j]))) for j in range(vecs.shape[1])]
 
-    def combine(self, columns: np.ndarray) -> list:
-        """One polynomial per column: the candidates weighted by its entries."""
-        return self._polynomials(_linalg.matmul(self.coef, columns))
+    def combine(self, columns) -> list:
+        """One polynomial per column (an array or a pair): the candidates weighted by its entries."""
+        try:
+            coef = _linalg.computing(self, "coef")
+        except TypeError:
+            coef = self.coef  # a float entry: multiplied as plain objects
+        return self._polynomials(_linalg.published(_linalg.matmul(coef, columns)))
 
     @property
     def candidates(self) -> list:
@@ -156,7 +164,11 @@ class DegreeBasis:
 
 
 class GradationBasis:
-    """Orthogonal gradation of a functional up to a fixed maximal degree."""
+    """Orthogonal gradation of a functional up to a fixed maximal degree.
+
+    An exact gradation also holds the states of the levels it was built with
+    (`_computing`, shared with them); a copy starts without any.
+    """
 
     def __init__(self, functional, max_degree, mode, tol, levels):
         self.functional = functional
@@ -203,29 +215,21 @@ class GradationBasis:
         return {k: v for k, v in self.__dict__.items() if k != "_computing"}
 
 
-def _level_arrays(levels: list) -> list:
-    return [
-        a
-        for lev in levels
-        for a in (lev.coef, lev.gram, lev.split.combos, lev.split.norms2, lev.split.null)
-    ]
-
-
 def _computing_levels(g: GradationBasis) -> list:
-    """(coef, gram, split) of every level of g in computing form (`_linalg.cleared`).
+    """(coef, gram, split) of every level of g in computing form (`_linalg.computing`).
 
-    Exact levels reuse the pairs `build_gradations` computed on while the
-    published level arrays are unchanged (`_linalg.Guarded`); otherwise they
+    Exact levels give the pairs `build_gradations` computed on while their
+    arrays are pending or unchanged since their first read; otherwise they
     are cleared afresh, and those pairs are kept instead. Float levels are
     their own computing form.
     """
-    arrays = _level_arrays(g.levels)
-    computed = _linalg.recall(g.__dict__.get("_computing"), arrays)
-    if computed is None:
-        computed = [[_linalg.cleared(x) for x in (lev.coef, lev.gram, lev.split)] for lev in g.levels]
-        if g.exact:
-            g._computing = _linalg.Guarded(arrays, computed)
-    return computed
+    return [[_linalg.computing(lev, name) for name in ("coef", "gram", "split")] for lev in g.levels]
+
+
+def _public_coef(unit: np.ndarray, top: int, coef):
+    # the rows no projection reaches keep the int entries of the unit block
+    unit[:top] = _linalg.published(coef[:top])
+    return unit
 
 
 def build_gradations(
@@ -274,7 +278,7 @@ def build_gradations(
     d = functional.dimension
     moments = _cleared_moment_matrix(functional, max_degree)
 
-    levels, computed = [], []
+    levels = []
     lower = []  # per level m: (U_m diag(1/nu_m), U_m^T M) of its orthogonal basis
     for n in range(max_degree + 1):
         monos = monomials_of_degree(d, n)
@@ -286,10 +290,7 @@ def build_gradations(
         coef = _linalg.cleared(unit)
         for scaled, paired in lower:
             coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
-        if exact:
-            # the rows no projection reaches keep the int entries of the unit block
-            top = lower[-1][0].shape[0] if lower else 0
-            unit[:top] = _linalg.published(coef[:top])
+        top = lower[-1][0].shape[0] if lower else 0  # the rows the projections reach
         gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
         if split.rank:
@@ -297,19 +298,21 @@ def build_gradations(
             lower.append(
                 (ortho / split.norms2[None, :], _linalg.matmul(ortho.T, moments[:size]))
             )
+        if exact:
+            arrays = {
+                "coef": _linalg.Pending(coef, partial(_public_coef, unit, top)),
+                "gram": _linalg.Pending(gram),
+                "split": _linalg.Pending(split),
+            }
+        else:
+            arrays = {"coef": unit, "gram": gram, "split": split}
         levels.append(
             DegreeBasis(
-                degree=n,
-                monomials=monos,
-                weights=tuple(index_weight(a) for a in monos),
-                coef=unit,
-                gram=_linalg.published(gram),
-                split=_linalg.published(split),
+                degree=n, monomials=monos, weights=tuple(index_weight(a) for a in monos), **arrays
             )
         )
-        computed.append((coef, gram, split))
 
     g = GradationBasis(functional, max_degree, mode, tol, levels)
     if exact:
-        g._computing = _linalg.Guarded(_level_arrays(levels), computed)
+        g._computing = [lev._computing for lev in levels]
     return g

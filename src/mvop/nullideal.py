@@ -73,8 +73,8 @@ class NullIdealBasis:
         return sorted(self.by_degree)
 
 
-def _new_kernel_directions(kernel: np.ndarray, inherited: np.ndarray, exact: bool, tol_rank: float):
-    """Basis of (column span of kernel) orthogonal to the inherited columns."""
+def _new_kernel_directions(kernel, inherited, exact: bool, tol_rank: float):
+    """Basis of (column span of kernel) orthogonal to the inherited columns (pairs in exact mode)."""
     if kernel.shape[1] == 0:
         return kernel
     if inherited.shape[1] == 0:
@@ -116,12 +116,13 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
     log = []
     for n in range(g.max_degree + 1):
         lev = g.level(n)
-        kernel = lev.split.null
+        kernel = _linalg.computing(lev, "split").null
         if kernel.shape[1] == 0:
             continue
         # the degree-0 Gram is the positive vacuum norm, so n >= 1 here
-        below = g.level(n - 1).split.null
-        inherited = np.hstack([creation_matrix(d, i, n - 1, dtype) @ below for i in range(d)])
+        below = _linalg.computing(g.level(n - 1), "split").null
+        shifts = [_linalg.matmul(creation_matrix(d, i, n - 1, dtype), below) for i in range(d)]
+        inherited = _linalg.stack(shifts, axis=1)
         new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]
         generators.extend(fresh)

@@ -22,6 +22,13 @@ def test_creation_matrix_structure():
         assert np.all(mat.sum(axis=0) == 1)
 
 
+@pytest.mark.parametrize("d, i", [(2, -1), (2, 2), (3, 5), (1, 1)])
+def test_creation_matrix_rejects_coordinates_out_of_range(d, i):
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=rf"coordinate {i} outside 0\.\.{d - 1}"):
+            mvop.creation_matrix(d, i, n)
+
+
 def test_circle_spectra(circle_gradation):
     assert mvop.nonzero_spectrum(circle_gradation, 0) == pytest.approx([1.0])
     for n, want in [(1, 0.5), (2, 0.25), (3, 0.125)]:
