@@ -13,8 +13,9 @@ its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
 A is that of the Gram A^T A. An object array holding a float entry cannot be
 cleared (TypeError) and is multiplied as plain objects, so perturbed exact
 blocks still yield residuals. A computing form handed from one layer to the
-next is pending until its public value is read, and from then on `Guarded` by
-the public arrays: it is used only while they are unchanged (`computing`).
+next is its kept pairs until its public value is first read, and from then on
+that public value cleared afresh on every use (`computing`), so an edit is
+seen by construction.
 """
 
 from __future__ import annotations
@@ -111,41 +112,6 @@ def published(x):
     return np.array([Fraction(v, x.den) for v in x.num.flat], dtype=object).reshape(x.shape)
 
 
-class Guarded:
-    """A value derived from some public arrays, kept with shallow copies of them.
-
-    `holds(arrays)` is true while there are as many arrays as copies and each
-    has the dtype, shape and bytes of its copy. An object array's bytes are
-    its element pointers, and the copy keeps the elements alive, so equal
-    bytes mean the same immutable scalars: an in-place edit, a reassigned
-    array or a float put in place of an equal rational all fail the test.
-    """
-
-    def __init__(self, arrays: list, value):
-        self.copies = [a.copy() for a in arrays]
-        self.value = value
-
-    def holds(self, arrays: list) -> bool:
-        return len(arrays) == len(self.copies) and all(
-            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in zip(self.copies, arrays)
-        )
-
-
-def recall(memo: Guarded | None, arrays: list):
-    """memo's value while it holds for arrays, else None."""
-    return memo.value if memo is not None and memo.holds(arrays) else None
-
-
-def _arrays(x) -> list:
-    """The arrays of a public value: an array, a GramSplit, or a nested list of them and None."""
-    if isinstance(x, list):
-        return [a for v in x for a in _arrays(v)]
-    if isinstance(x, GramSplit):
-        return [x.combos, x.norms2, x.null]
-    return [] if x is None else [x]
-
-
 class Pending:
     """A public value not built yet: its computing form and how to publish it.
 
@@ -165,13 +131,13 @@ class Deferred:
     """Base of a dataclass holder whose exact public arrays are built on first read.
 
     A field given as a `Pending` is left unset, and its entry is kept in
-    ``_computing``. The first read of the field publishes it and, at that
-    moment, keeps a `Guarded` copy of its arrays with its computing form, so
-    no public array exists that an edit could change unseen. `computing`
-    gives the computing form. Copies (`__getstate__`, hence `copy`,
-    `deepcopy` and pickling), `dataclasses.replace` and ``==`` read every
-    field, so they hold the public arrays and none of the memos; assigning
-    a field replaces its pending value.
+    ``_computing``. The first read of the field publishes it and drops the
+    entry, so an attribute has one form at a time: its kept pairs while
+    pending, its public value after. `computing` gives the computing form.
+    Copies (`__getstate__`, hence `copy`, `deepcopy` and pickling),
+    `dataclasses.replace` and ``==`` read every field, so they hold the
+    public arrays and no kept pairs; assigning a field replaces its pending
+    value.
     """
 
     _memos = ("_computing",)
@@ -186,13 +152,11 @@ class Deferred:
     def __getattr__(self, name):
         # reached only for a name the instance lacks, so a pending field is published here
         entry = self.__dict__.get("_computing", {}).get(name)
-        if not isinstance(entry, Pending):
+        if entry is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        form = entry.current()
-        value = entry.publish(form)
-        self.__dict__[name] = value
-        self._computing[name] = Guarded(_arrays(value), form)
-        return value
+        self.__dict__[name] = entry.publish(entry.current())
+        del self._computing[name]
+        return self.__dict__[name]
 
     def __getstate__(self):
         state = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -208,25 +172,12 @@ def peek(holder: Deferred, name: str):
 
 
 def computing(holder: Deferred, name: str):
-    """holder.name in computing form (`cleared`).
+    """holder.name in computing form: its kept pairs while pending, else its public value cleared afresh.
 
-    A pending field gives its kept form, with no test. A public one gives the
-    form kept with it while its arrays are unchanged (`Guarded`); otherwise
-    it is cleared afresh, and that form is kept. A value of float arrays is
-    its own computing form, and nothing is kept for it.
+    A public value is cleared on every use, so an edit to it is seen by
+    construction. Float arrays are their own computing form.
     """
-    kept = holder.__dict__.get("_computing", {})
-    if name not in holder.__dict__:
-        return kept[name].current()
-    value = holder.__dict__[name]
-    arrays = _arrays(value)
-    entry = kept.get(name)
-    if isinstance(entry, Guarded) and entry.holds(arrays):
-        return entry.value
-    form = cleared(value)
-    if any(a.dtype == object for a in arrays):
-        holder.__dict__.setdefault("_computing", {})[name] = Guarded(arrays, form)
-    return form
+    return cleared(peek(holder, name))
 
 
 def stack(mats: list, axis: int):
@@ -245,14 +196,14 @@ def matmul(*mats):
     """Product of a chain of matrices, evaluated right to left.
 
     Float arrays multiply as usual, and pairs as one integer product. Exact
-    object arrays are multiplied as pairs and returned as a Fraction array;
-    one holding a float entry multiplies as plain objects, with any pair
-    published.
+    object arrays, and int arrays among them, are multiplied as pairs and
+    returned as a Fraction array; a float array or entry among them
+    multiplies as plain objects, with any pair published.
     """
     if all(m.dtype != object for m in mats):
         return _chain(mats)
     try:
-        pairs = [cleared(m) for m in mats]
+        pairs = [cleared(m if m.dtype == object else m.astype(object)) for m in mats]
     except TypeError:
         return _chain([published(m) for m in mats])
     num = reduce(lambda acc, m: m.num @ acc, reversed(pairs[:-1]), pairs[-1].num)

@@ -8,10 +8,12 @@ diagonalizing the coordinate operators on the non-degenerate quotient.
 Supplied blocks are completed by `fock.complete_fock`, the routine that
 completes moment-born ones, and checked with the same residuals. Each
 payload is validated once: a FockInput keeps its last validation with copies
-of the blocks it checked, and `validate` and `reconstruct_discrete` reuse it
-while the blocks, the mode and the tolerances stay the same. Reconstruction
-reads that validation's cleared blocks and Gram splits. The exact blocks of
-a report are built only when `report.fock` is first read.
+of the blocks it checked (`_Guarded`), and `validate` and
+`reconstruct_discrete` reuse it while the blocks, the mode and the
+tolerances stay the same. Reconstruction reads that validation's cleared
+blocks and Gram splits. The exact blocks of a report are built only when
+`report.fock` is first read: until then the checks read its pairs, after
+that its public arrays, cleared afresh on every use.
 """
 
 from __future__ import annotations
@@ -66,6 +68,27 @@ def _zero_bzero(dimension: int, depth: int) -> list:
     ]
 
 
+class _Guarded:
+    """A value derived from some arrays, kept with shallow copies of them.
+
+    `holds(arrays)` is true while there are as many arrays as copies and each
+    has the dtype, shape and bytes of its copy. An object array's bytes are
+    its element pointers, and the copy keeps the elements alive, so equal
+    bytes mean the same immutable scalars: an in-place edit, a reassigned
+    array or a float put in place of an equal rational all fail the test.
+    """
+
+    def __init__(self, arrays: list, value):
+        self.copies = [a.copy() for a in arrays]
+        self.value = value
+
+    def holds(self, arrays: list) -> bool:
+        return len(arrays) == len(self.copies) and all(
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(self.copies, arrays)
+        )
+
+
 @dataclass
 class FockInput:
     """Externally supplied Gram and preservation blocks up to a fixed depth.
@@ -80,7 +103,7 @@ class FockInput:
     grams: list
     bzero: list
     # the (key, _Validation) of the last validation, guarded by the blocks, see `_validate`
-    _memo: _linalg.Guarded | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: _Guarded | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
         # the memo belongs to these blocks: a copy starts its own
@@ -341,17 +364,17 @@ def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
     """fi's validation under mode and tol, run again only when fi's blocks, mode or tol changed.
 
     The run is reused while the key and the block counts are equal and the
-    blocks are unchanged (`_linalg.Guarded`): an in-place edit, a reassigned
+    blocks are unchanged (`_Guarded`): an in-place edit, a reassigned
     block or a float put in place of an equal rational all miss. The memo's
     copies of the blocks, grams first, are what an exact report publishes.
     """
     key = (fi.dimension, fi.depth, mode, tol, len(fi.grams), tuple(map(len, fi.bzero)))
     blocks = [np.asarray(b) for b in (*fi.grams, *(b for per in fi.bzero for b in per))]
-    kept = _linalg.recall(fi._memo, blocks)
-    if kept is not None and kept[0] == key:
-        return kept[1]
+    memo = fi._memo
+    if memo is not None and memo.value[0] == key and memo.holds(blocks):
+        return memo.value[1]
     run = _run_validation(fi, mode, tol)
-    fi._memo = _linalg.Guarded(blocks, (key, run))
+    fi._memo = _Guarded(blocks, (key, run))
     return run
 
 

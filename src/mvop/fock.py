@@ -15,11 +15,12 @@ Exact blocks are computed on as `_linalg.Cleared` pairs through both solves,
 starting from the pairs `build_gradations` kept for its levels. The FockData
 keeps those pairs and publishes each family of blocks on its first read
 (`_linalg.Deferred`): A^0 and A^- as Fraction arrays, A^+ as int arrays, and
-the grams as the levels' own. The checks and vacuum words read the pairs, so
-a forward run that reads no block builds none; a family edited after its
-first read is cleared afresh by the next check (`_cleared_fock`), so the
-edit is seen. A commutation relation is one product of its stacked factors,
-measured in the target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
+the grams as the levels' own. The checks and vacuum words take each family
+in computing form (`_cleared_fock`): its kept pairs until it is first read,
+so a forward run that reads no block builds none, and its public arrays
+cleared afresh on every use after, so an edit is seen. A commutation
+relation is one product of its stacked factors, measured in the
+target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
 A residual computed on pairs is decided on its exact value: its binary64
 image stays above 0.0 when it is nonzero (`_floored`), and then it fails
 (`_recorded_tolerance`).
@@ -115,19 +116,13 @@ _FAMILIES = ("grams", "aplus", "azero", "aminus")
 
 
 def _cleared_fock(fock: FockData) -> FockData:
-    """fock with its blocks in computing form (`_linalg.computing`); itself if nothing is to clear.
+    """fock with its blocks in computing form (`_linalg.computing`).
 
-    Float blocks, and blocks already held as pairs, are their own computing
-    form. Pending blocks give the pairs they were computed on. Exact public
-    blocks give the pairs kept with them while they are unchanged; after an
-    in-place edit they are cleared afresh, and the new pairs are kept. A
-    block holding a float entry cannot be cleared: then fock itself.
+    A pending family gives the pairs it was computed on; a public one is
+    cleared afresh, so an edit is seen. Float blocks, and blocks already
+    held as pairs, are their own computing form. A block holding a float
+    entry cannot be cleared: then fock itself.
     """
-    if "_computing" not in fock.__dict__:
-        families = ([fock.grams], fock.aplus, fock.azero, fock.aminus)
-        blocks = [b for family in families for per in family for b in per if b is not None]
-        if isinstance(blocks[0], _linalg.Cleared) or all(b.dtype != object for b in blocks):
-            return fock
     try:
         return replace(fock, **{name: _linalg.computing(fock, name) for name in _FAMILIES})
     except TypeError:

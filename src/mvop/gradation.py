@@ -16,10 +16,11 @@ directions of the functional. Polynomial objects are built from coefficient
 columns only on request. Exact mode runs on `_linalg.Cleared` pairs from the
 moment matrix, each of whose distinct moments is cleared once, to each
 split. Each level keeps those pairs and publishes its `coef`, `gram` and
-`split` as Fraction arrays on their first read (`_linalg.Deferred`);
-`assemble_fock`, the ranks and the null-ideal generators read the pairs, so
-a level nobody reads builds no Fraction array, and a level edited after its
-first read is cleared afresh (`_computing_levels`).
+`split` as Fraction arrays on their first read (`_linalg.Deferred`).
+`assemble_fock`, the ranks and the null-ideal generators take each
+attribute's computing form (`_computing_levels`): the kept pairs while it
+is unread, so a level nobody reads builds no Fraction array, and its public
+array cleared afresh once it has been read, so an edit is seen.
 """
 
 from __future__ import annotations
@@ -164,11 +165,7 @@ class DegreeBasis(_linalg.Deferred):
 
 
 class GradationBasis:
-    """Orthogonal gradation of a functional up to a fixed maximal degree.
-
-    An exact gradation also holds the states of the levels it was built with
-    (`_computing`, shared with them); a copy starts without any.
-    """
+    """Orthogonal gradation of a functional up to a fixed maximal degree."""
 
     def __init__(self, functional, max_degree, mode, tol, levels):
         self.functional = functional
@@ -210,18 +207,13 @@ class GradationBasis:
     def dimension_table(self) -> list:
         return [(lev.degree, lev.dimension, lev.rank, lev.nullity) for lev in self.levels]
 
-    def __getstate__(self):
-        # the kept computing form belongs to these levels: a copy starts without it
-        return {k: v for k, v in self.__dict__.items() if k != "_computing"}
-
 
 def _computing_levels(g: GradationBasis) -> list:
     """(coef, gram, split) of every level of g in computing form (`_linalg.computing`).
 
-    Exact levels give the pairs `build_gradations` computed on while their
-    arrays are pending or unchanged since their first read; otherwise they
-    are cleared afresh, and those pairs are kept instead. Float levels are
-    their own computing form.
+    Exact levels give the pairs `build_gradations` computed on while an
+    attribute is unread, and its public array cleared afresh after. Float
+    levels are their own computing form.
     """
     return [[_linalg.computing(lev, name) for name in ("coef", "gram", "split")] for lev in g.levels]
 
@@ -312,7 +304,4 @@ def build_gradations(
             )
         )
 
-    g = GradationBasis(functional, max_degree, mode, tol, levels)
-    if exact:
-        g._computing = [lev._computing for lev in levels]
-    return g
+    return GradationBasis(functional, max_degree, mode, tol, levels)

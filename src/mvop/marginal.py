@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import DepthExceededError, InconsistentMomentsError
 from .gradation import build_gradations, resolve_mode
@@ -40,20 +41,20 @@ class MarginalSpec:
             raise ValueError(f"coordinates must be strictly increasing, got {coords}")
 
 
+def _marginal_moment(source: MomentFunctional, coords: tuple, alpha):
+    full = [0] * source.dimension
+    for c, e in zip(coords, alpha):
+        full[c] = e
+    return source.moment(tuple(full))
+
+
 def marginal_functional(spec: MarginalSpec) -> MomentFunctional:
     """Functional of the selected coordinates; other exponents are zero."""
     source = spec.source
     coords = spec.coords
-
-    def compute(alpha):
-        full = [0] * source.dimension
-        for c, e in zip(coords, alpha):
-            full[c] = e
-        return source.moment(tuple(full))
-
     return MomentFunctional(
         len(coords),
-        compute,
+        partial(_marginal_moment, source, coords),
         source.max_reliable_degree,
         exact=source.exact,
         tag=f"marginal({source.tag})",

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import partial
 
 from .errors import DepthExceededError, SpecFormatError
 from .polynomial import Polynomial, monomials_up_to
@@ -100,11 +99,15 @@ class MomentFunctional:
         )
 
 
+def _float_moment(f: MomentFunctional, alpha) -> float:
+    return float(f.moment(alpha))
+
+
 def as_float_functional(f: MomentFunctional) -> MomentFunctional:
     """Same moments coerced to binary64 (used when the run mode is float)."""
     return MomentFunctional(
         f.dimension,
-        lambda alpha: float(f.moment(alpha)),
+        partial(_float_moment, f),
         f.max_reliable_degree,
         exact=False,
         tag=f.tag,
@@ -157,20 +160,29 @@ class DiscreteMeasure:
         )
 
 
+def _discrete_moment(m: DiscreteMeasure, alpha):
+    total = 0
+    for atom, w in zip(m.atoms, m.weights):
+        value = w
+        for x, e in zip(atom, alpha):
+            if e:
+                value = value * x**e
+        total = total + value
+    return total
+
+
 def discrete_functional(m: DiscreteMeasure, max_degree: int | None = None) -> MomentFunctional:
     """Moments of a finitely supported measure: sum of weighted atom powers."""
-    def compute(alpha):
-        total = 0
-        for atom, w in zip(m.atoms, m.weights):
-            value = w
-            for x, e in zip(atom, alpha):
-                if e:
-                    value = value * x**e
-            total = total + value
-        return total
-
     cap = UNBOUNDED_DEPTH if max_degree is None else max_degree
+    compute = partial(_discrete_moment, m)
     return MomentFunctional(m.dimension, compute, cap, exact=m.is_exact, tag="discrete")
+
+
+def _product_moment(blocks: tuple, alpha):
+    value = 1
+    for f, lo, hi in blocks:
+        value = value * f.moment(alpha[lo:hi])
+    return value
 
 
 def product_functional(factors: list) -> MomentFunctional:
@@ -186,67 +198,55 @@ def product_functional(factors: list) -> MomentFunctional:
     offsets = [0]
     for d in dims:
         offsets.append(offsets[-1] + d)
-
-    def compute(alpha):
-        value = 1
-        for f, lo, hi in zip(factors, offsets, offsets[1:]):
-            value = value * f.moment(alpha[lo:hi])
-        return value
-
     cap = min(f.max_reliable_degree for f in factors)
     exact = all(f.exact for f in factors)
+    compute = partial(_product_moment, tuple(zip(factors, offsets, offsets[1:])))
     return MomentFunctional(dimension, compute, cap, exact=exact, tag="product")
+
+
+def _gaussian_moment(alpha):
+    k = alpha[0]
+    return _double_factorial(k - 1) if k % 2 == 0 else 0
 
 
 def gaussian_functional() -> MomentFunctional:
     """Standard 1-D Gaussian: m_{2k} = (2k-1)!!, odd moments 0. No sampling."""
-    def compute(alpha):
-        k = alpha[0]
-        return _double_factorial(k - 1) if k % 2 == 0 else 0
+    return MomentFunctional(1, _gaussian_moment, UNBOUNDED_DEPTH, exact=True, tag="gaussian")
 
-    return MomentFunctional(1, compute, UNBOUNDED_DEPTH, exact=True, tag="gaussian")
+
+def _circle_moment(alpha) -> float:
+    a, b = alpha
+    if a % 2 or b % 2:
+        return 0.0
+    # int true division rounds correctly
+    return _double_factorial(a - 1) * _double_factorial(b - 1) / _double_factorial(a + b)
+
+
+def _half_circle_moment(alpha) -> float:
+    a, b = alpha
+    if a % 2 or b % 2 == 0:
+        # odd in x or even in y: the full circle's moment
+        return _circle_moment(alpha)
+    t = b // 2
+    rat = Fraction(
+        _double_factorial(a - 1) * math.factorial(t) * 2 ** (t + 1),
+        _double_factorial(a + b),
+    )
+    return float(rat) / math.pi
 
 
 def circle_functional(half: bool = False, max_degree: int = 12) -> MomentFunctional:
     """Uniform measure on the unit circle (d=2), or on its upper half.
 
-    Full circle: equispaced trapezoid quadrature with 4*max_degree + 8 nodes,
-    exact to rounding for every requested trigonometric moment. Half circle:
-    closed-form values (a beta-function reduction); the symmetric quadrature
-    argument does not apply on the half period, so no quadrature is used.
+    Closed-form values (a beta-function reduction). Full circle:
+    E[x^a y^b] = (a-1)!!(b-1)!!/(a+b)!! when a and b are both even, rounded
+    once to binary64, and 0 when either is odd. Half circle: the full
+    circle's value for odd a or even b, and for odd b
+    (a-1)!! t! 2^(t+1) / (a+b)!!, rounded once, divided by pi (t = b // 2).
     """
     if half:
-        def compute(alpha):
-            a, b = alpha
-            if a % 2 == 1:
-                return 0.0
-            s, t = a // 2, b // 2
-            if b % 2 == 0:
-                rat = Fraction(
-                    _double_factorial(a - 1) * _double_factorial(b - 1),
-                    _double_factorial(a + b),
-                )
-                return float(rat)
-            rat = Fraction(
-                _double_factorial(a - 1) * math.factorial(t) * 2 ** (t + 1),
-                _double_factorial(a + b),
-            )
-            return float(rat) / math.pi
-
-        return MomentFunctional(2, compute, max_degree, exact=False, tag="half_circle")
-
-    n_q = 4 * max_degree + 8
-    theta = 2.0 * math.pi * np.arange(n_q) / n_q
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    # each node power once per functional, by the expression it replaces
-    cpow = [cos_t**a for a in range(max_degree + 1)]
-    spow = [sin_t**b for b in range(max_degree + 1)]
-
-    def compute(alpha):
-        a, b = alpha
-        return float(np.mean(cpow[a] * spow[b]))
-
-    return MomentFunctional(2, compute, max_degree, exact=False, tag="circle")
+        return MomentFunctional(2, _half_circle_moment, max_degree, exact=False, tag="half_circle")
+    return MomentFunctional(2, _circle_moment, max_degree, exact=False, tag="circle")
 
 
 @dataclass(frozen=True)
@@ -299,6 +299,10 @@ class JacobiPair1D:
         return self.omegas + (0,) * pad, self.alphas + (0,) * pad
 
 
+def _listed_moment(moments: tuple, alpha):
+    return moments[alpha[0]]
+
+
 def jacobi_to_moments(pair: JacobiPair1D, depth: int) -> MomentFunctional:
     """1-D moments from recurrence coefficients.
 
@@ -326,9 +330,7 @@ def jacobi_to_moments(pair: JacobiPair1D, depth: int) -> MomentFunctional:
         ]
         moments.append(v[0])
 
-    def compute(alpha):
-        return moments[alpha[0]]
-
+    compute = partial(_listed_moment, tuple(moments))
     return MomentFunctional(1, compute, depth, exact=exact, tag="jacobi")
 
 

@@ -422,3 +422,24 @@ def test_matmul_on_mixed_object_array():
     assert _linalg.matmul(a, b).tolist() == (a @ b).tolist()
     assert _linalg.matmul(b, a, b).tolist() == (b @ (a @ b)).tolist()
     assert _linalg.max_quadratic(a, b) == max((a.T @ b @ a)[i, i] for i in range(2))
+
+
+def test_matmul_takes_int_and_float_arrays_among_exact_ones(skew_fn):
+    pair = _linalg.cleared(np.array([[Fraction(1, 3), 2], [0, Fraction(-3, 4)]], dtype=object))
+    frac = _linalg.published(pair)
+    ints, floats = np.array([[2, -1], [5, 3]]), np.array([[0.5, 1.0], [-2.0, 0.25]])
+    assert _linalg.published(_linalg.matmul(pair, ints)).tolist() == (frac @ ints.astype(object)).tolist()
+    assert _linalg.matmul(ints, frac).tolist() == (ints.astype(object) @ frac).tolist()
+    assert _linalg.matmul(pair, floats).tolist() == (frac @ floats).tolist()
+    assert _linalg.matmul(frac, floats).tolist() == (frac @ floats).tolist()
+
+    # DegreeBasis.combine: int columns give the polynomials of object ones,
+    # float columns the same values as floats
+    lev = mvop.build_gradations(skew_fn, 3).levels[2]
+    eye = np.eye(3, dtype=int)
+    want = [sorted((a, type(c), c) for a, c in p.terms.items()) for p in lev.combine(eye.astype(object))]
+    got = [sorted((a, type(c), c) for a, c in p.terms.items()) for p in lev.combine(eye)]
+    assert got == want and any(t is Fraction for p in want for _, t, _ in p)
+    floats = lev.combine(np.eye(3))
+    assert [p.terms for p in floats] == [p.terms for p in lev.combine(eye)]
+    assert all(type(c) is float for p in floats for c in p.terms.values())

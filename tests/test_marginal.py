@@ -233,9 +233,6 @@ def test_exact_recurrence_round_trip(depth):
         assert all(back.moment((j,)) == f.moment((j,)) for j in range(depth + 1))
 
 
-# exact arithmetic on the same binary64 moments misses the closed form by
-# 1.6e-9 at depth 13 and 2.2e-8 at depth 14: that error comes from the
-# moments' rounding, and each bound leaves room above it
 @pytest.mark.parametrize("depth, bound", [(13, 1e-8), (14, 5e-8)])
 def test_arcsine_recurrence_float_accuracy(depth, bound):
     circle = mvop.circle_functional(max_degree=28)
@@ -244,3 +241,13 @@ def test_arcsine_recurrence_float_accuracy(depth, bound):
     want = (0.5,) + (0.25,) * (depth - 1)
     assert max(abs(w - v) for w, v in zip(pair.omegas, want)) <= bound
     assert max(abs(a) for a in pair.alphas) <= bound
+
+
+def test_arcsine_recurrence_is_the_closed_form_in_float():
+    # correctly rounded moments give every coefficient exactly, up to the
+    # depth where the squared norm 2^-35 meets the float null cutoff
+    circle = mvop.circle_functional(max_degree=34)
+    f = mvop.marginal_functional(mvop.MarginalSpec(source=circle, coords=(0,)))
+    pair = mvop.jacobi_1d(f, 17)
+    assert pair.omegas == (0.5,) + (0.25,) * 16
+    assert pair.alphas == (0.0,) * 17

@@ -27,18 +27,20 @@ def test_circle_moments_match_closed_form(circle):
             assert got == pytest.approx(circle_moment_oracle(a, b), abs=1e-12)
 
 
-def test_circle_moments_are_the_direct_quadrature():
-    # node powers are computed once per functional; every moment keeps the
-    # bits of the direct expression on the trapezoid nodes
+def test_circle_moments_are_the_rounded_closed_form():
+    # every moment is (a-1)!!(b-1)!!/(a+b)!! (0 for odd a or b), rounded once
     degree = 26
     circle = mvop.circle_functional(max_degree=degree)
-    n_q = 4 * degree + 8
-    theta = 2.0 * math.pi * np.arange(n_q) / n_q
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
-            want = float(np.mean(cos_t**a * sin_t**b))
-            assert np.float64(circle.moment((a, b))).tobytes() == np.float64(want).tobytes()
+            exact = 0
+            if a % 2 == 0 and b % 2 == 0:
+                exact = Fraction(
+                    double_factorial(a - 1) * double_factorial(b - 1), double_factorial(a + b)
+                )
+            got = circle.moment((a, b))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(float(exact)).tobytes()
 
 
 def test_half_circle_moments_match_quadrature(half_circle):

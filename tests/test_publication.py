@@ -2,11 +2,13 @@
 
 An exact gradation level keeps the pairs of its `coef`, `gram` and `split`,
 and an exact FockData (assembled, or a `validate` report's) those of its
-blocks; each attribute becomes a public array on its first read. A forward
-run that reads no public array builds none. Copies publish whatever is
-pending and hold the arrays a twin read first would hold, entry types
-included. An array edited in place before or after the library first used
-its pairs is seen by every later check, vacuum word and assembly.
+blocks, until each attribute is first read; from then on the library clears
+its public array afresh on every use. A forward run that reads no public
+array builds none. Copies publish whatever is pending and hold the arrays a
+twin read first would hold, entry types included, and a pickle carries the
+functional of every backend. An array edited in place before or after the
+library first used its pairs is seen by every later check, vacuum word and
+assembly.
 """
 
 import copy
@@ -83,18 +85,6 @@ def test_validate_publishes_no_unread_report(publications, square_fn):
     assert report.passed and publications == []
 
 
-def picklable(g):
-    # functionals hold local functions, which do not pickle
-    g.functional = None
-    return g
-
-
-def assembled_picklable():
-    fock = mvop.assemble_fock(gradation("prod3"))
-    picklable(fock.gradation)
-    return fock
-
-
 def test_copies_hold_the_arrays_a_twin_read_first(square_fn):
     def copies(x):
         """(copy, whether it is deep) for each way of copying x."""
@@ -107,9 +97,13 @@ def test_copies_hold_the_arrays_a_twin_read_first(square_fn):
         return level_values(mvop.GradationBasis(None, lev.degree, "exact", None, [lev]))
 
     makers = [
-        (lambda: picklable(gradation("prod3")), level_values, lambda g: [g, *g.levels]),
+        (lambda: gradation("prod3"), level_values, lambda g: [g, *g.levels]),
         (lambda: gradation("prod3").levels[2], alone, lambda lev: [lev]),
-        (assembled_picklable, block_values, lambda f: [f, f.gradation, *f.gradation.levels]),
+        (
+            lambda: mvop.assemble_fock(gradation("prod3")),
+            block_values,
+            lambda f: [f, f.gradation, *f.gradation.levels],
+        ),
         (lambda: mvop.validate(square_input(square_fn)).fock, block_values, lambda f: [f]),
     ]
     for make, values, holders in makers:
@@ -121,6 +115,38 @@ def test_copies_hold_the_arrays_a_twin_read_first(square_fn):
             # a shallow copy shares the original's gradation, which keeps its own
             assert not any("_computing" in h.__dict__ for h in holders(made)[: None if deep else 1])
             assert values(made) == want
+
+
+def square():
+    atoms = ((1, 1), (-1, 1), (-1, -1), (1, -1))
+    return mvop.discrete_functional(mvop.DiscreteMeasure(atoms, (Fraction(1, 4),) * 4))
+
+
+FUNCTIONALS = {
+    "discrete": square,
+    "product": lambda: mvop.product_functional([mvop.gaussian_functional(), square()]),
+    "gaussian": mvop.gaussian_functional,
+    "circle": lambda: mvop.circle_functional(max_degree=6),
+    "half-circle": lambda: mvop.circle_functional(half=True, max_degree=6),
+    "jacobi": lambda: mvop.jacobi_to_moments(mvop.JacobiPair1D((1, 2, 3, 4, 5, 6), (0,) * 6), 6),
+    "float": lambda: mvop.measures.as_float_functional(square()),
+    "marginal": lambda: mvop.marginal_functional(mvop.MarginalSpec(square(), (1,))),
+    "table": lambda: mvop.table_functional(1, {(k,): int(k % 2 == 0) for k in range(7)}, 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONALS))
+def test_pickles_carry_their_functional(name):
+    functional = FUNCTIONALS[name]()
+    fock = mvop.assemble_fock(mvop.build_gradations(functional, 2))
+    words = mvop.monomials_up_to(functional.dimension, 6)
+    want = [functional.moment(w) for w in words]
+    for held in (fock.gradation, fock):
+        loaded = pickle.loads(pickle.dumps(held))
+        g = loaded if isinstance(loaded, mvop.GradationBasis) else loaded.gradation
+        g.functional._cache.clear()
+        got = [g.functional.moment(w) for w in words]
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
 
 
 def test_assembled_grams_are_the_level_grams():
