@@ -41,6 +41,8 @@ class Cleared:
 
     Always reduced, gcd(den, every numerator) = 1, so den is the lcm of the
     entries' denominators. Supports ``.T``, ``[]``, ``[] =``, ``-``, ``+``, ``/``.
+    The constructor reduces; `reduced` takes a pair that is reduced by
+    construction (a transpose, a negation, a `stack`) without the gcd.
     """
 
     dtype = np.dtype(object)
@@ -50,9 +52,16 @@ class Cleared:
         self.num, self.den = (num, den) if g == 1 else (num // g, den // g)
         self.shape = num.shape
 
+    @classmethod
+    def reduced(cls, num: np.ndarray, den: int) -> "Cleared":
+        """The pair num / den, already reduced by construction: no gcd is taken."""
+        out = cls.__new__(cls)
+        out.num, out.den, out.shape = num, den, num.shape
+        return out
+
     @property
     def T(self) -> "Cleared":
-        return Cleared(self.num.T, self.den)
+        return Cleared.reduced(self.num.T, self.den)
 
     def __getitem__(self, idx) -> "Cleared":
         return Cleared(self.num[idx], self.den)
@@ -64,7 +73,7 @@ class Cleared:
         self.__init__(num, den)
 
     def __neg__(self) -> "Cleared":
-        return Cleared(-self.num, self.den)
+        return Cleared.reduced(-self.num, self.den)
 
     def __sub__(self, other: "Cleared") -> "Cleared":
         den = math.lcm(self.den, other.den)
@@ -184,8 +193,10 @@ def stack(mats: list, axis: int):
     """Concatenation along axis; pairs go over the lcm of their denominators."""
     if not isinstance(mats[0], Cleared):
         return np.concatenate(mats, axis=axis)
+    # the lcm of reduced pairs' denominators is reduced against their scaled
+    # numerators: a prime power dividing it exactly divides one den unscaled
     den = math.lcm(*(m.den for m in mats))
-    return Cleared(np.concatenate([m.num * (den // m.den) for m in mats], axis=axis), den)
+    return Cleared.reduced(np.concatenate([m.num * (den // m.den) for m in mats], axis=axis), den)
 
 
 def _chain(mats) -> np.ndarray:

@@ -39,7 +39,7 @@ from .fock import (
     _recorded_tolerance,
     _max_abs,
     _residual,
-    _seminorm_residual,
+    _seminorms,
     check_commutation,
     complete_fock,
     symmetry_residuals,
@@ -427,6 +427,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
+    seminorm = _seminorms(grams, tol.rank)
     for n in range(n_max + 1):
         null = splits[n].null
         if null.shape[1] == 0:
@@ -436,9 +437,9 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         for i in range(d):
             if n < n_max:
                 shifted = _linalg.matmul(fock.aplus[i][n], null)
-                residual = _seminorm_residual(shifted, grams[n + 1], tol.rank)
+                residual = seminorm(shifted, n + 1)
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
-            residual = _seminorm_residual(_linalg.matmul(bzero[i][n], null), grams[n], tol.rank)
+            residual = seminorm(_linalg.matmul(bzero[i][n], null), n)
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
 
     for (i, n), (residual, scale) in symmetry_residuals(grams, bzero).items():

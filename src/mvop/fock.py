@@ -5,8 +5,9 @@ representation, so that multiplication by each coordinate decomposes as
 X_i = A_i^+ + A_i^0 + A_i^-. Creation blocks are the canonical index shifts
 in candidate coordinates. The preservation block solves G_n A_i^0 = R with
 R = coef_n^T L_i coef_n, the candidates of degree n taken against the
-localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)). The annihilation block
-solves G_{n-1} A_i^- = (A_i^+)^T G_n. `complete_fock` adds the creation and
+localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)); the d localizing
+matrices come from one pass over their distinct moments. The annihilation
+block solves G_{n-1} A_i^- = (A_i^+)^T G_n. `complete_fock` adds the creation and
 annihilation blocks to given Gram and preservation blocks, for assembled and
 for externally supplied blocks alike, and `_residual` is the one
 (residual, scale) measure of every solve and symmetry check.
@@ -20,9 +21,12 @@ in computing form (`_cleared_fock`): its kept pairs until it is first read,
 so a forward run that reads no block builds none, and its public arrays
 cleared afresh on every use after, so an edit is seen. A commutation
 relation is one product of its stacked factors, measured in the
-target-level Gram seminorm. Vacuum words are memoized (see `vacuum_moment`).
-A residual computed on pairs is decided on its exact value: its binary64
-image stays above 0.0 when it is nonzero (`_floored`), and then it fails
+target-level Gram seminorm; a float check decomposes each Gram it measures
+against once per call (`_seminorms`) and keeps nothing, so an edit between
+calls is seen. Vacuum words are memoized, each state keeping only the
+levels that can still reach the vacuum (see `vacuum_moment`). A residual
+computed on pairs is decided on its exact value: its binary64 image stays
+above 0.0 when it is nonzero (`_floored`), and then it fails
 (`_recorded_tolerance`).
 """
 
@@ -38,26 +42,32 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, _cleared_moment_matrix, _computing_levels
+from .gradation import GradationBasis, _cleared_moment_matrices, _computing_levels
 from .polynomial import monomials_of_degree
 from .scalars import Tolerances
+
+
+@functools.cache
+def _shift_rows(dimension: int, i: int, n: int) -> np.ndarray:
+    """Row of alpha + e_i among the degree-(n+1) monomials, for each degree-n alpha (read-only)."""
+    row_pos = {a: r for r, a in enumerate(monomials_of_degree(dimension, n + 1))}
+    cols = monomials_of_degree(dimension, n)
+    rows = np.array([row_pos[alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]] for alpha in cols])
+    rows.setflags(write=False)
+    return rows
 
 
 def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
     """Canonical shift block for coordinate i (0-based) from degree n to n+1.
 
-    Column alpha has a single unit entry in the row of alpha + e_i.
+    Column alpha has a single unit entry in the row of alpha + e_i. Each
+    call returns a fresh array.
     """
     if not 0 <= i < dimension:
         raise ValueError(f"coordinate {i} outside 0..{dimension - 1}")
-    cols = monomials_of_degree(dimension, n)
-    rows = monomials_of_degree(dimension, n + 1)
-    row_pos = {a: r for r, a in enumerate(rows)}
-    out = np.zeros((len(rows), len(cols)), dtype=dtype)
-    one = 1 if dtype == object else 1.0
-    for c, alpha in enumerate(cols):
-        shifted = tuple(e + (1 if k == i else 0) for k, e in enumerate(alpha))
-        out[row_pos[shifted], c] = one
+    rows = _shift_rows(dimension, i, n)
+    out = np.zeros((len(monomials_of_degree(dimension, n + 1)), len(rows)), dtype=dtype)
+    out[rows, np.arange(len(rows))] = 1 if dtype == object else 1.0
     return out
 
 
@@ -246,10 +256,9 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
         )
     d = g.dimension
     computed = _computing_levels(g)
+    shifts = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     azero = []
-    for i in range(d):
-        shift = tuple(int(k == i) for k in range(d))
-        localizing = _cleared_moment_matrix(functional, depth, shift)
+    for i, localizing in enumerate(_cleared_moment_matrices(functional, depth, shifts)):
         per_level = []
         for lev, (coef, gram, split) in zip(g.levels, computed):
             size = coef.shape[0]
@@ -313,32 +322,55 @@ def azero_symmetry_residuals(fock: FockData) -> dict:
     }
 
 
-def _seminorm_residual(cols, gram, tol_rank: float) -> float:
+def _seminorm_factor(gram, tol_rank: float):
+    """F with |F c| the float Gram seminorm of a column c, or None where it is zero.
+
+    F = (v[:, keep] sqrt(w[keep]))^T from the eigenpairs (w, v) of the
+    symmetrized binary64 Gram, keeping those above the rank cutoff of
+    `split_gram` and above tol_rank relative to the top eigenvalue: the rest
+    belong to the quotient kernel, and evaluating the raw quadratic form
+    there would turn rounding noise of size eps into a sqrt(eps) artifact.
+    """
+    g = _linalg.to_float(gram)
+    w, v = np.linalg.eigh(0.5 * (g + g.T))
+    top = float(np.max(w, initial=0.0))
+    if top <= 0.0:
+        return None
+    keep = w > max(_linalg.rank_cutoff(len(w), top, tol_rank), tol_rank * top)
+    if not np.any(keep):
+        return None
+    return (v[:, keep] * np.sqrt(w[keep])).T
+
+
+def _seminorm_residual(cols, gram, factor) -> float:
     """Largest Gram seminorm over the columns of a block.
 
     Exact blocks are measured in rational arithmetic, on integer numerators,
     so a column lying in the kernel scores exactly zero. Float blocks are
-    measured against the eigendirections above the rank cutoff of
-    `split_gram` and above tol_rank relative to the top eigenvalue: the rest
-    belong to the quotient kernel, and evaluating the raw quadratic form
-    there would turn rounding noise of size eps into a sqrt(eps) artifact.
+    measured as |F c| with F = factor(), the Gram's `_seminorm_factor`,
+    which is asked for only here.
     """
     if 0 in cols.shape:
         return 0.0
     if cols.dtype == object and gram.dtype == object:
         quad = _linalg.max_quadratic(cols, gram)
         return _floored(math.sqrt(max(0.0, float(quad))), quad > 0)
-    c = _linalg.to_float(cols)
-    g = _linalg.to_float(gram)
-    w, v = np.linalg.eigh(0.5 * (g + g.T))
-    top = float(np.max(w, initial=0.0))
-    if top <= 0.0:
+    f = factor()
+    if f is None:
         return 0.0
-    keep = w > max(_linalg.rank_cutoff(len(w), top, tol_rank), tol_rank * top)
-    if not np.any(keep):
-        return 0.0
-    proj = (v[:, keep] * np.sqrt(w[keep])).T @ c
+    proj = f @ _linalg.to_float(cols)
     return float(math.sqrt(max(0.0, float(np.max(np.einsum("ij,ij->j", proj, proj))))))
+
+
+def _seminorms(grams: list, tol_rank: float):
+    """residual(cols, n): `_seminorm_residual` of cols against grams[n].
+
+    Each level's float factor is built on first need and kept by the
+    returned function only, so a caller taking one per call decomposes each
+    Gram once per call and still sees a Gram edited between calls.
+    """
+    factor = functools.cache(lambda n: _seminorm_factor(grams[n], tol_rank))
+    return lambda cols, n: _seminorm_residual(cols, grams[n], functools.partial(factor, n))
 
 
 @dataclass
@@ -411,8 +443,10 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
             return _linalg.matmul(_linalg.stack(lefts, axis=1), _linalg.stack(rights, axis=0))
         return functools.reduce(operator.add, (left @ right for left, right in terms))
 
+    seminorm = _seminorms(fock.grams, tol.rank)
+
     def record(relation, pair, n, terms, target_level, parts):
-        residual = _seminorm_residual(combine(terms), fock.grams[target_level], tol.rank)
+        residual = seminorm(combine(terms), target_level)
         tolerance = tol.comm * max([1.0] + [scale(*p) for p in parts])
         report.entries.append(
             CommutationEntry(
@@ -490,10 +524,13 @@ def vacuum_moment(fock: FockData, alpha):
 
     States are memoized on the FockData: the state of alpha is X_i applied to
     that of alpha - e_i, i the lowest index with alpha_i > 0, so all words up
-    to a degree cost one application each. The memo takes the blocks in
-    computing form at the first call (`_cleared_fock`, so edits made before
-    it are seen) and is valid while the blocks are not edited in place; a
-    copy or `dataclasses.replace` of the FockData starts a fresh one.
+    to a degree cost one application each. A state of degree k keeps only
+    its levels <= depth - k, the ones that can still reach the vacuum within
+    the built depth; every kept level sums the same terms in the same order
+    as the full state, so the value is unchanged. The memo takes the blocks
+    in computing form at the first call (`_cleared_fock`, so edits made
+    before it are seen) and is valid while the blocks are not edited in
+    place; a copy or `dataclasses.replace` of the FockData starts a fresh one.
     """
     alpha = tuple(alpha)
     if len(alpha) != fock.dimension:
@@ -515,7 +552,11 @@ def vacuum_moment(fock: FockData, alpha):
         if word not in states:
             i = next(k for k, e in enumerate(word) if e)
             below = word[:i] + (word[i] - 1,) + word[i + 1 :]
-            states[word] = apply_coordinate(blocks, i, state(below))
+            # levels above reach = depth - |word| cannot come back to the vacuum;
+            # the state below keeps levels <= reach + 1, all that feed the rest
+            reach = fock.depth - sum(word)
+            applied = apply_coordinate(blocks, i, state(below))
+            states[word] = {n: v for n, v in applied.items() if n <= reach}
         return states[word]
 
     # level 0 is never empty: A^0 maps it to itself
@@ -539,6 +580,7 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
         )
     blocks = _cleared_fock(fock)
+    seminorm = _seminorms(blocks.grams, fock.tolerances.rank)
     size = blocks.grams[n].shape[0]
     worst = 0.0
     for col in range(size):
@@ -551,7 +593,6 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
         # both words reach the same levels
         for level in set(jk) | set(kj):
             diff = jk[level] - kj[level]
-            seminorm = _seminorm_residual(diff[:, None], blocks.grams[level], fock.tolerances.rank)
-            total += seminorm**2
+            total += seminorm(diff[:, None], level) ** 2
         worst = max(worst, math.sqrt(total))
     return worst

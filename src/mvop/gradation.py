@@ -12,11 +12,14 @@ U_m diag(1/nu_m) U_m^T M coef, where U_m holds the orthogonal basis of slice m
 and nu_m its squared norms. The Gram matrix G_n = coef^T M coef of the
 candidates is the Schur complement of M on the degree-n block; its range
 gives an orthogonal basis of the slice, its kernel the degree-n null
-directions of the functional. Polynomial objects are built from coefficient
-columns only on request. Exact mode runs on `_linalg.Cleared` pairs from the
-moment matrix, each of whose distinct moments is cleared once, to each
-split. Each level keeps those pairs and publishes its `coef`, `gram` and
-`split` as Fraction arrays on their first read (`_linalg.Deferred`).
+directions of the functional. A null direction p must have Lambda(p x^b) = 0
+for every monomial x^b of the matrix, as a PSD M ensures; exact mode checks
+it and refuses data where it fails. Polynomial objects are built from
+coefficient columns only on request. Exact mode runs on `_linalg.Cleared`
+pairs from the moment matrix, each of whose distinct moments is cleared
+once, to each split. Each level keeps those pairs and publishes its `coef`,
+`gram` and `split` as Fraction arrays on their first read
+(`_linalg.Deferred`).
 `assemble_fock`, the ranks and the null-ideal generators take each
 attribute's computing form (`_computing_levels`): the kept pairs while it
 is unread, so a level nobody reads builds no Fraction array, and its public
@@ -33,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import _linalg
-from .errors import DepthExceededError
+from .errors import DepthExceededError, InconsistentMomentsError
 from .measures import MomentFunctional, as_float_functional
 from .polynomial import Polynomial, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
@@ -56,23 +59,27 @@ def resolve_mode(rational: bool, mode: str) -> str:
     return mode
 
 
-def _distinct_moments(functional: MomentFunctional, degree: int, shift) -> tuple:
-    """(values, where): the distinct moments of `moment_matrix` and the index of each entry."""
+def _distinct_moments(functional: MomentFunctional, degree: int, shifts: list) -> tuple:
+    """(values, wheres): the distinct moments of the `moment_matrix` of every
+    shift, and per shift the index of each entry."""
     d = functional.dimension
-    shift = tuple(shift) if shift is not None else (0,) * d
+    shifts = [tuple(s) if s is not None else (0,) * d for s in shifts]
     # a multi-index is encoded as the integer with digits alpha_j in base
     # `base`, which exceeds every exponent, so encodings add like multi-indices
-    base = 2 * degree + max(shift) + 1
+    base = 2 * degree + max(map(max, shifts)) + 1
     kind = np.int64 if base**d < 2**63 else object
     radix = np.array([base**j for j in range(d)], dtype=kind)
     keys = np.array(monomials_up_to(d, degree), dtype=kind) @ radix
-    sums = keys[:, None] + keys[None, :] + np.array(shift, dtype=kind) @ radix
-    distinct, where = np.unique(sums, return_inverse=True)
+    sums, where = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
+    # each shift moves the distinct sums; their union is the distinct moments
+    offsets = np.array(shifts, dtype=kind) @ radix
+    distinct, moved = np.unique(sums[None, :] + offsets[:, None], return_inverse=True)
+    digits = (distinct[:, None] // radix % base).tolist()
     values = np.array(
-        [functional.moment(tuple(int(key) // base**j % base for j in range(d))) for key in distinct],
+        [functional.moment(tuple(alpha)) for alpha in digits],
         dtype=object if functional.exact else float,
     )
-    return values, where.reshape(sums.shape)
+    return values, moved.reshape(len(shifts), -1)[:, where.reshape(len(keys), len(keys))]
 
 
 def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.ndarray:
@@ -83,21 +90,31 @@ def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.n
     matrix; with shift = e_i it is the localizing matrix of x_i. Each distinct
     moment is fetched once; the array is object-typed for exact functionals.
     """
-    values, where = _distinct_moments(functional, degree, shift)
+    values, (where,) = _distinct_moments(functional, degree, [shift])
     return values[where]
+
+
+def _cleared_moment_matrices(functional: MomentFunctional, degree: int, shifts: list) -> list:
+    """`moment_matrix` of each shift in computing form, from one pass over
+    their distinct moments, each fetched and cleared once.
+
+    An exact matrix is the pair of the distinct moments' numerators, spread
+    by index, over their one denominator: reduced by construction when one
+    shift's matrix holds every distinct moment, reduced by `Cleared`
+    otherwise. A float matrix is returned as is.
+    """
+    values, wheres = _distinct_moments(functional, degree, shifts)
+    values = _linalg.cleared(values)
+    if not isinstance(values, _linalg.Cleared):
+        return [values[where] for where in wheres]
+    if len(wheres) == 1:
+        return [_linalg.Cleared.reduced(values.num[wheres[0]], values.den)]
+    return [_linalg.Cleared(values.num[where], values.den) for where in wheres]
 
 
 def _cleared_moment_matrix(functional: MomentFunctional, degree: int, shift=None):
-    """`moment_matrix` in computing form: each distinct moment is cleared once.
-
-    An exact matrix is the pair of the distinct moments' numerators, spread
-    by index, over their one denominator; a float matrix is returned as is.
-    """
-    values, where = _distinct_moments(functional, degree, shift)
-    values = _linalg.cleared(values)
-    if isinstance(values, _linalg.Cleared):
-        return _linalg.Cleared(values.num[where], values.den)
-    return values[where]
+    """`moment_matrix` in computing form (`_cleared_moment_matrices`)."""
+    return _cleared_moment_matrices(functional, degree, [shift])[0]
 
 
 @dataclass
@@ -253,7 +270,9 @@ def build_gradations(
     DepthExceededError
         If the functional cannot supply moments to degree 2*max_degree.
     InconsistentMomentsError
-        If a Gram matrix fails positive semidefiniteness.
+        If a Gram matrix fails positive semidefiniteness, or, in exact mode,
+        a null polynomial has a nonzero moment against a monomial of degree
+        <= max_degree, which no moment functional allows.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
@@ -285,6 +304,14 @@ def build_gradations(
         top = lower[-1][0].shape[0] if lower else 0  # the rows the projections reach
         gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
+        # a PSD moment matrix maps each seminorm-null polynomial to zero
+        if exact and split.nullity:
+            null_moments = _linalg.matmul(_linalg.matmul(coef, split.null).T, moments[:size])
+            if null_moments.num.any():
+                raise InconsistentMomentsError(
+                    f"a null polynomial of degree {n} has a nonzero moment against a monomial "
+                    f"of degree <= {max_degree}; data is not a moment functional"
+                )
         if split.rank:
             ortho = _linalg.matmul(coef, split.combos)
             lower.append(

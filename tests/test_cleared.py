@@ -143,18 +143,40 @@ def test_empty_and_zero_pairs():
     assert (third - third).den == 1
 
 
+@given(st.data(), st.lists(st.tuples(dims, kinds), min_size=1, max_size=3), dims)
+def test_transpose_negation_and_stack_stay_reduced(data, parts, rows):
+    # these take no gcd: the result of reduced pairs is reduced by construction
+    mats = [drawn(data.draw, rows, cols, kind) for cols, kind in parts]
+    pairs = [_linalg.cleared(m) for m in mats]
+    for pair, mat in zip(pairs, mats):
+        for got, want in ((pair.T, mat.T), (-pair, -mat)):
+            assert is_reduced(got) and _linalg.published(got).tolist() == want.tolist()
+    for axis in (0, 1):
+        ms = mats if axis == 1 else [m.T for m in mats]
+        got = _linalg.stack(pairs if axis == 1 else [p.T for p in pairs], axis=axis)
+        assert is_reduced(got)
+        assert _linalg.published(got).tolist() == np.concatenate(ms, axis=axis).tolist()
+
+
 # ---------------------------------------------------------------- pipeline
 
 
 def test_every_pipeline_pair_is_reduced(monkeypatch):
-    made = []
-    init = Cleared.__init__
+    # pairs made by the constructor, which reduces, and by `Cleared.reduced`,
+    # which takes them as reduced by construction
+    made, taken = [], []
+    init, reduced = Cleared.__init__, Cleared.reduced.__func__
 
     def recording_init(self, num, den):
         init(self, num, den)
         made.append(self)
 
+    def recording_reduced(cls, num, den):
+        taken.append(reduced(cls, num, den))
+        return taken[-1]
+
     monkeypatch.setattr(Cleared, "__init__", recording_init)
+    monkeypatch.setattr(Cleared, "reduced", classmethod(recording_reduced))
     recurrence = mvop.JacobiPair1D((Fraction(3, 2), 2, Fraction(5, 4)) * 4, (0, Fraction(1, 2), -1) * 4)
     weights = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
     atoms = mvop.DiscreteMeasure(((-1,), (Fraction(1, 2),), (2,)), weights)
@@ -186,5 +208,5 @@ def test_every_pipeline_pair_is_reduced(monkeypatch):
             mvop.vacuum_moment(fock, alpha)
         report = mvop.validate(mvop.FockInput.from_fock_data(fock))
         assert report.passed
-    assert len(made) > 1000
-    assert all(is_reduced(p) for p in made)
+    assert len(made) > 1000 and len(taken) > 500
+    assert all(is_reduced(p) for p in made + taken)

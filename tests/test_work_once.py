@@ -1,0 +1,183 @@
+"""Per-op work is done once: Gram factors per check, vacuum states, localizing moments.
+
+A float check decomposes each target-level Gram once per call, and keeps no
+factor on the FockData, so an in-place edit between calls is seen. A
+memoized vacuum state keeps only the levels that can still reach the
+vacuum. Assembly fetches each distinct localizing moment once for all
+coordinates. Exact gradations refuse data whose seminorm-null polynomials
+have a nonzero moment, which no moment functional has.
+"""
+
+import copy
+import json
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import mvop
+from mvop import _linalg
+from mvop.cli import main
+from mvop.gradation import _cleared_moment_matrices, moment_matrix
+
+# 1-D moments whose Hankel matrix has eigenvalue -0.618: x is seminorm-null, yet <x, x^2> = 1
+NOT_PSD = {
+    "type": "moments_table",
+    "dimension": 1,
+    "depth": 4,
+    "entries": {"0": 1, "1": 0, "2": 0, "3": 1, "4": 1},
+}
+
+
+@pytest.fixture
+def eighs(monkeypatch):
+    """The matrices given to `np.linalg.eigh` through the library."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def circle12():
+    return mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=26), 12))
+
+
+def test_one_eigh_per_target_level_per_check(circle12, eighs):
+    report = mvop.check_commutation(circle12)
+    # CR1, CR2 and CR3 target levels 2..12, 1..12 and 0..11: 35 entries, 13 levels
+    assert len(report.entries) == 35
+    assert len(eighs) == 13
+    eighs.clear()
+    assert mvop.check_commutation(circle12).entries == report.entries
+    assert len(eighs) == 13  # a second call decomposes afresh
+    eighs.clear()
+    mvop.x_commutator_residual(circle12, 0, 1, 3)
+    # the words X_j X_k and X_k X_j from level 3 reach levels 1..5
+    assert len(eighs) == 5
+
+
+def test_float_validate_decomposes_each_kernel_gram_once(circle12, eighs):
+    fi = mvop.FockInput.from_fock_data(circle12)
+    assert mvop.validate(fi).passed
+    # one split per payload Gram; the kernel checks' factors, on the levels
+    # with null directions and the ones above them; the commutation check's 13
+    null_levels = {lev.degree for lev in circle12.gradation.levels if lev.nullity}
+    kernel_levels = null_levels | {n + 1 for n in null_levels if n < 12}
+    assert kernel_levels == set(range(2, 13))
+    assert len(eighs) == 13 + len(kernel_levels) + 13
+
+
+def test_float_gram_edited_between_checks_is_seen():
+    fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=18), 8))
+    before = mvop.check_commutation(fock).entries
+    fock.grams[3][0, 0] *= 4.0
+    after = mvop.check_commutation(fock).entries
+    assert after != before
+    assert after == mvop.check_commutation(copy.deepcopy(fock)).entries
+
+
+@pytest.mark.parametrize("name", ["circle", "skew"])
+def test_vacuum_states_keep_only_reachable_levels(name):
+    if name == "circle":
+        fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=22), 10))
+    else:
+        m = mvop.DiscreteMeasure(((2, 0), (1, 1), (0, 0), (1, -1)), (Fraction(1, 4),) * 4)
+        fock = mvop.assemble_fock(mvop.build_gradations(mvop.discrete_functional(m), 5))
+    words = mvop.monomials_up_to(fock.dimension, fock.depth)
+    for w in words:
+        mvop.vacuum_moment(fock, w)
+    _, states = fock._vacuum
+    assert set(states) == set(words)
+    for w, state in states.items():
+        assert 0 in state
+        assert max(state) == min(sum(w), fock.depth - sum(w))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_assembly_fetches_each_localizing_moment_once(exact):
+    m = mvop.DiscreteMeasure(((2, 0, 1), (1, 1, 0), (0, 0, 0), (1, -1, 3)), (Fraction(1, 4),) * 4)
+    f = mvop.discrete_functional(m)
+    if not exact:
+        f = mvop.as_float_functional(f)
+    g = mvop.build_gradations(f, 3)
+    asked = []
+    fetch = f.moment
+
+    def counting(alpha):
+        asked.append(tuple(alpha))
+        return fetch(alpha)
+
+    f.moment = counting
+    mvop.assemble_fock(g)
+    monos = mvop.monomials_up_to(3, 3)
+    localizing = {
+        tuple(x + y + (k == i) for k, (x, y) in enumerate(zip(a, b)))
+        for i in range(3)
+        for a in monos
+        for b in monos
+    }
+    assert sorted(asked) == sorted(localizing)
+
+
+def test_localizing_matrices_are_the_moment_matrices():
+    atoms = ((Fraction(1, 3), 0), (1, Fraction(1, 2)), (0, 0))
+    m = mvop.DiscreteMeasure(atoms, (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+    f = mvop.discrete_functional(m)
+    shifts = [(1, 0), (0, 1), (0, 0), (2, 1)]
+    for got, shift in zip(_cleared_moment_matrices(f, 3, shifts), shifts):
+        want = _linalg.cleared(moment_matrix(f, 3, shift))
+        assert got.den == want.den and got.num.tolist() == want.num.tolist()
+    float_f = mvop.as_float_functional(f)
+    for got, shift in zip(_cleared_moment_matrices(float_f, 3, shifts), shifts):
+        assert got.tobytes() == moment_matrix(float_f, 3, shift).tobytes()
+
+
+def test_creation_matrices_share_no_memory():
+    for dtype in (float, object):
+        a = mvop.creation_matrix(3, 1, 2, dtype)
+        b = mvop.creation_matrix(3, 1, 2, dtype)
+        assert not np.shares_memory(a, b)
+        a[:] = 7
+        assert b.sum() == b.shape[1] and set(b.flat) == {0, 1}
+
+
+def test_not_psd_table_is_refused(tmp_path, capsys):
+    f = mvop.table_functional(1, {(int(k),): v for k, v in NOT_PSD["entries"].items()}, 4)
+    with pytest.raises(mvop.InconsistentMomentsError, match="null polynomial of degree 1"):
+        mvop.build_gradations(f, 2, mode="exact")
+    path = tmp_path / "not_psd.json"
+    path.write_text(json.dumps(NOT_PSD))
+    for argv in (["rank", "--max-degree", "2"], ["null", "--max-degree", "2", "--mode", "exact"]):
+        assert main(argv + ["--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a moment functional" in captured.err
+
+
+def _measure(rng, d):
+    k = rng.randint(1, 6)
+    atoms = set()
+    while len(atoms) < k:
+        atoms.add(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d)))
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    return mvop.DiscreteMeasure(tuple(sorted(atoms)), tuple(Fraction(r, sum(raw)) for r in raw))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_genuine_rational_data_passes_the_null_moment_check(d):
+    rng = random.Random(4100 + d)
+    depth = {1: 6, 2: 4, 3: 3}[d]
+    deficient = 0
+    for _ in range(12):
+        f = mvop.discrete_functional(_measure(rng, d))
+        entries = {alpha: f.moment(alpha) for alpha in mvop.monomials_up_to(d, 2 * depth)}
+        for source in (f, mvop.table_functional(d, entries, 2 * depth)):
+            g = mvop.build_gradations(source, depth, mode="exact")
+            deficient += any(lev.nullity for lev in g.levels)
+    assert deficient >= 12  # the check ran on most draws
