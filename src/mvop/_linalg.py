@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -238,12 +238,21 @@ def max_quadratic(cols, gram):
     return Fraction(max((c.num * (g.num @ c.num)).sum(axis=0)), c.den * c.den * g.den)
 
 
+@cache
+def _upper_triangle(k: int) -> tuple:
+    """(rows, cols) of the entries above the diagonal of a k x k matrix (read-only)."""
+    upper = np.triu_indices(k, 1)
+    for index in upper:
+        index.setflags(write=False)
+    return upper
+
+
 def gram_product(coef, mat):
     """coef^T @ mat @ coef for symmetric mat; a float one is mirrored to be exactly symmetric."""
     out = matmul(coef.T, mat, coef)
     if not isinstance(out, Cleared):
-        upper = np.triu_indices(out.shape[0], 1)
-        out[upper[1], upper[0]] = out[upper]
+        rows, cols = _upper_triangle(out.shape[0])
+        out[cols, rows] = out[rows, cols]
     return out
 
 

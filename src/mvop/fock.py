@@ -5,8 +5,12 @@ representation, so that multiplication by each coordinate decomposes as
 X_i = A_i^+ + A_i^0 + A_i^-. Creation blocks are the canonical index shifts
 in candidate coordinates. The preservation block solves G_n A_i^0 = R with
 R = coef_n^T L_i coef_n, the candidates of degree n taken against the
-localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)); the d localizing
-matrices come from one pass over their distinct moments. The annihilation
+localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)). Row a of L_i coef_n is
+row a + e_i of M coef_n, which vanishes below degree n, so exact mode reads
+every R of level n off one product, the rows of degree n and n + 1 of
+M coef_n (`_preservation_rhs`); float mode forms the quadratic forms. Both
+take their moments from one pass over the distinct moments of the d
+localizing matrices, each fetched once. The annihilation
 block solves G_{n-1} A_i^- = (A_i^+)^T G_n. `complete_fock` adds the creation and
 annihilation blocks to given Gram and preservation blocks, for assembled and
 for externally supplied blocks alike, and `_residual` is the one
@@ -42,7 +46,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, _cleared_moment_matrices, _computing_levels
+from .gradation import GradationBasis, _cleared_moment_matrices, _cleared_moment_rows, _computing_levels
 from .polynomial import monomials_of_degree
 from .scalars import Tolerances
 
@@ -230,11 +234,50 @@ def complete_fock(
     return fock, residuals
 
 
+def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
+    """rhs[i][n] = coef_n^T L_i coef_n, in computing form, for each coordinate i and level n.
+
+    Float: the quadratic form against each localizing matrix, mirrored to be
+    exactly symmetric. Exact: row a of L_i coef_n is row a + e_i of
+    M coef_n, which vanishes below degree n, and coef_n is the identity on
+    its degree-n rows. So one product P_n, the rows of degree n and n + 1 of
+    M coef_n, gives rhs[i][n] = coef_n[degree n-1]^T P_n[degree n, alpha + e_i]
+    + P_n[degree n+1, alpha + e_i], with the rows alpha + e_i over the
+    degree-(n-1) and degree-n monomials alpha.
+    """
+    d, depth = g.dimension, g.max_degree
+    if not g.exact:
+        shifts = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+        return [
+            [_linalg.gram_product(coef, localizing[: coef.shape[0], : coef.shape[0]]) for coef in coefs]
+            for localizing in _cleared_moment_matrices(g.functional, depth, shifts)
+        ]
+    rows = _cleared_moment_rows(g.functional, depth)  # row r of M is row r - 1 here
+    out: list = [[] for _ in range(d)]
+    for n, coef in enumerate(coefs):
+        size, k = coef.shape
+        below = size - k  # the rows of degree < n
+        top = size + len(monomials_of_degree(d, n + 1))
+        # P_n: the rows of degree n and n + 1 of M coef_n
+        product = _linalg.matmul(rows[max(below, 1) - 1 : top - 1, :size], coef)
+        if not n:  # P_0 has no degree-0 row, and coef_0 no row below
+            for i in range(d):
+                out[i].append(product[_shift_rows(d, i, 0)])
+            continue
+        prev = coef[below - len(monomials_of_degree(d, n - 1)) : below].T
+        for i in range(d):
+            lower = _linalg.matmul(prev, product[_shift_rows(d, i, n - 1)])
+            out[i].append(lower + product[k + _shift_rows(d, i, n)])
+    return out
+
+
 def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockData:
     """Assemble creation, preservation, and annihilation blocks from a gradation.
 
     Preservation blocks solve G_n A = R with R the localizing-matrix Gram of
-    the candidates; the rest is `complete_fock`. Both solves use the range
+    the candidates (`_preservation_rhs`: in exact mode read off one moment
+    product per level, from the candidates and the moments only); the rest
+    is `complete_fock`. Both solves use the range
     part of the Gram splitting, and the defining identities are re-checked
     afterwards (they must hold because the right-hand sides lie in the Gram
     range for moment-born data).
@@ -254,15 +297,11 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
             f"fock assembly at depth {depth} needs moments to {2 * depth + 2}, "
             f"but only {functional.max_reliable_degree} are reliable"
         )
-    d = g.dimension
     computed = _computing_levels(g)
-    shifts = [tuple(int(k == i) for k in range(d)) for i in range(d)]
     azero = []
-    for i, localizing in enumerate(_cleared_moment_matrices(functional, depth, shifts)):
+    for i, rhs_per_level in enumerate(_preservation_rhs(g, [coef for coef, *_ in computed])):
         per_level = []
-        for lev, (coef, gram, split) in zip(g.levels, computed):
-            size = coef.shape[0]
-            rhs = _linalg.gram_product(coef, localizing[:size, :size])
+        for lev, (_, gram, split), rhs in zip(g.levels, computed, rhs_per_level):
             a, residual, scale = _gram_solve(split, gram, rhs)
             if residual > _recorded_tolerance(residual, tol.adj * scale, g.exact):
                 raise InternalConsistencyError(

@@ -14,7 +14,12 @@ candidates is the Schur complement of M on the degree-n block; its range
 gives an orthogonal basis of the slice, its kernel the degree-n null
 directions of the functional. A null direction p must have Lambda(p x^b) = 0
 for every monomial x^b of the matrix, as a PSD M ensures; exact mode checks
-it and refuses data where it fails. Polynomial objects are built from
+it and refuses data where it fails. With every lower null direction past
+that check, and coef M-orthogonal to every lower orthogonal basis, M coef
+vanishes on every row of degree < n; coef is the identity on its degree-n
+rows, so exact mode reads G_n off the degree-n rows of M coef, one product
+instead of a quadratic form. Float mode forms coef^T M coef: in binary64 those low rows
+hold rounding noise, not zeros. Polynomial objects are built from
 coefficient columns only on request. Exact mode runs on `_linalg.Cleared`
 pairs from the moment matrix, each of whose distinct moments is cleared
 once, to each split. Each level keeps those pairs and publishes its `coef`,
@@ -110,6 +115,31 @@ def _cleared_moment_matrices(functional: MomentFunctional, degree: int, shifts: 
     if len(wheres) == 1:
         return [_linalg.Cleared.reduced(values.num[wheres[0]], values.den)]
     return [_linalg.Cleared(values.num[where], values.den) for where in wheres]
+
+
+def _cleared_moment_rows(functional: MomentFunctional, degree: int):
+    """Lambda(x^(gamma+b)) for 1 <= |gamma| <= degree + 1 and |b| <= degree, in
+    computing form: the moment matrix's rows below its first, one degree deeper.
+
+    Row gamma is row gamma - e_i of the localizing matrix of x_i, i the lowest
+    index with gamma_i > 0: the same distinct moments as the d localizing
+    matrices, each fetched and cleared once, and every one of them appears,
+    so an exact matrix is reduced by construction.
+    """
+    d = functional.dimension
+    shifts = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    values, wheres = _distinct_moments(functional, degree, shifts)
+    row = {alpha: r for r, alpha in enumerate(monomials_up_to(d, degree))}
+    coords, below = [], []
+    for gamma in monomials_up_to(d, degree + 1)[1:]:
+        i = next(k for k, e in enumerate(gamma) if e)
+        coords.append(i)
+        below.append(row[gamma[:i] + (gamma[i] - 1,) + gamma[i + 1 :]])
+    where = wheres[coords, below]
+    values = _linalg.cleared(values)
+    if isinstance(values, _linalg.Cleared):
+        return _linalg.Cleared.reduced(values.num[where], values.den)
+    return values[where]
 
 
 def _cleared_moment_matrix(functional: MomentFunctional, degree: int, shift=None):
@@ -302,7 +332,14 @@ def build_gradations(
         for scaled, paired in lower:
             coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
         top = lower[-1][0].shape[0] if lower else 0  # the rows the projections reach
-        gram = _linalg.gram_product(coef, moments[:size, :size])
+        if exact:
+            # coef is the identity on its degree-n rows, and M coef vanishes on
+            # the rows of lower degree (each lower null direction z has M z = 0,
+            # checked below), so coef^T M coef is the degree-n rows of M coef
+            gram = _linalg.matmul(moments[size - k : size, :size], coef)
+        else:
+            # binary64 leaves rounding noise in the low rows: the full quadratic form
+            gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
         # a PSD moment matrix maps each seminorm-null polynomial to zero
         if exact and split.nullity:
@@ -312,7 +349,7 @@ def build_gradations(
                     f"a null polynomial of degree {n} has a nonzero moment against a monomial "
                     f"of degree <= {max_degree}; data is not a moment functional"
                 )
-        if split.rank:
+        if split.rank and n < max_degree:  # no level above reads the projection
             ortho = _linalg.matmul(coef, split.combos)
             lower.append(
                 (ortho / split.norms2[None, :], _linalg.matmul(ortho.T, moments[:size]))
