@@ -529,11 +529,14 @@ def main(argv=None) -> int:
 
     try:
         tol = Tolerances() if args.tol_rank is None else Tolerances(rank=args.tol_rank)
-        # an overflow reaches the user once, as a non-finite output value
+        # an overflow reaches the user once: a non-finite output value, or an
+        # OverflowError from exact data beyond binary64 range
         with np.errstate(over="ignore", invalid="ignore"):
             obj, code = COMMANDS[args.command](args, tol)
             out = emit(obj, args.format)
-    except (SpecFormatError, DepthExceededError, json.JSONDecodeError, OSError, ValueError) as exc:
+    except (
+        SpecFormatError, DepthExceededError, json.JSONDecodeError, OSError, OverflowError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InconsistentMomentsError, InternalConsistencyError) as exc:

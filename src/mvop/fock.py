@@ -5,16 +5,18 @@ representation, so that multiplication by each coordinate decomposes as
 X_i = A_i^+ + A_i^0 + A_i^-. Creation blocks are the canonical index shifts
 in candidate coordinates. The preservation block solves G_n A_i^0 = R with
 R = coef_n^T L_i coef_n, the candidates of degree n taken against the
-localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)). Row a of L_i coef_n is
-row a + e_i of M coef_n, which vanishes below degree n, so exact mode reads
-every R of level n off one product, the rows of degree n and n + 1 of
-M coef_n (`_preservation_rhs`); float mode forms the quadratic forms. Both
-take their moments from one pass over the distinct moments of the d
-localizing matrices, each fetched once. The annihilation
-block solves G_{n-1} A_i^- = (A_i^+)^T G_n. `complete_fock` adds the creation and
-annihilation blocks to given Gram and preservation blocks, for assembled and
-for externally supplied blocks alike, and `_residual` is the one
-(residual, scale) measure of every solve and symmetry check.
+localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)), which is M's rows
+shifted by e_i: row a of L_i is row a + e_i of M. Both modes take the rows
+of M of degree 1..depth + 1 (`gradation._moment_rows`), each distinct
+moment fetched once. Row a of L_i coef_n is row a + e_i of M coef_n, which
+vanishes below degree n, so exact mode reads every R of level n off one
+product, the rows of degree n and n + 1 of M coef_n (`_preservation_rhs`);
+float mode gathers each L_i from the rows and forms the quadratic forms.
+The annihilation block solves G_{n-1} A_i^- = (A_i^+)^T G_n.
+`complete_fock` adds the creation and annihilation blocks to given Gram and
+preservation blocks, for assembled and for externally supplied blocks
+alike, and `_residual` is the one (residual, scale) measure of every solve
+and symmetry check.
 
 Exact blocks are computed on as `_linalg.Cleared` pairs through both solves,
 starting from the pairs `build_gradations` kept for its levels. The FockData
@@ -46,8 +48,8 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, _cleared_moment_matrices, _cleared_moment_rows, _computing_levels
-from .polynomial import monomials_of_degree
+from .gradation import GradationBasis, _computing_levels, _moment_rows
+from .polynomial import _check_index, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
 
 
@@ -237,22 +239,29 @@ def complete_fock(
 def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
     """rhs[i][n] = coef_n^T L_i coef_n, in computing form, for each coordinate i and level n.
 
-    Float: the quadratic form against each localizing matrix, mirrored to be
-    exactly symmetric. Exact: row a of L_i coef_n is row a + e_i of
-    M coef_n, which vanishes below degree n, and coef_n is the identity on
-    its degree-n rows. So one product P_n, the rows of degree n and n + 1 of
-    M coef_n, gives rhs[i][n] = coef_n[degree n-1]^T P_n[degree n, alpha + e_i]
+    Both modes read the moments off the rows of M of degree 1..depth + 1
+    (`_moment_rows`): row a of L_i is row a + e_i of M. Float: each L_i is
+    gathered from those rows and taken as a quadratic form, mirrored to be
+    exactly symmetric. Exact: row a of L_i coef_n is row a + e_i of M coef_n,
+    which vanishes below degree n, and coef_n is the identity on its degree-n
+    rows. So one product P_n, the rows of degree n and n + 1 of M coef_n,
+    gives rhs[i][n] = coef_n[degree n-1]^T P_n[degree n, alpha + e_i]
     + P_n[degree n+1, alpha + e_i], with the rows alpha + e_i over the
     degree-(n-1) and degree-n monomials alpha.
     """
     d, depth = g.dimension, g.max_degree
+    rows = _moment_rows(g.functional, 1, depth + 1, depth)  # row r of M is row r - 1 here
     if not g.exact:
-        shifts = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+        # L_i: row alpha + e_i of M for each alpha of degree 0..depth, in order
+        starts = [len(monomials_up_to(d, n)) - 1 for n in range(depth + 1)]
+        localizing = (
+            rows[np.concatenate([start + _shift_rows(d, i, n) for n, start in enumerate(starts)])]
+            for i in range(d)
+        )
         return [
-            [_linalg.gram_product(coef, localizing[: coef.shape[0], : coef.shape[0]]) for coef in coefs]
-            for localizing in _cleared_moment_matrices(g.functional, depth, shifts)
+            [_linalg.gram_product(coef, mat[: coef.shape[0], : coef.shape[0]]) for coef in coefs]
+            for mat in localizing
         ]
-    rows = _cleared_moment_rows(g.functional, depth)  # row r of M is row r - 1 here
     out: list = [[] for _ in range(d)]
     for n, coef in enumerate(coefs):
         size, k = coef.shape
@@ -572,12 +581,7 @@ def vacuum_moment(fock: FockData, alpha):
     place; a copy or `dataclasses.replace` of the FockData starts a fresh one.
     """
     alpha = tuple(alpha)
-    if len(alpha) != fock.dimension:
-        raise ValueError(
-            f"multi-index {alpha} has length {len(alpha)}, expected {fock.dimension}"
-        )
-    if any(e < 0 for e in alpha):
-        raise ValueError(f"multi-index {alpha} must be non-negative")
+    _check_index(alpha, fock.dimension)
     if sum(alpha) > fock.depth:
         raise DepthExceededError(
             f"word of degree {sum(alpha)} exceeds built depth {fock.depth}"

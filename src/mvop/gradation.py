@@ -18,11 +18,14 @@ it and refuses data where it fails. With every lower null direction past
 that check, and coef M-orthogonal to every lower orthogonal basis, M coef
 vanishes on every row of degree < n; coef is the identity on its degree-n
 rows, so exact mode reads G_n off the degree-n rows of M coef, one product
-instead of a quadratic form. Float mode forms coef^T M coef: in binary64 those low rows
-hold rounding noise, not zeros. Polynomial objects are built from
-coefficient columns only on request. Exact mode runs on `_linalg.Cleared`
-pairs from the moment matrix, each of whose distinct moments is cleared
-once, to each split. Each level keeps those pairs and publishes its `coef`,
+instead of a quadratic form. Float mode forms coef^T M coef: in binary64
+those low rows hold rounding noise, not zeros. Polynomial objects are built
+from coefficient columns only on request. The moments come from one supply,
+`_moment_rows`, a block of rows of M with each distinct moment fetched and
+cleared once; here it is M itself, and assembly takes the rows of degree
+1..max_degree + 1, which hold every localizing matrix L_i (row a of L_i is
+row a + e_i of M). Exact mode runs on `_linalg.Cleared` pairs from it, to
+each split. Each level keeps those pairs and publishes its `coef`,
 `gram` and `split` as Fraction arrays on their first read
 (`_linalg.Deferred`).
 `assemble_fock`, the ranks and the null-ideal generators take each
@@ -64,87 +67,52 @@ def resolve_mode(rational: bool, mode: str) -> str:
     return mode
 
 
-def _distinct_moments(functional: MomentFunctional, degree: int, shifts: list) -> tuple:
-    """(values, wheres): the distinct moments of the `moment_matrix` of every
-    shift, and per shift the index of each entry."""
-    d = functional.dimension
-    shifts = [tuple(s) if s is not None else (0,) * d for s in shifts]
-    # a multi-index is encoded as the integer with digits alpha_j in base
-    # `base`, which exceeds every exponent, so encodings add like multi-indices
-    base = 2 * degree + max(map(max, shifts)) + 1
-    kind = np.int64 if base**d < 2**63 else object
-    radix = np.array([base**j for j in range(d)], dtype=kind)
-    keys = np.array(monomials_up_to(d, degree), dtype=kind) @ radix
-    sums, where = np.unique(keys[:, None] + keys[None, :], return_inverse=True)
-    # each shift moves the distinct sums; their union is the distinct moments
-    offsets = np.array(shifts, dtype=kind) @ radix
-    distinct, moved = np.unique(sums[None, :] + offsets[:, None], return_inverse=True)
-    digits = (distinct[:, None] // radix % base).tolist()
-    values = np.array(
-        [functional.moment(tuple(alpha)) for alpha in digits],
-        dtype=object if functional.exact else float,
-    )
-    return values, moved.reshape(len(shifts), -1)[:, where.reshape(len(keys), len(keys))]
-
-
 def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.ndarray:
     """Lambda(x^(a+b+shift)) for a, b over the monomials of degree <= degree.
 
     Rows and columns follow ``monomials_up_to`` (graded-lex), so the matrix
     of a lower degree is a leading block. Without shift this is the moment
-    matrix; with shift = e_i it is the localizing matrix of x_i. Each distinct
-    moment is fetched once; the array is object-typed for exact functionals.
+    matrix; with shift = e_i it is the localizing matrix of x_i. A plain
+    reference for tests: the library reads its moments from `_moment_rows`.
+    Object-typed for exact functionals.
     """
-    values, (where,) = _distinct_moments(functional, degree, [shift])
-    return values[where]
+    monos = monomials_up_to(functional.dimension, degree)
+    shift = shift or (0,) * functional.dimension
+    return np.array(
+        [[functional.moment(tuple(map(sum, zip(a, b, shift)))) for b in monos] for a in monos],
+        dtype=object if functional.exact else float,
+    )
 
 
-def _cleared_moment_matrices(functional: MomentFunctional, degree: int, shifts: list) -> list:
-    """`moment_matrix` of each shift in computing form, from one pass over
-    their distinct moments, each fetched and cleared once.
+def _moment_rows(functional: MomentFunctional, lo: int, hi: int, degree: int):
+    """Lambda(x^(gamma+b)) for lo <= |gamma| <= hi and |b| <= degree <= hi, in computing form.
 
-    An exact matrix is the pair of the distinct moments' numerators, spread
-    by index, over their one denominator: reduced by construction when one
-    shift's matrix holds every distinct moment, reduced by `Cleared`
-    otherwise. A float matrix is returned as is.
-    """
-    values, wheres = _distinct_moments(functional, degree, shifts)
-    values = _linalg.cleared(values)
-    if not isinstance(values, _linalg.Cleared):
-        return [values[where] for where in wheres]
-    if len(wheres) == 1:
-        return [_linalg.Cleared.reduced(values.num[wheres[0]], values.den)]
-    return [_linalg.Cleared(values.num[where], values.den) for where in wheres]
-
-
-def _cleared_moment_rows(functional: MomentFunctional, degree: int):
-    """Lambda(x^(gamma+b)) for 1 <= |gamma| <= degree + 1 and |b| <= degree, in
-    computing form: the moment matrix's rows below its first, one degree deeper.
-
-    Row gamma is row gamma - e_i of the localizing matrix of x_i, i the lowest
-    index with gamma_i > 0: the same distinct moments as the d localizing
-    matrices, each fetched and cleared once, and every one of them appears,
-    so an exact matrix is reduced by construction.
+    Rows gamma and columns b follow ``monomials_up_to``: with lo = 0 and
+    hi = degree this is the moment matrix M, and row gamma + e_i of M is row
+    gamma of the localizing matrix of x_i. Each distinct moment is fetched
+    and cleared once, and every one of them appears, so an exact result is
+    reduced by construction.
     """
     d = functional.dimension
-    shifts = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    values, wheres = _distinct_moments(functional, degree, shifts)
-    row = {alpha: r for r, alpha in enumerate(monomials_up_to(d, degree))}
-    coords, below = [], []
-    for gamma in monomials_up_to(d, degree + 1)[1:]:
-        i = next(k for k, e in enumerate(gamma) if e)
-        coords.append(i)
-        below.append(row[gamma[:i] + (gamma[i] - 1,) + gamma[i + 1 :]])
-    where = wheres[coords, below]
-    values = _linalg.cleared(values)
+    # a multi-index is encoded as the integer with digits alpha_j in base
+    # `base`, which exceeds every exponent, so encodings add like multi-indices
+    base = hi + degree + 1
+    kind = np.int64 if base**d < 2**63 else object
+    radix = np.array([base**j for j in range(d)], dtype=kind)
+    keys = np.array(monomials_up_to(d, hi), dtype=kind) @ radix
+    rows, cols = keys[len(monomials_up_to(d, lo - 1)) :], keys[: len(monomials_up_to(d, degree))]
+    distinct, where = np.unique(rows[:, None] + cols[None, :], return_inverse=True)
+    digits = (distinct[:, None] // radix % base).tolist()
+    values = _linalg.cleared(
+        np.array(
+            [functional.moment(tuple(alpha)) for alpha in digits],
+            dtype=object if functional.exact else float,
+        )
+    )
+    where = where.reshape(len(rows), len(cols))
     if isinstance(values, _linalg.Cleared):
         return _linalg.Cleared.reduced(values.num[where], values.den)
     return values[where]
-
-
-def _cleared_moment_matrix(functional: MomentFunctional, degree: int, shift=None):
-    """`moment_matrix` in computing form (`_cleared_moment_matrices`)."""
-    return _cleared_moment_matrices(functional, degree, [shift])[0]
 
 
 @dataclass
@@ -317,7 +285,7 @@ def build_gradations(
         functional = as_float_functional(functional)
     exact = mode == "exact"
     d = functional.dimension
-    moments = _cleared_moment_matrix(functional, max_degree)
+    moments = _moment_rows(functional, 0, max_degree, max_degree)
 
     levels = []
     lower = []  # per level m: (U_m diag(1/nu_m), U_m^T M) of its orthogonal basis

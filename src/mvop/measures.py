@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DepthExceededError, SpecFormatError
-from .polynomial import Polynomial, monomials_up_to
+from .polynomial import Polynomial, _check_index, monomials_up_to
 from .scalars import is_rational
 
 UNBOUNDED_DEPTH = 10**9
@@ -69,12 +69,7 @@ class MomentFunctional:
         # only checked multi-indices enter the cache, so a hit needs no check
         if alpha in self._cache:
             return self._cache[alpha]
-        if len(alpha) != self.dimension:
-            raise ValueError(
-                f"multi-index {alpha} has length {len(alpha)}, expected {self.dimension}"
-            )
-        if any(e < 0 for e in alpha):
-            raise ValueError(f"multi-index {alpha} must be non-negative")
+        _check_index(alpha, self.dimension)
         if sum(alpha) > self.max_reliable_degree:
             raise DepthExceededError(
                 f"moment of degree {sum(alpha)} requested, but only degrees "

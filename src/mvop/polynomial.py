@@ -9,6 +9,7 @@ so within one degree (2,0) precedes (1,1) precedes (0,2).
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,7 +54,8 @@ def space_dimension(dimension: int, degree: int) -> int:
 def _check_index(alpha, dimension):
     if len(alpha) != dimension:
         raise ValueError(f"multi-index {alpha} has length {len(alpha)}, expected {dimension}")
-    if any(e < 0 or not isinstance(e, int) for e in alpha):
+    # an int skips the slower Integral check: a moment cache miss takes this path
+    if any(type(e) is not int and not isinstance(e, numbers.Integral) or e < 0 for e in alpha):
         raise ValueError(f"multi-index {alpha} must have non-negative integer entries")
 
 

@@ -359,8 +359,16 @@ def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
         ),
         ("rank", '{"type": "discrete", "atoms": [[NaN, 0], [1, 1]], "weights": [0.5, 0.5]}'),
         ("favard", '{"dimension": 1, "depth": 1, "gram": [[[1e308]], [[1e308]]], "bzero": [[[[1e308]], [[1e308]]]]}'),
+        ("favard", '{"dimension": 1, "depth": 1, "gram": [[[1]], [["1e400"]]]}'),
+        ("capcheck", '{"type": "discrete", "atoms": [["1e200"], [0]], "weights": ["1/2", "1/2"]}'),
     ],
-    ids=["infinite-moment", "nan-atom", "overflowing-payload"],
+    ids=[
+        "infinite-moment",
+        "nan-atom",
+        "overflowing-payload",
+        "exact-gram-beyond-float",
+        "exact-atom-beyond-float",
+    ],
 )
 def test_non_finite_values_give_one_error_line(capsys, tmp_path, command, text):
     path = tmp_path / "non_finite.json"

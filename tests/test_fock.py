@@ -163,6 +163,17 @@ def test_vacuum_moment_depth_guard(circle_fock):
         mvop.vacuum_moment(circle_fock, (9, 0))
 
 
+def test_non_integer_multi_index_is_refused():
+    atoms = ((1, 2), (-1, 1), (-1, -1), (1, -1))
+    f = mvop.discrete_functional(mvop.DiscreteMeasure(atoms, (Fraction(1, 4),) * 4))
+    with pytest.raises(ValueError, match="integer"):
+        f.moment((1.5, 0))
+    fock = mvop.assemble_fock(mvop.build_gradations(f, 3, mode="exact"))
+    with pytest.raises(ValueError, match="integer"):
+        mvop.vacuum_moment(fock, (0.5, 0))
+    assert mvop.vacuum_moment(fock, (np.int64(1), 1)) == f.moment((1, 1))
+
+
 def test_apply_coordinate_moves_levels(circle_fock):
     state = {0: np.array([1.0])}
     out = mvop.apply_coordinate(circle_fock, 0, state)

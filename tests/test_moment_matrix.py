@@ -13,7 +13,7 @@ import pytest
 
 import mvop
 from mvop import _linalg
-from mvop.gradation import _cleared_moment_matrix, moment_matrix
+from mvop.gradation import _moment_rows, moment_matrix
 
 
 def _gauss3():
@@ -83,18 +83,20 @@ def test_moment_matrix_layout():
     assert float_hankel.dtype == np.float64
 
 
-@pytest.mark.parametrize("shift", [None, (0, 1), (1, 0)])
-def test_cleared_moment_matrix_is_the_cleared_matrix(shift):
+@pytest.mark.parametrize("lo", [0, 1, 2])
+def test_moment_rows_are_the_cleared_rows(lo):
     # clearing each distinct moment once and spreading the numerators gives
-    # the pair of the whole matrix: the same numerators over the same denominator
+    # the pair of the rows of degree lo..4 of the moment matrix, over its
+    # columns of degree <= 3: the same numerators over the same denominator
     f = _discrete()
-    got = _cleared_moment_matrix(f, 4, shift)
-    want = _linalg.cleared(moment_matrix(f, 4, shift))
+    first, columns = len(mvop.monomials_up_to(2, lo - 1)), len(mvop.monomials_up_to(2, 3))
+    got = _moment_rows(f, lo, 4, 3)
+    want = _linalg.cleared(moment_matrix(f, 4)[first:, :columns])
     assert got.den == want.den and got.num.tolist() == want.num.tolist()
     assert all(type(v) is int for v in got.num.flat)
     float_f = mvop.as_float_functional(f)
-    float_got = _cleared_moment_matrix(float_f, 4, shift)
-    assert float_got.tobytes() == moment_matrix(float_f, 4, shift).tobytes()
+    float_want = moment_matrix(float_f, 4)[first:, :columns]
+    assert _moment_rows(float_f, lo, 4, 3).tobytes() == float_want.tobytes()
 
 
 def test_exact_matmul_matches_fraction_products():

@@ -19,7 +19,7 @@ import pytest
 import mvop
 from mvop import _linalg
 from mvop.cli import functional_from_payload, main
-from mvop.gradation import _cleared_moment_rows, moment_matrix
+from mvop.gradation import _moment_rows, moment_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 DEPTH = 3
@@ -63,11 +63,12 @@ def test_moment_rows_are_rows_of_the_deeper_moment_matrix(name):
     f = next(f for case, f, _ in CASES if case == name)
     columns = len(mvop.monomials_up_to(f.dimension, DEPTH))
     want = moment_matrix(f, DEPTH + 1)[1:, :columns]
-    got = _cleared_moment_rows(f, DEPTH)
+    got = _moment_rows(f, 1, DEPTH + 1, DEPTH)
     cleared = _linalg.cleared(want)
     assert got.den == cleared.den and got.num.tolist() == cleared.num.tolist()
+    assert all(type(v) is int for v in got.num.flat)
     float_f = mvop.as_float_functional(f)
-    assert _cleared_moment_rows(float_f, DEPTH).tobytes() == _linalg.to_float(want).tobytes()
+    assert _moment_rows(float_f, 1, DEPTH + 1, DEPTH).tobytes() == _linalg.to_float(want).tobytes()
 
 
 @pytest.mark.parametrize("name,f,depth", CASES, ids=[c[0] for c in CASES])

@@ -19,7 +19,8 @@ import pytest
 import mvop
 from mvop import _linalg
 from mvop.cli import main
-from mvop.gradation import _cleared_moment_matrices, moment_matrix
+from mvop.fock import _preservation_rhs
+from mvop.gradation import moment_matrix
 
 # 1-D moments whose Hankel matrix has eigenvalue -0.618: x is seminorm-null, yet <x, x^2> = 1
 NOT_PSD = {
@@ -127,16 +128,18 @@ def test_assembly_fetches_each_localizing_moment_once(exact):
 
 
 def test_localizing_matrices_are_the_moment_matrices():
+    # float mode gathers each L_i from the rows of M and keeps the quadratic
+    # form: bit for bit the one against the localizing matrix itself
     atoms = ((Fraction(1, 3), 0), (1, Fraction(1, 2)), (0, 0))
     m = mvop.DiscreteMeasure(atoms, (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
-    f = mvop.discrete_functional(m)
-    shifts = [(1, 0), (0, 1), (0, 0), (2, 1)]
-    for got, shift in zip(_cleared_moment_matrices(f, 3, shifts), shifts):
-        want = _linalg.cleared(moment_matrix(f, 3, shift))
-        assert got.den == want.den and got.num.tolist() == want.num.tolist()
-    float_f = mvop.as_float_functional(f)
-    for got, shift in zip(_cleared_moment_matrices(float_f, 3, shifts), shifts):
-        assert got.tobytes() == moment_matrix(float_f, 3, shift).tobytes()
+    for f, depth in ((mvop.discrete_functional(m), 3), (mvop.circle_functional(max_degree=16), 7)):
+        g = mvop.build_gradations(f, depth, mode="float")
+        coefs = [lev.coef for lev in g.levels]
+        for i, got in enumerate(_preservation_rhs(g, coefs)):
+            localizing = moment_matrix(g.functional, depth, tuple(int(k == i) for k in range(2)))
+            for coef, rhs in zip(coefs, got):
+                size = coef.shape[0]
+                assert rhs.tobytes() == _linalg.gram_product(coef, localizing[:size, :size]).tobytes()
 
 
 def test_creation_matrices_share_no_memory():
