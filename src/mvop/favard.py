@@ -436,10 +436,9 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         next_scale = max(1.0, _max_abs(grams[n + 1])) if n < n_max else None
         for i in range(d):
             if n < n_max:
-                shifted = _linalg.matmul(fock.aplus[i][n], null)
-                residual = seminorm(shifted, n + 1)
+                residual = seminorm(lambda: _linalg.matmul(fock.aplus[i][n], null), n + 1)
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
-            residual = seminorm(_linalg.matmul(bzero[i][n], null), n)
+            residual = seminorm(lambda: _linalg.matmul(bzero[i][n], null), n)
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
 
     for (i, n), (residual, scale) in symmetry_residuals(grams, bzero).items():

@@ -29,11 +29,13 @@ cleared afresh on every use after, so an edit is seen. A commutation
 relation is one product of its stacked factors, measured in the
 target-level Gram seminorm; a float check decomposes each Gram it measures
 against once per call (`_seminorms`) and keeps nothing, so an edit between
-calls is seen. Vacuum words are memoized, each state keeping only the
-levels that can still reach the vacuum (see `vacuum_moment`). A residual
-computed on pairs is decided on its exact value: its binary64 image stays
-above 0.0 when it is nonzero (`_floored`), and then it fails
-(`_recorded_tolerance`).
+calls is seen. A level whose seminorm vanishes identically (an exact Gram
+with no nonzero entry, a float Gram with no seminorm factor) scores 0, and
+the product landing on it is never formed. Vacuum words are memoized, each
+state keeping only the levels that can still reach the vacuum (see
+`vacuum_moment`). A residual computed on pairs is decided on its exact
+value: its binary64 image stays above 0.0 when it is nonzero (`_floored`),
+and then it fails (`_recorded_tolerance`).
 """
 
 from __future__ import annotations
@@ -181,7 +183,13 @@ def _max_abs(mat) -> float:
     if isinstance(mat, _linalg.Cleared):
         # rounding is monotone: max |num| / den rounded once is the max rounded entry
         top = max(map(abs, mat.num.flat), default=0)
-        return _floored(top / mat.den, top)
+        try:
+            return _floored(top / mat.den, top)
+        except OverflowError:
+            exponent = math.floor(math.log10(top) - math.log10(mat.den))
+            raise OverflowError(
+                f"an exact value of about 10^{exponent} is beyond the binary64 range"
+            ) from None
     a = _linalg.to_float(mat)
     return float(np.max(np.abs(a))) if a.size else 0.0
 
@@ -395,8 +403,10 @@ def _seminorm_residual(cols, gram, factor) -> float:
 
     Exact blocks are measured in rational arithmetic, on integer numerators,
     so a column lying in the kernel scores exactly zero. Float blocks are
-    measured as |F c| with F = factor(), the Gram's `_seminorm_factor`,
-    which is asked for only here.
+    measured as |F c| with F = factor(), the Gram's `_seminorm_factor`;
+    where it is None the seminorm vanishes and the block scores 0. Callers
+    go through `_seminorms`, which scores a level whose seminorm vanishes
+    identically 0 without forming the block.
     """
     if 0 in cols.shape:
         return 0.0
@@ -411,14 +421,30 @@ def _seminorm_residual(cols, gram, factor) -> float:
 
 
 def _seminorms(grams: list, tol_rank: float):
-    """residual(cols, n): `_seminorm_residual` of cols against grams[n].
+    """residual(make_cols, n): `_seminorm_residual` of make_cols() against grams[n].
 
-    Each level's float factor is built on first need and kept by the
+    A level whose seminorm vanishes identically (an exact Gram with no
+    nonzero entry, a float Gram with no `_seminorm_factor`) scores 0.0, and
+    make_cols is not called: the block is never formed. Each level's float
+    factor and vanishing test are made on first need and kept by the
     returned function only, so a caller taking one per call decomposes each
     Gram once per call and still sees a Gram edited between calls.
     """
     factor = functools.cache(lambda n: _seminorm_factor(grams[n], tol_rank))
-    return lambda cols, n: _seminorm_residual(cols, grams[n], functools.partial(factor, n))
+
+    @functools.cache
+    def vanishes(n):
+        gram = grams[n]
+        if gram.dtype == object:
+            return not any((gram.num if isinstance(gram, _linalg.Cleared) else gram).flat)
+        return factor(n) is None
+
+    def residual(make_cols, n):
+        if vanishes(n):
+            return 0.0
+        return _seminorm_residual(make_cols(), grams[n], functools.partial(factor, n))
+
+    return residual
 
 
 @dataclass
@@ -494,7 +520,7 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
     seminorm = _seminorms(fock.grams, tol.rank)
 
     def record(relation, pair, n, terms, target_level, parts):
-        residual = seminorm(combine(terms), target_level)
+        residual = seminorm(lambda: combine(terms), target_level)
         tolerance = tol.comm * max([1.0] + [scale(*p) for p in parts])
         report.entries.append(
             CommutationEntry(
@@ -635,7 +661,6 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
         total = 0.0
         # both words reach the same levels
         for level in set(jk) | set(kj):
-            diff = jk[level] - kj[level]
-            total += seminorm(diff[:, None], level) ** 2
+            total += seminorm(lambda: (jk[level] - kj[level])[:, None], level) ** 2
         worst = max(worst, math.sqrt(total))
     return worst

@@ -351,16 +351,22 @@ def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
 
 
 @pytest.mark.parametrize(
-    "command, text",
+    "command, text, named",
     [
         (
             "marginal",
             '{"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": Infinity}}',
+            "",
         ),
-        ("rank", '{"type": "discrete", "atoms": [[NaN, 0], [1, 1]], "weights": [0.5, 0.5]}'),
-        ("favard", '{"dimension": 1, "depth": 1, "gram": [[[1e308]], [[1e308]]], "bzero": [[[[1e308]], [[1e308]]]]}'),
-        ("favard", '{"dimension": 1, "depth": 1, "gram": [[[1]], [["1e400"]]]}'),
-        ("capcheck", '{"type": "discrete", "atoms": [["1e200"], [0]], "weights": ["1/2", "1/2"]}'),
+        ("rank", '{"type": "discrete", "atoms": [[NaN, 0], [1, 1]], "weights": [0.5, 0.5]}', ""),
+        (
+            "favard",
+            '{"dimension": 1, "depth": 1, "gram": [[[1e308]], [[1e308]]], "bzero": [[[[1e308]], [[1e308]]]]}',
+            "",
+        ),
+        # exact data whose binary64 image overflows names the range it left
+        ("favard", '{"dimension": 1, "depth": 1, "gram": [[[1]], [["1e400"]]]}', "binary64"),
+        ("capcheck", '{"type": "discrete", "atoms": [["1e200"], [0]], "weights": ["1/2", "1/2"]}', "binary64"),
     ],
     ids=[
         "infinite-moment",
@@ -370,7 +376,7 @@ def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
         "exact-atom-beyond-float",
     ],
 )
-def test_non_finite_values_give_one_error_line(capsys, tmp_path, command, text):
+def test_non_finite_values_give_one_error_line(capsys, tmp_path, command, text, named):
     path = tmp_path / "non_finite.json"
     path.write_text(text)
     flag = "--fock" if command == "favard" else "--spec"
@@ -379,6 +385,7 @@ def test_non_finite_values_give_one_error_line(capsys, tmp_path, command, text):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 
 def test_exit_code_on_bad_spec_version(capsys, tmp_path):

@@ -31,6 +31,7 @@ CASES = {
     "gauss3-exact": (_gauss3, 3, "exact"),
     "gauss3-float": (_gauss3, 3, "float"),
     "discrete-exact": (_discrete, 5, "exact"),
+    "discrete-float": (_discrete, 4, "float"),
 }
 
 

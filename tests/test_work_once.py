@@ -2,6 +2,7 @@
 
 A float check decomposes each target-level Gram once per call, and keeps no
 factor on the FockData, so an in-place edit between calls is seen. A
+seminorm check forms no product on a level whose seminorm vanishes. A
 memoized vacuum state keeps only the levels that can still reach the
 vacuum. Assembly fetches each distinct localizing moment once for all
 coordinates. Exact gradations refuse data whose seminorm-null polynomials
@@ -17,10 +18,14 @@ import numpy as np
 import pytest
 
 import mvop
-from mvop import _linalg
+from conftest import random_rational_measure
+from mvop import _linalg, fock as fock_module
 from mvop.cli import main
 from mvop.fock import _preservation_rhs
 from mvop.gradation import moment_matrix
+from mvop.scalars import Tolerances
+from test_exact_kernels import ref_validate_checks
+from test_moment_matrix import _discrete
 
 # 1-D moments whose Hankel matrix has eigenvalue -0.618: x is seminorm-null, yet <x, x^2> = 1
 NOT_PSD = {
@@ -73,6 +78,62 @@ def test_float_validate_decomposes_each_kernel_gram_once(circle12, eighs):
     kernel_levels = null_levels | {n + 1 for n in null_levels if n < 12}
     assert kernel_levels == set(range(2, 13))
     assert len(eighs) == 13 + len(kernel_levels) + 13
+
+
+# the level each seminorm check measures on, as an offset from its degree
+TARGET = {"kernel_creation": 1, "kernel_preservation": 0, "CR1": 2, "CR2": 1, "CR3": 0}
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_exact_validate_forms_no_product_against_a_zero_gram(monkeypatch):
+    rng = np.random.default_rng(808)
+    measure = random_rational_measure(rng, max_atoms=8)
+    while len(measure.atoms) < 8:
+        measure = random_rational_measure(rng, max_atoms=8)
+    g = mvop.build_gradations(mvop.discrete_functional(measure), 8)
+    fi = mvop.FockInput.from_fock_data(mvop.assemble_fock(g))
+    zero = {n for n, gram in enumerate(fi.grams) if not any(gram.flat)}
+    assert zero == {lev.degree for lev in g.levels if lev.rank == 0} == set(range(4, 9))
+    counts = {"max_quadratic": 0, "stack": 0}
+    _counting(monkeypatch, _linalg, "max_quadratic", counts)
+    _counting(monkeypatch, _linalg, "stack", counts)
+    tol = Tolerances()
+    report = mvop.validate(fi, tol=tol)
+    assert report.passed
+    seminorm_checks = [c for c in report.checks if c.name in TARGET]
+    on_zero = [int(c.detail.rsplit(" ", 1)[1]) + TARGET[c.name] in zero for c in seminorm_checks]
+    measured = [c for c, skip in zip(seminorm_checks, on_zero) if not skip]
+    assert any(on_zero) and all(c.residual == 0.0 for c, skip in zip(seminorm_checks, on_zero) if skip)
+    # one product per measured check: a seminorm each, two stacks per commutation
+    assert counts["max_quadratic"] == len(measured)
+    assert counts["stack"] == 2 * sum(c.name.startswith("CR") for c in measured)
+    got = [(c.name, c.detail, c.residual, c.tolerance) for c in report.checks]
+    assert got == ref_validate_checks(fi, tol)
+
+
+def test_float_check_scores_zero_levels_without_products(monkeypatch, eighs):
+    fock = mvop.assemble_fock(mvop.build_gradations(_discrete(), 4, mode="float"))
+    assert [lev.rank for lev in fock.gradation.levels] == [1, 2, 2, 0, 0]
+    counts = {"_seminorm_residual": 0}
+    _counting(monkeypatch, fock_module, "_seminorm_residual", counts)
+    eighs.clear()
+    report = mvop.check_commutation(fock)
+    on_zero = [e for e in report.entries if e.degree + TARGET[e.relation] >= 3]
+    assert on_zero and all(e.residual == 0.0 for e in on_zero)
+    assert counts["_seminorm_residual"] == len(report.entries) - len(on_zero)
+    assert len(eighs) == 5  # one per target level 0..4, zero levels included
+    eighs.clear()
+    assert mvop.check_commutation(fock).entries == report.entries
+    assert len(eighs) == 5
 
 
 def test_float_gram_edited_between_checks_is_seen():
