@@ -89,6 +89,22 @@ class Cleared:
         return Cleared(self.num * other.den * (den // dens), den)
 
 
+def is_zero(x) -> bool:
+    """Whether x is an exact pair with no nonzero numerator.
+
+    The one zero-level test of exact work: a zero Gram level is split, and
+    solved and measured against, without elimination or product, and a zero
+    right-hand side is solved without one. Float and object arrays never
+    pass, so float work is unchanged.
+    """
+    return isinstance(x, Cleared) and not any(x.num.flat)
+
+
+def zeros(*shape) -> Cleared:
+    """The zero pair of a shape: int zeros over den 1."""
+    return Cleared.reduced(np.zeros(shape, dtype=object), 1)
+
+
 def cleared(x):
     """The computing form of an array, GramSplit or (nested) list of them: int/Fraction arrays become pairs.
 
@@ -324,8 +340,15 @@ def _exact_split(gram: Cleared) -> GramSplit:
     combo, the pivot unit vector made G-orthogonal to the earlier combos
     (L^-T of the pivot block's LDL^T), and the Schur diagonal over den * delta
     is its squared norm, which must be positive.
+
+    A zero Gram (`is_zero`) returns at once what the elimination gives it:
+    every row is null, so there are no combos or norms, and the kernel is
+    the identity over den 1.
     """
     num, d = gram.num, gram.shape[0]
+    if is_zero(gram):
+        identity = np.eye(d, dtype=int).astype(object)
+        return GramSplit(zeros(d, 0), zeros(0), Cleared.reduced(identity, 1))
     if (num != num.T).any():
         raise InconsistentMomentsError("exact Gram matrix is not symmetric")
     m = np.concatenate([num, np.eye(d, dtype=int).astype(object)], axis=1)

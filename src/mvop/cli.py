@@ -49,7 +49,7 @@ from .measures import (
 )
 from .nullideal import base_generators, rank_sequence
 from .polynomial import monomials_up_to
-from .scalars import Tolerances, format_scalar, is_rational, parse_scalar
+from .scalars import Tolerances, _json_integer, format_scalar, is_rational, parse_scalar
 
 DEFAULT_DEPTH_ENV = "MVOP_DEFAULT_DEPTH"
 
@@ -195,11 +195,11 @@ def functional_from_payload(payload, needed_depth: int):
         if mtype == "gaussian":
             return gaussian_functional()
         if mtype in ("circle", "half_circle"):
-            depth = int(payload.get("max_degree", needed_depth))
+            depth = _json_integer(payload.get("max_degree", needed_depth), "max_degree")
             return circle_functional(half=mtype == "half_circle", max_degree=depth)
         if mtype == "moments_table":
-            dimension = int(_require(payload, "dimension"))
-            depth = int(_require(payload, "depth"))
+            dimension = _json_integer(_require(payload, "dimension"), "dimension")
+            depth = _json_integer(_require(payload, "depth"), "depth")
             raw_entries = _require(payload, "entries")
             if not isinstance(raw_entries, dict):
                 raise SpecFormatError("moments_table 'entries' must be an object")
@@ -216,7 +216,7 @@ def functional_from_payload(payload, needed_depth: int):
                 omegas=tuple(parse_scalar(v) for v in _require(payload, "omegas")),
                 alphas=tuple(parse_scalar(v) for v in _require(payload, "alphas")),
             )
-            depth = int(payload.get("depth", needed_depth))
+            depth = _json_integer(payload.get("depth", needed_depth), "depth")
             return jacobi_to_moments(pair, max(depth, needed_depth))
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"bad {mtype} spec: {exc}") from None

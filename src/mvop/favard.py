@@ -47,7 +47,7 @@ from .fock import (
 from .gradation import index_weight, resolve_mode
 from .measures import DiscreteMeasure
 from .polynomial import monomials_of_degree, space_dimension
-from .scalars import Tolerances, format_scalar, is_rational, parse_scalar
+from .scalars import Tolerances, _json_integer, format_scalar, is_rational, parse_scalar
 
 
 def _parse_block(rows) -> np.ndarray:
@@ -177,11 +177,13 @@ class FockInput:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FockInput":
+        if not isinstance(payload, dict):
+            raise SpecFormatError("fock payload must be a JSON object")
         try:
-            d = int(payload["dimension"])
-            n_max = int(payload["depth"])
-        except (KeyError, TypeError, ValueError) as exc:
+            d, n_max = payload["dimension"], payload["depth"]
+        except KeyError as exc:
             raise SpecFormatError(f"bad fock payload header: {exc}") from None
+        d, n_max = _json_integer(d, "dimension"), _json_integer(n_max, "depth")
         if "gram" in payload and "omega" in payload:
             raise SpecFormatError("give either 'gram' or 'omega' blocks, not both")
         key = "gram" if "gram" in payload else "omega" if "omega" in payload else None

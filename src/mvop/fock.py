@@ -31,11 +31,15 @@ target-level Gram seminorm; a float check decomposes each Gram it measures
 against once per call (`_seminorms`) and keeps nothing, so an edit between
 calls is seen. A level whose seminorm vanishes identically (an exact Gram
 with no nonzero entry, a float Gram with no seminorm factor) scores 0, and
-the product landing on it is never formed. Vacuum words are memoized, each
-state keeping only the levels that can still reach the vacuum (see
-`vacuum_moment`). A residual computed on pairs is decided on its exact
-value: its binary64 image stays above 0.0 when it is nonzero (`_floored`),
-and then it fails (`_recorded_tolerance`).
+the product landing on it is never formed. Likewise an exact zero Gram
+level (`_linalg.is_zero`) costs no elimination, no solve and no product:
+its split, the solves with its zero right-hand sides and its hermiticity
+residuals are returned as that work would compute them (`_gram_solve`,
+`symmetry_residuals`), so every residual is unchanged. Vacuum words are
+memoized, each state keeping only the levels that can still reach the
+vacuum (see `vacuum_moment`). A residual computed on pairs is decided on
+its exact value: its binary64 image stays above 0.0 when it is nonzero
+(`_floored`), and then it fails (`_recorded_tolerance`).
 """
 
 from __future__ import annotations
@@ -200,7 +204,13 @@ def _residual(lhs, rhs) -> tuple:
 
 
 def _gram_solve(split: _linalg.GramSplit, gram, rhs) -> tuple:
-    """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale)."""
+    """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale).
+
+    An exact zero rhs (`_linalg.is_zero`) returns what the solve computes for
+    it, the zero pair with residual 0.0 on scale 1.0, without forming it.
+    """
+    if _linalg.is_zero(rhs):
+        return _linalg.zeros(gram.shape[0], rhs.shape[1]), 0.0, 1.0
     a = _linalg.pseudo_apply(split, rhs)
     return (a, *_residual(_linalg.matmul(gram, a), rhs))
 
@@ -210,14 +220,18 @@ def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
 
     Returns (aminus, residuals): aminus[i][n] for n = 1..depth (entry 0 is
     None), and residuals[(i, n)] = (residual, scale) of each solve, which
-    holds when residual <= tol.adj * scale.
+    holds when residual <= tol.adj * scale. An exact zero G_n gives the zero
+    right-hand side without a product, which `_gram_solve` solves without one.
     """
     aminus = []
     residuals = {}
     for i, creation in enumerate(aplus):
         per_level: list = [None]
         for n in range(1, len(grams)):
-            rhs = _linalg.matmul(creation[n - 1].T, grams[n])
+            if _linalg.is_zero(grams[n]):
+                rhs = _linalg.zeros(creation[n - 1].shape[1], grams[n].shape[1])
+            else:
+                rhs = _linalg.matmul(creation[n - 1].T, grams[n])
             a, residual, scale = _gram_solve(splits[n - 1], grams[n - 1], rhs)
             per_level.append(a)
             residuals[(i, n)] = (residual, scale)
@@ -360,10 +374,17 @@ def adjointness_residuals(fock: FockData) -> dict:
 
 
 def symmetry_residuals(grams: list, azero: list) -> dict:
-    """(residual, scale) of the asymmetry of G_n A_i^0, keyed by (i, n)."""
+    """(residual, scale) of the asymmetry of G_n A_i^0, keyed by (i, n).
+
+    An exact zero G_n (`_linalg.is_zero`) gives (0.0, 1.0), what the zero
+    product scores, without forming it.
+    """
     out = {}
     for i, per_level in enumerate(azero):
         for n, (gram, block) in enumerate(zip(grams, per_level)):
+            if _linalg.is_zero(gram):
+                out[(i, n)] = (0.0, 1.0)
+                continue
             s = _linalg.matmul(gram, block)
             out[(i, n)] = _residual(s, s.T)
     return out
@@ -435,8 +456,11 @@ def _seminorms(grams: list, tol_rank: float):
     @functools.cache
     def vanishes(n):
         gram = grams[n]
+        if isinstance(gram, _linalg.Cleared):
+            return _linalg.is_zero(gram)
         if gram.dtype == object:
-            return not any((gram.num if isinstance(gram, _linalg.Cleared) else gram).flat)
+            # the public Grams of blocks `_cleared_fock` could not clear
+            return not any(gram.flat)
         return factor(n) is None
 
     def residual(make_cols, n):

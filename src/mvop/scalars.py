@@ -46,6 +46,13 @@ def parse_scalar(value) -> Scalar:
     raise SpecFormatError(f"cannot parse scalar of type {type(value).__name__}")
 
 
+def _json_integer(value, name: str) -> int:
+    """A document field that must be a JSON integer: an int, not a bool, float or string."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecFormatError(f"{name!r} must be an integer, got {value!r}")
+    return value
+
+
 def format_scalar(value, exact: bool):
     """Render a scalar for report output.
 

@@ -323,13 +323,30 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, payload",
+    "command, payload, named",
     [
-        ("favard", {"dimension": 1, "depth": 0, "gram": [5]}),
-        ("favard", {"dimension": 1, "depth": 0, "gram": [[5]]}),
-        ("favard", {"dimension": 1, "depth": 0, "gram": [[[1]]], "bzero": [[[5]]]}),
-        ("rank", {"type": "moments_table", "dimension": 1, "depth": 1, "entries": [1, 0]}),
-        ("favard", {"dimension": 2, "depth": 1, "gram": [[[1]], [[1, "1/1000000000000"], [0, 1]]]}),
+        ("favard", {"dimension": 1, "depth": 0, "gram": [5]}, ""),
+        ("favard", {"dimension": 1, "depth": 0, "gram": [[5]]}, ""),
+        ("favard", {"dimension": 1, "depth": 0, "gram": [[[1]]], "bzero": [[[5]]]}, ""),
+        ("rank", {"type": "moments_table", "dimension": 1, "depth": 1, "entries": [1, 0]}, ""),
+        ("favard", {"dimension": 2, "depth": 1, "gram": [[[1]], [[1, "1/1000000000000"], [0, 1]]]}, ""),
+        # header integers must be JSON integers: a bool, float or string is not read as one
+        ("favard", {"dimension": True, "depth": 0.9, "gram": [[[1]]]}, "'dimension'"),
+        ("favard", {"dimension": 1, "depth": 1.5, "gram": [[[1]], [[1]]]}, "'depth'"),
+        ("favard", {"dimension": 1, "depth": "0", "gram": [[[1]]]}, "'depth'"),
+        ("favard", [{"dimension": 1, "depth": 0, "gram": [[[1]]]}], "fock payload must be a JSON object"),
+        (
+            "rank",
+            {"type": "moments_table", "dimension": True, "depth": 2.7, "entries": {"0": 1, "1": 0, "2": 1}},
+            "'dimension'",
+        ),
+        (
+            "rank",
+            {"type": "moments_table", "dimension": 1, "depth": 2.7, "entries": {"0": 1, "1": 0, "2": 1}},
+            "'depth'",
+        ),
+        ("rank", {"type": "circle", "max_degree": 8.9}, "'max_degree'"),
+        ("rank", {"type": "jacobi_1d", "omegas": [1] * 4, "alphas": [0] * 4, "depth": "3"}, "'depth'"),
     ],
     ids=[
         "block-not-list",
@@ -337,9 +354,17 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         "bzero-row-not-list",
         "table-entries-not-object",
         "asymmetric-rational-gram",
+        "fock-bool-dimension",
+        "fock-float-depth",
+        "fock-string-depth",
+        "fock-payload-not-object",
+        "table-bool-dimension",
+        "table-float-depth",
+        "circle-float-max-degree",
+        "jacobi-string-depth",
     ],
 )
-def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
+def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload, named):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(payload))
     flag = "--fock" if command == "favard" else "--spec"
@@ -347,7 +372,8 @@ def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
 
 
 @pytest.mark.parametrize(

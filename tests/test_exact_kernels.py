@@ -356,6 +356,19 @@ def test_split_on_elimination_branch_points():
         _linalg.split_gram(np.array(cases[3], dtype=object), exact=True, tol_rank=1e-10, tol_psd=1e-10)
 
 
+def test_zero_gram_pair_split():
+    # the pair path favard takes: a zero Gram is all null, with the identity as kernel
+    for d in range(1, 10):
+        zero = np.zeros((d, d), dtype=object)
+        split = _linalg.split_gram(_linalg.cleared(zero), exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        assert split.combos.shape == (d, 0) and split.norms2.shape == (0,)
+        assert isinstance(split.null, _linalg.Cleared) and split.null.den == 1
+        assert split.null.num.tolist() == np.eye(d, dtype=int).tolist()
+        assert all(type(v) is int for v in split.null.num.flat)
+        published = _linalg.published(split)
+        assert (published.combos.tolist(), published.norms2.tolist(), published.null.tolist()) == ref_split(zero)
+
+
 @st.composite
 def rectangular(draw, cols=None):
     """A rational matrix of drawn rank (0 to full), with zeroed rows and columns and copied rows."""

@@ -2,7 +2,9 @@
 
 A float check decomposes each target-level Gram once per call, and keeps no
 factor on the FockData, so an in-place edit between calls is seen. A
-seminorm check forms no product on a level whose seminorm vanishes. A
+seminorm check forms no product on a level whose seminorm vanishes, and
+exact validation runs no elimination, solve or product against a zero Gram
+level. A
 memoized vacuum state keeps only the levels that can still reach the
 vacuum. Assembly fetches each distinct localizing moment once for all
 coordinates. Exact gradations refuse data whose seminorm-null polynomials
@@ -94,15 +96,23 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_exact_validate_forms_no_product_against_a_zero_gram(monkeypatch):
+@pytest.fixture(scope="module")
+def eight_atoms():
+    """A seeded 8-atom planar measure's exact blocks at depth 8: zero Gram levels 4..8."""
     rng = np.random.default_rng(808)
     measure = random_rational_measure(rng, max_atoms=8)
     while len(measure.atoms) < 8:
         measure = random_rational_measure(rng, max_atoms=8)
     g = mvop.build_gradations(mvop.discrete_functional(measure), 8)
-    fi = mvop.FockInput.from_fock_data(mvop.assemble_fock(g))
-    zero = {n for n, gram in enumerate(fi.grams) if not any(gram.flat)}
+    fock = mvop.assemble_fock(g)
+    zero = {n for n, gram in enumerate(fock.grams) if not any(gram.flat)}
     assert zero == {lev.degree for lev in g.levels if lev.rank == 0} == set(range(4, 9))
+    return fock, zero
+
+
+def test_exact_validate_forms_no_product_against_a_zero_gram(monkeypatch, eight_atoms):
+    fock, zero = eight_atoms
+    fi = mvop.FockInput.from_fock_data(fock)
     counts = {"max_quadratic": 0, "stack": 0}
     _counting(monkeypatch, _linalg, "max_quadratic", counts)
     _counting(monkeypatch, _linalg, "stack", counts)
@@ -116,6 +126,36 @@ def test_exact_validate_forms_no_product_against_a_zero_gram(monkeypatch):
     # one product per measured check: a seminorm each, two stacks per commutation
     assert counts["max_quadratic"] == len(measured)
     assert counts["stack"] == 2 * sum(c.name.startswith("CR") for c in measured)
+    got = [(c.name, c.detail, c.residual, c.tolerance) for c in report.checks]
+    assert got == ref_validate_checks(fi, tol)
+
+
+def test_exact_validate_solves_and_multiplies_nothing_on_a_zero_gram(monkeypatch, eight_atoms):
+    fock, zero = eight_atoms
+    fi = mvop.FockInput.from_fock_data(fock)
+    calls = {"matmul": [], "pseudo_apply": 0}
+    matmul, pseudo_apply = _linalg.matmul, _linalg.pseudo_apply
+
+    def counted_matmul(*mats):
+        calls["matmul"].append(mats)
+        return matmul(*mats)
+
+    def counted_pseudo_apply(*args):
+        calls["pseudo_apply"] += 1
+        return pseudo_apply(*args)
+
+    monkeypatch.setattr(_linalg, "matmul", counted_matmul)
+    monkeypatch.setattr(_linalg, "pseudo_apply", counted_pseudo_apply)
+    tol = Tolerances()
+    report = mvop.validate(fi, tol=tol)
+    assert report.passed
+
+    def all_zero(m):
+        return m.dtype == object and not any((m.num if isinstance(m, _linalg.Cleared) else m).flat)
+
+    assert calls["matmul"] and not any(all_zero(m) for mats in calls["matmul"] for m in mats)
+    # one annihilation solve per coordinate and level n >= 1 with a nonzero G_n
+    assert calls["pseudo_apply"] == fi.dimension * len(set(range(1, fi.depth + 1)) - zero) == 6
     got = [(c.name, c.detail, c.residual, c.tolerance) for c in report.checks]
     assert got == ref_validate_checks(fi, tol)
 
