@@ -46,9 +46,33 @@ CASES += [
     (f"{cmd}-prod3", [cmd, "--spec", "prod3.json", "--max-degree", "3", "--mode", "exact"], 0)
     for cmd in ("omega", "rank", "null", "moments", "capcheck")
 ]
+# a 2-D Gaussian: no null generators, so every renderer meets an empty list
+CASES += [
+    ("null-gauss2", ["null", "--spec", "gauss2.json", "--max-degree", "3", "--mode", "exact"], 0),
+]
 CASES += [
     ("favard-genuine", ["favard", "--fock", "square_fock.json", "--mode", "exact"], 0),
     ("favard-tampered", ["favard", "--fock", "square_fock_tampered.json", "--mode", "exact"], 3),
+]
+# the csv and pretty renderers, on cases whose JSON is pinned above; the
+# golden of "<case>" in format f is tests/golden/<case>-<f>.out
+CASES += [
+    (f"{name}-{fmt}", argv + ["--format", fmt], code)
+    for name, argv, code in list(CASES)
+    if name
+    in (
+        "omega-prod3",
+        "rank-square",
+        "null-six3d",
+        "null-gauss2",
+        "moments-square",
+        "capcheck-skew",
+        "marginal1-skew",
+        "marginal12-square",
+        "favard-genuine",
+        "favard-tampered",
+    )
+    for fmt in ("csv", "pretty")
 ]
 
 
