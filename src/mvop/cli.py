@@ -4,6 +4,9 @@ Subcommands work on a measure specification JSON (omega, rank, null,
 moments, capcheck, marginal) or on a block payload JSON (favard). Output is
 canonical JSON by default: keys sorted, floats rendered with 17 significant
 digits, rationals as "p/q" strings, so identical runs are byte-identical.
+
+The spec commands omega, rank, null, moments and capcheck start from one
+helper, ``_graded``: the spec's gradation and the output header.
 """
 
 from __future__ import annotations
@@ -121,27 +124,20 @@ def render_csv(obj) -> str:
 def render_pretty(obj, indent: int = 0) -> str:
     pad = " " * indent
     if isinstance(obj, dict):
-        lines = []
-        for k in sorted(obj, key=str):
-            v = obj[k]
-            if isinstance(v, (dict, list, tuple)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.append(render_pretty(v, indent + 2))
-            else:
-                flat = _render_scalar(v) if not isinstance(v, (dict, list, tuple)) else "[]"
-                lines.append(f"{pad}{k}: {flat}")
-        return "\n".join(lines)
-    if isinstance(obj, (list, tuple)):
-        lines = []
-        for v in obj:
-            if isinstance(v, (dict, list, tuple)) and v:
-                lines.append(f"{pad}-")
-                lines.append(render_pretty(v, indent + 2))
-            else:
-                flat = _render_scalar(v) if not isinstance(v, (dict, list, tuple)) else "[]"
-                lines.append(f"{pad}- {flat}")
-        return "\n".join(lines)
-    return f"{pad}{_render_scalar(obj)}"
+        items = [(f"{k}:", obj[k]) for k in sorted(obj, key=str)]
+    elif isinstance(obj, (list, tuple)):
+        items = [("-", v) for v in obj]
+    else:
+        return f"{pad}{_render_scalar(obj)}"
+    lines = []
+    for label, v in items:
+        nested = isinstance(v, (dict, list, tuple))
+        if nested and v:
+            lines.append(f"{pad}{label}")
+            lines.append(render_pretty(v, indent + 2))
+        else:
+            lines.append(f"{pad}{label} {'[]' if nested else _render_scalar(v)}")
+    return "\n".join(lines)
 
 
 def emit(obj, fmt: str) -> str:
@@ -162,6 +158,26 @@ def _dump_value(v):
     return format_scalar(v, is_rational(v))
 
 
+def _omega_blocks(g, n: int) -> list:
+    return [
+        {"degree": m, "omega": _dump_matrix(g.level(m).omega(), g.exact)}
+        for m in range(n + 1)
+    ]
+
+
+def _verdict_row(item, **fields) -> dict:
+    """fields with the residual, tolerance and verdict of a check or commutation entry."""
+    residual, tolerance = float(item.residual), float(item.tolerance)
+    return {**fields, "residual": residual, "tolerance": tolerance, "passed": item.passed}
+
+
+def _residual_rows(residuals: dict) -> list:
+    return [
+        {"coordinate": i, "degree": m, "residual": float(r)}
+        for (i, m), r in sorted(residuals.items())
+    ]
+
+
 # ---------------------------------------------------------------------------
 # measure specification payloads
 
@@ -170,6 +186,13 @@ def _require(payload: dict, key: str):
     if key not in payload:
         raise SpecFormatError(f"measure spec is missing {key!r}")
     return payload[key]
+
+
+def _depth_field(value, name: str) -> int:
+    """A spec's depth field: a JSON integer that is not negative."""
+    if _json_integer(value, name) < 0:
+        raise SpecFormatError(f"{name!r} must be >= 0, got {value}")
+    return value
 
 
 def functional_from_payload(payload, needed_depth: int):
@@ -195,11 +218,11 @@ def functional_from_payload(payload, needed_depth: int):
         if mtype == "gaussian":
             return gaussian_functional()
         if mtype in ("circle", "half_circle"):
-            depth = _json_integer(payload.get("max_degree", needed_depth), "max_degree")
+            depth = _depth_field(payload.get("max_degree", needed_depth), "max_degree")
             return circle_functional(half=mtype == "half_circle", max_degree=depth)
         if mtype == "moments_table":
             dimension = _json_integer(_require(payload, "dimension"), "dimension")
-            depth = _json_integer(_require(payload, "depth"), "depth")
+            depth = _depth_field(_require(payload, "depth"), "depth")
             raw_entries = _require(payload, "entries")
             if not isinstance(raw_entries, dict):
                 raise SpecFormatError("moments_table 'entries' must be an object")
@@ -216,7 +239,7 @@ def functional_from_payload(payload, needed_depth: int):
                 omegas=tuple(parse_scalar(v) for v in _require(payload, "omegas")),
                 alphas=tuple(parse_scalar(v) for v in _require(payload, "alphas")),
             )
-            depth = _json_integer(payload.get("depth", needed_depth), "depth")
+            depth = _depth_field(payload.get("depth", needed_depth), "depth")
             return jacobi_to_moments(pair, max(depth, needed_depth))
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"bad {mtype} spec: {exc}") from None
@@ -234,51 +257,37 @@ def _load_functional(args, needed_depth: int):
     return functional_from_payload(_load_json(args.spec), needed_depth)
 
 
+def _graded(args, tol: Tolerances, extra: int = 0):
+    """(gradation, output header) of a spec command: command, dimension, depth and mode.
+
+    The spec's gradation goes to degree n = args.max_degree, from moments of
+    degree up to 2n + extra.
+    """
+    n = args.max_degree
+    g = build_gradations(_load_functional(args, 2 * n + extra), n, mode=args.mode, tol=tol)
+    return g, {"command": args.command, "dimension": g.dimension, "depth": n, "mode": g.mode}
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_omega(args, tol: Tolerances):
-    n = args.max_degree
-    f = _load_functional(args, 2 * n)
-    g = build_gradations(f, n, mode=args.mode, tol=tol)
-    blocks = [
-        {"degree": m, "omega": _dump_matrix(g.level(m).omega(), g.exact)}
-        for m in range(n + 1)
-    ]
-    return (
-        {
-            "command": "omega",
-            "dimension": g.dimension,
-            "depth": n,
-            "mode": g.mode,
-            "blocks": blocks,
-        },
-        0,
-    )
+    g, out = _graded(args, tol)
+    out["blocks"] = _omega_blocks(g, args.max_degree)
+    return out, 0
 
 
 def cmd_rank(args, tol: Tolerances):
-    n = args.max_degree
-    f = _load_functional(args, 2 * n)
-    g = build_gradations(f, n, mode=args.mode, tol=tol)
+    g, out = _graded(args, tol)
     rs = rank_sequence(g)
-    rows = [
+    out["table"] = [
         {"degree": deg, "dimension": dim, "rank": rank, "nullity": nullity}
         for deg, dim, rank, nullity in zip(rs.degrees, rs.dims, rs.ranks, rs.nullities)
     ]
-    return (
-        {
-            "command": "rank",
-            "dimension": g.dimension,
-            "depth": n,
-            "mode": g.mode,
-            "table": rows,
-            "has_deficiency": rs.has_deficiency,
-            "first_deficient_degree": rs.first_deficient_degree,
-        },
-        0,
-    )
+    out["has_deficiency"] = rs.has_deficiency
+    out["first_deficient_degree"] = rs.first_deficient_degree
+    return out, 0
 
 
 def _dump_polynomial(f, exact: bool) -> list:
@@ -289,35 +298,22 @@ def _dump_polynomial(f, exact: bool) -> list:
 
 
 def cmd_null(args, tol: Tolerances):
-    n = args.max_degree
-    f = _load_functional(args, 2 * n)
-    g = build_gradations(f, n, mode=args.mode, tol=tol)
+    g, out = _graded(args, tol)
     basis = base_generators(g)
-    gens = [
+    out["generators"] = [
         {"degree": gen.degree, "terms": _dump_polynomial(gen, g.exact)}
         for gen in basis.generators
     ]
-    return (
-        {
-            "command": "null",
-            "dimension": g.dimension,
-            "depth": n,
-            "mode": g.mode,
-            "generators": gens,
-            "reduction": basis.reduction_log,
-        },
-        0,
-    )
+    out["reduction"] = basis.reduction_log
+    return out, 0
 
 
 def cmd_moments(args, tol: Tolerances):
-    n = args.max_degree
-    f = _load_functional(args, 2 * n + 2)
-    g = build_gradations(f, n, mode=args.mode, tol=tol)
+    g, out = _graded(args, tol, extra=2)
     fock = assemble_fock(g, tol=tol)
     rows = []
     worst = 0.0
-    for alpha in monomials_up_to(g.dimension, n):
+    for alpha in monomials_up_to(g.dimension, args.max_degree):
         word = vacuum_moment(fock, alpha)
         direct = g.functional.moment(alpha)
         dev = abs(float(word) - float(direct))
@@ -329,59 +325,24 @@ def cmd_moments(args, tol: Tolerances):
                 "direct_value": _dump_value(direct),
             }
         )
-    return (
-        {
-            "command": "moments",
-            "dimension": g.dimension,
-            "depth": n,
-            "mode": g.mode,
-            "moments": rows,
-            "max_deviation": worst,
-        },
-        0,
-    )
+    out["moments"] = rows
+    out["max_deviation"] = worst
+    return out, 0
 
 
 def cmd_capcheck(args, tol: Tolerances):
-    n = args.max_degree
-    f = _load_functional(args, 2 * n + 2)
-    g = build_gradations(f, n, mode=args.mode, tol=tol)
+    g, out = _graded(args, tol, extra=2)
     fock = assemble_fock(g, tol=tol)
     report = check_commutation(fock, tol=tol)
-    adjoint = [
-        {"coordinate": i, "degree": m, "residual": float(r)}
-        for (i, m), r in sorted(adjointness_residuals(fock).items())
-    ]
-    symmetry = [
-        {"coordinate": i, "degree": m, "residual": float(r)}
-        for (i, m), r in sorted(azero_symmetry_residuals(fock).items())
-    ]
-    relations = [
-        {
-            "relation": e.relation,
-            "pair": list(e.pair),
-            "degree": e.degree,
-            "residual": float(e.residual),
-            "tolerance": float(e.tolerance),
-            "passed": e.passed,
-        }
+    out["adjointness"] = _residual_rows(adjointness_residuals(fock))
+    out["preservation_symmetry"] = _residual_rows(azero_symmetry_residuals(fock))
+    out["commutation"] = [
+        _verdict_row(e, relation=e.relation, pair=list(e.pair), degree=e.degree)
         for e in report.entries
     ]
-    passed = report.passed
-    return (
-        {
-            "command": "capcheck",
-            "dimension": g.dimension,
-            "depth": n,
-            "mode": g.mode,
-            "adjointness": adjoint,
-            "preservation_symmetry": symmetry,
-            "commutation": relations,
-            "max_commutation_residual": report.max_residual,
-            "passed": passed,
-        },
-        0 if passed else 3,
-    )
+    out["max_commutation_residual"] = report.max_residual
+    out["passed"] = report.passed
+    return out, 0 if report.passed else 3
 
 
 def cmd_marginal(args, tol: Tolerances):
@@ -415,10 +376,7 @@ def cmd_marginal(args, tol: Tolerances):
     else:
         g = build_gradations(marginal, n, mode=args.mode, tol=tol)
         out["mode"] = g.mode
-        out["blocks"] = [
-            {"degree": m, "omega": _dump_matrix(g.level(m).omega(), g.exact)}
-            for m in range(n + 1)
-        ]
+        out["blocks"] = _omega_blocks(g, n)
     return out, 0
 
 
@@ -427,21 +385,11 @@ def cmd_favard(args, tol: Tolerances):
         raise SpecFormatError("favard needs --fock FILE")
     fi = FockInput.from_json_dict(_load_json(args.fock))
     report = validate(fi, mode=args.mode, tol=tol)
-    checks = [
-        {
-            "name": c.name,
-            "detail": c.detail,
-            "residual": float(c.residual),
-            "tolerance": float(c.tolerance),
-            "passed": c.passed,
-        }
-        for c in report.checks
-    ]
     out = {
         "command": "favard",
         "dimension": fi.dimension,
         "depth": fi.depth,
-        "checks": checks,
+        "checks": [_verdict_row(c, name=c.name, detail=c.detail) for c in report.checks],
         "validation_passed": report.passed,
     }
     if not report.passed:

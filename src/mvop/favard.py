@@ -34,13 +34,13 @@ from .errors import (
 )
 from .fock import (
     FockData,
+    _commutation_report,
     _floored,
     _pending_blocks,
     _recorded_tolerance,
     _max_abs,
     _residual,
     _seminorms,
-    check_commutation,
     complete_fock,
     symmetry_residuals,
 )
@@ -429,7 +429,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
-    seminorm = _seminorms(grams, tol.rank)
+    seminorm = _seminorms(grams, tol.rank, splits)
     for n in range(n_max + 1):
         null = splits[n].null
         if null.shape[1] == 0:
@@ -447,7 +447,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
     for (i, n), (residual, scale) in adjointness.items():
         add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-    for entry in check_commutation(fock, tol=tol).entries:
+    for entry in _commutation_report(fock, tol, seminorm).entries:
         add(
             entry.relation,
             f"pair {entry.pair}, degree {entry.degree}",
@@ -525,13 +525,13 @@ def reconstruct_discrete(
     if not verdict.passed:
         raise ValidationFailedError(f"blocks failed validation: {verdict.summary()}")
     fock, splits = run.fock, run.splits
-    lift = _orthonormal_compression(fock.grams, splits)
     cutoff = next((n for n, split in enumerate(splits) if split.rank == 0), None)
     if cutoff is None:
         raise NotFinitelySupportedError(
             f"no Gram slice of rank zero within depth {fi.depth}; "
             f"finite support is not certified"
         )
+    lift = _orthonormal_compression(fock.grams[:cutoff], splits[:cutoff])
 
     offsets = np.concatenate([[0], np.cumsum([s.rank for s in splits[:cutoff]])])
     total = int(offsets[-1])

@@ -29,17 +29,18 @@ cleared afresh on every use after, so an edit is seen. A commutation
 relation is one product of its stacked factors, measured in the
 target-level Gram seminorm; a float check decomposes each Gram it measures
 against once per call (`_seminorms`) and keeps nothing, so an edit between
-calls is seen. A level whose seminorm vanishes identically (an exact Gram
-with no nonzero entry, a float Gram with no seminorm factor) scores 0, and
-the product landing on it is never formed. Likewise an exact zero Gram
-level (`_linalg.is_zero`) costs no elimination, no solve and no product:
-its split, the solves with its zero right-hand sides and its hermiticity
-residuals are returned as that work would compute them (`_gram_solve`,
-`symmetry_residuals`), so every residual is unchanged. Vacuum words are
-memoized, each state keeping only the levels that can still reach the
-vacuum (see `vacuum_moment`). A residual computed on pairs is decided on
-its exact value: its binary64 image stays above 0.0 when it is nonzero
-(`_floored`), and then it fails (`_recorded_tolerance`).
+calls is seen, and a caller holding float splits of the Grams (validation)
+has its factors read off them. A level whose seminorm vanishes identically
+(an exact Gram with no nonzero entry, a float Gram with no seminorm factor)
+scores 0, and the product landing on it is never formed. Likewise an exact
+zero Gram level (`_linalg.is_zero`) costs no elimination, no solve and no
+product: its split, the solves with its zero right-hand sides and its
+hermiticity residuals are returned as that work would compute them
+(`_gram_solve`, `symmetry_residuals`), so every residual is unchanged.
+Vacuum words are memoized, each state keeping only the levels that can
+still reach the vacuum (see `vacuum_moment`). A residual computed on pairs
+is decided on its exact value: its binary64 image stays above 0.0 when it
+is nonzero (`_floored`), and then it fails (`_recorded_tolerance`).
 """
 
 from __future__ import annotations
@@ -399,24 +400,25 @@ def azero_symmetry_residuals(fock: FockData) -> dict:
     }
 
 
-def _seminorm_factor(gram, tol_rank: float):
+def _seminorm_factor(gram, tol_rank: float, split=None):
     """F with |F c| the float Gram seminorm of a column c, or None where it is zero.
 
-    F = (v[:, keep] sqrt(w[keep]))^T from the eigenpairs (w, v) of the
-    symmetrized binary64 Gram, keeping those above the rank cutoff of
-    `split_gram` and above tol_rank relative to the top eigenvalue: the rest
-    belong to the quotient kernel, and evaluating the raw quadratic form
+    F = (C sqrt(D))^T over the combos C and `norms2` D of the Gram's float
+    `split_gram` (the eigenpairs of the symmetrized binary64 Gram above its
+    rank cutoff) that are also above tol_rank relative to the top one: the
+    rest belong to the quotient kernel, and evaluating the raw quadratic form
     there would turn rounding noise of size eps into a sqrt(eps) artifact.
+    A split already made of the Gram is read, not made again; without one,
+    the split is made with no psd verdict, so an indefinite Gram is
+    measured on its positive part.
     """
-    g = _linalg.to_float(gram)
-    w, v = np.linalg.eigh(0.5 * (g + g.T))
-    top = float(np.max(w, initial=0.0))
-    if top <= 0.0:
+    if split is None:
+        split = _linalg.split_gram(gram, False, tol_rank, math.inf)
+    norms2 = split.norms2
+    if not len(norms2):
         return None
-    keep = w > max(_linalg.rank_cutoff(len(w), top, tol_rank), tol_rank * top)
-    if not np.any(keep):
-        return None
-    return (v[:, keep] * np.sqrt(w[keep])).T
+    keep = norms2 > tol_rank * float(np.max(norms2))
+    return (split.combos[:, keep] * np.sqrt(norms2[keep])).T
 
 
 def _seminorm_residual(cols, gram, factor) -> float:
@@ -441,7 +443,7 @@ def _seminorm_residual(cols, gram, factor) -> float:
     return float(math.sqrt(max(0.0, float(np.max(np.einsum("ij,ij->j", proj, proj))))))
 
 
-def _seminorms(grams: list, tol_rank: float):
+def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
     """residual(make_cols, n): `_seminorm_residual` of make_cols() against grams[n].
 
     A level whose seminorm vanishes identically (an exact Gram with no
@@ -449,9 +451,13 @@ def _seminorms(grams: list, tol_rank: float):
     make_cols is not called: the block is never formed. Each level's float
     factor and vanishing test are made on first need and kept by the
     returned function only, so a caller taking one per call decomposes each
-    Gram once per call and still sees a Gram edited between calls.
+    Gram once per call and still sees a Gram edited between calls. The
+    caller's float splits of the Grams, if given, give the factors.
     """
-    factor = functools.cache(lambda n: _seminorm_factor(grams[n], tol_rank))
+
+    @functools.cache
+    def factor(n):
+        return _seminorm_factor(grams[n], tol_rank, None if splits is None else splits[n])
 
     @functools.cache
     def vanishes(n):
@@ -515,6 +521,11 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
     """
     tol = tol or fock.tolerances
     fock = _cleared_fock(fock)
+    return _commutation_report(fock, tol, _seminorms(fock.grams, tol.rank))
+
+
+def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> CommutationReport:
+    """`check_commutation` of fock, in computing form, measured by seminorm (`_seminorms`)."""
     on_pairs = isinstance(fock.grams[0], _linalg.Cleared)
     n_max = fock.depth
     report = CommutationReport(depth=n_max)
@@ -540,8 +551,6 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
             lefts, rights = zip(*terms)
             return _linalg.matmul(_linalg.stack(lefts, axis=1), _linalg.stack(rights, axis=0))
         return functools.reduce(operator.add, (left @ right for left, right in terms))
-
-    seminorm = _seminorms(fock.grams, tol.rank)
 
     def record(relation, pair, n, terms, target_level, parts):
         residual = seminorm(lambda: combine(terms), target_level)

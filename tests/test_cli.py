@@ -347,6 +347,14 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         ),
         ("rank", {"type": "circle", "max_degree": 8.9}, "'max_degree'"),
         ("rank", {"type": "jacobi_1d", "omegas": [1] * 4, "alphas": [0] * 4, "depth": "3"}, "'depth'"),
+        # depth fields must not be negative, and the error names the field
+        ("rank", {"type": "jacobi_1d", "omegas": [1] * 4, "alphas": [0] * 4, "depth": -5}, "'depth'"),
+        ("rank", {"type": "circle", "max_degree": -3}, "'max_degree'"),
+        (
+            "rank",
+            {"type": "moments_table", "dimension": 1, "depth": -1, "entries": {"0": 1}},
+            "'depth'",
+        ),
     ],
     ids=[
         "block-not-list",
@@ -362,6 +370,9 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         "table-float-depth",
         "circle-float-max-degree",
         "jacobi-string-depth",
+        "jacobi-negative-depth",
+        "circle-negative-max-degree",
+        "table-negative-depth",
     ],
 )
 def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload, named):

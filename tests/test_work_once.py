@@ -1,14 +1,15 @@
 """Per-op work is done once: Gram factors per check, vacuum states, localizing moments.
 
 A float check decomposes each target-level Gram once per call, and keeps no
-factor on the FockData, so an in-place edit between calls is seen. A
-seminorm check forms no product on a level whose seminorm vanishes, and
-exact validation runs no elimination, solve or product against a zero Gram
-level. A
-memoized vacuum state keeps only the levels that can still reach the
-vacuum. Assembly fetches each distinct localizing moment once for all
-coordinates. Exact gradations refuse data whose seminorm-null polynomials
-have a nonzero moment, which no moment functional has.
+factor on the FockData, so an in-place edit between calls is seen; float
+validation decomposes each payload Gram once in all. A seminorm check forms
+no product on a level whose seminorm vanishes, exact validation runs no
+elimination, solve or product against a zero Gram level, and reconstruction
+compresses only the levels below its rank-zero cutoff. A memoized vacuum
+state keeps only the levels that can still reach the vacuum. Assembly
+fetches each distinct localizing moment once for all coordinates. Exact
+gradations refuse data whose seminorm-null polynomials have a nonzero
+moment, which no moment functional has.
 """
 
 import copy
@@ -74,12 +75,13 @@ def test_one_eigh_per_target_level_per_check(circle12, eighs):
 def test_float_validate_decomposes_each_kernel_gram_once(circle12, eighs):
     fi = mvop.FockInput.from_fock_data(circle12)
     assert mvop.validate(fi).passed
-    # one split per payload Gram; the kernel checks' factors, on the levels
-    # with null directions and the ones above them; the commutation check's 13
+    # one split per payload Gram, and nothing more: the kernel checks (on the
+    # levels with null directions and the ones above them) and the
+    # commutation check read their seminorm factors off those splits
     null_levels = {lev.degree for lev in circle12.gradation.levels if lev.nullity}
     kernel_levels = null_levels | {n + 1 for n in null_levels if n < 12}
     assert kernel_levels == set(range(2, 13))
-    assert len(eighs) == 13 + len(kernel_levels) + 13
+    assert len(eighs) == 13
 
 
 # the level each seminorm check measures on, as an offset from its degree
@@ -130,22 +132,24 @@ def test_exact_validate_forms_no_product_against_a_zero_gram(monkeypatch, eight_
     assert got == ref_validate_checks(fi, tol)
 
 
+def _recorded_matmuls(monkeypatch):
+    calls = []
+    matmul = _linalg.matmul
+
+    def counted(*mats):
+        calls.append(mats)
+        return matmul(*mats)
+
+    monkeypatch.setattr(_linalg, "matmul", counted)
+    return calls
+
+
 def test_exact_validate_solves_and_multiplies_nothing_on_a_zero_gram(monkeypatch, eight_atoms):
     fock, zero = eight_atoms
     fi = mvop.FockInput.from_fock_data(fock)
-    calls = {"matmul": [], "pseudo_apply": 0}
-    matmul, pseudo_apply = _linalg.matmul, _linalg.pseudo_apply
-
-    def counted_matmul(*mats):
-        calls["matmul"].append(mats)
-        return matmul(*mats)
-
-    def counted_pseudo_apply(*args):
-        calls["pseudo_apply"] += 1
-        return pseudo_apply(*args)
-
-    monkeypatch.setattr(_linalg, "matmul", counted_matmul)
-    monkeypatch.setattr(_linalg, "pseudo_apply", counted_pseudo_apply)
+    matmuls = _recorded_matmuls(monkeypatch)
+    counts = {"pseudo_apply": 0}
+    _counting(monkeypatch, _linalg, "pseudo_apply", counts)
     tol = Tolerances()
     report = mvop.validate(fi, tol=tol)
     assert report.passed
@@ -153,11 +157,33 @@ def test_exact_validate_solves_and_multiplies_nothing_on_a_zero_gram(monkeypatch
     def all_zero(m):
         return m.dtype == object and not any((m.num if isinstance(m, _linalg.Cleared) else m).flat)
 
-    assert calls["matmul"] and not any(all_zero(m) for mats in calls["matmul"] for m in mats)
+    assert matmuls and not any(all_zero(m) for mats in matmuls for m in mats)
     # one annihilation solve per coordinate and level n >= 1 with a nonzero G_n
-    assert calls["pseudo_apply"] == fi.dimension * len(set(range(1, fi.depth + 1)) - zero) == 6
+    assert counts["pseudo_apply"] == fi.dimension * len(set(range(1, fi.depth + 1)) - zero) == 6
     got = [(c.name, c.detail, c.residual, c.tolerance) for c in report.checks]
     assert got == ref_validate_checks(fi, tol)
+
+
+def test_reconstruction_compresses_only_the_levels_it_lifts(monkeypatch, eight_atoms):
+    fock, _ = eight_atoms
+    fi = mvop.FockInput.from_fock_data(fock)
+    assert mvop.validate(fi).passed  # reconstruct_discrete reuses this run
+    calls = _recorded_matmuls(monkeypatch)
+    measure = mvop.reconstruct_discrete(fi)
+    assert len(measure.atoms) == 8
+    # the zero levels 4..8 sit at and past the rank-zero cutoff: none is compressed
+    zero_operands = [m for mats in calls for m in mats if isinstance(m, _linalg.Cleared) and not m.num.any()]
+    assert calls and not zero_operands
+
+
+def test_refused_reconstruction_forms_no_product(monkeypatch):
+    f = mvop.product_functional([mvop.gaussian_functional()] * 2)
+    fi = mvop.FockInput.from_fock_data(mvop.assemble_fock(mvop.build_gradations(f, 3, mode="exact")))
+    assert mvop.validate(fi).passed
+    calls = _recorded_matmuls(monkeypatch)
+    with pytest.raises(mvop.NotFinitelySupportedError):
+        mvop.reconstruct_discrete(fi)
+    assert calls == []
 
 
 def test_float_check_scores_zero_levels_without_products(monkeypatch, eighs):
