@@ -101,14 +101,13 @@ def render_json(obj, indent: int = 0) -> str:
 
 
 def _flatten(obj, prefix: str, rows: list):
-    if isinstance(obj, dict):
-        for k in sorted(obj, key=str):
-            _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k), rows)
-    elif isinstance(obj, (list, tuple)):
-        for j, v in enumerate(obj):
-            _flatten(v, f"{prefix}.{j}" if prefix else str(j), rows)
+    if isinstance(obj, (dict, list, tuple)) and obj:
+        items = [(k, obj[k]) for k in sorted(obj, key=str)] if isinstance(obj, dict) else enumerate(obj)
+        for k, v in items:
+            _flatten(v, f"{prefix}.{k}" if prefix else str(k), rows)
     else:
-        rows.append((prefix, _render_scalar(obj).strip('"')))
+        # a scalar, or an empty list or dict ("[]", "{}"), is one row, as JSON renders it
+        rows.append((prefix, render_json(obj).strip('"')))
 
 
 def render_csv(obj) -> str:
@@ -310,7 +309,7 @@ def cmd_null(args, tol: Tolerances):
 
 def cmd_moments(args, tol: Tolerances):
     g, out = _graded(args, tol, extra=2)
-    fock = assemble_fock(g, tol=tol)
+    fock = assemble_fock(g)
     rows = []
     worst = 0.0
     for alpha in monomials_up_to(g.dimension, args.max_degree):
@@ -332,8 +331,8 @@ def cmd_moments(args, tol: Tolerances):
 
 def cmd_capcheck(args, tol: Tolerances):
     g, out = _graded(args, tol, extra=2)
-    fock = assemble_fock(g, tol=tol)
-    report = check_commutation(fock, tol=tol)
+    fock = assemble_fock(g)
+    report = check_commutation(fock)
     out["adjointness"] = _residual_rows(adjointness_residuals(fock))
     out["preservation_symmetry"] = _residual_rows(azero_symmetry_residuals(fock))
     out["commutation"] = [
@@ -368,7 +367,7 @@ def cmd_marginal(args, tol: Tolerances):
     marginal = marginal_functional(spec)
     if len(coords) == 1:
         mode = resolve_mode(marginal.exact, args.mode)
-        pair = jacobi_1d(marginal, n, mode=mode, tol=tol)
+        pair = jacobi_1d(marginal, n, mode=mode)
         exact = mode == "exact"
         out["omegas"] = [format_scalar(v, exact) for v in pair.omegas]
         out["alphas"] = [format_scalar(v, exact) for v in pair.alphas]
@@ -493,7 +492,13 @@ def main(argv=None) -> int:
     except ValidationFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # a reader that closed early (`| head`) is no error; devnull keeps the exit flush from raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -425,7 +425,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
     if len(splits) < len(grams) or not normalized:
         return _Validation(tuple(checks), None, splits)
 
-    fock, adjointness = complete_fock(grams, splits, bzero, exact)
+    fock, adjointness = complete_fock(grams, splits, bzero, exact, tol)
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
@@ -587,9 +587,7 @@ class ProductCheckResult:
     failures: list
 
 
-def diagonal_product_check(
-    dtable: list, *, tol: Tolerances | None = None
-) -> ProductCheckResult:
+def diagonal_product_check(dtable: list) -> ProductCheckResult:
     """Decide whether a diagonal Gram table factors over the two coordinates.
 
     dtable[n][k] is the diagonal Gram entry at degree n with k first-coordinate
@@ -597,9 +595,8 @@ def diagonal_product_check(
     product functional must be d(n, k) = prod(omega_1..omega_k) *
     prod(eta_1..eta_{n-k}); the candidate coefficient sequences are read off
     the two pure-coordinate edges and the product form is then verified
-    entrywise.
+    entrywise, within the fixed `Tolerances.comm` floor in float mode.
     """
-    tol = tol or Tolerances()
     if not dtable or len(dtable[0]) != 1:
         raise ValueError("dtable must start with the single degree-0 entry")
     for n, row in enumerate(dtable):
@@ -609,7 +606,7 @@ def diagonal_product_check(
             if is_rational(v):
                 if v < 0:
                     raise InconsistentMomentsError(f"negative diagonal entry {v} at degree {n}")
-            elif v < -tol.psd:
+            elif v < -Tolerances.psd:
                 raise InconsistentMomentsError(f"negative diagonal entry {v} at degree {n}")
     if dtable[0][0] != 1:
         raise ValueError(f"degree-0 entry must be 1, got {dtable[0][0]}")
@@ -643,7 +640,7 @@ def diagonal_product_check(
             else:
                 scale = max(1.0, abs(float(expected)))
                 residual = abs(float(actual) - float(expected)) / scale
-                ok = residual <= tol.comm
+                ok = residual <= Tolerances.comm
             max_residual = max(max_residual, residual)
             if not ok:
                 failures.append((n, k, expected, actual))
@@ -671,9 +668,8 @@ def grams_from_diagonal_table(dtable: list) -> list:
     return grams
 
 
-def diagonal_table_from_grams(grams: list, *, tol: Tolerances | None = None) -> list:
+def diagonal_table_from_grams(grams: list) -> list:
     """Inverse of grams_from_diagonal_table; rejects non-diagonal blocks."""
-    tol = tol or Tolerances()
     dtable = []
     for n, g in enumerate(grams):
         if g.shape != (n + 1, n + 1):
@@ -681,7 +677,7 @@ def diagonal_table_from_grams(grams: list, *, tol: Tolerances | None = None) -> 
         gf = _linalg.to_float(g)
         off = gf - np.diag(np.diag(gf))
         scale = max(1.0, float(np.max(np.abs(gf), initial=0.0)))
-        if off.size and float(np.max(np.abs(off))) > tol.comm * scale:
+        if off.size and float(np.max(np.abs(off))) > Tolerances.comm * scale:
             raise ValueError(f"Gram at degree {n} is not diagonal")
         dtable.append([g[n - k, n - k] for k in range(n + 1)])
     return dtable
@@ -696,9 +692,7 @@ class SelfAdjointnessReport:
     divergent: bool | None
 
 
-def self_adjointness_bound(
-    fock: FockData, degrees=None, *, tol: Tolerances | None = None
-) -> SelfAdjointnessReport:
+def self_adjointness_bound(fock: FockData, degrees=None) -> SelfAdjointnessReport:
     """Growth certificate for essential self-adjointness of the coordinates.
 
     For each degree n the largest singular value a_n of the orthonormalized
@@ -709,9 +703,10 @@ def self_adjointness_bound(
     fitted growth keeps sum a_n^(-1/2) divergent (p <= 2), which is
     consistent with essential self-adjointness; nothing here constitutes a
     proof. Degenerate data (all a_n zero, finite support) reports divergent
-    True with no exponent.
+    True with no exponent. The quotients are cut at the rank cutoff of
+    `fock.tolerances`.
     """
-    tol = tol or Tolerances()
+    tol = fock.tolerances
     n_max = fock.depth
     if degrees is None:
         degrees = list(range(1, n_max - 1))

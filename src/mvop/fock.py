@@ -84,19 +84,18 @@ def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
     return out
 
 
-def nonzero_spectrum(g: GradationBasis, n: int, *, tol: Tolerances | None = None) -> list:
+def nonzero_spectrum(g: GradationBasis, n: int) -> list:
     """Distinct nonzero eigenvalues of the degree-n form generator, ascending.
 
     The generator is similar to a symmetric matrix via the weight rescaling,
     so its spectrum is real; eigenvalues are computed in binary64 regardless
     of mode. Values closer than 1e-9 relative are merged.
     """
-    tol = tol or g.tol
     lev = g.level(n)
     scale = np.array([1.0 / math.sqrt(float(w)) for w in lev.weights])
     sym = _linalg.to_float(lev.gram) * np.outer(scale, scale)
     evals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
-    cut = _linalg.rank_cutoff(len(evals), float(np.max(np.abs(evals), initial=0.0)), tol.rank)
+    cut = _linalg.rank_cutoff(len(evals), float(np.max(np.abs(evals), initial=0.0)), g.tol.rank)
     kept = sorted(v for v in evals if abs(v) > cut)
     distinct: list = []
     for v in kept:
@@ -114,9 +113,10 @@ class FockData(_linalg.Deferred):
     aplus[i][n] maps degree n to n+1 (n = 0..depth-1); azero[i][n] acts on
     degree n (n = 0..depth); aminus[i][n] maps degree n to n-1 (n = 1..depth,
     entry 0 is None). gradation is set when the blocks were assembled from a
-    moment functional, None when they came from external data. Exact blocks
-    of `assemble_fock` and of a `validate` report are published on their
-    first read.
+    moment functional, None when they came from external data. The checks on
+    the blocks read tolerances, those they were assembled or validated under.
+    Exact blocks of `assemble_fock` and of a `validate` report are published
+    on their first read.
     """
 
     dimension: int
@@ -127,12 +127,9 @@ class FockData(_linalg.Deferred):
     azero: list
     aminus: list
     gradation: GradationBasis | None = None
+    tolerances: Tolerances = Tolerances()
 
     _memos = ("_computing", "_vacuum")
-
-    @property
-    def tolerances(self) -> Tolerances:
-        return self.gradation.tol if self.gradation is not None else Tolerances()
 
 
 _FAMILIES = ("grams", "aplus", "azero", "aminus")
@@ -166,7 +163,7 @@ def _pending_blocks(fock: FockData, grams: _linalg.Pending, azero: _linalg.Pendi
     d, depth = fock.dimension, fock.depth
     aplus = _linalg.Pending(fock.aplus, lambda _: _creation_blocks(d, depth))
     aminus = _linalg.Pending(fock.aminus)
-    return FockData(d, depth, True, grams, aplus, azero, aminus, fock.gradation)
+    return FockData(d, depth, True, grams, aplus, azero, aminus, fock.gradation, fock.tolerances)
 
 
 def _floored(value: float, nonzero) -> float:
@@ -241,7 +238,8 @@ def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
 
 
 def complete_fock(
-    grams: list, splits: list, azero: list, exact: bool, gradation: GradationBasis | None = None
+    grams: list, splits: list, azero: list, exact: bool, tol: Tolerances,
+    gradation: GradationBasis | None = None,
 ) -> tuple:
     """The Fock representation of Gram and preservation blocks.
 
@@ -249,13 +247,13 @@ def complete_fock(
     (`favard.validate`): the creation blocks are the canonical shifts, the
     annihilation blocks come from `annihilation_blocks`, all in computing
     form. Returns (FockData, residuals), residuals as returned by
-    `annihilation_blocks`.
+    `annihilation_blocks`; the FockData carries tol and gradation.
     """
     d, depth = len(azero), len(grams) - 1
     dtype = object if exact else float
     aplus = [[_linalg.cleared(creation_matrix(d, i, n, dtype)) for n in range(depth)] for i in range(d)]
     aminus, residuals = annihilation_blocks(aplus, grams, splits)
-    fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation)
+    fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation, tol)
     return fock, residuals
 
 
@@ -303,16 +301,16 @@ def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
     return out
 
 
-def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockData:
+def assemble_fock(g: GradationBasis) -> FockData:
     """Assemble creation, preservation, and annihilation blocks from a gradation.
 
     Preservation blocks solve G_n A = R with R the localizing-matrix Gram of
     the candidates (`_preservation_rhs`: in exact mode read off one moment
     product per level, from the candidates and the moments only); the rest
-    is `complete_fock`. Both solves use the range
-    part of the Gram splitting, and the defining identities are re-checked
-    afterwards (they must hold because the right-hand sides lie in the Gram
-    range for moment-born data).
+    is `complete_fock`, and the blocks carry `g.tol`. Both solves use the
+    range part of the Gram splitting, and the defining identities are
+    re-checked afterwards against `Tolerances.adj` (they must hold because
+    the right-hand sides lie in the Gram range for moment-born data).
 
     Raises
     ------
@@ -321,7 +319,6 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
     InternalConsistencyError
         If a defining identity fails its tolerance after the solve.
     """
-    tol = tol or g.tol
     depth = g.max_degree
     functional = g.functional
     if 2 * depth + 2 > functional.max_reliable_degree:
@@ -335,7 +332,7 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
         per_level = []
         for lev, (_, gram, split), rhs in zip(g.levels, computed, rhs_per_level):
             a, residual, scale = _gram_solve(split, gram, rhs)
-            if residual > _recorded_tolerance(residual, tol.adj * scale, g.exact):
+            if residual > _recorded_tolerance(residual, g.tol.adj * scale, g.exact):
                 raise InternalConsistencyError(
                     f"preservation solve failed at coordinate {i + 1}, degree {lev.degree}: "
                     f"residual {residual:.3e}"
@@ -344,10 +341,10 @@ def assemble_fock(g: GradationBasis, *, tol: Tolerances | None = None) -> FockDa
         azero.append(per_level)
 
     fock, residuals = complete_fock(
-        [gram for _, gram, _ in computed], [split for *_, split in computed], azero, g.exact, g
+        [gram for _, gram, _ in computed], [split for *_, split in computed], azero, g.exact, g.tol, g
     )
     for (i, n), (residual, scale) in residuals.items():
-        if residual > _recorded_tolerance(residual, tol.adj * scale, g.exact):
+        if residual > _recorded_tolerance(residual, g.tol.adj * scale, g.exact):
             raise InternalConsistencyError(
                 f"annihilation solve failed at coordinate {i + 1}, degree {n}: "
                 f"residual {residual:.3e}"
@@ -507,7 +504,7 @@ class CommutationReport:
         return [e for e in self.entries if not e.passed]
 
 
-def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> CommutationReport:
+def check_commutation(fock: FockData) -> CommutationReport:
     """Residuals of the three quantum decomposition commutation relations.
 
     For every coordinate pair j < k: the creation blocks must commute
@@ -516,10 +513,10 @@ def check_commutation(fock: FockData, *, tol: Tolerances | None = None) -> Commu
     [A_j^+, A_k^-] + [A_j^0, A_k^0] + [A_j^-, A_k^+] = 0
     must vanish (checked up to degree depth-1). Residuals are measured as the
     largest target-level Gram seminorm over block columns, so components in
-    the null directions of the functional do not register. Residuals of exact
-    blocks pass only at zero.
+    the null directions of the functional do not register, at the rank
+    cutoff of `fock.tolerances`. Residuals of exact blocks pass only at zero.
     """
-    tol = tol or fock.tolerances
+    tol = fock.tolerances
     fock = _cleared_fock(fock)
     return _commutation_report(fock, tol, _seminorms(fock.grams, tol.rank))
 

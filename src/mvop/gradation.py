@@ -257,7 +257,7 @@ def build_gradations(
     mode : {"auto", "exact", "float"}
         Scalar arithmetic. "auto" picks exact when the functional is rational.
     tol : Tolerances, optional
-        Rank and positivity cutoffs (float mode only).
+        The rank cutoff of the float Gram splits, kept by the gradation and its blocks.
 
     Returns
     -------

@@ -61,13 +61,7 @@ def marginal_functional(spec: MarginalSpec) -> MomentFunctional:
     )
 
 
-def jacobi_1d(
-    functional: MomentFunctional,
-    depth: int,
-    *,
-    mode: str = "auto",
-    tol: Tolerances | None = None,
-) -> JacobiPair1D:
+def jacobi_1d(functional: MomentFunctional, depth: int, *, mode: str = "auto") -> JacobiPair1D:
     """Three-term recurrence coefficients of a 1-D functional.
 
     Runs the Chebyshev algorithm on the mixed moments
@@ -87,13 +81,12 @@ def jacobi_1d(
     DepthExceededError
         If the functional cannot supply moments to degree 2*depth.
     InconsistentMomentsError
-        If a squared norm is negative beyond tolerance.
+        If a squared norm is negative beyond the fixed `Tolerances.psd` floor.
     """
     if functional.dimension != 1:
         raise ValueError(f"need a 1-D functional, got dimension {functional.dimension}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    tol = tol or Tolerances()
     mode = resolve_mode(functional.exact, mode)
     if 2 * depth > functional.max_reliable_degree:
         raise DepthExceededError(
@@ -119,8 +112,8 @@ def jacobi_1d(
             negative = norm < 0
             vanished = norm == 0
         else:
-            negative = norm < -tol.psd * scale
-            vanished = norm <= tol.null * scale
+            negative = norm < -Tolerances.psd * scale
+            vanished = norm <= Tolerances.null * scale
         if negative:
             raise InconsistentMomentsError(f"negative squared norm {norm} at step {k + 1}")
         if vanished:

@@ -9,6 +9,7 @@ so within one degree (2,0) precedes (1,1) precedes (0,2).
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from fractions import Fraction
 from functools import lru_cache
@@ -30,11 +31,13 @@ def monomials_of_degree(dimension: int, degree: int) -> tuple:
         raise ValueError(f"dimension must be >= 1, got {dimension}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if dimension == 1:
-        return ((degree,),)
+    # sorted variable picks, in lexicographic order, give graded-lex order at any dimension
     out = []
-    for k in range(degree, -1, -1):
-        out.extend((k,) + rest for rest in monomials_of_degree(dimension - 1, degree - k))
+    for picks in itertools.combinations_with_replacement(range(dimension), degree):
+        alpha = [0] * dimension
+        for v in picks:
+            alpha[v] += 1
+        out.append(tuple(alpha))
     return tuple(out)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import SpecFormatError
 
@@ -70,17 +71,19 @@ def format_scalar(value, exact: bool):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Float-mode tolerance policy. Exact mode ignores rank/null cutoffs (they are 0)."""
+    """Float-mode tolerance policy. Exact mode ignores rank/null cutoffs (they are 0).
+
+    rank, the cutoff of every rank decision, is the one setting; the residual
+    floors null, comm, adj and psd are fixed.
+    """
 
     rank: float = 1e-10
-    null: float = 1e-10
-    comm: float = 1e-10
-    adj: float = 1e-10
-    psd: float = 1e-10
+    null: ClassVar[float] = 1e-10
+    comm: ClassVar[float] = 1e-10
+    adj: ClassVar[float] = 1e-10
+    psd: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        for name in ("rank", "null", "comm", "adj", "psd"):
-            value = getattr(self, name)
-            # a NaN tolerance fails every comparison and an infinite one accepts everything
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {name} must be positive and finite, got {value!r}")
+        # a NaN tolerance fails every comparison and an infinite one accepts everything
+        if not (math.isfinite(self.rank) and self.rank > 0):
+            raise ValueError(f"tolerance rank must be positive and finite, got {self.rank!r}")

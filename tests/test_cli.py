@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -452,6 +456,36 @@ def test_bad_tolerance_gives_one_error_line(capsys, square_spec, value):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: tolerance rank ") and captured.err.count("\n") == 1
+
+
+def test_closed_output_pipe_is_not_an_error():
+    # as in `mvop rank ... | head -n 1`, the reader is gone before the output is written
+    spec = Path(__file__).parent / "golden" / "prod3.json"
+    src = str(Path(mvop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from mvop.cli import main; sys.exit(main())",
+             "rank", "--spec", str(spec), "--max-degree", "4", "--mode", "exact"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+def test_table_spec_of_high_dimension(capsys, tmp_path):
+    d = 2000
+    payload = {"type": "moments_table", "dimension": d, "depth": 0, "entries": {",".join(["0"] * d): 1}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_json(capsys, ["rank", "--spec", str(path), "--max-degree", "0"])
+    assert code == 0
+    assert out["dimension"] == d
+    assert out["table"] == [{"degree": 0, "dimension": 1, "rank": 1, "nullity": 0}]
 
 
 def test_exit_code_on_usage_error(capsys):

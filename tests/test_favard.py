@@ -398,6 +398,25 @@ def test_self_adjointness_fast_growth_not_divergent():
     assert not report.divergent
 
 
+def test_self_adjointness_cuts_at_the_blocks_rank(monkeypatch):
+    depth, rank = 5, 1e-7
+    fock = mvop.FockData(
+        dimension=1,
+        depth=depth,
+        exact=False,
+        grams=[np.array([[float(n + 1)]]) for n in range(depth + 1)],
+        aplus=[[np.array([[1.0]]) for _ in range(depth)]],
+        azero=[[np.array([[0.0]]) for _ in range(depth + 1)]],
+        aminus=[[None] + [np.array([[0.0]]) for _ in range(depth)]],
+        tolerances=mvop.Tolerances(rank=rank),
+    )
+    ranks = []
+    split_gram = _linalg.split_gram
+    monkeypatch.setattr(_linalg, "split_gram", lambda g, e, r, p: ranks.append(r) or split_gram(g, e, r, p))
+    mvop.self_adjointness_bound(fock)
+    assert ranks == [rank] * (depth + 1)
+
+
 def test_self_adjointness_degenerate_data():
     m = mvop.DiscreteMeasure(atoms=((1, 2),), weights=(1,))
     fock = mvop.assemble_fock(mvop.build_gradations(mvop.discrete_functional(m), 3))
@@ -578,3 +597,11 @@ def test_editing_a_report_changes_no_later_result(square_fn):
         assert report.passed
         with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
             mvop.reconstruct_discrete(tampered)
+
+
+def test_report_blocks_carry_the_validation_tolerances(square_fn):
+    tol = mvop.Tolerances(rank=1e-6)
+    for payload_of in (fock_input_of, float_input_of):
+        fi = payload_of(square_fn, 3)
+        assert mvop.validate(fi, tol=tol).fock.tolerances == tol
+        assert mvop.validate(fi).fock.tolerances == mvop.Tolerances()

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -232,3 +234,42 @@ def test_assemble_depth_guard(circle):
     g9 = mvop.build_gradations(circle, 9)
     with pytest.raises(mvop.DepthExceededError):
         mvop.assemble_fock(g9)
+
+
+def test_tolerances_have_one_setting():
+    assert [f.name for f in dataclasses.fields(mvop.Tolerances)] == ["rank"]
+    for name in ("null", "comm", "adj", "psd"):
+        assert getattr(mvop.Tolerances, name) == 1e-10
+        assert getattr(mvop.Tolerances(rank=1e-6), name) == 1e-10
+        with pytest.raises(TypeError):
+            mvop.Tolerances(**{name: 1e-9})
+
+
+def test_assemble_fock_carries_the_gradation_tolerances(square_fn, circle):
+    for fn in (square_fn, circle):
+        g = mvop.build_gradations(fn, 3, tol=mvop.Tolerances(rank=1e-7))
+        fock = mvop.assemble_fock(g)
+        assert fock.tolerances == g.tol == mvop.Tolerances(rank=1e-7)
+        # the blocks carry them, not only their gradation
+        assert dataclasses.replace(fock, gradation=None).tolerances == g.tol
+
+
+@pytest.mark.parametrize(
+    "name, has_tol",
+    [
+        ("assemble_fock", False),
+        ("check_commutation", False),
+        ("self_adjointness_bound", False),
+        ("nonzero_spectrum", False),
+        ("jacobi_1d", False),
+        ("diagonal_product_check", False),
+        ("diagonal_table_from_grams", False),
+        ("build_gradations", True),
+        ("validate", True),
+        ("reconstruct_discrete", True),
+        ("marginal_omega", True),
+    ],
+)
+def test_tolerances_are_set_where_the_data_is_built(name, has_tol):
+    # later judgments read the tolerances their data carries
+    assert ("tol" in inspect.signature(getattr(mvop, name)).parameters) == has_tol

@@ -27,6 +27,13 @@ points = st.tuples(
 )
 
 
+def _recursive_monomials(d, n):
+    # the listing by leading exponent, highest first, then the rest recursively
+    if d == 1:
+        return ((n,),)
+    return tuple((k,) + rest for k in range(n, -1, -1) for rest in _recursive_monomials(d - 1, n - k))
+
+
 def test_monomial_enumeration():
     assert monomials_of_degree(2, 2) == ((2, 0), (1, 1), (0, 2))
     assert monomials_of_degree(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -36,6 +43,9 @@ def test_monomial_enumeration():
     for d in (1, 2, 3):
         for n in range(5):
             assert space_dimension(d, n) == len(monomials_of_degree(d, n))
+    for d in range(1, 7):
+        for n in range(8):
+            assert monomials_of_degree(d, n) == _recursive_monomials(d, n)
 
 
 def test_graded_lex_order():
