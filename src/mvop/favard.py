@@ -40,7 +40,9 @@ from .fock import (
     _recorded_tolerance,
     _max_abs,
     _residual,
+    _scatter,
     _seminorms,
+    _shifts,
     complete_fock,
     symmetry_residuals,
 )
@@ -426,6 +428,8 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         return _Validation(tuple(checks), None, splits)
 
     fock, adjointness = complete_fock(grams, splits, bzero, exact, tol)
+    # complete_fock's creation blocks are the canonical shifts: the checks take their index maps
+    shifts = _shifts(d, n_max)
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
@@ -438,7 +442,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         next_scale = max(1.0, _max_abs(grams[n + 1])) if n < n_max else None
         for i in range(d):
             if n < n_max:
-                residual = seminorm(lambda: _linalg.matmul(fock.aplus[i][n], null), n + 1)
+                residual = seminorm(lambda: _scatter(shifts[i][n], null), n + 1)
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
             residual = seminorm(lambda: _linalg.matmul(bzero[i][n], null), n)
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
@@ -447,7 +451,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
     for (i, n), (residual, scale) in adjointness.items():
         add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-    for entry in _commutation_report(fock, tol, seminorm).entries:
+    for entry in _commutation_report(replace(fock, aplus=shifts), tol, seminorm).entries:
         add(
             entry.relation,
             f"pair {entry.pair}, degree {entry.degree}",

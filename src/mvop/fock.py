@@ -25,18 +25,37 @@ keeps those pairs and publishes each family of blocks on its first read
 the grams as the levels' own. The checks and vacuum words take each family
 in computing form (`_cleared_fock`): its kept pairs until it is first read,
 so a forward run that reads no block builds none, and its public arrays
-cleared afresh on every use after, so an edit is seen. A commutation
-relation is one product of its stacked factors, measured in the
-target-level Gram seminorm; a float check decomposes each Gram it measures
-against once per call (`_seminorms`) and keeps nothing, so an edit between
-calls is seen, and a caller holding float splits of the Grams (validation)
-has its factors read off them. A level whose seminorm vanishes identically
-(an exact Gram with no nonzero entry, a float Gram with no seminorm factor)
-scores 0, and the product landing on it is never formed. Likewise an exact
-zero Gram level (`_linalg.is_zero`) costs no elimination, no solve and no
-product: its split, the solves with its zero right-hand sides and its
-hermiticity residuals are returned as that work would compute them
-(`_gram_solve`, `symmetry_residuals`), so every residual is unchanged.
+cleared afresh on every use after, so an edit is seen.
+
+A canonical creation block carries no data: it is its index map (`_Shift`),
+so A^+ R is a row scatter of R, L A^+ a column gather of L and (A^+)^T G a
+row gather of G, and none is a product. Pending exact A^+ and the blocks
+`complete_fock` builds are the library's own shifts; public ones (float,
+or exact once read) pass an O(entries) test per call (`_cleared_fock`),
+and one that fails keeps every creation block a dense matrix, so tampered
+blocks are measured as before. Exact right-hand sides of the annihilation
+solves, exact vacuum words and the null ideal's inherited shifts use the
+maps; float A^-, vacuum words and null generators keep their products,
+since those values are published and a map can keep a negative zero where
+a product gives +0.0. The commutation checks use the maps in both modes:
+CR1 holds by construction on canonical shifts and is recorded as 0.0
+against its usual tolerance, CR2 is four gathers and scatters, and CR3 is
+two of each plus one product of its stacked A^0 A^0 factors; exact parts
+are added over one lcm and reduced once (`_term_sum`). Each relation is
+measured in the target-level Gram seminorm. A float check takes the split
+the gradation made of each Gram still bit-equal to the Gram it split
+(`_gradation_splits`) and decomposes the others once per call
+(`_seminorms`), keeping nothing, so an edit between calls is seen; a
+caller holding float splits of the Grams (validation) has its factors read
+off them. A level whose seminorm vanishes identically (an exact Gram with
+no nonzero entry, a float Gram with no seminorm factor) scores 0, and the
+block landing on it is never formed; an exact residual block with no
+nonzero numerator (`_linalg.is_zero`), the residual of every genuine
+input, scores 0 without the seminorm. Likewise an exact zero Gram level
+costs no elimination, no solve and no product: its split, the solves with
+its zero right-hand sides and its hermiticity residuals are returned as
+that work would compute them (`_gram_solve`, `symmetry_residuals`), so
+every residual is unchanged; so is the hermiticity of an exact zero A^0.
 Vacuum words are memoized, each state keeping only the levels that can
 still reach the vacuum (see `vacuum_moment`). A residual computed on pairs
 is decided on its exact value: its binary64 image stays above 0.0 when it
@@ -68,6 +87,68 @@ def _shift_rows(dimension: int, i: int, n: int) -> np.ndarray:
     rows = np.array([row_pos[alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]] for alpha in cols])
     rows.setflags(write=False)
     return rows
+
+
+@dataclass(frozen=True, eq=False)
+class _Shift:
+    """A canonical creation block, or its negative, as its index map (`_shift_rows`).
+
+    The block has size rows, and column alpha has one nonzero entry, sign,
+    in row rows[alpha]. So A^+ R is a row scatter of R (`_scatter`), L A^+ a
+    column gather of L and (A^+)^T G a row gather of G: none is a product.
+    """
+
+    rows: np.ndarray
+    size: int
+    sign: int = 1
+
+    @property
+    def shape(self) -> tuple:
+        return (self.size, len(self.rows))
+
+    def __neg__(self) -> "_Shift":
+        return replace(self, sign=-self.sign)
+
+
+@functools.cache
+def _shift(dimension: int, i: int, n: int) -> _Shift:
+    return _Shift(_shift_rows(dimension, i, n), len(monomials_of_degree(dimension, n + 1)))
+
+
+def _shifts(dimension: int, depth: int) -> list:
+    """The index maps of every creation block up to depth: shifts[i][n] for A_i^+(n)."""
+    return [[_shift(dimension, i, n) for n in range(depth)] for i in range(dimension)]
+
+
+def _is_shift(block, shift: _Shift) -> bool:
+    """Whether a block in computing form is the canonical shift: one O(entries) test."""
+    if isinstance(block, _linalg.Cleared):
+        if block.den != 1:
+            return False
+        block = block.num
+    if block.shape != shift.shape:
+        return False
+    units = block[shift.rows, np.arange(len(shift.rows))]
+    return np.count_nonzero(block) == len(shift.rows) and bool((units == 1).all())
+
+
+def _scatter(shift: _Shift, v):
+    """shift @ v for a vector or matrix v: the rows of v put at the shift's rows, zeros elsewhere.
+
+    An exact object array is cleared first. A pair keeps its numerators and
+    denominator, so it stays reduced.
+    """
+    v = _linalg.cleared(v)
+    exact = isinstance(v, _linalg.Cleared)
+    out = np.zeros((shift.size, *v.shape[1:]), dtype=object if exact else float)
+    rows = v.num if exact else v
+    out[shift.rows] = rows if shift.sign > 0 else -rows
+    return _linalg.Cleared.reduced(out, v.den) if exact else out
+
+
+def _transpose_times(creation, g):
+    """creation^T @ g; for an index map (`_Shift`), the rows of g at its rows, a pair reduced again."""
+    return g[creation.rows] if isinstance(creation, _Shift) else _linalg.matmul(creation.T, g)
 
 
 def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
@@ -135,18 +216,30 @@ class FockData(_linalg.Deferred):
 _FAMILIES = ("grams", "aplus", "azero", "aminus")
 
 
-def _cleared_fock(fock: FockData) -> FockData:
+def _cleared_fock(fock: FockData, shifts: bool = True) -> FockData:
     """fock with its blocks in computing form (`_linalg.computing`).
 
     A pending family gives the pairs it was computed on; a public one is
     cleared afresh, so an edit is seen. Float blocks, and blocks already
     held as pairs, are their own computing form. A block holding a float
-    entry cannot be cleared: then fock itself.
+    entry cannot be cleared: then fock itself. With shifts, canonical
+    creation blocks come as their index maps (`_Shift`): pending ones are
+    the library's own shifts, public ones pass `_is_shift` block by block.
+    One block that fails keeps every creation block dense.
     """
     try:
-        return replace(fock, **{name: _linalg.computing(fock, name) for name in _FAMILIES})
+        blocks = {name: _linalg.computing(fock, name) for name in _FAMILIES}
     except TypeError:
         return fock
+    if shifts:
+        maps = _shifts(fock.dimension, fock.depth)
+        aplus = blocks["aplus"]
+        if "aplus" in fock.__dict__.get("_computing", {}) or (
+            len(aplus) == len(maps)
+            and all(len(a) == len(m) and all(map(_is_shift, a, m)) for a, m in zip(aplus, maps))
+        ):
+            blocks["aplus"] = maps
+    return replace(fock, **blocks)
 
 
 def _creation_blocks(d: int, depth: int) -> list:
@@ -220,6 +313,8 @@ def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
     None), and residuals[(i, n)] = (residual, scale) of each solve, which
     holds when residual <= tol.adj * scale. An exact zero G_n gives the zero
     right-hand side without a product, which `_gram_solve` solves without one.
+    A creation block given as its index map (`_Shift`) makes the right-hand
+    side a row gather of G_n (`_transpose_times`).
     """
     aminus = []
     residuals = {}
@@ -229,7 +324,7 @@ def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
             if _linalg.is_zero(grams[n]):
                 rhs = _linalg.zeros(creation[n - 1].shape[1], grams[n].shape[1])
             else:
-                rhs = _linalg.matmul(creation[n - 1].T, grams[n])
+                rhs = _transpose_times(creation[n - 1], grams[n])
             a, residual, scale = _gram_solve(splits[n - 1], grams[n - 1], rhs)
             per_level.append(a)
             residuals[(i, n)] = (residual, scale)
@@ -246,13 +341,16 @@ def complete_fock(
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
     (`favard.validate`): the creation blocks are the canonical shifts, the
     annihilation blocks come from `annihilation_blocks`, all in computing
-    form. Returns (FockData, residuals), residuals as returned by
-    `annihilation_blocks`; the FockData carries tol and gradation.
+    form. Exact right-hand sides are row gathers of the Grams; float ones
+    stay products, since the A^- blocks are published and a gather can keep
+    a negative zero where the product gives +0.0. Returns (FockData,
+    residuals), residuals as returned by `annihilation_blocks`; the
+    FockData carries tol and gradation.
     """
     d, depth = len(azero), len(grams) - 1
     dtype = object if exact else float
     aplus = [[_linalg.cleared(creation_matrix(d, i, n, dtype)) for n in range(depth)] for i in range(d)]
-    aminus, residuals = annihilation_blocks(aplus, grams, splits)
+    aminus, residuals = annihilation_blocks(_shifts(d, depth) if exact else aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation, tol)
     return fock, residuals
 
@@ -366,7 +464,7 @@ def adjointness_residuals(fock: FockData) -> dict:
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
             lhs = _linalg.matmul(fock.grams[n - 1], fock.aminus[i][n])
-            residual, scale = _residual(lhs, _linalg.matmul(fock.aplus[i][n - 1].T, fock.grams[n]))
+            residual, scale = _residual(lhs, _transpose_times(fock.aplus[i][n - 1], fock.grams[n]))
             out[(i + 1, n)] = residual / scale
     return out
 
@@ -374,13 +472,13 @@ def adjointness_residuals(fock: FockData) -> dict:
 def symmetry_residuals(grams: list, azero: list) -> dict:
     """(residual, scale) of the asymmetry of G_n A_i^0, keyed by (i, n).
 
-    An exact zero G_n (`_linalg.is_zero`) gives (0.0, 1.0), what the zero
-    product scores, without forming it.
+    An exact zero G_n or A_i^0 (`_linalg.is_zero`) gives (0.0, 1.0), what
+    the zero product scores, without forming it.
     """
     out = {}
     for i, per_level in enumerate(azero):
         for n, (gram, block) in enumerate(zip(grams, per_level)):
-            if _linalg.is_zero(gram):
+            if _linalg.is_zero(gram) or _linalg.is_zero(block):
                 out[(i, n)] = (0.0, 1.0)
                 continue
             s = _linalg.matmul(gram, block)
@@ -445,11 +543,13 @@ def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
 
     A level whose seminorm vanishes identically (an exact Gram with no
     nonzero entry, a float Gram with no `_seminorm_factor`) scores 0.0, and
-    make_cols is not called: the block is never formed. Each level's float
-    factor and vanishing test are made on first need and kept by the
-    returned function only, so a caller taking one per call decomposes each
-    Gram once per call and still sees a Gram edited between calls. The
-    caller's float splits of the Grams, if given, give the factors.
+    make_cols is not called: the block is never formed. An exact block with
+    no nonzero numerator (`_linalg.is_zero`) scores 0.0 without the
+    seminorm. Each level's float factor and vanishing test are made on
+    first need and kept by the returned function only, so a caller taking
+    one per call decomposes each Gram once per call and still sees a Gram
+    edited between calls. The caller's float splits of the Grams, if given,
+    give the factors; a None among them is made afresh.
     """
 
     @functools.cache
@@ -469,7 +569,10 @@ def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
     def residual(make_cols, n):
         if vanishes(n):
             return 0.0
-        return _seminorm_residual(make_cols(), grams[n], functools.partial(factor, n))
+        cols = make_cols()
+        if _linalg.is_zero(cols):
+            return 0.0  # what the seminorm of an exact zero block is
+        return _seminorm_residual(cols, grams[n], functools.partial(factor, n))
 
     return residual
 
@@ -515,17 +618,95 @@ def check_commutation(fock: FockData) -> CommutationReport:
     largest target-level Gram seminorm over block columns, so components in
     the null directions of the functional do not register, at the rank
     cutoff of `fock.tolerances`. Residuals of exact blocks pass only at zero.
+    Canonical creation blocks commute by construction: their CR1 entries are
+    recorded as 0.0; edited ones are multiplied out.
     """
     tol = fock.tolerances
+    splits = _gradation_splits(fock)
     fock = _cleared_fock(fock)
-    return _commutation_report(fock, tol, _seminorms(fock.grams, tol.rank))
+    return _commutation_report(fock, tol, _seminorms(fock.grams, tol.rank, splits))
+
+
+def _gradation_splits(fock: FockData) -> list | None:
+    """The float splits fock's gradation made of its Grams, where a Gram is still the one split.
+
+    A forward float FockData's Grams are its gradation's levels' own. The
+    gradation keeps a copy of each Gram it split and of the split (`_made`);
+    a Gram whose dtype, shape or bytes differ from that copy gets None, so
+    its split is made afresh, and so does every Gram under another rank
+    cutoff. Exact blocks: None.
+    """
+    g = fock.gradation
+    made = getattr(g, "_made", None)
+    if fock.exact or made is None or fock.tolerances.rank != g.tol.rank or len(made) != len(fock.grams):
+        return None
+
+    def same(a, b):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    return [split if same(np.asarray(gram), copy) else None for gram, (copy, split) in zip(fock.grams, made)]
+
+
+def _times(left, right):
+    """left @ right, a `_Shift` factor taken as its index map: a row scatter or a column gather."""
+    if isinstance(left, _Shift):
+        return _scatter(left, right)
+    if isinstance(right, _Shift):
+        cols = left[:, right.rows]
+        return cols if right.sign > 0 else -cols
+    return left @ right
+
+
+def _term_sum(terms: list, exact: bool):
+    """The sum of left @ right over the terms, a `_Shift` factor taken as its index map.
+
+    Float terms are added in the order given (`_times`): a gather or scatter
+    has the product's values, up to the sign of a zero, which no seminorm
+    sees. Exact products run as one integer product of the stacked factors;
+    with shifts among the terms, the shifted parts and that product are
+    added over the lcm of their denominators and reduced once.
+    """
+    if not exact:
+        return functools.reduce(operator.add, (_times(left, right) for left, right in terms))
+    moved, products = [], []
+    for left, right in terms:
+        shifted = isinstance(left, _Shift) or isinstance(right, _Shift)
+        (moved if shifted else products).append((left, right))
+    parts = []  # (rows it adds to, numerators, denominator, sign)
+    if products:
+        lefts, rights = zip(*products)
+        product = _linalg.matmul(_linalg.stack(lefts, axis=1), _linalg.stack(rights, axis=0))
+        if not moved:
+            return product
+        parts.append((slice(None), product.num, product.den, 1))
+    for left, right in moved:
+        if isinstance(left, _Shift):
+            parts.append((left.rows, right.num, right.den, left.sign))
+        else:
+            parts.append((slice(None), left.num[:, right.rows], left.den, right.sign))
+    left, right = moved[0]
+    total = np.zeros((left.shape[0], right.shape[1]), dtype=object)
+    den = math.lcm(*(part[2] for part in parts))
+    for rows, num, part_den, sign in parts:
+        scale = sign * (den // part_den)
+        total[rows] += num if scale == 1 else num * scale
+    return _linalg.Cleared(total, den)
 
 
 def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> CommutationReport:
-    """`check_commutation` of fock, in computing form, measured by seminorm (`_seminorms`)."""
-    on_pairs = isinstance(fock.grams[0], _linalg.Cleared)
+    """`check_commutation` of fock, in computing form, measured by seminorm (`_seminorms`).
+
+    With the creation blocks as index maps (`_Shift`), CR1 vanishes by
+    construction: it is recorded as 0.0 against its usual tolerance, with
+    no block formed. A depth or dimension that leaves no relation returns
+    at once.
+    """
     n_max = fock.depth
     report = CommutationReport(depth=n_max)
+    if n_max == 0 or fock.dimension < 2:
+        return report
+    on_pairs = isinstance(fock.grams[0], _linalg.Cleared)
+    shifts = isinstance(fock.aplus[0][0], _Shift)
     blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
 
     def ap(i, n):
@@ -539,18 +720,14 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
 
     @functools.cache
     def scale(kind, i, n):
-        return _max_abs(blocks[kind][i][n])
-
-    def combine(terms):
-        # sum of left @ right; exact terms run as one integer product of the
-        # stacked factors, float terms add up in the order written
-        if fock.exact:
-            lefts, rights = zip(*terms)
-            return _linalg.matmul(_linalg.stack(lefts, axis=1), _linalg.stack(rights, axis=0))
-        return functools.reduce(operator.add, (left @ right for left, right in terms))
+        # a canonical shift's largest entry is its unit
+        return 1.0 if kind == "+" and shifts else _max_abs(blocks[kind][i][n])
 
     def record(relation, pair, n, terms, target_level, parts):
-        residual = seminorm(lambda: combine(terms), target_level)
+        if relation == "CR1" and shifts:
+            residual = 0.0  # canonical shifts commute
+        else:
+            residual = seminorm(lambda: _term_sum(terms, fock.exact), target_level)
         tolerance = tol.comm * max([1.0] + [scale(*p) for p in parts])
         report.entries.append(
             CommutationEntry(
@@ -612,7 +789,8 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
             )
-        accumulate(n + 1, mul(fock.aplus[i][n], v))
+        creation = fock.aplus[i][n]
+        accumulate(n + 1, _scatter(creation, v) if isinstance(creation, _Shift) else mul(creation, v))
         accumulate(n, mul(fock.azero[i][n], v))
         if n >= 1:
             accumulate(n - 1, mul(fock.aminus[i][n], v))
@@ -635,6 +813,8 @@ def vacuum_moment(fock: FockData, alpha):
     in computing form at the first call (`_cleared_fock`, so edits made
     before it are seen) and is valid while the blocks are not edited in
     place; a copy or `dataclasses.replace` of the FockData starts a fresh one.
+    Exact words scatter through canonical creation blocks; float words keep
+    the products, whose zeros are +0.0, since their values are published.
     """
     alpha = tuple(alpha)
     _check_index(alpha, fock.dimension)
@@ -644,7 +824,7 @@ def vacuum_moment(fock: FockData, alpha):
         )
     if "_vacuum" not in fock.__dict__:
         vacuum = np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)
-        fock._vacuum = (_cleared_fock(fock), {(0,) * fock.dimension: {0: vacuum}})
+        fock._vacuum = (_cleared_fock(fock, fock.exact), {(0,) * fock.dimension: {0: vacuum}})
     blocks, states = fock._vacuum
 
     def state(word):
@@ -679,7 +859,7 @@ def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
         )
     blocks = _cleared_fock(fock)
-    seminorm = _seminorms(blocks.grams, fock.tolerances.rank)
+    seminorm = _seminorms(blocks.grams, fock.tolerances.rank, _gradation_splits(fock))
     size = blocks.grams[n].shape[0]
     worst = 0.0
     for col in range(size):

@@ -9,11 +9,14 @@ For each degree n the candidates are the monomials of degree n corrected by
 their projection onto every lower slice: starting from the unit columns, one
 block Gram-Schmidt step per lower level m subtracts
 U_m diag(1/nu_m) U_m^T M coef, where U_m holds the orthogonal basis of slice m
-and nu_m its squared norms. The Gram matrix G_n = coef^T M coef of the
-candidates is the Schur complement of M on the degree-n block; its range
-gives an orthogonal basis of the slice, its kernel the degree-n null
-directions of the functional. A null direction p must have Lambda(p x^b) = 0
-for every monomial x^b of the matrix, as a PSD M ensures; exact mode checks
+and nu_m its squared norms. In exact mode U_m^T M vanishes on the columns of
+degree < m, so only the rows of coef of degree >= m enter that product; in
+binary64 those columns hold rounding noise, and the full product stays. The
+Gram matrix G_n = coef^T M coef of the candidates is the Schur complement
+of M on the degree-n block; its range gives an orthogonal basis of the
+slice, its kernel the degree-n null directions of the functional. A null
+direction p must have Lambda(p x^b) = 0 for every monomial x^b of the
+matrix, as a PSD M ensures; exact mode checks
 it and refuses data where it fails. With every lower null direction past
 that check, and coef M-orthogonal to every lower orthogonal basis, M coef
 vanishes on every row of degree < n; coef is the identity on its degree-n
@@ -180,7 +183,14 @@ class DegreeBasis(_linalg.Deferred):
 
 
 class GradationBasis:
-    """Orthogonal gradation of a functional up to a fixed maximal degree."""
+    """Orthogonal gradation of a functional up to a fixed maximal degree.
+
+    A float gradation of `build_gradations` keeps, per level, a copy of the
+    Gram it split and of the split (`_made`), for checks on its Fock blocks
+    to read while that Gram is unchanged.
+    """
+
+    _made = None
 
     def __init__(self, functional, max_degree, mode, tol, levels):
         self.functional = functional
@@ -288,7 +298,10 @@ def build_gradations(
     moments = _moment_rows(functional, 0, max_degree, max_degree)
 
     levels = []
-    lower = []  # per level m: (U_m diag(1/nu_m), U_m^T M) of its orthogonal basis
+    made = []  # float: (copy of G_n, copy of its split) per level
+    # per level m, of its orthogonal basis U_m: (its first row, U_m diag(1/nu_m), U_m^T M),
+    # the last on the columns of degree >= m only in exact mode
+    lower = []
     for n in range(max_degree + 1):
         monos = monomials_of_degree(d, n)
         k = len(monos)
@@ -297,9 +310,15 @@ def build_gradations(
         for j in range(k):
             unit[size - k + j, j] = 1
         coef = _linalg.cleared(unit)
-        for scaled, paired in lower:
-            coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
-        top = lower[-1][0].shape[0] if lower else 0  # the rows the projections reach
+        for lo, scaled, paired in lower:
+            if exact:
+                # exact paired starts at column lo, so only coef's rows from lo on
+                # enter: one product of numerators, reduced once
+                num = scaled.num @ (paired.num[:, : size - lo] @ coef.num[lo:])
+                coef[: scaled.shape[0]] -= _linalg.Cleared(num, scaled.den * paired.den * coef.den)
+            else:
+                coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
+        top = lower[-1][1].shape[0] if lower else 0  # the rows the projections reach
         if exact:
             # coef is the identity on its degree-n rows, and M coef vanishes on
             # the rows of lower degree (each lower null direction z has M z = 0,
@@ -319,9 +338,14 @@ def build_gradations(
                 )
         if split.rank and n < max_degree:  # no level above reads the projection
             ortho = _linalg.matmul(coef, split.combos)
-            lower.append(
-                (ortho / split.norms2[None, :], _linalg.matmul(ortho.T, moments[:size]))
-            )
+            lo = size - k
+            if exact:
+                # U_n^T M vanishes on the columns of degree < n: the lower slices
+                # are M-orthogonal to U_n, and M maps lower null directions to 0
+                paired = _linalg.Cleared(ortho.num.T @ moments.num[:size, lo:], ortho.den * moments.den)
+            else:
+                paired = _linalg.matmul(ortho.T, moments[:size])
+            lower.append((lo, ortho / split.norms2[None, :], paired))
         if exact:
             arrays = {
                 "coef": _linalg.Pending(coef, partial(_public_coef, unit, top)),
@@ -330,10 +354,15 @@ def build_gradations(
             }
         else:
             arrays = {"coef": unit, "gram": gram, "split": split}
+            copies = _linalg.GramSplit(split.combos.copy(), split.norms2.copy(), split.null.copy())
+            made.append((gram.copy(), copies))
         levels.append(
             DegreeBasis(
                 degree=n, monomials=monos, weights=tuple(index_weight(a) for a in monos), **arrays
             )
         )
 
-    return GradationBasis(functional, max_degree, mode, tol, levels)
+    g = GradationBasis(functional, max_degree, mode, tol, levels)
+    if not exact:
+        g._made = made
+    return g

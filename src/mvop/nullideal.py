@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .fock import creation_matrix
+from .fock import _scatter, _shift, creation_matrix
 from .gradation import GradationBasis
 from .polynomial import Polynomial
 
@@ -110,7 +110,6 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
     """
     exact = g.exact
     d = g.dimension
-    dtype = object if exact else float
     generators: list = []
     by_degree: dict = {}
     log = []
@@ -121,7 +120,12 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
             continue
         # the degree-0 Gram is the positive vacuum norm, so n >= 1 here
         below = _linalg.computing(g.level(n - 1), "split").null
-        shifts = [_linalg.matmul(creation_matrix(d, i, n - 1, dtype), below) for i in range(d)]
+        if exact:
+            # A_i^+ K_{n-1} is a row scatter of the kernel pair (`fock._scatter`)
+            shifts = [_scatter(_shift(d, i, n - 1), below) for i in range(d)]
+        else:
+            # float shifts stay products: the SVD below can see the sign of a zero
+            shifts = [_linalg.matmul(creation_matrix(d, i, n - 1), below) for i in range(d)]
         inherited = _linalg.stack(shifts, axis=1)
         new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import mvop
 from mvop import _linalg
+from mvop import fock as fock_module
 from mvop.errors import InconsistentMomentsError
 from mvop.fock import annihilation_blocks, creation_matrix
 from mvop.nullideal import _new_kernel_directions
@@ -427,6 +428,32 @@ def test_float_entry_in_exact_blocks_falls_back(skewed_fock):
     assert entries(report) == pytest.approx(ref_commutation(fock, fock.tolerances))
     assert max(mvop.azero_symmetry_residuals(fock).values()) > 1e-4
     assert mvop.x_commutator_residual(fock, 0, 1, 1) > 1e-4
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_tampered_creation_block_fails_cr1(exact, skewed_fock):
+    # a published creation block with one entry changed is no canonical shift:
+    # every block is multiplied as a matrix, as for any user-built blocks
+    if exact:
+        fock = copy.deepcopy(skewed_fock)
+    else:
+        fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=14), 6))
+    # A_1^+ y gains a y^2 component, so [A_1^+, A_2^+] misses at degree 0
+    fock.aplus[0][1][2, 1] += Fraction(1, 3) if exact else 1e-3
+    report = mvop.check_commutation(fock)
+    failed = {(e.relation, e.degree) for e in report.failures()}
+    assert ("CR1", 0) in failed
+    if exact:
+        assert entries(report) == ref_commutation(fock, fock.tolerances)
+        return
+    # the float CR1 residuals of the dense products, term by term
+    seminorm = fock_module._seminorms(fock.grams, fock.tolerances.rank)
+    ap = fock.aplus
+    want = [
+        seminorm(lambda: ap[0][n + 1] @ ap[1][n] + (-ap[1][n + 1]) @ ap[0][n], n + 2)
+        for n in range(fock.depth - 1)
+    ]
+    assert [e.residual for e in report.entries if e.relation == "CR1"] == want
 
 
 def test_matmul_on_mixed_object_array():

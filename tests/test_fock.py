@@ -1,12 +1,14 @@
 import dataclasses
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import mvop
+from mvop import fock as fock_module
 
 
 def test_creation_matrix_structure():
@@ -273,3 +275,31 @@ def test_assemble_fock_carries_the_gradation_tolerances(square_fn, circle):
 def test_tolerances_are_set_where_the_data_is_built(name, has_tol):
     # later judgments read the tolerances their data carries
     assert ("tol" in inspect.signature(getattr(mvop, name)).parameters) == has_tol
+
+
+def test_no_coordinate_pair_is_walked_without_a_relation():
+    # depth 0 leaves no commutation relation, so the check costs nothing per
+    # coordinate pair: a d = 5000 payload has 12.5 million of them
+    d = 300
+    zero = np.zeros((1, 1), dtype=object)
+    fi = mvop.FockInput(d, 0, [np.array([[1]], dtype=object)], [[zero] for _ in range(d)])
+    lines = []
+
+    def local(frame, event, arg):
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is fock_module._commutation_report.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        report = mvop.validate(fi)
+    finally:
+        sys.settrace(previous)
+    assert report.passed and not any(c.name.startswith("CR") for c in report.checks)
+    assert 0 < len(lines) < d
+    fock = mvop.assemble_fock(mvop.build_gradations(mvop.gaussian_functional(), 3))
+    assert mvop.check_commutation(fock).entries == []  # one coordinate: no pair at all

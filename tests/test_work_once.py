@@ -1,11 +1,14 @@
 """Per-op work is done once: Gram factors per check, vacuum states, localizing moments.
 
-A float check decomposes each target-level Gram once per call, and keeps no
-factor on the FockData, so an in-place edit between calls is seen; float
-validation decomposes each payload Gram once in all. A seminorm check forms
-no product on a level whose seminorm vanishes, exact validation runs no
-elimination, solve or product against a zero Gram level, and reconstruction
-compresses only the levels below its rank-zero cutoff. A memoized vacuum
+A float check on assembled blocks reads the gradation's split of each Gram
+still equal to the one split, and decomposes any other target-level Gram
+once per call, keeping no factor on the FockData, so an in-place edit
+between calls is seen; float validation decomposes each payload Gram once
+in all. A forward exact run multiplies no creation block: the canonical
+shifts act as index maps. A seminorm check forms no product on a level
+whose seminorm vanishes, exact validation runs no elimination, solve or
+product against a zero Gram level, and reconstruction compresses only the
+levels below its rank-zero cutoff. A memoized vacuum
 state keeps only the levels that can still reach the vacuum. Assembly
 fetches each distinct localizing moment once for all coordinates. Exact
 gradations refuse data whose seminorm-null polynomials have a nonzero
@@ -13,6 +16,7 @@ moment, which no moment functional has.
 """
 
 import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -22,7 +26,7 @@ import pytest
 
 import mvop
 from conftest import random_rational_measure
-from mvop import _linalg, fock as fock_module
+from mvop import _linalg, fock as fock_module, nullideal
 from mvop.cli import main
 from mvop.fock import _preservation_rhs
 from mvop.gradation import moment_matrix
@@ -62,12 +66,21 @@ def test_one_eigh_per_target_level_per_check(circle12, eighs):
     report = mvop.check_commutation(circle12)
     # CR1, CR2 and CR3 target levels 2..12, 1..12 and 0..11: 35 entries, 13 levels
     assert len(report.entries) == 35
+    # the blocks' Grams are the gradation's, so their factors come off its splits
+    assert len(eighs) == 0
+    assert mvop.check_commutation(circle12).entries == report.entries
+    assert len(eighs) == 0
+    mvop.x_commutator_residual(circle12, 0, 1, 3)
+    assert len(eighs) == 0
+    # without the gradation, a call decomposes each target level once
+    bare = dataclasses.replace(circle12, gradation=None)
+    assert mvop.check_commutation(bare).entries == report.entries
     assert len(eighs) == 13
     eighs.clear()
-    assert mvop.check_commutation(circle12).entries == report.entries
+    assert mvop.check_commutation(bare).entries == report.entries
     assert len(eighs) == 13  # a second call decomposes afresh
     eighs.clear()
-    mvop.x_commutator_residual(circle12, 0, 1, 3)
+    mvop.x_commutator_residual(bare, 0, 1, 3)
     # the words X_j X_k and X_k X_j from level 3 reach levels 1..5
     assert len(eighs) == 5
 
@@ -125,9 +138,11 @@ def test_exact_validate_forms_no_product_against_a_zero_gram(monkeypatch, eight_
     on_zero = [int(c.detail.rsplit(" ", 1)[1]) + TARGET[c.name] in zero for c in seminorm_checks]
     measured = [c for c, skip in zip(seminorm_checks, on_zero) if not skip]
     assert any(on_zero) and all(c.residual == 0.0 for c, skip in zip(seminorm_checks, on_zero) if skip)
-    # one product per measured check: a seminorm each, two stacks per commutation
-    assert counts["max_quadratic"] == len(measured)
-    assert counts["stack"] == 2 * sum(c.name.startswith("CR") for c in measured)
+    # the commutation residuals of genuine blocks are zero pairs, scored 0
+    # with no seminorm, so only the kernel checks take one; CR3's two A^0 A^0
+    # terms are its one product, of two stacks, and CR1 and CR2 form none
+    assert counts["max_quadratic"] == sum(c.name.startswith("kernel") for c in measured) == 2
+    assert counts["stack"] == 2 * sum(c.name == "CR3" for c in measured) == 8
     got = [(c.name, c.detail, c.residual, c.tolerance) for c in report.checks]
     assert got == ref_validate_checks(fi, tol)
 
@@ -195,11 +210,12 @@ def test_float_check_scores_zero_levels_without_products(monkeypatch, eighs):
     report = mvop.check_commutation(fock)
     on_zero = [e for e in report.entries if e.degree + TARGET[e.relation] >= 3]
     assert on_zero and all(e.residual == 0.0 for e in on_zero)
-    assert counts["_seminorm_residual"] == len(report.entries) - len(on_zero)
-    assert len(eighs) == 5  # one per target level 0..4, zero levels included
-    eighs.clear()
+    # canonical shifts commute: CR1 is recorded as 0 without a seminorm
+    measured = [e for e in report.entries if e not in on_zero and e.relation != "CR1"]
+    assert counts["_seminorm_residual"] == len(measured) == 5
+    assert len(eighs) == 0  # the factors come off the gradation's splits
     assert mvop.check_commutation(fock).entries == report.entries
-    assert len(eighs) == 5
+    assert len(eighs) == 0
 
 
 def test_float_gram_edited_between_checks_is_seen():
@@ -311,3 +327,72 @@ def test_genuine_rational_data_passes_the_null_moment_check(d):
             g = mvop.build_gradations(source, depth, mode="exact")
             deficient += any(lev.nullity for lev in g.levels)
     assert deficient >= 12  # the check ran on most draws
+
+
+@pytest.fixture
+def creation_arrays(monkeypatch):
+    """Every creation block the library builds, and the numerators of its pairs."""
+    made = []
+
+    def recording(make):
+        def wrapped(*args, **kwargs):
+            out = make(*args, **kwargs)
+            made.append(out)
+            return out
+
+        return wrapped
+
+    clear = _linalg.cleared
+
+    def clearing(x):
+        out = clear(x)
+        if any(x is block for block in made):
+            made.append(out.num)
+        return out
+
+    monkeypatch.setattr(fock_module, "creation_matrix", recording(fock_module.creation_matrix))
+    monkeypatch.setattr(nullideal, "creation_matrix", recording(nullideal.creation_matrix))
+    monkeypatch.setattr(_linalg, "cleared", clearing)
+    return made
+
+
+def test_forward_exact_run_multiplies_no_creation_block(monkeypatch, creation_arrays):
+    # a 3-D product with a 3-atom factor: deficient from degree 3, so the null
+    # ideal inherits shifted kernels as well
+    quarter, half = Fraction(1, 4), Fraction(1, 2)
+    atoms = mvop.discrete_functional(mvop.DiscreteMeasure(((-1,), (half,), (2,)), (quarter, half, quarter)))
+    f = mvop.product_functional([mvop.gaussian_functional(), atoms, mvop.gaussian_functional()])
+    matmuls = _recorded_matmuls(monkeypatch)
+    g = mvop.build_gradations(f, 4)
+    fock = mvop.assemble_fock(g)
+    assert mvop.check_commutation(fock).passed
+    words = mvop.monomials_up_to(3, 4)
+    assert [mvop.vacuum_moment(fock, w) for w in words] == [f.moment(w) for w in words]
+    basis = mvop.base_generators(g)
+    assert any(row["inherited"] for row in basis.reduction_log)
+    mvop.adjointness_residuals(fock)
+    mvop.x_commutator_residual(fock, 0, 2, 1)
+    assert creation_arrays  # assembly still builds the public blocks' pairs
+
+    def is_creation(m):
+        a = m.num if isinstance(m, _linalg.Cleared) else m
+        return any(a is block or a.base is block for block in creation_arrays)
+
+    assert matmuls and not any(is_creation(m) for mats in matmuls for m in mats)
+
+
+def test_float_check_splits_only_an_edited_gram_afresh(eighs):
+    fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=18), 8))
+    fock.grams[3][0, 0] *= 4.0
+    eighs.clear()
+    report = mvop.check_commutation(fock)
+    assert len(eighs) == 1  # level 3 alone: the gradation split the Gram before the edit
+    eighs.clear()
+    assert report.entries == mvop.check_commutation(dataclasses.replace(fock, gradation=None)).entries
+    assert len(eighs) == 9
+    # another rank cutoff splits every Gram afresh
+    eighs.clear()
+    coarse = dataclasses.replace(fock, tolerances=Tolerances(rank=1e-6))
+    report = mvop.check_commutation(coarse)
+    assert len(eighs) == 9
+    assert report.entries == mvop.check_commutation(dataclasses.replace(coarse, gradation=None)).entries
