@@ -162,7 +162,7 @@ class Deferred:
     Copies (`__getstate__`, hence `copy`, `deepcopy` and pickling),
     `dataclasses.replace` and ``==`` read every field, so they hold the
     public arrays and no kept pairs; assigning a field replaces its pending
-    value.
+    value (`pending`, `peek`).
     """
 
     _memos = ("_computing",)
@@ -187,6 +187,11 @@ class Deferred:
         state = {f.name: getattr(self, f.name) for f in fields(self)}
         state.update((k, v) for k, v in self.__dict__.items() if k not in state and k not in self._memos)
         return state
+
+
+def pending(holder: Deferred, name: str) -> bool:
+    """Whether holder.name is still pending: never read, and not assigned since it was built."""
+    return name not in holder.__dict__ and name in holder.__dict__.get("_computing", {})
 
 
 def peek(holder: Deferred, name: str):

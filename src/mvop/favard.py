@@ -40,9 +40,8 @@ from .fock import (
     _recorded_tolerance,
     _max_abs,
     _residual,
-    _scatter,
+    _create,
     _seminorms,
-    _shifts,
     complete_fock,
     symmetry_residuals,
 )
@@ -428,8 +427,6 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         return _Validation(tuple(checks), None, splits)
 
     fock, adjointness = complete_fock(grams, splits, bzero, exact, tol)
-    # complete_fock's creation blocks are the canonical shifts: the checks take their index maps
-    shifts = _shifts(d, n_max)
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
@@ -442,7 +439,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         next_scale = max(1.0, _max_abs(grams[n + 1])) if n < n_max else None
         for i in range(d):
             if n < n_max:
-                residual = seminorm(lambda: _scatter(shifts[i][n], null), n + 1)
+                residual = seminorm(lambda: _create(fock.aplus[i][n], null), n + 1)
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
             residual = seminorm(lambda: _linalg.matmul(bzero[i][n], null), n)
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
@@ -451,7 +448,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
     for (i, n), (residual, scale) in adjointness.items():
         add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-    for entry in _commutation_report(replace(fock, aplus=shifts), tol, seminorm).entries:
+    for entry in _commutation_report(fock, tol, seminorm).entries:
         add(
             entry.relation,
             f"pair {entry.pair}, degree {entry.degree}",
@@ -468,7 +465,8 @@ def _orthonormal_compression(grams: list, splits: list):
     given split of G_n; on the quotients the Fock operators are symmetric.
     Exact splits come with the cleared Grams and blocks of `_validate`: there
     C_t^T G_t A C_s is formed exactly and rounded once, so it does not
-    inherit the conditioning of the monomial Grams.
+    inherit the conditioning of the monomial Grams; a creation block is its
+    index map (`fock._Shift`), so A C_s is a row scatter of C_s.
     """
     if isinstance(splits[0].combos, _linalg.Cleared):
         # a pair's num / den rounds each entry once (int true division)
@@ -476,7 +474,7 @@ def _orthonormal_compression(grams: list, splits: list):
         scales = [1 / np.sqrt(_linalg.to_float(s.norms2.num / s.norms2.den)) for s in splits]
 
         def lift(mat, t, s):
-            block = _linalg.matmul(left[t], mat, splits[s].combos)
+            block = _linalg.matmul(left[t], _create(mat, splits[s].combos))
             return scales[t][:, None] * _linalg.to_float(block.num / block.den) * scales[s]
 
         return lift

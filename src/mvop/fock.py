@@ -23,35 +23,39 @@ starting from the pairs `build_gradations` kept for its levels. The FockData
 keeps those pairs and publishes each family of blocks on its first read
 (`_linalg.Deferred`): A^0 and A^- as Fraction arrays, A^+ as int arrays, and
 the grams as the levels' own. The checks and vacuum words take each family
-in computing form (`_cleared_fock`): its kept pairs until it is first read,
-so a forward run that reads no block builds none, and its public arrays
-cleared afresh on every use after, so an edit is seen.
+in computing form (`_cleared_fock`): its kept pairs (for A^+ its index
+maps) until it is first read, so a forward run that reads no block builds
+none, and its public arrays cleared afresh on every use after, so an edit
+is seen.
 
 A canonical creation block carries no data: it is its index map (`_Shift`),
 so A^+ R is a row scatter of R, L A^+ a column gather of L and (A^+)^T G a
-row gather of G, and none is a product. Pending exact A^+ and the blocks
-`complete_fock` builds are the library's own shifts; public ones (float,
-or exact once read) pass an O(entries) test per call (`_cleared_fock`),
-and one that fails keeps every creation block a dense matrix, so tampered
-blocks are measured as before. Exact right-hand sides of the annihilation
-solves, exact vacuum words and the null ideal's inherited shifts use the
-maps; float A^-, vacuum words and null generators keep their products,
-since those values are published and a map can keep a negative zero where
-a product gives +0.0. The commutation checks use the maps in both modes:
-CR1 holds by construction on canonical shifts and is recorded as 0.0
-against its usual tolerance, CR2 is four gathers and scatters, and CR3 is
-two of each plus one product of its stacked A^0 A^0 factors; exact parts
-are added over one lcm and reduced once (`_term_sum`). Each relation is
-measured in the target-level Gram seminorm. A float check takes the split
-the gradation made of each Gram still bit-equal to the Gram it split
-(`_gradation_splits`) and decomposes the others once per call
-(`_seminorms`), keeping nothing, so an edit between calls is seen; a
-caller holding float splits of the Grams (validation) has its factors read
-off them. A level whose seminorm vanishes identically (an exact Gram with
-no nonzero entry, a float Gram with no seminorm factor) scores 0, and the
-block landing on it is never formed; an exact residual block with no
-nonzero numerator (`_linalg.is_zero`), the residual of every genuine
-input, scores 0 without the seminorm. Likewise an exact zero Gram level
+row gather of G, and none is a product. Exact mode computes on the maps:
+`complete_fock` holds its creation blocks as maps, a FockData publishes
+them as int arrays only when `aplus` is read, and public exact blocks
+(read, or assigned) pass an O(entries) test per call (`_cleared_fock`);
+one that fails keeps every creation block a dense matrix, so tampered
+blocks are measured as before. So the exact annihilation right-hand
+sides, vacuum words, commutation checks, validation's kernel checks,
+reconstruction's lift and the null ideal's inherited shifts form no
+product with a creation block. Float mode keeps its creation blocks as
+matrices and multiplies them: a map can keep a negative zero where a
+product gives +0.0, and float A^-, vacuum words and null generators are
+published. In the exact checks CR1 holds by construction and is recorded
+as 0.0 against its usual tolerance, CR2 is four gathers and scatters, and
+CR3 is two of each plus one product of its stacked A^0 A^0 factors; the
+parts are added over one lcm and reduced once (`_term_sum`). Each relation
+is measured in the target-level Gram seminorm. A float check takes the
+split the gradation made of each Gram while the Gram and the split keep
+the digest the gradation took of them (`_gradation_splits`), and
+decomposes the others once per call (`_seminorms`), keeping nothing, so an
+edit between calls is seen; a caller holding float splits of the Grams
+(validation) has its factors read off them. A level whose seminorm
+vanishes identically (an exact Gram with no nonzero entry, a float Gram
+with no seminorm factor) scores 0, and the block landing on it is never
+formed; an exact residual block with no nonzero numerator
+(`_linalg.is_zero`), the residual of every genuine input, scores 0
+without the seminorm. Likewise an exact zero Gram level
 costs no elimination, no solve and no product: its split, the solves with
 its zero right-hand sides and its hermiticity residuals are returned as
 that work would compute them (`_gram_solve`, `symmetry_residuals`), so
@@ -74,7 +78,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, _computing_levels, _moment_rows
+from .gradation import GradationBasis, _computing_levels, _moment_rows, _split_digest
 from .polynomial import _check_index, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
 
@@ -121,34 +125,38 @@ def _shifts(dimension: int, depth: int) -> list:
 
 
 def _is_shift(block, shift: _Shift) -> bool:
-    """Whether a block in computing form is the canonical shift: one O(entries) test."""
-    if isinstance(block, _linalg.Cleared):
-        if block.den != 1:
-            return False
-        block = block.num
-    if block.shape != shift.shape:
+    """Whether an exact block in computing form is the canonical shift: one O(entries) test."""
+    if not isinstance(block, _linalg.Cleared) or block.den != 1 or block.shape != shift.shape:
         return False
-    units = block[shift.rows, np.arange(len(shift.rows))]
-    return np.count_nonzero(block) == len(shift.rows) and bool((units == 1).all())
+    units = block.num[shift.rows, np.arange(len(shift.rows))]
+    return np.count_nonzero(block.num) == len(shift.rows) and bool((units == 1).all())
 
 
-def _scatter(shift: _Shift, v):
-    """shift @ v for a vector or matrix v: the rows of v put at the shift's rows, zeros elsewhere.
+def _scatter(shift: _Shift, v) -> _linalg.Cleared:
+    """shift @ v for an exact vector or matrix v: the rows of v put at the shift's rows, zeros elsewhere.
 
-    An exact object array is cleared first. A pair keeps its numerators and
+    An object array is cleared first. The pair keeps v's numerators and
     denominator, so it stays reduced.
     """
     v = _linalg.cleared(v)
-    exact = isinstance(v, _linalg.Cleared)
-    out = np.zeros((shift.size, *v.shape[1:]), dtype=object if exact else float)
-    rows = v.num if exact else v
-    out[shift.rows] = rows if shift.sign > 0 else -rows
-    return _linalg.Cleared.reduced(out, v.den) if exact else out
+    out = np.zeros((shift.size, *v.shape[1:]), dtype=object)
+    out[shift.rows] = v.num if shift.sign > 0 else -v.num
+    return _linalg.Cleared.reduced(out, v.den)
+
+
+def _create(creation, v, mul=None):
+    """creation @ v: a row scatter for an index map (`_Shift`), else mul, by default `_linalg.matmul`."""
+    if isinstance(creation, _Shift):
+        return _scatter(creation, v)
+    return (mul or _linalg.matmul)(creation, v)
 
 
 def _transpose_times(creation, g):
     """creation^T @ g; for an index map (`_Shift`), the rows of g at its rows, a pair reduced again."""
-    return g[creation.rows] if isinstance(creation, _Shift) else _linalg.matmul(creation.T, g)
+    if not isinstance(creation, _Shift):
+        return _linalg.matmul(creation.T, g)
+    rows = g[creation.rows]
+    return rows if creation.sign > 0 else -rows
 
 
 def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
@@ -213,37 +221,35 @@ class FockData(_linalg.Deferred):
     _memos = ("_computing", "_vacuum")
 
 
-_FAMILIES = ("grams", "aplus", "azero", "aminus")
-
-
-def _cleared_fock(fock: FockData, shifts: bool = True) -> FockData:
+def _cleared_fock(fock: FockData) -> FockData:
     """fock with its blocks in computing form (`_linalg.computing`).
 
     A pending family gives the pairs it was computed on; a public one is
     cleared afresh, so an edit is seen. Float blocks, and blocks already
     held as pairs, are their own computing form. A block holding a float
-    entry cannot be cleared: then fock itself. With shifts, canonical
-    creation blocks come as their index maps (`_Shift`): pending ones are
-    the library's own shifts, public ones pass `_is_shift` block by block.
-    One block that fails keeps every creation block dense.
+    entry cannot be cleared: then fock itself. Exact creation blocks come
+    as index maps (`_Shift`) while they are the canonical shifts: pending
+    ones are held as the maps, public ones pass `_is_shift` block by block,
+    and one block that fails keeps every creation block dense.
     """
     try:
-        blocks = {name: _linalg.computing(fock, name) for name in _FAMILIES}
+        blocks = {name: _linalg.computing(fock, name) for name in ("grams", "azero", "aminus")}
+        pending = _linalg.pending(fock, "aplus")
+        blocks["aplus"] = _linalg.peek(fock, "aplus") if pending else _linalg.computing(fock, "aplus")
     except TypeError:
         return fock
-    if shifts:
+    if fock.exact and not pending:
         maps = _shifts(fock.dimension, fock.depth)
         aplus = blocks["aplus"]
-        if "aplus" in fock.__dict__.get("_computing", {}) or (
-            len(aplus) == len(maps)
-            and all(len(a) == len(m) and all(map(_is_shift, a, m)) for a, m in zip(aplus, maps))
+        if len(aplus) == len(maps) and all(
+            len(a) == len(m) and all(map(_is_shift, a, m)) for a, m in zip(aplus, maps)
         ):
             blocks["aplus"] = maps
     return replace(fock, **blocks)
 
 
 def _creation_blocks(d: int, depth: int) -> list:
-    """Public exact creation blocks: int arrays, shared with nothing."""
+    """Public exact creation blocks: int arrays, shared with nothing, built on publication."""
     return [[creation_matrix(d, i, n, dtype=object) for n in range(depth)] for i in range(d)]
 
 
@@ -251,7 +257,7 @@ def _pending_blocks(fock: FockData, grams: _linalg.Pending, azero: _linalg.Pendi
     """An exact FockData whose blocks are published on first read, from fock's pairs.
 
     The caller gives how the grams and A^0 are published; A^- pairs become
-    Fraction arrays, and A^+ blocks are built afresh as int arrays.
+    Fraction arrays, and A^+, held as its index maps, is built as int arrays.
     """
     d, depth = fock.dimension, fock.depth
     aplus = _linalg.Pending(fock.aplus, lambda _: _creation_blocks(d, depth))
@@ -341,16 +347,19 @@ def complete_fock(
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
     (`favard.validate`): the creation blocks are the canonical shifts, the
     annihilation blocks come from `annihilation_blocks`, all in computing
-    form. Exact right-hand sides are row gathers of the Grams; float ones
-    stay products, since the A^- blocks are published and a gather can keep
-    a negative zero where the product gives +0.0. Returns (FockData,
-    residuals), residuals as returned by `annihilation_blocks`; the
-    FockData carries tol and gradation.
+    form. Exact creation blocks are their index maps (`_Shift`), so the
+    right-hand sides are row gathers of the Grams; float ones are matrices
+    and the right-hand sides products, since the A^- blocks are published
+    and a gather can keep a negative zero where the product gives +0.0.
+    Returns (FockData, residuals), residuals as returned by
+    `annihilation_blocks`; the FockData carries tol and gradation.
     """
     d, depth = len(azero), len(grams) - 1
-    dtype = object if exact else float
-    aplus = [[_linalg.cleared(creation_matrix(d, i, n, dtype)) for n in range(depth)] for i in range(d)]
-    aminus, residuals = annihilation_blocks(_shifts(d, depth) if exact else aplus, grams, splits)
+    if exact:
+        aplus = _shifts(d, depth)
+    else:
+        aplus = [[creation_matrix(d, i, n) for n in range(depth)] for i in range(d)]
+    aminus, residuals = annihilation_blocks(aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation, tol)
     return fock, residuals
 
@@ -618,8 +627,9 @@ def check_commutation(fock: FockData) -> CommutationReport:
     largest target-level Gram seminorm over block columns, so components in
     the null directions of the functional do not register, at the rank
     cutoff of `fock.tolerances`. Residuals of exact blocks pass only at zero.
-    Canonical creation blocks commute by construction: their CR1 entries are
-    recorded as 0.0; edited ones are multiplied out.
+    Canonical exact creation blocks commute by construction: their CR1
+    entries are recorded as 0.0; edited ones, and float ones, are multiplied
+    out.
     """
     tol = fock.tolerances
     splits = _gradation_splits(fock)
@@ -628,46 +638,36 @@ def check_commutation(fock: FockData) -> CommutationReport:
 
 
 def _gradation_splits(fock: FockData) -> list | None:
-    """The float splits fock's gradation made of its Grams, where a Gram is still the one split.
+    """The float splits fock's gradation made of its Grams, where a Gram and its split are unchanged.
 
-    A forward float FockData's Grams are its gradation's levels' own. The
-    gradation keeps a copy of each Gram it split and of the split (`_made`);
-    a Gram whose dtype, shape or bytes differ from that copy gets None, so
-    its split is made afresh, and so does every Gram under another rank
-    cutoff. Exact blocks: None.
+    A forward float FockData's Grams are its gradation's levels' own. A level
+    whose Gram in fock and split in the gradation still have the digest the
+    gradation took of them (`GradationBasis.digests`) gives that split; any
+    other gets None, so its split is made afresh, and so does every Gram
+    under another rank cutoff. Exact blocks: None.
     """
     g = fock.gradation
-    made = getattr(g, "_made", None)
-    if fock.exact or made is None or fock.tolerances.rank != g.tol.rank or len(made) != len(fock.grams):
+    if fock.exact or g is None or g.digests is None or fock.tolerances.rank != g.tol.rank:
         return None
-
-    def same(a, b):
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    return [split if same(np.asarray(gram), copy) else None for gram, (copy, split) in zip(fock.grams, made)]
-
-
-def _times(left, right):
-    """left @ right, a `_Shift` factor taken as its index map: a row scatter or a column gather."""
-    if isinstance(left, _Shift):
-        return _scatter(left, right)
-    if isinstance(right, _Shift):
-        cols = left[:, right.rows]
-        return cols if right.sign > 0 else -cols
-    return left @ right
+    if len(g.digests) != len(fock.grams):
+        return None
+    return [
+        lev.split if _split_digest(gram, lev.split) == digest else None
+        for gram, lev, digest in zip(fock.grams, g.levels, g.digests)
+    ]
 
 
 def _term_sum(terms: list, exact: bool):
-    """The sum of left @ right over the terms, a `_Shift` factor taken as its index map.
+    """The sum of left @ right over the terms.
 
-    Float terms are added in the order given (`_times`): a gather or scatter
-    has the product's values, up to the sign of a zero, which no seminorm
-    sees. Exact products run as one integer product of the stacked factors;
-    with shifts among the terms, the shifted parts and that product are
-    added over the lcm of their denominators and reduced once.
+    Float terms are products added in the order given. Exact ones may hold
+    an index map (`_Shift`): the other terms run as one integer product of
+    their stacked factors, and a shifted term is a row scatter or a column
+    gather of its other factor; the parts are added over the lcm of their
+    denominators and reduced once.
     """
     if not exact:
-        return functools.reduce(operator.add, (_times(left, right) for left, right in terms))
+        return functools.reduce(operator.add, (left @ right for left, right in terms))
     moved, products = [], []
     for left, right in terms:
         shifted = isinstance(left, _Shift) or isinstance(right, _Shift)
@@ -789,8 +789,7 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
             )
-        creation = fock.aplus[i][n]
-        accumulate(n + 1, _scatter(creation, v) if isinstance(creation, _Shift) else mul(creation, v))
+        accumulate(n + 1, _create(fock.aplus[i][n], v, mul))
         accumulate(n, mul(fock.azero[i][n], v))
         if n >= 1:
             accumulate(n - 1, mul(fock.aminus[i][n], v))
@@ -813,8 +812,8 @@ def vacuum_moment(fock: FockData, alpha):
     in computing form at the first call (`_cleared_fock`, so edits made
     before it are seen) and is valid while the blocks are not edited in
     place; a copy or `dataclasses.replace` of the FockData starts a fresh one.
-    Exact words scatter through canonical creation blocks; float words keep
-    the products, whose zeros are +0.0, since their values are published.
+    Exact words scatter through canonical creation blocks (`_cleared_fock`);
+    float words take the products.
     """
     alpha = tuple(alpha)
     _check_index(alpha, fock.dimension)
@@ -824,7 +823,7 @@ def vacuum_moment(fock: FockData, alpha):
         )
     if "_vacuum" not in fock.__dict__:
         vacuum = np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)
-        fock._vacuum = (_cleared_fock(fock, fock.exact), {(0,) * fock.dimension: {0: vacuum}})
+        fock._vacuum = (_cleared_fock(fock), {(0,) * fock.dimension: {0: vacuum}})
     blocks, states = fock._vacuum
 
     def state(word):

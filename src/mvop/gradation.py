@@ -185,19 +185,18 @@ class DegreeBasis(_linalg.Deferred):
 class GradationBasis:
     """Orthogonal gradation of a functional up to a fixed maximal degree.
 
-    A float gradation of `build_gradations` keeps, per level, a copy of the
-    Gram it split and of the split (`_made`), for checks on its Fock blocks
-    to read while that Gram is unchanged.
+    A float gradation of `build_gradations` keeps a digest of each level's
+    Gram and split (`digests`, `_split_digest`), so that checks on its Fock
+    blocks read a level's split while both are unchanged; otherwise None.
     """
 
-    _made = None
-
-    def __init__(self, functional, max_degree, mode, tol, levels):
+    def __init__(self, functional, max_degree, mode, tol, levels, digests=None):
         self.functional = functional
         self.max_degree = max_degree
         self.mode = mode
         self.tol = tol
         self.levels = levels
+        self.digests = digests
 
     @property
     def dimension(self) -> int:
@@ -231,6 +230,18 @@ class GradationBasis:
 
     def dimension_table(self) -> list:
         return [(lev.degree, lev.dimension, lev.rank, lev.nullity) for lev in self.levels]
+
+
+def _split_digest(gram, split: _linalg.GramSplit) -> int:
+    """A digest of the dtype, shape and bytes of a float Gram and of its split's arrays.
+
+    Python's keyed 64-bit `hash` of them (`hashlib` would add 3.5 MiB to the
+    process). The key is drawn per process unless `PYTHONHASHSEED` fixes
+    it, so a digest pickled into another process misses, and the split is
+    then made afresh.
+    """
+    arrays = map(np.asarray, (gram, split.combos, split.norms2, split.null))
+    return hash(tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
 
 
 def _computing_levels(g: GradationBasis) -> list:
@@ -298,7 +309,7 @@ def build_gradations(
     moments = _moment_rows(functional, 0, max_degree, max_degree)
 
     levels = []
-    made = []  # float: (copy of G_n, copy of its split) per level
+    digests = []  # float: `_split_digest` of each level
     # per level m, of its orthogonal basis U_m: (its first row, U_m diag(1/nu_m), U_m^T M),
     # the last on the columns of degree >= m only in exact mode
     lower = []
@@ -354,15 +365,11 @@ def build_gradations(
             }
         else:
             arrays = {"coef": unit, "gram": gram, "split": split}
-            copies = _linalg.GramSplit(split.combos.copy(), split.norms2.copy(), split.null.copy())
-            made.append((gram.copy(), copies))
+            digests.append(_split_digest(gram, split))
         levels.append(
             DegreeBasis(
                 degree=n, monomials=monos, weights=tuple(index_weight(a) for a in monos), **arrays
             )
         )
 
-    g = GradationBasis(functional, max_degree, mode, tol, levels)
-    if not exact:
-        g._made = made
-    return g
+    return GradationBasis(functional, max_degree, mode, tol, levels, None if exact else digests)

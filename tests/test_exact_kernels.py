@@ -141,6 +141,21 @@ def ref_commutation(fock, tol):
     return out
 
 
+def ref_vacuum(fock, alpha):
+    """The vacuum coefficient of the word x^alpha, rightmost factor first, by Fraction `@`."""
+    state = {0: np.array([1], dtype=object)}
+    for i in reversed(range(fock.dimension)):
+        for _ in range(alpha[i]):
+            out = {}
+            for n, v in state.items():
+                moves = [(n + 1, fock.aplus[i][n]), (n, fock.azero[i][n])]
+                moves += [(n - 1, fock.aminus[i][n])] if n else []
+                for level, block in moves:
+                    out[level] = out[level] + block @ v if level in out else block @ v
+            state = out
+    return state[0][0]
+
+
 def ref_validate_checks(fi, tol):
     """(name, detail, residual, tolerance) of every validation check of an exact payload."""
     report = mvop.validate(fi, tol=tol)
@@ -430,22 +445,37 @@ def test_float_entry_in_exact_blocks_falls_back(skewed_fock):
     assert mvop.x_commutator_residual(fock, 0, 1, 1) > 1e-4
 
 
+def _tamper_creation(aplus, step):
+    # A_1^+ y gains a y^2 component, so [A_1^+, A_2^+] misses at degree 0
+    aplus[0][1][2, 1] += step
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_tampered_creation_block_fails_cr1(exact, skewed_fock):
-    # a published creation block with one entry changed is no canonical shift:
-    # every block is multiplied as a matrix, as for any user-built blocks
+    # a creation block with one entry changed is no canonical shift: every
+    # block is multiplied as a matrix, as for any user-built blocks
     if exact:
-        fock = copy.deepcopy(skewed_fock)
-    else:
-        fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=14), 6))
-    # A_1^+ y gains a y^2 component, so [A_1^+, A_2^+] misses at degree 0
-    fock.aplus[0][1][2, 1] += Fraction(1, 3) if exact else 1e-3
-    report = mvop.check_commutation(fock)
-    failed = {(e.relation, e.degree) for e in report.failures()}
-    assert ("CR1", 0) in failed
-    if exact:
-        assert entries(report) == ref_commutation(fock, fock.tolerances)
+        # published and edited in place, or assigned before any read, on
+        # assembled blocks and on those of a validation report
+        published = copy.deepcopy(skewed_fock)
+        _tamper_creation(published.aplus, Fraction(1, 3))
+        assigned = mvop.assemble_fock(skewed_fock.gradation)
+        reported = mvop.validate(mvop.FockInput.from_fock_data(skewed_fock)).fock
+        for fock in (assigned, reported):
+            aplus = [[creation_matrix(2, i, n, object) for n in range(4)] for i in range(2)]
+            _tamper_creation(aplus, Fraction(1, 3))
+            fock.aplus = aplus
+        for fock in (published, assigned, reported):
+            report = mvop.check_commutation(fock)
+            assert ("CR1", 0) in {(e.relation, e.degree) for e in report.failures()}
+            assert entries(report) == ref_commutation(fock, fock.tolerances)
+            words = mvop.monomials_up_to(2, 3)
+            assert [mvop.vacuum_moment(fock, w) for w in words] == [ref_vacuum(fock, w) for w in words]
         return
+    fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=14), 6))
+    _tamper_creation(fock.aplus, 1e-3)
+    report = mvop.check_commutation(fock)
+    assert ("CR1", 0) in {(e.relation, e.degree) for e in report.failures()}
     # the float CR1 residuals of the dense products, term by term
     seminorm = fock_module._seminorms(fock.grams, fock.tolerances.rank)
     ap = fock.aplus
