@@ -41,10 +41,9 @@ from .fock import (
     creation_matrix,
     nonzero_spectrum,
     vacuum_moment,
-    x_commutator_residual,
 )
 from .gradation import DegreeBasis, GradationBasis, build_gradations, index_weight
-from .marginal import MarginalSpec, jacobi_1d, marginal_functional, marginal_omega
+from .marginal import MarginalSpec, jacobi_1d, marginal_functional
 from .measures import (
     DiscreteMeasure,
     JacobiPair1D,
@@ -122,7 +121,6 @@ __all__ = [
     "jacobi_1d",
     "jacobi_to_moments",
     "marginal_functional",
-    "marginal_omega",
     "monomials_of_degree",
     "monomials_up_to",
     "nonzero_spectrum",
@@ -135,5 +133,4 @@ __all__ = [
     "table_functional",
     "validate",
     "vacuum_moment",
-    "x_commutator_residual",
 ]

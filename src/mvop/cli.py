@@ -231,6 +231,8 @@ def functional_from_payload(payload, needed_depth: int):
                     alpha = tuple(int(part) for part in str(key).split(","))
                 except ValueError:
                     raise SpecFormatError(f"bad moment table key {key!r}") from None
+                if alpha in entries:
+                    raise SpecFormatError(f"moment table key {key!r} repeats the multi-index {alpha}")
                 entries[alpha] = parse_scalar(value)
             return table_functional(dimension, entries, depth)
         if mtype == "jacobi_1d":

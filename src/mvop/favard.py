@@ -19,6 +19,7 @@ that its public arrays, cleared afresh on every use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -710,8 +711,9 @@ def self_adjointness_bound(fock: FockData, degrees=None) -> SelfAdjointnessRepor
     """
     tol = fock.tolerances
     n_max = fock.depth
-    if degrees is None:
-        degrees = list(range(1, n_max - 1))
+    degrees = list(range(1, n_max - 1)) if degrees is None else list(degrees)
+    if not all(isinstance(n, numbers.Integral) for n in degrees):
+        raise ValueError(f"degrees must be integers, got {degrees}")
     degrees = sorted(set(int(n) for n in degrees))
     if not degrees:
         raise ValueError("no degrees to bound")

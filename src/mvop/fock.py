@@ -840,36 +840,3 @@ def vacuum_moment(fock: FockData, alpha):
     # level 0 is never empty: A^0 maps it to itself
     vac = state(alpha)[0]
     return Fraction(vac.num[0], vac.den) if isinstance(vac, _linalg.Cleared) else vac[0]
-
-
-def x_commutator_residual(fock: FockData, j: int, k: int, n: int) -> float:
-    """Seminorm residual of [X_j, X_k] applied to the degree-n slice.
-
-    Needs n <= depth - 2 so both applications stay within the built blocks.
-    Coordinates are 0-based.
-    """
-    for c in (j, k):
-        if not 0 <= c < fock.dimension:
-            raise ValueError(f"coordinate {c} outside 0..{fock.dimension - 1}")
-    if n < 0:
-        raise ValueError(f"degree {n} must be non-negative")
-    if n > fock.depth - 2:
-        raise DepthExceededError(
-            f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
-        )
-    blocks = _cleared_fock(fock)
-    seminorm = _seminorms(blocks.grams, fock.tolerances.rank, _gradation_splits(fock))
-    size = blocks.grams[n].shape[0]
-    worst = 0.0
-    for col in range(size):
-        e = np.zeros(size, dtype=object if fock.exact else float)
-        e[col] = 1 if fock.exact else 1.0
-        state = {n: e}
-        jk = apply_coordinate(blocks, j, apply_coordinate(blocks, k, state))
-        kj = apply_coordinate(blocks, k, apply_coordinate(blocks, j, state))
-        total = 0.0
-        # both words reach the same levels
-        for level in set(jk) | set(kj):
-            total += seminorm(lambda: (jk[level] - kj[level])[:, None], level) ** 2
-        worst = max(worst, math.sqrt(total))
-    return worst

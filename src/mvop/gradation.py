@@ -70,23 +70,6 @@ def resolve_mode(rational: bool, mode: str) -> str:
     return mode
 
 
-def moment_matrix(functional: MomentFunctional, degree: int, shift=None) -> np.ndarray:
-    """Lambda(x^(a+b+shift)) for a, b over the monomials of degree <= degree.
-
-    Rows and columns follow ``monomials_up_to`` (graded-lex), so the matrix
-    of a lower degree is a leading block. Without shift this is the moment
-    matrix; with shift = e_i it is the localizing matrix of x_i. A plain
-    reference for tests: the library reads its moments from `_moment_rows`.
-    Object-typed for exact functionals.
-    """
-    monos = monomials_up_to(functional.dimension, degree)
-    shift = shift or (0,) * functional.dimension
-    return np.array(
-        [[functional.moment(tuple(map(sum, zip(a, b, shift)))) for b in monos] for a in monos],
-        dtype=object if functional.exact else float,
-    )
-
-
 def _moment_rows(functional: MomentFunctional, lo: int, hi: int, degree: int):
     """Lambda(x^(gamma+b)) for lo <= |gamma| <= hi and |b| <= degree <= hi, in computing form.
 
@@ -210,23 +193,6 @@ class GradationBasis:
         if not 0 <= n <= self.max_degree:
             raise ValueError(f"degree {n} outside built range 0..{self.max_degree}")
         return self.levels[n]
-
-    def inner(self, f: Polynomial, g: Polynomial):
-        return self.functional.expectation(f * g)
-
-    def project(self, f: Polynomial, n: int, space: str = "level") -> Polynomial:
-        """Seminorm projection of f onto the degree-n slice (or all slices <= n)."""
-        if space not in ("level", "upto"):
-            raise ValueError(f"unknown space {space!r}")
-        degrees = range(n + 1) if space == "upto" else (n,)
-        out = Polynomial.zero(self.dimension)
-        for m in degrees:
-            lev = self.level(m)
-            for j, u in enumerate(lev.ortho_basis()):
-                coeff = self.inner(f, u) / lev.split.norms2[j]
-                if coeff != 0:
-                    out = out + coeff * u
-        return out
 
     def dimension_table(self) -> list:
         return [(lev.degree, lev.dimension, lev.rank, lev.nullity) for lev in self.levels]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DepthExceededError, InconsistentMomentsError
-from .gradation import build_gradations, resolve_mode
+from .gradation import resolve_mode
 from .measures import JacobiPair1D, MomentFunctional
 from .scalars import Tolerances
 
@@ -126,15 +126,3 @@ def jacobi_1d(functional: MomentFunctional, depth: int, *, mode: str = "auto") -
         omegas=tuple(omegas) + (zero,) * (depth - len(omegas)),
         alphas=tuple(alphas) + (zero,) * (depth - len(alphas)),
     )
-
-
-def marginal_omega(
-    spec: MarginalSpec,
-    degree: int,
-    *,
-    mode: str = "auto",
-    tol: Tolerances | None = None,
-):
-    """Form generator of the marginal functional at one degree."""
-    g = build_gradations(marginal_functional(spec), degree, mode=mode, tol=tol)
-    return g.level(degree).omega()

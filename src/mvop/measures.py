@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import DepthExceededError, SpecFormatError
-from .polynomial import Polynomial, _check_index, monomials_up_to
+from .polynomial import _check_index, monomials_up_to
 from .scalars import is_rational
 
 UNBOUNDED_DEPTH = 10**9
@@ -77,15 +77,6 @@ class MomentFunctional:
             )
         self._cache[alpha] = self._compute(alpha)
         return self._cache[alpha]
-
-    def expectation(self, f: Polynomial):
-        """Lambda applied to a polynomial (term-wise moments)."""
-        if f.dimension != self.dimension:
-            raise ValueError(f"dimension mismatch: {f.dimension} vs {self.dimension}")
-        total = 0
-        for alpha, coeff in f.terms.items():
-            total = total + coeff * self.moment(alpha)
-        return total
 
     def __repr__(self):
         return (
@@ -332,10 +323,13 @@ def jacobi_to_moments(pair: JacobiPair1D, depth: int) -> MomentFunctional:
 def table_functional(dimension: int, entries: dict, depth: int) -> MomentFunctional:
     """Lookup-backed functional from an explicit moment table.
 
-    Every multi-index of total degree <= depth must be present, and the
-    zero-index entry must equal 1 (checked by MomentFunctional).
+    Every key must be a multi-index of length dimension, every multi-index
+    of total degree <= depth must be present, and the zero-index entry must
+    equal 1 (checked by MomentFunctional).
     """
     table = {tuple(k): v for k, v in entries.items()}
+    for alpha in table:
+        _check_index(alpha, dimension)
     missing = [a for a in monomials_up_to(dimension, depth) if a not in table]
     if missing:
         raise SpecFormatError(

@@ -145,12 +145,6 @@ class Polynomial:
         """Terms in graded-lex order (ascending degree, descending lex within degree)."""
         return sorted(self.terms.items(), key=lambda item: graded_lex_key(item[0]))
 
-    def map_coefficients(self, fn) -> "Polynomial":
-        return Polynomial(self.dimension, {a: fn(c) for a, c in self.terms.items()})
-
-    def to_float(self) -> "Polynomial":
-        return self.map_coefficients(float)
-
     # -- arithmetic ---------------------------------------------------------
     def _require_same_dimension(self, other):
         if self.dimension != other.dimension:
@@ -235,14 +229,3 @@ class Polynomial:
                     value = value * x**e
             total = total + value
         return total
-
-    def top_homogeneous(self, n: int) -> list:
-        """Coefficient vector of the degree-n part over the degree-n monomials.
-
-        The vector is indexed by ``monomials_of_degree(d, n)`` (graded-lex) and
-        zero-padded. Raises if the polynomial has degree above n.
-        """
-        if self.degree > n:
-            raise ValueError(f"polynomial has degree {self.degree} > {n}")
-        return [self.terms.get(alpha, 0) for alpha in monomials_of_degree(self.dimension, n)]
-

@@ -18,6 +18,7 @@ import mvop
 from mvop import _linalg
 from mvop._linalg import Cleared
 from mvop.fock import _max_abs
+from reference import x_commutator_residual
 
 # ---------------------------------------------------------------- strategies
 
@@ -203,7 +204,7 @@ def test_every_pipeline_pair_is_reduced(monkeypatch):
         assert mvop.check_commutation(fock).passed
         mvop.adjointness_residuals(fock)
         mvop.azero_symmetry_residuals(fock)
-        mvop.x_commutator_residual(fock, 0, 1, 1)
+        x_commutator_residual(fock, 0, 1, 1)
         for alpha in mvop.monomials_up_to(f.dimension, depth):
             mvop.vacuum_moment(fock, alpha)
         report = mvop.validate(mvop.FockInput.from_fock_data(fock))

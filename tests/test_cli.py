@@ -359,6 +359,22 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
             {"type": "moments_table", "dimension": 1, "depth": -1, "entries": {"0": 1}},
             "'depth'",
         ),
+        # every table key names one multi-index of the table's dimension, once
+        (
+            "omega",
+            {"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": 1, "02": 5}},
+            "'02'",
+        ),
+        (
+            "omega",
+            {"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": 1, "-1": 5}},
+            "(-1,)",
+        ),
+        (
+            "omega",
+            {"type": "moments_table", "dimension": 2, "depth": 0, "entries": {"0,0": 1, "5": 3}},
+            "(5,)",
+        ),
     ],
     ids=[
         "block-not-list",
@@ -377,6 +393,9 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         "jacobi-negative-depth",
         "circle-negative-max-degree",
         "table-negative-depth",
+        "table-repeated-key",
+        "table-negative-key",
+        "table-short-key",
     ],
 )
 def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload, named):

@@ -431,6 +431,10 @@ def test_self_adjointness_degree_window(circle_fock):
         mvop.self_adjointness_bound(circle_fock, degrees=[7])
     with pytest.raises(ValueError):
         mvop.self_adjointness_bound(circle_fock, degrees=[0])
+    # a fractional degree is refused, not truncated
+    with pytest.raises(ValueError, match="integers"):
+        mvop.self_adjointness_bound(circle_fock, degrees=[1.7, 2.2])
+    assert mvop.self_adjointness_bound(circle_fock, degrees=iter([2, 1])).degrees == [1, 2]
 
 
 def test_joint_diagonalization_rejects_non_commuting_pair():

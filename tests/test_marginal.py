@@ -105,15 +105,20 @@ def test_skew_marginal_float_termination(skew_fn):
     assert pair.terminated
 
 
+def marginal_omega(spec, degree):
+    """Form generator of the marginal functional at one degree."""
+    return mvop.build_gradations(mvop.marginal_functional(spec), degree).level(degree).omega()
+
+
 def test_skew_marginal_omegas(skew_fn):
     spec = mvop.MarginalSpec(source=skew_fn, coords=(0,))
-    assert mvop.marginal_omega(spec, 1).tolist() == [[Fraction(1, 2)]]
-    assert mvop.marginal_omega(spec, 2).tolist() == [[Fraction(1, 4)]]
+    assert marginal_omega(spec, 1).tolist() == [[Fraction(1, 2)]]
+    assert marginal_omega(spec, 2).tolist() == [[Fraction(1, 4)]]
 
 
 def test_circle_marginal_omega(circle):
     spec = mvop.MarginalSpec(source=circle, coords=(0,))
-    omega2 = mvop.marginal_omega(spec, 2)
+    omega2 = marginal_omega(spec, 2)
     assert omega2.shape == (1, 1)
     assert omega2[0, 0] == pytest.approx(0.125, abs=1e-12)
 
@@ -137,7 +142,7 @@ def test_gaussian_marginal_recurrence(gauss2):
 def test_cylinder_marginal_recovers_circle(cylinder, circle_gradation):
     spec = mvop.MarginalSpec(source=cylinder, coords=(0, 1))
     for n in (1, 2):
-        got = mvop.marginal_omega(spec, n)
+        got = marginal_omega(spec, n)
         want = circle_gradation.level(n).omega()
         assert np.max(np.abs(got - want)) <= 1e-12
 

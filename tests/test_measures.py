@@ -96,14 +96,6 @@ def test_moment_cache_hit_returns_the_cached_value():
     assert calls == [(0, 0), (1, 2)]
 
 
-def test_expectation_is_linear():
-    g = mvop.gaussian_functional()
-    x = mvop.Polynomial.variable(1, 0)
-    f = 3 * x * x - 2 * x + 5
-    assert g.expectation(f) == 3 * 1 - 0 + 5
-    assert g.expectation(mvop.Polynomial.zero(1)) == 0
-
-
 def test_discrete_measure_validation():
     F = Fraction
     with pytest.raises(ValueError):
@@ -162,6 +154,13 @@ def test_table_functional_requires_all_entries():
     assert f.moment((2,)) == Fraction(1, 2)
     with pytest.raises(mvop.DepthExceededError):
         f.moment((3,))
+
+
+def test_table_functional_checks_every_key():
+    entries = {(0,): 1, (1,): 0, (2,): 1}
+    for bad in [(-1,), (1, 1), (Fraction(1, 2),)]:
+        with pytest.raises(ValueError, match="multi-index"):
+            mvop.table_functional(1, {**entries, bad: 5}, 2)
 
 
 def test_jacobi_pair_validation():

@@ -196,7 +196,7 @@ def ref_base_generators(g):
         if kernel.shape[1] == 0:
             continue
         columns = [
-            (mvop.Polynomial.monomial(beta) * gen).top_homogeneous(n)
+            [(mvop.Polynomial.monomial(beta) * gen).terms.get(a, 0) for a in lev.monomials]
             for m, gen in generators
             for beta in mvop.monomials_of_degree(d, n - m)
         ]

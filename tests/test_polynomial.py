@@ -112,17 +112,6 @@ def test_degree_and_scalar_ops():
     assert (f / 2).terms[(2, 0)] == Fraction(1, 2)
     assert (2 * f).terms[(0, 1)] == 4
     assert f.is_exact
-    assert not f.to_float().is_exact
-
-
-def test_top_homogeneous():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    f = x * x + x * y - y + 1
-    assert f.top_homogeneous(2) == [1, 1, 0]
-    assert (x - 1).top_homogeneous(2) == [0, 0, 0]
-    with pytest.raises(ValueError):
-        f.top_homogeneous(1)
 
 
 def test_evaluate_exact():

