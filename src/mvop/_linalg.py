@@ -10,7 +10,14 @@ each attribute on its first read, so an array nobody reads is never built.
 Fractions), so callers stay mode-generic; `max_quadratic` gives Gram
 seminorms. One fraction-free elimination per exact Gram (Bareiss 1968) gives
 its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
-A is that of the Gram A^T A. An object array holding a float entry cannot be
+A is that of the Gram A^T A. An exact Gram with no nonzero numerator off its
+diagonal (every Gram of a product of 1-D functionals, and a zero Gram) is
+split by reading its diagonal, with no elimination: its combos and kernel
+are unit columns, and the split keeps their rows (`GramSplit._units`), so
+products with them are gathers and scatters (`times_part`, `pseudo_apply`),
+and a product with such a Gram is a row scaling (`gram_times`, which tests
+the Gram it is given). A split published and cleared afresh keeps no rows
+and takes the products. An object array holding a float entry cannot be
 cleared (TypeError) and is multiplied as plain objects, so perturbed exact
 blocks still yield residuals. A computing form handed from one layer to the
 next is its kept pairs until its public value is first read, and from then on
@@ -92,10 +99,10 @@ class Cleared:
 def is_zero(x) -> bool:
     """Whether x is an exact pair with no nonzero numerator.
 
-    The one zero-level test of exact work: a zero Gram level is split, and
-    solved and measured against, without elimination or product, and a zero
-    right-hand side is solved without one. Float and object arrays never
-    pass, so float work is unchanged.
+    The one zero-level test of exact work: a zero Gram level is solved and
+    measured against without product, and a zero right-hand side is solved
+    without one. Float and object arrays never pass, so float work is
+    unchanged.
     """
     return isinstance(x, Cleared) and not any(x.num.flat)
 
@@ -115,7 +122,10 @@ def cleared(x):
     if x is None:
         return None
     if isinstance(x, GramSplit):
-        return GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
+        out = GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
+        if x._units is not None:
+            out._units = x._units
+        return out
     if isinstance(x, Cleared) or x.dtype != object:
         return x
     try:
@@ -285,11 +295,19 @@ class GramSplit:
     eigenvectors; exact mode: a G-orthogonal basis of a kernel complement).
     norms2: squared G-norms of the combo columns (float mode: eigenvalues).
     null: (d x nu) kernel basis columns.
+
+    An exact split read off a diagonal Gram (`_exact_split`) has unit combo
+    and kernel columns, and keeps the rows of their units in `_units`,
+    {"combos": pivot rows, "null": kernel rows}, an attribute of that
+    instance only (no field, so a published split pickles and compares as
+    before). `cleared` keeps it and `published` drops it.
     """
 
     combos: np.ndarray
     norms2: np.ndarray
     null: np.ndarray
+
+    _units = None
 
     @property
     def rank(self) -> int:
@@ -333,7 +351,46 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     return GramSplit(evecs[:, keep], evals[keep], evecs[:, ~keep])
 
 
+def _diagonal(gram):
+    """The diagonal numerators of a pair with no nonzero numerator off its diagonal, else None."""
+    if not isinstance(gram, Cleared):
+        return None
+    diagonal = gram.num.diagonal()
+    return diagonal if np.count_nonzero(gram.num) == np.count_nonzero(diagonal) else None
+
+
 def _exact_split(gram: Cleared) -> GramSplit:
+    """The split of an exact Gram: read off the diagonal of a diagonal one, else `_eliminate`.
+
+    A diagonal Gram is where the elimination has nothing to eliminate: each
+    row is its own Schur part, so in index order the rows with a nonzero
+    entry are the pivots and the rest are null, the combos and the kernel
+    are unit columns, and the squared norms are the entries over den. The
+    first negative entry is the elimination's first non-positive pivot, and
+    raises its error with the same pivot norm g_kk / den. A zero Gram is
+    the diagonal with no pivot. The split keeps the unit rows (`_units`).
+    """
+    diagonal = _diagonal(gram)
+    if diagonal is None:
+        return _eliminate(gram)
+    pivots, nulls = np.flatnonzero(diagonal), np.flatnonzero(diagonal == 0)
+    negative = pivots[diagonal[pivots] < 0]
+    if len(negative):
+        raise InconsistentMomentsError(
+            "exact Gram matrix is not positive semidefinite "
+            f"(pivot norm {Fraction(diagonal[negative[0]], gram.den)})"
+        )
+    identity = np.eye(gram.shape[0], dtype=int).astype(object)
+    split = GramSplit(
+        Cleared.reduced(identity[:, pivots], 1),
+        Cleared(diagonal[pivots], gram.den),
+        Cleared.reduced(identity[:, nulls], 1),
+    )
+    split._units = {"combos": pivots, "null": nulls}
+    return split
+
+
+def _eliminate(gram: Cleared) -> GramSplit:
     """One fraction-free forward elimination of [num | I], row by row in index order.
 
     Each row is eliminated by the earlier pivot rows only, so with delta the
@@ -345,15 +402,8 @@ def _exact_split(gram: Cleared) -> GramSplit:
     combo, the pivot unit vector made G-orthogonal to the earlier combos
     (L^-T of the pivot block's LDL^T), and the Schur diagonal over den * delta
     is its squared norm, which must be positive.
-
-    A zero Gram (`is_zero`) returns at once what the elimination gives it:
-    every row is null, so there are no combos or norms, and the kernel is
-    the identity over den 1.
     """
     num, d = gram.num, gram.shape[0]
-    if is_zero(gram):
-        identity = np.eye(d, dtype=int).astype(object)
-        return GramSplit(zeros(d, 0), zeros(0), Cleared.reduced(identity, 1))
     if (num != num.T).any():
         raise InconsistentMomentsError("exact Gram matrix is not symmetric")
     m = np.concatenate([num, np.eye(d, dtype=int).astype(object)], axis=1)
@@ -382,12 +432,44 @@ def _exact_split(gram: Cleared) -> GramSplit:
     return GramSplit(over_delta(pivots), norms2, over_delta(nulls))
 
 
+def times_part(mat, split: GramSplit, name: str):
+    """mat @ getattr(split, name), name "combos" or "null".
+
+    For a pair and a split that keeps its unit rows (`GramSplit._units`),
+    the product is a gather of mat's columns.
+    """
+    if split._units is None or not isinstance(mat, Cleared):
+        return matmul(mat, getattr(split, name))
+    return mat[:, split._units[name]]
+
+
+def gram_times(gram, mat):
+    """gram @ mat; for pairs, with no nonzero numerator off gram's diagonal, a row scaling of mat.
+
+    The Gram given is tested, so a Gram edited since it was split is
+    multiplied as it stands.
+    """
+    diagonal = _diagonal(gram)
+    if diagonal is None or not isinstance(mat, Cleared):
+        return matmul(gram, mat)
+    return Cleared(diagonal[:, None] * mat.num, gram.den * mat.den)
+
+
 def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:
     """Apply the Gram pseudo-inverse to rhs using a precomputed split.
 
     Exact for rhs columns inside the Gram range (both modes); the float path
     is the Moore-Penrose action with the split's rank cutoff (rank 0: zeros).
+    A split that keeps its unit rows (`GramSplit._units`) applied to a pair
+    gathers the pivot rows of rhs, divides them by the norms and scatters
+    them back, with zeros on the kernel rows.
     """
+    if split._units is not None and isinstance(rhs, Cleared):
+        pivots = split._units["combos"]
+        coeffs = rhs[pivots] / split.norms2[:, None]
+        out = np.zeros(rhs.shape, dtype=object)
+        out[pivots] = coeffs.num
+        return Cleared.reduced(out, coeffs.den)
     coeffs = matmul(split.combos.T, rhs)
     coeffs = coeffs / split.norms2[:, None]
     return matmul(split.combos, coeffs)

@@ -227,10 +227,12 @@ def functional_from_payload(payload, needed_depth: int):
                 raise SpecFormatError("moments_table 'entries' must be an object")
             entries = {}
             for key, value in raw_entries.items():
-                try:
-                    alpha = tuple(int(part) for part in str(key).split(","))
-                except ValueError:
-                    raise SpecFormatError(f"bad moment table key {key!r}") from None
+                # only runs of ASCII digits: `int` would also take signs, blanks,
+                # underscores and other scripts' digits
+                parts = str(key).split(",")
+                if not all(part.isascii() and part.isdigit() for part in parts):
+                    raise SpecFormatError(f"bad moment table key {key!r}")
+                alpha = tuple(map(int, parts))
                 if alpha in entries:
                     raise SpecFormatError(f"moment table key {key!r} repeats the multi-index {alpha}")
                 entries[alpha] = parse_scalar(value)

@@ -55,11 +55,17 @@ vanishes identically (an exact Gram with no nonzero entry, a float Gram
 with no seminorm factor) scores 0, and the block landing on it is never
 formed; an exact residual block with no nonzero numerator
 (`_linalg.is_zero`), the residual of every genuine input, scores 0
-without the seminorm. Likewise an exact zero Gram level
-costs no elimination, no solve and no product: its split, the solves with
-its zero right-hand sides and its hermiticity residuals are returned as
-that work would compute them (`_gram_solve`, `symmetry_residuals`), so
-every residual is unchanged; so is the hermiticity of an exact zero A^0.
+without the seminorm. An exact diagonal Gram level (every level of a
+product of 1-D functionals, and a zero one) costs no elimination: its split
+is read off the diagonal and keeps the rows of its unit columns, so a solve
+against it is a gather, a division and a scatter (`_linalg.pseudo_apply`),
+and the solve residual, the adjointness and the hermiticity products with
+it are row scalings (`_linalg.gram_times`, which tests the Gram it is
+given, so an edited Gram is multiplied as it stands). A zero level costs no solve and no
+product at all: the solves with its zero right-hand sides and its
+hermiticity residuals are returned as that work would compute them
+(`_gram_solve`, `symmetry_residuals`), so every residual is unchanged; so
+is the hermiticity of an exact zero A^0.
 Vacuum words are memoized, each state keeping only the levels that can
 still reach the vacuum (see `vacuum_moment`). A residual computed on pairs
 is decided on its exact value: its binary64 image stays above 0.0 when it
@@ -305,11 +311,13 @@ def _gram_solve(split: _linalg.GramSplit, gram, rhs) -> tuple:
 
     An exact zero rhs (`_linalg.is_zero`) returns what the solve computes for
     it, the zero pair with residual 0.0 on scale 1.0, without forming it.
+    Against an exact diagonal gram, gram @ a is a row scaling of a
+    (`_linalg.gram_times`).
     """
     if _linalg.is_zero(rhs):
         return _linalg.zeros(gram.shape[0], rhs.shape[1]), 0.0, 1.0
     a = _linalg.pseudo_apply(split, rhs)
-    return (a, *_residual(_linalg.matmul(gram, a), rhs))
+    return (a, *_residual(_linalg.gram_times(gram, a), rhs))
 
 
 def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
@@ -472,7 +480,7 @@ def adjointness_residuals(fock: FockData) -> dict:
     out = {}
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
-            lhs = _linalg.matmul(fock.grams[n - 1], fock.aminus[i][n])
+            lhs = _linalg.gram_times(fock.grams[n - 1], fock.aminus[i][n])
             residual, scale = _residual(lhs, _transpose_times(fock.aplus[i][n - 1], fock.grams[n]))
             out[(i + 1, n)] = residual / scale
     return out
@@ -490,7 +498,7 @@ def symmetry_residuals(grams: list, azero: list) -> dict:
             if _linalg.is_zero(gram) or _linalg.is_zero(block):
                 out[(i, n)] = (0.0, 1.0)
                 continue
-            s = _linalg.matmul(gram, block)
+            s = _linalg.gram_times(gram, block)
             out[(i, n)] = _residual(s, s.T)
     return out
 

@@ -28,9 +28,12 @@ from coefficient columns only on request. The moments come from one supply,
 cleared once; here it is M itself, and assembly takes the rows of degree
 1..max_degree + 1, which hold every localizing matrix L_i (row a of L_i is
 row a + e_i of M). Exact mode runs on `_linalg.Cleared` pairs from it, to
-each split. Each level keeps those pairs and publishes its `coef`,
-`gram` and `split` as Fraction arrays on their first read
-(`_linalg.Deferred`).
+each split. A diagonal G_n, as every level of a product of 1-D
+functionals has, is split without elimination into unit combo and kernel
+columns, and the projection coef U_n and the null-moment check's coef K_n
+are column gathers of coef (`_linalg.times_part`). Each level keeps those
+pairs and publishes its `coef`, `gram` and `split` as Fraction arrays on
+their first read (`_linalg.Deferred`).
 `assemble_fock`, the ranks and the null-ideal generators take each
 attribute's computing form (`_computing_levels`): the kept pairs while it
 is unread, so a level nobody reads builds no Fraction array, and its public
@@ -307,14 +310,14 @@ def build_gradations(
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
         # a PSD moment matrix maps each seminorm-null polynomial to zero
         if exact and split.nullity:
-            null_moments = _linalg.matmul(_linalg.matmul(coef, split.null).T, moments[:size])
+            null_moments = _linalg.matmul(_linalg.times_part(coef, split, "null").T, moments[:size])
             if null_moments.num.any():
                 raise InconsistentMomentsError(
                     f"a null polynomial of degree {n} has a nonzero moment against a monomial "
                     f"of degree <= {max_degree}; data is not a moment functional"
                 )
         if split.rank and n < max_degree:  # no level above reads the projection
-            ortho = _linalg.matmul(coef, split.combos)
+            ortho = _linalg.times_part(coef, split, "combos")
             lo = size - k
             if exact:
                 # U_n^T M vanishes on the columns of degree < n: the lower slices

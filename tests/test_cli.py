@@ -368,13 +368,31 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         (
             "omega",
             {"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": 1, "-1": 5}},
-            "(-1,)",
+            "'-1'",
         ),
         (
             "omega",
             {"type": "moments_table", "dimension": 2, "depth": 0, "entries": {"0,0": 1, "5": 3}},
             "(5,)",
         ),
+        # a key is comma-separated runs of ASCII digits, and nothing else: not
+        # a sign, a blank, an underscore or a full-width digit
+        (
+            "rank",
+            {"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, " +2 ": 1}},
+            "' +2 '",
+        ),
+        (
+            "rank",
+            {"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": 1, "1_0": 5}},
+            "'1_0'",
+        ),
+        (
+            "rank",
+            {"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "\uff11": 0, "2": 1}},
+            "'\uff11'",
+        ),
+        ("rank", {"type": "moments_table", "dimension": 2, "depth": 0, "entries": {"0,0": 1, "0,,1": 3}}, "'0,,1'"),
     ],
     ids=[
         "block-not-list",
@@ -396,6 +414,10 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         "table-repeated-key",
         "table-negative-key",
         "table-short-key",
+        "table-signed-blank-key",
+        "table-underscore-key",
+        "table-fullwidth-digit-key",
+        "table-empty-part-key",
     ],
 )
 def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload, named):

@@ -8,6 +8,7 @@ row reduction followed by metric Gram-Schmidt for the split.
 
 import copy
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import mvop
 from mvop import _linalg
 from mvop import fock as fock_module
+from mvop._linalg import _eliminate
 from mvop.errors import InconsistentMomentsError
 from mvop.fock import annihilation_blocks, creation_matrix
 from mvop.nullideal import _new_kernel_directions
@@ -384,6 +386,121 @@ def test_zero_gram_pair_split():
         assert all(type(v) is int for v in split.null.num.flat)
         published = _linalg.published(split)
         assert (published.combos.tolist(), published.norms2.tolist(), published.null.tolist()) == ref_split(zero)
+
+
+def diagonal_gram(rng, d: int, negative: bool = False) -> np.ndarray:
+    """A d x d rational diagonal Gram with zero entries; negative ones if asked."""
+    gram = np.zeros((d, d), dtype=object)
+    for i in range(d):
+        if rng.random() < 0.6:
+            gram[i, i] = Fraction(rng.randint(-9 if negative else 1, 9) or 1, rng.randint(1, 6))
+    return gram
+
+
+def pair_lists(x) -> tuple:
+    return x.num.tolist(), x.den
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The Grams given to the fraction-free elimination."""
+    calls = []
+    eliminate = _linalg._eliminate
+
+    def counting(gram):
+        calls.append(gram)
+        return eliminate(gram)
+
+    monkeypatch.setattr(_linalg, "_eliminate", counting)
+    return calls
+
+
+def test_diagonal_split_is_read_off(eliminations):
+    rng = random.Random(2323)
+    for _ in range(80):
+        d = rng.randint(1, 8)
+        gram = diagonal_gram(rng, d)
+        assert_split_matches(gram)
+        pair = _linalg.cleared(gram)
+        split = _linalg.split_gram(pair, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        nonzero = [i for i in range(d) if gram[i, i]]
+        assert split._units["combos"].tolist() == nonzero
+        assert split._units["null"].tolist() == [i for i in range(d) if i not in nonzero]
+    assert eliminations == []
+
+
+def test_diagonal_split_equals_the_elimination_pair_for_pair():
+    rng = random.Random(2424)
+    for _ in range(80):
+        pair = _linalg.cleared(diagonal_gram(rng, rng.randint(1, 8)))
+        got, want = _linalg._exact_split(pair), _eliminate(pair)
+        for name in ("combos", "norms2", "null"):
+            assert pair_lists(getattr(got, name)) == pair_lists(getattr(want, name))
+        assert want._units is None and _linalg.published(got)._units is None
+
+
+def test_negative_diagonal_entry_raises_the_elimination_error(eliminations):
+    rng = random.Random(2525)
+    raised = 0
+    for _ in range(80):
+        pair = _linalg.cleared(diagonal_gram(rng, rng.randint(1, 8), negative=True))
+        try:
+            _eliminate(pair)
+        except InconsistentMomentsError as exc:
+            want = str(exc)
+        else:
+            continue
+        raised += 1
+        with pytest.raises(InconsistentMomentsError) as got:
+            _linalg.split_gram(pair, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        assert str(got.value) == want
+    assert raised > 20 and eliminations == []
+    # the first negative entry in index order is named, not the largest one
+    gram = np.diag([Fraction(1, 2), 0, Fraction(-1, 3), -5]).astype(object)
+    with pytest.raises(InconsistentMomentsError, match=r"\(pivot norm -1/3\)$"):
+        _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+
+
+def test_one_off_diagonal_pair_takes_the_elimination(eliminations):
+    gram = np.diag([2, 0, Fraction(3, 2), 1]).astype(object)
+    gram[0, 2] = gram[2, 0] = Fraction(1, 2)
+    assert_split_matches(gram)
+    split = _linalg.split_gram(_linalg.cleared(gram), exact=True, tol_rank=1e-10, tol_psd=1e-10)
+    assert split._units is None and len(eliminations) == 2
+    # one entry alone makes the Gram asymmetric, which the elimination refuses
+    gram[2, 0] = 0
+    with pytest.raises(InconsistentMomentsError, match="not symmetric"):
+        _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+    assert len(eliminations) == 3
+
+
+def test_diagonal_solves_match_the_products():
+    rng = random.Random(2626)
+    for _ in range(60):
+        d, m = rng.randint(1, 7), rng.randint(1, 4)
+        gram = _linalg.cleared(diagonal_gram(rng, d))
+        split = _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        # the same split without its unit rows takes the products
+        dense = _linalg.cleared(_linalg.published(split))
+        assert dense._units is None
+        rhs = _linalg.cleared(
+            np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)] for _ in range(d)])
+        )
+        a = _linalg.pseudo_apply(split, rhs)
+        assert pair_lists(a) == pair_lists(_linalg.pseudo_apply(dense, rhs))
+        assert pair_lists(_linalg.gram_times(gram, a)) == pair_lists(_linalg.matmul(gram, a))
+        for name in ("combos", "null"):
+            coef = _linalg.cleared(
+                np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)] for _ in range(3)])
+            )
+            assert pair_lists(_linalg.times_part(coef, split, name)) == pair_lists(
+                _linalg.matmul(coef, getattr(split, name))
+            )
+        # a Gram edited after its split is multiplied as it stands
+        edited = _linalg.cleared(_linalg.published(gram))
+        edited[0:1, d - 1 : d] = _linalg.cleared(np.array([[Fraction(1, 7)]]))
+        want = _linalg.published(edited) @ _linalg.published(a)
+        assert _linalg.published(_linalg.gram_times(edited, a)).tolist() == want.tolist()
 
 
 @st.composite

@@ -278,6 +278,47 @@ def test_jacobi_to_moments_matches_dense_transfer(depth):
                 assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+def fraction_loop_moments(pair, depth):
+    """The exact recurrence on Fractions, row i adding v[i-1], alpha_i v[i] and omega_i v[i+1]."""
+    omegas, alphas = pair.extended(depth)
+    v = [Fraction(1)] + [Fraction(0)] * depth
+    moments = [v[0]]
+    for _ in range(depth):
+        v = [
+            sum(([v[i - 1]] if i else []) + ([alphas[i] * v[i], omegas[i] * v[i + 1]] if i < depth else []))
+            for i in range(depth + 1)
+        ]
+        moments.append(v[0])
+    return moments
+
+
+def test_exact_jacobi_to_moments_matches_the_fraction_loop():
+    # int and Fraction coefficients, terminated pairs padded past their length
+    rng = np.random.default_rng(4040)
+    terminated = 0
+    for _ in range(200):
+        n = int(rng.integers(0, 9))
+        omegas = [Fraction(int(rng.integers(1, 10)), int(rng.integers(1, 8))) for _ in range(n)]
+        if n and rng.random() < 0.4:
+            cut = int(rng.integers(0, n))
+            omegas = omegas[:cut] + [0] * (n - cut)
+        alphas = [
+            Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+            if rng.random() < 0.7
+            else int(rng.integers(-3, 4))
+            for _ in range(n)
+        ]
+        pair = mvop.JacobiPair1D(tuple(omegas), tuple(alphas))
+        depth = int(rng.integers(0, n + 6)) if pair.terminated else int(rng.integers(0, n + 1))
+        terminated += pair.terminated and depth > n
+        f = mvop.jacobi_to_moments(pair, depth)
+        got = [f.moment((k,)) for k in range(depth + 1)]
+        want = fraction_loop_moments(pair, depth)
+        assert got == want
+        assert all(type(v) is Fraction for v in got)
+    assert terminated > 20
+
+
 def test_jacobi_to_moments_depth_guard():
     pair = mvop.JacobiPair1D(omegas=(1, 1), alphas=(0, 0))
     f = mvop.jacobi_to_moments(pair, 2)

@@ -5,11 +5,13 @@ still equal to the one split, and decomposes any other target-level Gram
 once per call, keeping no factor on the FockData, so an in-place edit
 between calls is seen; float validation decomposes each payload Gram once
 in all. A forward exact run multiplies no creation block: the canonical
-shifts act as index maps. A seminorm check forms no product on a level
-whose seminorm vanishes, exact validation runs no elimination, solve or
-product against a zero Gram level, and reconstruction compresses only the
-levels below its rank-zero cutoff. A memoized vacuum
-state keeps only the levels that can still reach the vacuum. Assembly
+shifts act as index maps. On a product of 1-D functionals, whose Grams are
+all diagonal, it runs no elimination and solves with no product. A
+seminorm check forms no product on a level whose seminorm vanishes, exact
+validation runs no elimination, solve or product against a zero Gram
+level, and reconstruction compresses only the levels below its rank-zero
+cutoff. A memoized vacuum state keeps only the levels that can still reach
+the vacuum. Assembly
 fetches each distinct localizing moment once for all coordinates. Exact
 gradations refuse data whose seminorm-null polynomials have a nonzero
 moment, which no moment functional has.
@@ -379,6 +381,40 @@ def test_forward_exact_run_multiplies_no_creation_block(monkeypatch, creation_ar
         return any(a is block or a.base is block for block in creation_arrays)
 
     assert matmuls and not any(is_creation(m) for mats in matmuls for m in mats)
+
+
+def test_exact_product_run_eliminates_and_solves_by_no_product(monkeypatch):
+    # a Gaussian, a rational recurrence and a 3-atom factor: every candidate
+    # is a product of 1-D orthogonal polynomials, so every Gram is diagonal
+    recurrence = mvop.JacobiPair1D(
+        tuple(Fraction(k + 2, 3) for k in range(10)), tuple(Fraction(k % 3 - 1, 2) for k in range(10))
+    )
+    third = Fraction(1, 3)
+    atoms = mvop.DiscreteMeasure(((-2,), (third,), (3,)), (third, third, third))
+    f = mvop.product_functional(
+        [mvop.gaussian_functional(), mvop.jacobi_to_moments(recurrence, 10), mvop.discrete_functional(atoms)]
+    )
+    counts = {"_eliminate": 0, "pseudo_apply": 0}
+    _counting(monkeypatch, _linalg, "_eliminate", counts)
+    matmuls = _recorded_matmuls(monkeypatch)
+    pseudo_apply = _linalg.pseudo_apply
+
+    def solving(split, rhs):
+        before = len(matmuls)
+        out = pseudo_apply(split, rhs)
+        assert len(matmuls) == before, "pseudo_apply formed a product"
+        counts["pseudo_apply"] += 1
+        return out
+
+    monkeypatch.setattr(_linalg, "pseudo_apply", solving)
+    g = mvop.build_gradations(f, 4)
+    fock = mvop.assemble_fock(g)
+    assert mvop.check_commutation(fock).passed
+    words = mvop.monomials_up_to(3, 4)
+    assert [mvop.vacuum_moment(fock, w) for w in words] == [f.moment(w) for w in words]
+    assert len(mvop.base_generators(g).generators) == 1
+    assert [lev.nullity for lev in g.levels] == [0, 0, 0, 1, 3]
+    assert counts["_eliminate"] == 0 and counts["pseudo_apply"] > 0
 
 
 def test_float_check_splits_only_an_edited_gram_afresh(eighs):
