@@ -10,19 +10,20 @@ each attribute on its first read, so an array nobody reads is never built.
 Fractions), so callers stay mode-generic; `max_quadratic` gives Gram
 seminorms. One fraction-free elimination per exact Gram (Bareiss 1968) gives
 its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
-A is that of the Gram A^T A. An exact Gram with no nonzero numerator off its
-diagonal (every Gram of a product of 1-D functionals, and a zero Gram) is
-split by reading its diagonal, with no elimination: its combos and kernel
-are unit columns, and the split keeps their rows (`GramSplit._units`), so
-products with them are gathers and scatters (`times_part`, `pseudo_apply`),
-and a product with such a Gram is a row scaling (`gram_times`, which tests
-the Gram it is given). A split published and cleared afresh keeps no rows
-and takes the products. An object array holding a float entry cannot be
-cleared (TypeError) and is multiplied as plain objects, so perturbed exact
-blocks still yield residuals. A computing form handed from one layer to the
-next is its kept pairs until its public value is first read, and from then on
-that public value cleared afresh on every use (`computing`), so an edit is
-seen by construction.
+A is that of the Gram A^T A. An exact matrix with one unit entry per column
+is held as its index map (`Units`): the canonical creation blocks, and the
+combos and kernel of an exact Gram with no nonzero numerator off its
+diagonal (every Gram of a product of 1-D functionals, and a zero Gram),
+whose split is read off the diagonal with no elimination. A product with a
+map is an index move, never a multiplication (`times`, `times_sum`), and a
+product with such a Gram is a row scaling (`gram_times`, which tests the
+Gram it is given). A published split holds dense arrays, and a split cleared
+afresh from one takes the products. An object array holding a float entry
+cannot be cleared (TypeError) and is multiplied as plain objects, so
+perturbed exact blocks still yield residuals. A computing form handed from
+one layer to the next is its kept pairs until its public value is first
+read, and from then on that public value cleared afresh on every use
+(`computing`), so an edit is seen by construction.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -96,6 +97,56 @@ class Cleared:
         return Cleared(self.num * other.den * (den // dens), den)
 
 
+class Units:
+    """An exact matrix with one unit entry per column, held as its index map.
+
+    Column j of the size-row matrix holds sign in row rows[j]; with
+    transposed set the map stands for that matrix's transpose. A product
+    with it moves the other factor's entries (`moved`): M R puts the rows
+    of R at the map's rows, M^T G takes the rows of G there, and L M takes
+    the columns of L there. A map is never changed after it is made.
+    """
+
+    def __init__(self, rows: np.ndarray, size: int, sign: int = 1, transposed: bool = False):
+        self.rows, self.size, self.sign, self.transposed = rows, size, sign, transposed
+        self.shape = (len(rows), size) if transposed else (size, len(rows))
+
+    @cached_property
+    def T(self) -> "Units":
+        return Units(self.rows, self.size, self.sign, not self.transposed)
+
+    def __neg__(self) -> "Units":
+        return Units(self.rows, self.size, -self.sign, self.transposed)
+
+    def pair(self) -> Cleared:
+        """The matrix as a pair: int entries over den 1."""
+        num = np.zeros((self.size, len(self.rows)), dtype=object)
+        num[self.rows, np.arange(len(self.rows))] = self.sign
+        return Cleared.reduced(num.T if self.transposed else num, 1)
+
+    def matches(self, block) -> bool:
+        """Whether block is this map's matrix as a pair: one O(entries) test."""
+        if not isinstance(block, Cleared) or block.den != 1 or block.shape != self.shape:
+            return False
+        return bool((block.num == self.pair().num).all())
+
+    def moved(self, num: np.ndarray, left: bool, scale: int = 1) -> tuple:
+        """(rows, entries) of scale * (self @ num), or of scale * (num @ self) when not left, on numerators.
+
+        A scatter (M R, L M^T) puts the entries at rows and zeros elsewhere;
+        a gather (M^T G, L M) gives every entry, and rows is None.
+        """
+        scale *= self.sign
+        rows = self.rows if left else (slice(None), self.rows)
+        scatter = left != self.transposed
+        entries = num if scatter else num[rows]
+        return rows if scatter else None, entries if scale == 1 else entries * scale
+
+
+def _dense(x):
+    return x.pair() if isinstance(x, Units) else x
+
+
 def is_zero(x) -> bool:
     """Whether x is an exact pair with no nonzero numerator.
 
@@ -107,26 +158,18 @@ def is_zero(x) -> bool:
     return isinstance(x, Cleared) and not any(x.num.flat)
 
 
-def zeros(*shape) -> Cleared:
-    """The zero pair of a shape: int zeros over den 1."""
-    return Cleared.reduced(np.zeros(shape, dtype=object), 1)
-
-
 def cleared(x):
     """The computing form of an array, GramSplit or (nested) list of them: int/Fraction arrays become pairs.
 
-    Float arrays, pairs and None come back as they are; TypeError on a float entry.
+    Float arrays, pairs, maps and None come back as they are; TypeError on a float entry.
     """
     if isinstance(x, list):
         return [cleared(v) for v in x]
     if x is None:
         return None
     if isinstance(x, GramSplit):
-        out = GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
-        if x._units is not None:
-            out._units = x._units
-        return out
-    if isinstance(x, Cleared) or x.dtype != object:
+        return GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
+    if isinstance(x, (Cleared, Units)) or x.dtype != object:
         return x
     try:
         den = math.lcm(*(v.denominator for v in x.flat))
@@ -137,11 +180,12 @@ def cleared(x):
 
 
 def published(x):
-    """The API-edge form of `cleared`'s output: pairs become Fraction arrays."""
+    """The API-edge form of `cleared`'s output: pairs and maps become Fraction arrays."""
     if isinstance(x, list):
         return [published(v) for v in x]
     if isinstance(x, GramSplit):
         return GramSplit(published(x.combos), published(x.norms2), published(x.null))
+    x = _dense(x)
     if not isinstance(x, Cleared):
         return x
     return np.array([Fraction(v, x.den) for v in x.num.flat], dtype=object).reshape(x.shape)
@@ -253,6 +297,61 @@ def matmul(*mats):
     return product if any(isinstance(m, Cleared) for m in mats) else published(product)
 
 
+def times(a, b):
+    """a @ b, where a or b may be a map (`Units`): always a dense pair or array.
+
+    A product with a map is its move (`Units.moved`) of the other factor's
+    numerators; a dense one, and one whose other factor holds a float entry,
+    is `matmul`.
+    """
+    if not (isinstance(a, Units) or isinstance(b, Units)):
+        return matmul(a, b)
+    left = isinstance(a, Units)
+    try:
+        other = cleared(_dense(b if left else a))
+    except TypeError:  # a float entry: multiplied as plain objects
+        return matmul(_dense(a), _dense(b))
+    rows, entries = (a if left else b).moved(other.num, left)
+    if rows is None:
+        return Cleared(entries, other.den)
+    out = np.zeros((a.shape[0], *b.shape[1:]), dtype=object)
+    out[rows] = entries
+    return Cleared.reduced(out, other.den)  # a scatter of a reduced pair is reduced
+
+
+def times_sum(terms: list) -> Cleared:
+    """The sum of a @ b over terms (a, b) of pairs and maps, as one pair reduced once.
+
+    A term with a map (`Units`) is a move of its other factor's numerators;
+    the other terms run as one integer product of their stacked factors. The
+    parts are added over the lcm of their denominators: the product first,
+    then the moves in order.
+    """
+    moves, products = [], []
+    for a, b in terms:
+        if isinstance(a, Units) or isinstance(b, Units):
+            moves.append((a, True, cleared(_dense(b))) if isinstance(a, Units) else (b, False, cleared(a)))
+        else:
+            products.append((a, b))
+    if products:
+        lefts, rights = zip(*products)
+        product = matmul(stack(lefts, axis=1), stack(rights, axis=0))
+        if not moves:
+            return product
+    a, b = terms[0]
+    total = np.zeros((a.shape[0], *b.shape[1:]), dtype=object)
+    den = math.lcm(*(other.den for *_, other in moves), product.den if products else 1)
+    if products:
+        total += product.num if den == product.den else product.num * (den // product.den)
+    for units, left, other in moves:
+        rows, entries = units.moved(other.num, left, den // other.den)
+        if rows is None:
+            total += entries
+        else:
+            total[rows] += entries
+    return Cleared(total, den)
+
+
 def max_quadratic(cols, gram):
     """max over the columns c of c^T gram c, for exact pairs or object arrays.
 
@@ -296,18 +395,13 @@ class GramSplit:
     norms2: squared G-norms of the combo columns (float mode: eigenvalues).
     null: (d x nu) kernel basis columns.
 
-    An exact split read off a diagonal Gram (`_exact_split`) has unit combo
-    and kernel columns, and keeps the rows of their units in `_units`,
-    {"combos": pivot rows, "null": kernel rows}, an attribute of that
-    instance only (no field, so a published split pickles and compares as
-    before). `cleared` keeps it and `published` drops it.
+    An exact split read off a diagonal Gram (`_exact_split`) holds its unit
+    combo and kernel columns as maps (`Units`) until it is published.
     """
 
     combos: np.ndarray
     norms2: np.ndarray
     null: np.ndarray
-
-    _units = None
 
     @property
     def rank(self) -> int:
@@ -368,7 +462,7 @@ def _exact_split(gram: Cleared) -> GramSplit:
     are unit columns, and the squared norms are the entries over den. The
     first negative entry is the elimination's first non-positive pivot, and
     raises its error with the same pivot norm g_kk / den. A zero Gram is
-    the diagonal with no pivot. The split keeps the unit rows (`_units`).
+    the diagonal with no pivot. The unit columns are maps (`Units`).
     """
     diagonal = _diagonal(gram)
     if diagonal is None:
@@ -380,14 +474,8 @@ def _exact_split(gram: Cleared) -> GramSplit:
             "exact Gram matrix is not positive semidefinite "
             f"(pivot norm {Fraction(diagonal[negative[0]], gram.den)})"
         )
-    identity = np.eye(gram.shape[0], dtype=int).astype(object)
-    split = GramSplit(
-        Cleared.reduced(identity[:, pivots], 1),
-        Cleared(diagonal[pivots], gram.den),
-        Cleared.reduced(identity[:, nulls], 1),
-    )
-    split._units = {"combos": pivots, "null": nulls}
-    return split
+    d = gram.shape[0]
+    return GramSplit(Units(pivots, d), Cleared(diagonal[pivots], gram.den), Units(nulls, d))
 
 
 def _eliminate(gram: Cleared) -> GramSplit:
@@ -432,17 +520,6 @@ def _eliminate(gram: Cleared) -> GramSplit:
     return GramSplit(over_delta(pivots), norms2, over_delta(nulls))
 
 
-def times_part(mat, split: GramSplit, name: str):
-    """mat @ getattr(split, name), name "combos" or "null".
-
-    For a pair and a split that keeps its unit rows (`GramSplit._units`),
-    the product is a gather of mat's columns.
-    """
-    if split._units is None or not isinstance(mat, Cleared):
-        return matmul(mat, getattr(split, name))
-    return mat[:, split._units[name]]
-
-
 def gram_times(gram, mat):
     """gram @ mat; for pairs, with no nonzero numerator off gram's diagonal, a row scaling of mat.
 
@@ -460,19 +537,11 @@ def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:
 
     Exact for rhs columns inside the Gram range (both modes); the float path
     is the Moore-Penrose action with the split's rank cutoff (rank 0: zeros).
-    A split that keeps its unit rows (`GramSplit._units`) applied to a pair
-    gathers the pivot rows of rhs, divides them by the norms and scatters
-    them back, with zeros on the kernel rows.
+    With the combos as a map (`Units`) it gathers the pivot rows of rhs,
+    divides them by the norms and scatters them back (`times`).
     """
-    if split._units is not None and isinstance(rhs, Cleared):
-        pivots = split._units["combos"]
-        coeffs = rhs[pivots] / split.norms2[:, None]
-        out = np.zeros(rhs.shape, dtype=object)
-        out[pivots] = coeffs.num
-        return Cleared.reduced(out, coeffs.den)
-    coeffs = matmul(split.combos.T, rhs)
-    coeffs = coeffs / split.norms2[:, None]
-    return matmul(split.combos, coeffs)
+    coeffs = times(split.combos.T, rhs) / split.norms2[:, None]
+    return times(split.combos, coeffs)
 
 
 def simultaneous_diagonalize(mats: list, seed: int, tol: float) -> np.ndarray:

@@ -187,6 +187,13 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _natural(text: str, what: str) -> int:
+    """text as an int if it is a run of ASCII digits (`int` also takes signs, blanks, `_`, other digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise SpecFormatError(f"bad {what}")
+    return int(text)
+
+
 def _depth_field(value, name: str) -> int:
     """A spec's depth field: a JSON integer that is not negative."""
     if _json_integer(value, name) < 0:
@@ -227,12 +234,7 @@ def functional_from_payload(payload, needed_depth: int):
                 raise SpecFormatError("moments_table 'entries' must be an object")
             entries = {}
             for key, value in raw_entries.items():
-                # only runs of ASCII digits: `int` would also take signs, blanks,
-                # underscores and other scripts' digits
-                parts = str(key).split(",")
-                if not all(part.isascii() and part.isdigit() for part in parts):
-                    raise SpecFormatError(f"bad moment table key {key!r}")
-                alpha = tuple(map(int, parts))
+                alpha = tuple(_natural(part, f"moment table key {key!r}") for part in str(key).split(","))
                 if alpha in entries:
                     raise SpecFormatError(f"moment table key {key!r} repeats the multi-index {alpha}")
                 entries[alpha] = parse_scalar(value)
@@ -352,10 +354,7 @@ def cmd_marginal(args, tol: Tolerances):
     n = args.max_degree
     if not args.coords:
         raise SpecFormatError("marginal needs --coords, e.g. --coords 1 or --coords 1,2")
-    try:
-        coords = tuple(int(part) for part in args.coords.split(","))
-    except ValueError:
-        raise SpecFormatError(f"bad --coords value {args.coords!r}") from None
+    coords = tuple(_natural(part, f"--coords value {args.coords!r}") for part in args.coords.split(","))
     f = _load_functional(args, 2 * n)
     # checked here so that the messages use the 1-based numbering of --coords
     if any(c < 1 or c > f.dimension for c in coords):
@@ -445,15 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--spec", help="measure specification JSON file")
         p.add_argument("--fock", help="block payload JSON file (favard)")
-        p.add_argument(
-            "--max-degree",
-            type=int,
-            default=None,
-            help=f"maximal degree (default: ${DEFAULT_DEPTH_ENV} or 6)",
-        )
+        p.add_argument("--max-degree", help=f"maximal degree (default: ${DEFAULT_DEPTH_ENV} or 6)")
         p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
         p.add_argument("--tol-rank", type=float, default=None, help="rank cutoff override")
-        p.add_argument("--seed", type=int, default=0, help="diagonalization seed (favard)")
+        p.add_argument("--seed", default="0", help="diagonalization seed (favard)")
         p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
         p.add_argument("--coords", help="1-based coordinates, comma separated (marginal)")
     return parser
@@ -467,18 +461,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; malformed invocation is exit 1 here
         return 0 if exc.code in (0, None) else 1
 
-    if args.max_degree is None:
-        raw = os.environ.get(DEFAULT_DEPTH_ENV, "6")
-        try:
-            args.max_degree = int(raw)
-        except ValueError:
-            print(f"error: bad {DEFAULT_DEPTH_ENV} value {raw!r}", file=sys.stderr)
-            return 1
-    if args.max_degree < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
-        return 1
-
     try:
+        # integers are read as table keys are: runs of ASCII digits
+        if args.max_degree is None:
+            raw = os.environ.get(DEFAULT_DEPTH_ENV, "6")
+            args.max_degree = _natural(raw, f"{DEFAULT_DEPTH_ENV} value {raw!r}")
+        else:
+            args.max_degree = _natural(args.max_degree, f"--max-degree value {args.max_degree!r}")
+        args.seed = _natural(args.seed, f"--seed value {args.seed!r}")
         tol = Tolerances() if args.tol_rank is None else Tolerances(rank=args.tol_rank)
         # an overflow reaches the user once: a non-finite output value, or an
         # OverflowError from exact data beyond binary64 range

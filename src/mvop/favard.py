@@ -11,7 +11,9 @@ payload is validated once: a FockInput keeps its last validation with copies
 of the blocks it checked (`_Guarded`), and `validate` and
 `reconstruct_discrete` reuse it while the blocks, the mode and the
 tolerances stay the same. Reconstruction reads that validation's cleared
-blocks and Gram splits. The exact blocks of a report are built only when
+blocks and Gram splits. Exact creation blocks and the unit columns of
+diagonal Grams' splits are index maps, multiplied only by `_linalg.times`.
+The exact blocks of a report are built only when
 `report.fock` is first read: until then the checks read its pairs, after
 that its public arrays, cleared afresh on every use.
 """
@@ -41,7 +43,6 @@ from .fock import (
     _recorded_tolerance,
     _max_abs,
     _residual,
-    _create,
     _seminorms,
     complete_fock,
     symmetry_residuals,
@@ -52,10 +53,12 @@ from .polynomial import monomials_of_degree, space_dimension
 from .scalars import Tolerances, _json_integer, format_scalar, is_rational, parse_scalar
 
 
-def _parse_block(rows) -> np.ndarray:
-    """A payload block from its list of rows; object dtype when every entry is rational."""
+def _parse_block(rows, name: str) -> np.ndarray:
+    """The payload block name from its list of rows; object dtype when every entry is rational."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SpecFormatError(f"a block must be a list of rows, got {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise SpecFormatError(f"{name} has rows of unequal lengths")
     parsed = [[parse_scalar(v) for v in row] for row in rows]
     if all(is_rational(v) for row in parsed for v in row):
         return np.array(parsed, dtype=object)
@@ -196,7 +199,7 @@ class FockInput:
             raise SpecFormatError(f"'{key}' must list {n_max + 1} blocks")
         blocks = []
         for n, rows in enumerate(raw_blocks):
-            mat = _parse_block(rows)
+            mat = _parse_block(rows, f"'{key}' block at degree {n}")
             k = space_dimension(d, n)
             if mat.shape != (k, k):
                 raise SpecFormatError(
@@ -210,10 +213,11 @@ class FockInput:
             if not isinstance(raw_b, list) or len(raw_b) != d:
                 raise SpecFormatError(f"'bzero' must list {d} coordinate families")
             bzero = []
-            for per in raw_b:
+            for i, per in enumerate(raw_b):
                 if not isinstance(per, list) or len(per) != n_max + 1:
                     raise SpecFormatError(f"each 'bzero' family must list {n_max + 1} blocks")
-                bzero.append([_parse_block(rows) for rows in per])
+                name = f"'bzero' block at coordinate {i + 1}, degree"
+                bzero.append([_parse_block(rows, f"{name} {n}") for n, rows in enumerate(per)])
         try:
             if key == "omega":
                 return cls.from_omegas(d, blocks, bzero)
@@ -440,9 +444,9 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         next_scale = max(1.0, _max_abs(grams[n + 1])) if n < n_max else None
         for i in range(d):
             if n < n_max:
-                residual = seminorm(lambda: _create(fock.aplus[i][n], null), n + 1)
+                residual = seminorm(lambda: _linalg.times(fock.aplus[i][n], null), n + 1)
                 add("kernel_creation", f"coordinate {i + 1}, degree {n}", residual, tol.null * next_scale)
-            residual = seminorm(lambda: _linalg.matmul(bzero[i][n], null), n)
+            residual = seminorm(lambda: _linalg.times(bzero[i][n], null), n)
             add("kernel_preservation", f"coordinate {i + 1}, degree {n}", residual, tol.null * scale)
 
     for (i, n), (residual, scale) in symmetry_residuals(grams, bzero).items():
@@ -466,16 +470,17 @@ def _orthonormal_compression(grams: list, splits: list):
     given split of G_n; on the quotients the Fock operators are symmetric.
     Exact splits come with the cleared Grams and blocks of `_validate`: there
     C_t^T G_t A C_s is formed exactly and rounded once, so it does not
-    inherit the conditioning of the monomial Grams; a creation block is its
-    index map (`fock._Shift`), so A C_s is a row scatter of C_s.
+    inherit the conditioning of the monomial Grams. A creation block, and
+    the combos of a diagonal Gram, are index maps (`_linalg.Units`), whose
+    products are index moves (`_linalg.times`).
     """
-    if isinstance(splits[0].combos, _linalg.Cleared):
+    if isinstance(splits[0].norms2, _linalg.Cleared):
         # a pair's num / den rounds each entry once (int true division)
-        left = [_linalg.matmul(s.combos.T, g) for s, g in zip(splits, grams)]
+        left = [_linalg.times(s.combos.T, g) for s, g in zip(splits, grams)]
         scales = [1 / np.sqrt(_linalg.to_float(s.norms2.num / s.norms2.den)) for s in splits]
 
         def lift(mat, t, s):
-            block = _linalg.matmul(left[t], _create(mat, splits[s].combos))
+            block = _linalg.times(left[t], _linalg.times(mat, splits[s].combos))
             return scales[t][:, None] * _linalg.to_float(block.num / block.den) * scales[s]
 
         return lift

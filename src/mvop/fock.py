@@ -28,9 +28,9 @@ maps) until it is first read, so a forward run that reads no block builds
 none, and its public arrays cleared afresh on every use after, so an edit
 is seen.
 
-A canonical creation block carries no data: it is its index map (`_Shift`),
+A canonical creation block carries no data: it is its index map (`_linalg.Units`),
 so A^+ R is a row scatter of R, L A^+ a column gather of L and (A^+)^T G a
-row gather of G, and none is a product. Exact mode computes on the maps:
+row gather of G, and none is a product (`_linalg.times`). In exact mode
 `complete_fock` holds its creation blocks as maps, a FockData publishes
 them as int arrays only when `aplus` is read, and public exact blocks
 (read, or assigned) pass an O(entries) test per call (`_cleared_fock`);
@@ -44,8 +44,8 @@ product gives +0.0, and float A^-, vacuum words and null generators are
 published. In the exact checks CR1 holds by construction and is recorded
 as 0.0 against its usual tolerance, CR2 is four gathers and scatters, and
 CR3 is two of each plus one product of its stacked A^0 A^0 factors; the
-parts are added over one lcm and reduced once (`_term_sum`). Each relation
-is measured in the target-level Gram seminorm. A float check takes the
+parts are added over one lcm and reduced once (`_linalg.times_sum`). Each
+relation is measured in the target-level Gram seminorm. A float check takes the
 split the gradation made of each Gram while the Gram and the split keep
 the digest the gradation took of them (`_gradation_splits`), and
 decomposes the others once per call (`_seminorms`), keeping nothing, so an
@@ -57,7 +57,7 @@ formed; an exact residual block with no nonzero numerator
 (`_linalg.is_zero`), the residual of every genuine input, scores 0
 without the seminorm. An exact diagonal Gram level (every level of a
 product of 1-D functionals, and a zero one) costs no elimination: its split
-is read off the diagonal and keeps the rows of its unit columns, so a solve
+is read off the diagonal with its unit columns as maps, so a solve
 against it is a gather, a division and a scatter (`_linalg.pseudo_apply`),
 and the solve residual, the adjointness and the hermiticity products with
 it are row scalings (`_linalg.gram_times`, which tests the Gram it is
@@ -99,70 +99,15 @@ def _shift_rows(dimension: int, i: int, n: int) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class _Shift:
-    """A canonical creation block, or its negative, as its index map (`_shift_rows`).
-
-    The block has size rows, and column alpha has one nonzero entry, sign,
-    in row rows[alpha]. So A^+ R is a row scatter of R (`_scatter`), L A^+ a
-    column gather of L and (A^+)^T G a row gather of G: none is a product.
-    """
-
-    rows: np.ndarray
-    size: int
-    sign: int = 1
-
-    @property
-    def shape(self) -> tuple:
-        return (self.size, len(self.rows))
-
-    def __neg__(self) -> "_Shift":
-        return replace(self, sign=-self.sign)
-
-
 @functools.cache
-def _shift(dimension: int, i: int, n: int) -> _Shift:
-    return _Shift(_shift_rows(dimension, i, n), len(monomials_of_degree(dimension, n + 1)))
+def _shift(dimension: int, i: int, n: int) -> _linalg.Units:
+    """A_i^+(n) as its index map: column alpha has its unit in row alpha + e_i (`_shift_rows`)."""
+    return _linalg.Units(_shift_rows(dimension, i, n), len(monomials_of_degree(dimension, n + 1)))
 
 
 def _shifts(dimension: int, depth: int) -> list:
     """The index maps of every creation block up to depth: shifts[i][n] for A_i^+(n)."""
     return [[_shift(dimension, i, n) for n in range(depth)] for i in range(dimension)]
-
-
-def _is_shift(block, shift: _Shift) -> bool:
-    """Whether an exact block in computing form is the canonical shift: one O(entries) test."""
-    if not isinstance(block, _linalg.Cleared) or block.den != 1 or block.shape != shift.shape:
-        return False
-    units = block.num[shift.rows, np.arange(len(shift.rows))]
-    return np.count_nonzero(block.num) == len(shift.rows) and bool((units == 1).all())
-
-
-def _scatter(shift: _Shift, v) -> _linalg.Cleared:
-    """shift @ v for an exact vector or matrix v: the rows of v put at the shift's rows, zeros elsewhere.
-
-    An object array is cleared first. The pair keeps v's numerators and
-    denominator, so it stays reduced.
-    """
-    v = _linalg.cleared(v)
-    out = np.zeros((shift.size, *v.shape[1:]), dtype=object)
-    out[shift.rows] = v.num if shift.sign > 0 else -v.num
-    return _linalg.Cleared.reduced(out, v.den)
-
-
-def _create(creation, v, mul=None):
-    """creation @ v: a row scatter for an index map (`_Shift`), else mul, by default `_linalg.matmul`."""
-    if isinstance(creation, _Shift):
-        return _scatter(creation, v)
-    return (mul or _linalg.matmul)(creation, v)
-
-
-def _transpose_times(creation, g):
-    """creation^T @ g; for an index map (`_Shift`), the rows of g at its rows, a pair reduced again."""
-    if not isinstance(creation, _Shift):
-        return _linalg.matmul(creation.T, g)
-    rows = g[creation.rows]
-    return rows if creation.sign > 0 else -rows
 
 
 def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
@@ -234,9 +179,9 @@ def _cleared_fock(fock: FockData) -> FockData:
     cleared afresh, so an edit is seen. Float blocks, and blocks already
     held as pairs, are their own computing form. A block holding a float
     entry cannot be cleared: then fock itself. Exact creation blocks come
-    as index maps (`_Shift`) while they are the canonical shifts: pending
-    ones are held as the maps, public ones pass `_is_shift` block by block,
-    and one block that fails keeps every creation block dense.
+    as index maps (`_linalg.Units`) while they are the canonical shifts:
+    pending ones are held as the maps, public ones pass `Units.matches`
+    block by block, and one block that fails keeps every creation block dense.
     """
     try:
         blocks = {name: _linalg.computing(fock, name) for name in ("grams", "azero", "aminus")}
@@ -248,7 +193,7 @@ def _cleared_fock(fock: FockData) -> FockData:
         maps = _shifts(fock.dimension, fock.depth)
         aplus = blocks["aplus"]
         if len(aplus) == len(maps) and all(
-            len(a) == len(m) and all(map(_is_shift, a, m)) for a, m in zip(aplus, maps)
+            len(a) == len(m) and all(u.matches(b) for b, u in zip(a, m)) for a, m in zip(aplus, maps)
         ):
             blocks["aplus"] = maps
     return replace(fock, **blocks)
@@ -309,13 +254,13 @@ def _residual(lhs, rhs) -> tuple:
 def _gram_solve(split: _linalg.GramSplit, gram, rhs) -> tuple:
     """Solve gram @ a = rhs on the Gram range; returns (a, residual, scale).
 
-    An exact zero rhs (`_linalg.is_zero`) returns what the solve computes for
-    it, the zero pair with residual 0.0 on scale 1.0, without forming it.
+    An exact zero rhs (`_linalg.is_zero`) is its own solution: it is returned
+    with residual 0.0 on scale 1.0, and no solve runs.
     Against an exact diagonal gram, gram @ a is a row scaling of a
     (`_linalg.gram_times`).
     """
     if _linalg.is_zero(rhs):
-        return _linalg.zeros(gram.shape[0], rhs.shape[1]), 0.0, 1.0
+        return rhs, 0.0, 1.0
     a = _linalg.pseudo_apply(split, rhs)
     return (a, *_residual(_linalg.gram_times(gram, a), rhs))
 
@@ -325,20 +270,17 @@ def annihilation_blocks(aplus: list, grams: list, splits: list) -> tuple:
 
     Returns (aminus, residuals): aminus[i][n] for n = 1..depth (entry 0 is
     None), and residuals[(i, n)] = (residual, scale) of each solve, which
-    holds when residual <= tol.adj * scale. An exact zero G_n gives the zero
-    right-hand side without a product, which `_gram_solve` solves without one.
-    A creation block given as its index map (`_Shift`) makes the right-hand
-    side a row gather of G_n (`_transpose_times`).
+    holds when residual <= tol.adj * scale. A creation block given as its
+    index map (`_linalg.Units`) makes the right-hand side a row gather of G_n
+    (`_linalg.times`), so an exact zero G_n gives the zero right-hand side,
+    which `_gram_solve` solves without a product.
     """
     aminus = []
     residuals = {}
     for i, creation in enumerate(aplus):
         per_level: list = [None]
         for n in range(1, len(grams)):
-            if _linalg.is_zero(grams[n]):
-                rhs = _linalg.zeros(creation[n - 1].shape[1], grams[n].shape[1])
-            else:
-                rhs = _transpose_times(creation[n - 1], grams[n])
+            rhs = _linalg.times(creation[n - 1].T, grams[n])
             a, residual, scale = _gram_solve(splits[n - 1], grams[n - 1], rhs)
             per_level.append(a)
             residuals[(i, n)] = (residual, scale)
@@ -355,7 +297,7 @@ def complete_fock(
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
     (`favard.validate`): the creation blocks are the canonical shifts, the
     annihilation blocks come from `annihilation_blocks`, all in computing
-    form. Exact creation blocks are their index maps (`_Shift`), so the
+    form. Exact creation blocks are their index maps (`_linalg.Units`), so the
     right-hand sides are row gathers of the Grams; float ones are matrices
     and the right-hand sides products, since the A^- blocks are published
     and a gather can keep a negative zero where the product gives +0.0.
@@ -481,7 +423,7 @@ def adjointness_residuals(fock: FockData) -> dict:
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
             lhs = _linalg.gram_times(fock.grams[n - 1], fock.aminus[i][n])
-            residual, scale = _residual(lhs, _transpose_times(fock.aplus[i][n - 1], fock.grams[n]))
+            residual, scale = _residual(lhs, _linalg.times(fock.aplus[i][n - 1].T, fock.grams[n]))
             out[(i + 1, n)] = residual / scale
     return out
 
@@ -666,45 +608,16 @@ def _gradation_splits(fock: FockData) -> list | None:
 
 
 def _term_sum(terms: list, exact: bool):
-    """The sum of left @ right over the terms.
-
-    Float terms are products added in the order given. Exact ones may hold
-    an index map (`_Shift`): the other terms run as one integer product of
-    their stacked factors, and a shifted term is a row scatter or a column
-    gather of its other factor; the parts are added over the lcm of their
-    denominators and reduced once.
-    """
-    if not exact:
-        return functools.reduce(operator.add, (left @ right for left, right in terms))
-    moved, products = [], []
-    for left, right in terms:
-        shifted = isinstance(left, _Shift) or isinstance(right, _Shift)
-        (moved if shifted else products).append((left, right))
-    parts = []  # (rows it adds to, numerators, denominator, sign)
-    if products:
-        lefts, rights = zip(*products)
-        product = _linalg.matmul(_linalg.stack(lefts, axis=1), _linalg.stack(rights, axis=0))
-        if not moved:
-            return product
-        parts.append((slice(None), product.num, product.den, 1))
-    for left, right in moved:
-        if isinstance(left, _Shift):
-            parts.append((left.rows, right.num, right.den, left.sign))
-        else:
-            parts.append((slice(None), left.num[:, right.rows], left.den, right.sign))
-    left, right = moved[0]
-    total = np.zeros((left.shape[0], right.shape[1]), dtype=object)
-    den = math.lcm(*(part[2] for part in parts))
-    for rows, num, part_den, sign in parts:
-        scale = sign * (den // part_den)
-        total[rows] += num if scale == 1 else num * scale
-    return _linalg.Cleared(total, den)
+    """The sum of left @ right: float products added in order, exact terms by `_linalg.times_sum`."""
+    if exact:
+        return _linalg.times_sum(terms)
+    return functools.reduce(operator.add, (left @ right for left, right in terms))
 
 
 def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> CommutationReport:
     """`check_commutation` of fock, in computing form, measured by seminorm (`_seminorms`).
 
-    With the creation blocks as index maps (`_Shift`), CR1 vanishes by
+    With the creation blocks as index maps (`_linalg.Units`), CR1 vanishes by
     construction: it is recorded as 0.0 against its usual tolerance, with
     no block formed. A depth or dimension that leaves no relation returns
     at once.
@@ -714,7 +627,7 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
     if n_max == 0 or fock.dimension < 2:
         return report
     on_pairs = isinstance(fock.grams[0], _linalg.Cleared)
-    shifts = isinstance(fock.aplus[0][0], _Shift)
+    shifts = isinstance(fock.aplus[0][0], _linalg.Units)
     blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
 
     def ap(i, n):
@@ -785,7 +698,7 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
     out: dict = {}
     # float products are small matrix-vector ones, where matmul's dispatch
     # would cost more than the product
-    mul = _linalg.matmul if fock.exact else np.matmul
+    mul = _linalg.times if fock.exact else np.matmul
 
     def accumulate(level, vec):
         out[level] = out[level] + vec if level in out else vec
@@ -797,7 +710,7 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
             )
-        accumulate(n + 1, _create(fock.aplus[i][n], v, mul))
+        accumulate(n + 1, mul(fock.aplus[i][n], v))
         accumulate(n, mul(fock.azero[i][n], v))
         if n >= 1:
             accumulate(n - 1, mul(fock.aminus[i][n], v))

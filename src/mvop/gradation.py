@@ -30,8 +30,9 @@ cleared once; here it is M itself, and assembly takes the rows of degree
 row a + e_i of M). Exact mode runs on `_linalg.Cleared` pairs from it, to
 each split. A diagonal G_n, as every level of a product of 1-D
 functionals has, is split without elimination into unit combo and kernel
-columns, and the projection coef U_n and the null-moment check's coef K_n
-are column gathers of coef (`_linalg.times_part`). Each level keeps those
+columns held as index maps (`_linalg.Units`), so the projection coef U_n
+and the null-moment check's coef K_n are column gathers of coef
+(`_linalg.times`). Each level keeps those
 pairs and publishes its `coef`, `gram` and `split` as Fraction arrays on
 their first read (`_linalg.Deferred`).
 `assemble_fock`, the ranks and the null-ideal generators take each
@@ -147,12 +148,12 @@ class DegreeBasis(_linalg.Deferred):
         return [Polynomial(d, dict(zip(rows, vecs[:, j]))) for j in range(vecs.shape[1])]
 
     def combine(self, columns) -> list:
-        """One polynomial per column (an array or a pair): the candidates weighted by its entries."""
+        """One polynomial per column (an array, a pair or a map): the candidates weighted by its entries."""
         try:
             coef = _linalg.computing(self, "coef")
         except TypeError:
             coef = self.coef  # a float entry: multiplied as plain objects
-        return self._polynomials(_linalg.published(_linalg.matmul(coef, columns)))
+        return self._polynomials(_linalg.published(_linalg.times(coef, columns)))
 
     @property
     def candidates(self) -> list:
@@ -310,14 +311,14 @@ def build_gradations(
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
         # a PSD moment matrix maps each seminorm-null polynomial to zero
         if exact and split.nullity:
-            null_moments = _linalg.matmul(_linalg.times_part(coef, split, "null").T, moments[:size])
+            null_moments = _linalg.matmul(_linalg.times(coef, split.null).T, moments[:size])
             if null_moments.num.any():
                 raise InconsistentMomentsError(
                     f"a null polynomial of degree {n} has a nonzero moment against a monomial "
                     f"of degree <= {max_degree}; data is not a moment functional"
                 )
         if split.rank and n < max_degree:  # no level above reads the projection
-            ortho = _linalg.times_part(coef, split, "combos")
+            ortho = _linalg.times(coef, split.combos)
             lo = size - k
             if exact:
                 # U_n^T M vanishes on the columns of degree < n: the lower slices

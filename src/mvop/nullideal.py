@@ -4,8 +4,9 @@ Polynomials annihilated by the seminorm of a functional form an ideal. Per
 degree, the Gram kernel consists of the top coefficient vectors of the null
 polynomials; stripping the directions inherited from the degree below (the
 creation shifts of its kernel, which carry every shifted earlier generator)
-leaves the genuinely new generators of that degree. Generators are built as
-Polynomial objects only from those new kernel columns.
+leaves the genuinely new generators of that degree. Exact shifts, and the
+kernels of diagonal levels, are index maps, multiplied only by `_linalg.times`.
+Generators are built as Polynomial objects only from those new kernel columns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .fock import _scatter, _shift, creation_matrix
+from .fock import _shift, creation_matrix
 from .gradation import GradationBasis
 from .polynomial import Polynomial
 
@@ -82,8 +83,8 @@ def _new_kernel_directions(kernel, inherited, exact: bool, tol_rank: float):
     if exact:
         # v = kernel @ y with inherited^T v = 0: y in the kernel of a = inherited^T kernel,
         # which is the kernel of the Gram a^T a, with the same RREF basis
-        gram = _linalg.matmul(kernel.T, inherited, inherited.T, kernel)
-        return _linalg.times_part(kernel, _linalg.split_gram(gram, True, 0.0, 0.0), "null")
+        a = _linalg.times(inherited.T, kernel)
+        return _linalg.times(kernel, _linalg.split_gram(_linalg.matmul(a.T, a), True, 0.0, 0.0).null)
     u, s, _ = np.linalg.svd(inherited, full_matrices=False)
     cut = _linalg.rank_cutoff(inherited.shape[0], s[0] if s.size else 0.0, tol_rank)
     u = u[:, s > cut]
@@ -120,13 +121,10 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
             continue
         # the degree-0 Gram is the positive vacuum norm, so n >= 1 here
         below = _linalg.computing(g.level(n - 1), "split").null
-        if exact:
-            # A_i^+ K_{n-1} is a row scatter of the kernel pair (`fock._scatter`)
-            shifts = [_scatter(_shift(d, i, n - 1), below) for i in range(d)]
-        else:
-            # float shifts stay products: the SVD below can see the sign of a zero
-            shifts = [_linalg.matmul(creation_matrix(d, i, n - 1), below) for i in range(d)]
-        inherited = _linalg.stack(shifts, axis=1)
+        # A_i^+ K_{n-1}: an exact shift is a row scatter; float shifts stay
+        # products, since the SVD below can see the sign of a zero
+        shift = _shift if exact else creation_matrix
+        inherited = _linalg.stack([_linalg.times(shift(d, i, n - 1), below) for i in range(d)], axis=1)
         new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]
         generators.extend(fresh)

@@ -206,6 +206,52 @@ def test_marginal_bad_coords_speak_one_based(capsys, square_spec, coords, messag
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, depth_env, named",
+    [
+        (["rank", "--max-degree", "1_0"], None, "--max-degree value '1_0'"),
+        (["rank", "--max-degree", " 2"], None, "--max-degree value ' 2'"),
+        (["rank", "--max-degree", "-1"], None, "--max-degree value '-1'"),
+        (["rank", "--max-degree", "\uff12"], None, "--max-degree value '\uff12'"),
+        (["rank"], " +2", "MVOP_DEFAULT_DEPTH value ' +2'"),
+        (["rank"], "-1", "MVOP_DEFAULT_DEPTH value '-1'"),
+        (["marginal", "--coords", "+1", "--max-degree", "2"], None, "--coords value '+1'"),
+        (["marginal", "--coords", "\u0661", "--max-degree", "2"], None, "--coords value '\u0661'"),
+        (["marginal", "--coords", "1, 2", "--max-degree", "2"], None, "--coords value '1, 2'"),
+        (["favard", "--seed", "-3"], None, "--seed value '-3'"),
+        (["favard", "--seed", "1_0"], None, "--seed value '1_0'"),
+    ],
+    ids=[
+        "max-degree-underscore",
+        "max-degree-blank",
+        "max-degree-negative",
+        "max-degree-fullwidth-digit",
+        "env-depth-signed-blank",
+        "env-depth-negative",
+        "coords-signed",
+        "coords-arabic-indic-digit",
+        "coords-blank",
+        "seed-negative",
+        "seed-underscore",
+    ],
+)
+def test_cli_integers_are_ascii_digit_runs(
+    capsys, monkeypatch, square_spec, square_fock_payload, argv, depth_env, named
+):
+    # as in a moments_table key: `int` would also take signs, blanks,
+    # underscores and other scripts' digits
+    if depth_env is None:
+        monkeypatch.delenv("MVOP_DEFAULT_DEPTH", raising=False)
+    else:
+        monkeypatch.setenv("MVOP_DEFAULT_DEPTH", depth_env)
+    source = ["--fock", square_fock_payload] if argv[0] == "favard" else ["--spec", square_spec]
+    code = main(argv + source)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: bad {named}\n"
+
+
 def test_favard_reconstructs_square(capsys, square_fock_payload):
     code, out = run_json(capsys, ["favard", "--fock", square_fock_payload])
     assert code == 0
@@ -393,6 +439,16 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
             "'\uff11'",
         ),
         ("rank", {"type": "moments_table", "dimension": 2, "depth": 0, "entries": {"0,0": 1, "0,,1": 3}}, "'0,,1'"),
+        # a block's rows are checked for equal lengths before it is read, and
+        # the error names the block, whatever its entries
+        ("favard", {"dimension": 2, "depth": 1, "gram": [[[1]], [[1, 0], [0]]]}, "'gram' block at degree 1"),
+        ("favard", {"dimension": 2, "depth": 1, "gram": [[[1]], [[1.5, 0], [0]]]}, "'gram' block at degree 1"),
+        ("favard", {"dimension": 1, "depth": 1, "omega": [[[1]], [[0.5], []]]}, "'omega' block at degree 1"),
+        (
+            "favard",
+            {"dimension": 1, "depth": 1, "gram": [[[1]], [[1]]], "bzero": [[[[0]], [[0.5], [1, 2]]]]},
+            "'bzero' block at coordinate 1, degree 1",
+        ),
     ],
     ids=[
         "block-not-list",
@@ -418,6 +474,10 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         "table-underscore-key",
         "table-fullwidth-digit-key",
         "table-empty-part-key",
+        "ragged-rational-gram-rows",
+        "ragged-float-gram-rows",
+        "ragged-float-omega-rows",
+        "ragged-float-bzero-rows",
     ],
 )
 def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload, named):

@@ -381,9 +381,11 @@ def test_zero_gram_pair_split():
         zero = np.zeros((d, d), dtype=object)
         split = _linalg.split_gram(_linalg.cleared(zero), exact=True, tol_rank=1e-10, tol_psd=1e-10)
         assert split.combos.shape == (d, 0) and split.norms2.shape == (0,)
-        assert isinstance(split.null, _linalg.Cleared) and split.null.den == 1
-        assert split.null.num.tolist() == np.eye(d, dtype=int).tolist()
-        assert all(type(v) is int for v in split.null.num.flat)
+        assert isinstance(split.null, _linalg.Units)
+        null = split.null.pair()
+        assert null.den == 1
+        assert null.num.tolist() == np.eye(d, dtype=int).tolist()
+        assert all(type(v) is int for v in null.num.flat)
         published = _linalg.published(split)
         assert (published.combos.tolist(), published.norms2.tolist(), published.null.tolist()) == ref_split(zero)
 
@@ -398,7 +400,13 @@ def diagonal_gram(rng, d: int, negative: bool = False) -> np.ndarray:
 
 
 def pair_lists(x) -> tuple:
+    """A pair's numerators and den; a map (`Units`) as its pair."""
+    x = x.pair() if isinstance(x, _linalg.Units) else x
     return x.num.tolist(), x.den
+
+
+def holds_maps(split) -> bool:
+    return isinstance(split.combos, _linalg.Units) or isinstance(split.null, _linalg.Units)
 
 
 @pytest.fixture
@@ -424,8 +432,9 @@ def test_diagonal_split_is_read_off(eliminations):
         pair = _linalg.cleared(gram)
         split = _linalg.split_gram(pair, exact=True, tol_rank=1e-10, tol_psd=1e-10)
         nonzero = [i for i in range(d) if gram[i, i]]
-        assert split._units["combos"].tolist() == nonzero
-        assert split._units["null"].tolist() == [i for i in range(d) if i not in nonzero]
+        assert isinstance(split.combos, _linalg.Units) and isinstance(split.null, _linalg.Units)
+        assert split.combos.rows.tolist() == nonzero
+        assert split.null.rows.tolist() == [i for i in range(d) if i not in nonzero]
     assert eliminations == []
 
 
@@ -436,7 +445,7 @@ def test_diagonal_split_equals_the_elimination_pair_for_pair():
         got, want = _linalg._exact_split(pair), _eliminate(pair)
         for name in ("combos", "norms2", "null"):
             assert pair_lists(getattr(got, name)) == pair_lists(getattr(want, name))
-        assert want._units is None and _linalg.published(got)._units is None
+        assert not holds_maps(want) and not holds_maps(_linalg.published(got))
 
 
 def test_negative_diagonal_entry_raises_the_elimination_error(eliminations):
@@ -466,7 +475,7 @@ def test_one_off_diagonal_pair_takes_the_elimination(eliminations):
     gram[0, 2] = gram[2, 0] = Fraction(1, 2)
     assert_split_matches(gram)
     split = _linalg.split_gram(_linalg.cleared(gram), exact=True, tol_rank=1e-10, tol_psd=1e-10)
-    assert split._units is None and len(eliminations) == 2
+    assert not holds_maps(split) and len(eliminations) == 2
     # one entry alone makes the Gram asymmetric, which the elimination refuses
     gram[2, 0] = 0
     with pytest.raises(InconsistentMomentsError, match="not symmetric"):
@@ -480,9 +489,9 @@ def test_diagonal_solves_match_the_products():
         d, m = rng.randint(1, 7), rng.randint(1, 4)
         gram = _linalg.cleared(diagonal_gram(rng, d))
         split = _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
-        # the same split without its unit rows takes the products
+        # the same split without its maps takes the products
         dense = _linalg.cleared(_linalg.published(split))
-        assert dense._units is None
+        assert not holds_maps(dense)
         rhs = _linalg.cleared(
             np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)] for _ in range(d)])
         )
@@ -493,14 +502,53 @@ def test_diagonal_solves_match_the_products():
             coef = _linalg.cleared(
                 np.array([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)] for _ in range(3)])
             )
-            assert pair_lists(_linalg.times_part(coef, split, name)) == pair_lists(
-                _linalg.matmul(coef, getattr(split, name))
+            assert pair_lists(_linalg.times(coef, getattr(split, name))) == pair_lists(
+                _linalg.matmul(coef, getattr(dense, name))
             )
         # a Gram edited after its split is multiplied as it stands
         edited = _linalg.cleared(_linalg.published(gram))
         edited[0:1, d - 1 : d] = _linalg.cleared(np.array([[Fraction(1, 7)]]))
         want = _linalg.published(edited) @ _linalg.published(a)
         assert _linalg.published(_linalg.gram_times(edited, a)).tolist() == want.tolist()
+
+
+def test_times_moves_match_the_products():
+    # creation maps and their negatives, transposed or not, on either side of
+    # a pair, on a vector, and times a map: each move equals the dense product
+    rng = random.Random(2727)
+
+    def rational(*shape):
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(math.prod(shape))]
+        return np.array(entries, dtype=object).reshape(shape)
+
+    for _ in range(40):
+        d, n, m = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
+        i = rng.randrange(d)
+        shift = fock_module._shift(d, i, n)
+        size, k = shift.shape
+        for units, dense in ((shift, creation_matrix(d, i, n, object)), (-shift, -creation_matrix(d, i, n, object))):
+            assert units.pair().num.tolist() == dense.tolist()
+            kernel = _linalg.Units(np.array(sorted(rng.sample(range(k), rng.randint(0, k))), dtype=int), k)
+            cases = [
+                (units, rational(k, m), dense, None),
+                (units, rational(k), dense, None),
+                (units.T, rational(size, m), dense.T, None),
+                (rational(m, size), units, None, dense),
+                (rational(m, k), units.T, None, dense.T),
+                (units, kernel, dense, kernel.pair()),
+            ]
+            for a, b, dense_a, dense_b in cases:
+                got = _linalg.times(a, _linalg.cleared(b) if isinstance(b, np.ndarray) and rng.random() < 0.5 else b)
+                want = _linalg.matmul(a if dense_a is None else dense_a, b if dense_b is None else dense_b)
+                assert isinstance(got, _linalg.Cleared)
+                assert _linalg.published(got).tolist() == _linalg.published(want).tolist()
+                assert math.gcd(got.den, *got.num.flat) == 1
+            # a sum of moves and products, as the commutation checks form it
+            r, left, p, q = (_linalg.cleared(rational(*shape)) for shape in ((k, k), (size, size), (size, k), (k, k)))
+            got = _linalg.times_sum([(units, r), (left, -units), (p, q), (-units, q)])
+            r, left, p, q = map(_linalg.published, (r, left, p, q))
+            want = dense @ r - left @ dense + p @ q - dense @ q
+            assert _linalg.published(got).tolist() == want.tolist() and math.gcd(got.den, *got.num.flat) == 1
 
 
 @st.composite

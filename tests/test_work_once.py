@@ -187,6 +187,27 @@ def test_reconstruction_compresses_only_the_levels_it_lifts(monkeypatch, eight_a
     assert calls and not zero_operands
 
 
+def test_exact_favard_multiplies_no_unit_columns(monkeypatch, eight_atoms):
+    # level 0 (G_0 = [[1]]) and the zero levels 4..8 are diagonal: the combos
+    # and kernels of their splits are unit columns, moved by index, and never
+    # an operand of a product, in the checks or in reconstruction's lift
+    fock, _ = eight_atoms
+    fi = mvop.FockInput.from_fock_data(fock)
+    calls = _recorded_matmuls(monkeypatch)
+    assert mvop.validate(fi).passed
+    assert len(mvop.reconstruct_discrete(fi).atoms) == 8
+    splits = fi._memo.value[1].splits
+    diagonal = [n for n, g in enumerate(fi.grams) if not np.count_nonzero(g - np.diag(np.diag(g)))]
+    assert {0, 4, 5, 6, 7, 8} <= set(diagonal)
+    units = [getattr(splits[n], name) for n in diagonal for name in ("combos", "null")]
+
+    def unit_columns(m):
+        num = m.num if isinstance(m, _linalg.Cleared) else np.asarray(m)
+        return any(isinstance(u, _linalg.Cleared) and np.shares_memory(num, u.num) for u in units)
+
+    assert calls and not any(unit_columns(m) for mats in calls for m in mats)
+
+
 def test_refused_reconstruction_forms_no_product(monkeypatch):
     f = mvop.product_functional([mvop.gaussian_functional()] * 2)
     fi = mvop.FockInput.from_fock_data(mvop.assemble_fock(mvop.build_gradations(f, 3, mode="exact")))
