@@ -194,6 +194,16 @@ def _natural(text: str, what: str) -> int:
     return int(text)
 
 
+def _real(text: str, what: str) -> float:
+    """text as a float if it is ASCII with no blank or `_` (`float` also takes those, and other digits)."""
+    if not text.isascii() or "_" in text or any(c.isspace() for c in text):
+        raise SpecFormatError(f"bad {what}")
+    try:
+        return float(text)
+    except ValueError:
+        raise SpecFormatError(f"bad {what}") from None
+
+
 def _depth_field(value, name: str) -> int:
     """A spec's depth field: a JSON integer that is not negative."""
     if _json_integer(value, name) < 0:
@@ -446,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fock", help="block payload JSON file (favard)")
         p.add_argument("--max-degree", help=f"maximal degree (default: ${DEFAULT_DEPTH_ENV} or 6)")
         p.add_argument("--mode", choices=["exact", "float", "auto"], default="auto")
-        p.add_argument("--tol-rank", type=float, default=None, help="rank cutoff override")
+        p.add_argument("--tol-rank", help="rank cutoff override")
         p.add_argument("--seed", default="0", help="diagonalization seed (favard)")
         p.add_argument("--format", choices=["json", "csv", "pretty"], default="json")
         p.add_argument("--coords", help="1-based coordinates, comma separated (marginal)")
@@ -462,14 +472,18 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        # integers are read as table keys are: runs of ASCII digits
+        # integers are read as table keys are: runs of ASCII digits; the
+        # rank cutoff is an ASCII float with no blank or underscore
         if args.max_degree is None:
             raw = os.environ.get(DEFAULT_DEPTH_ENV, "6")
             args.max_degree = _natural(raw, f"{DEFAULT_DEPTH_ENV} value {raw!r}")
         else:
             args.max_degree = _natural(args.max_degree, f"--max-degree value {args.max_degree!r}")
         args.seed = _natural(args.seed, f"--seed value {args.seed!r}")
-        tol = Tolerances() if args.tol_rank is None else Tolerances(rank=args.tol_rank)
+        if args.tol_rank is None:
+            tol = Tolerances()
+        else:
+            tol = Tolerances(rank=_real(args.tol_rank, f"--tol-rank value {args.tol_rank!r}"))
         # an overflow reaches the user once: a non-finite output value, or an
         # OverflowError from exact data beyond binary64 range
         with np.errstate(over="ignore", invalid="ignore"):

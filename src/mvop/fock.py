@@ -67,7 +67,12 @@ hermiticity residuals are returned as that work would compute them
 (`_gram_solve`, `symmetry_residuals`), so every residual is unchanged; so
 is the hermiticity of an exact zero A^0.
 Vacuum words are memoized, each state keeping only the levels that can
-still reach the vacuum (see `vacuum_moment`). A residual computed on pairs
+still reach the vacuum and forming only the products that land on them
+(see `vacuum_moment`). An exact word state is one int numerator vector per
+level over one denominator: each coordinate's blocks are scaled once to one
+denominator E_i (`_word_blocks`), a step multiplies numerators and den by
+E_i, and the new state is reduced once (`_word_step`), so words build no
+pair. A residual computed on pairs
 is decided on its exact value: its binary64 image stays above 0.0 when it
 is nonzero (`_floored`), and then it fails (`_recorded_tolerance`).
 """
@@ -75,6 +80,7 @@ is nonzero (`_floored`), and then it fails (`_recorded_tolerance`).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -717,6 +723,75 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
     return out
 
 
+def _word_blocks(fock: FockData) -> tuple:
+    """(on_pairs, blocks): the blocks vacuum words apply, blocks[i] = (E_i, A_i^+, A_i^0, A_i^-).
+
+    Exact blocks in computing form (`_cleared_fock`) are taken over one
+    denominator E_i per coordinate, the lcm of the denominators of its A^0
+    and A^- pairs and of any dense A^+ pair (a non-canonical creation block):
+    each is its numerators scaled to E_i once, and a creation map stays its
+    map. Float blocks, and exact blocks that cannot be cleared (a float
+    entry), are taken as they are, with E_i = 1; on_pairs is False for them.
+    """
+    cleared = _cleared_fock(fock)
+    coordinates = list(zip(cleared.aplus, cleared.azero, cleared.aminus))
+    if not isinstance(cleared.grams[0], _linalg.Cleared):
+        return False, [(1, *kinds) for kinds in coordinates]
+    out = []
+    for kinds in coordinates:
+        scale = math.lcm(*(b.den for kind in kinds for b in kind if isinstance(b, _linalg.Cleared)))
+
+        def scaled(b):
+            return b.num * (scale // b.den) if isinstance(b, _linalg.Cleared) else b
+
+        out.append((scale, *([scaled(b) for b in kind] for kind in kinds)))
+    return True, out
+
+
+def _word_step(blocks: list, i: int, state: tuple, reach: int) -> tuple:
+    """X_i applied to a word state (levels, den), keeping its levels <= reach.
+
+    levels[n] is the numerator vector of level n over den, and blocks[i] is
+    (E_i, A_i^+, A_i^0, A_i^-) from `_word_blocks`. Only products landing on
+    a kept level are formed: none of A^+ out of levels reach and reach + 1,
+    none of A^0 at reach + 1. Each kept level adds its terms from the top
+    source level down, as `apply_coordinate` does, so float words are
+    bit-identical to a replay. A creation map scatters its numerators times
+    E_i, every other block is one numerator product, and the new state is
+    over den E_i, reduced once by the gcd of all its numerators and den (den
+    stays 1 on blocks taken as they are).
+    """
+    scale, aplus, azero, aminus = blocks[i]
+    levels, den = state
+    out = [None] * min(len(levels) + 1, reach + 1)
+
+    def add(level, vec):
+        out[level] = vec if out[level] is None else out[level] + vec
+
+    for n in reversed(range(len(levels))):
+        v = levels[n]
+        if n < reach:
+            creation = aplus[n]
+            if isinstance(creation, _linalg.Units):
+                rows, entries = creation.moved(v, True, scale)
+                # a level's sum so far is an array this step made, so it takes the scatter in place
+                if out[n + 1] is None:
+                    out[n + 1] = np.zeros(creation.size, dtype=object)
+                out[n + 1][rows] += entries
+            else:
+                add(n + 1, creation @ v)
+        if n <= reach:
+            add(n, azero[n] @ v)
+        if n:
+            add(n - 1, aminus[n] @ v)
+    den *= scale
+    if den != 1:
+        g = math.gcd(den, *itertools.chain.from_iterable(out))
+        if g != 1:
+            out, den = [v // g for v in out], den // g
+    return out, den
+
+
 def vacuum_moment(fock: FockData, alpha):
     """Vacuum expectation of the coordinate word x^alpha.
 
@@ -726,15 +801,19 @@ def vacuum_moment(fock: FockData, alpha):
 
     States are memoized on the FockData: the state of alpha is X_i applied to
     that of alpha - e_i, i the lowest index with alpha_i > 0, so all words up
-    to a degree cost one application each. A state of degree k keeps only
-    its levels <= depth - k, the ones that can still reach the vacuum within
-    the built depth; every kept level sums the same terms in the same order
-    as the full state, so the value is unchanged. The memo takes the blocks
-    in computing form at the first call (`_cleared_fock`, so edits made
-    before it are seen) and is valid while the blocks are not edited in
-    place; a copy or `dataclasses.replace` of the FockData starts a fresh one.
-    Exact words scatter through canonical creation blocks (`_cleared_fock`);
-    float words take the products.
+    to a degree cost one application each (`_word_step`). A state of degree
+    k keeps only its levels <= depth - k, the ones that can still reach the
+    vacuum within the built depth, and only the products landing on them
+    are formed; every kept level sums the same terms in the same order as
+    the full state, so the value is unchanged. An exact state is one int
+    numerator vector per level over one denominator, reduced once per word,
+    and a word's value is Fraction(numerator of level 0, den); the empty word
+    is the int 1. The memo takes the blocks in computing form at the first
+    call (`_word_blocks`, so edits made before it are seen) and is valid
+    while the blocks are not edited in place; a copy or
+    `dataclasses.replace` of the FockData starts a fresh one. Exact words
+    scatter through canonical creation blocks; float words take the
+    products.
     """
     alpha = tuple(alpha)
     _check_index(alpha, fock.dimension)
@@ -744,20 +823,16 @@ def vacuum_moment(fock: FockData, alpha):
         )
     if "_vacuum" not in fock.__dict__:
         vacuum = np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)
-        fock._vacuum = (_cleared_fock(fock), {(0,) * fock.dimension: {0: vacuum}})
-    blocks, states = fock._vacuum
+        fock._vacuum = (*_word_blocks(fock), {(0,) * fock.dimension: ([vacuum], 1)})
+    on_pairs, blocks, states = fock._vacuum
 
     def state(word):
         if word not in states:
             i = next(k for k, e in enumerate(word) if e)
             below = word[:i] + (word[i] - 1,) + word[i + 1 :]
-            # levels above reach = depth - |word| cannot come back to the vacuum;
-            # the state below keeps levels <= reach + 1, all that feed the rest
-            reach = fock.depth - sum(word)
-            applied = apply_coordinate(blocks, i, state(below))
-            states[word] = {n: v for n, v in applied.items() if n <= reach}
+            states[word] = _word_step(blocks, i, state(below), fock.depth - sum(word))
         return states[word]
 
     # level 0 is never empty: A^0 maps it to itself
-    vac = state(alpha)[0]
-    return Fraction(vac.num[0], vac.den) if isinstance(vac, _linalg.Cleared) else vac[0]
+    levels, den = state(alpha)
+    return Fraction(levels[0][0], den) if on_pairs and any(alpha) else levels[0][0]

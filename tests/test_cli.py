@@ -559,6 +559,28 @@ def test_bad_tolerance_gives_one_error_line(capsys, square_spec, value):
     assert captured.err.startswith("error: tolerance rank ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "value", ["1_0e-11", " 1e-9", "1e-9\n", "\uff11e-9", "1e-\u0669", "", "tiny"],
+    ids=["underscore", "blank", "newline", "fullwidth-digit", "arabic-indic-digit", "empty", "word"],
+)
+def test_tol_rank_is_an_ascii_float(capsys, square_spec, value):
+    # `float` would also take underscores, blanks and other scripts' digits
+    code = main(["rank", "--spec", square_spec, "--max-degree", "2", "--mode", "float", "--tol-rank", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: bad --tol-rank value {value!r}\n"
+
+
+def test_tol_rank_takes_ascii_floats(capsys, square_spec):
+    outs = []
+    for value in ("1e-9", "1E-9", "+0.000000001", ".000000001e0"):
+        code = main(["rank", "--spec", square_spec, "--max-degree", "2", "--mode", "float", "--tol-rank", value])
+        assert code == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] and outs.count(outs[0]) == len(outs)
+
+
 def test_closed_output_pipe_is_not_an_error():
     # as in `mvop rank ... | head -n 1`, the reader is gone before the output is written
     spec = Path(__file__).parent / "golden" / "prod3.json"

@@ -1,10 +1,13 @@
 """Vacuum words share prefixes, layers hand over their pairs, and checks see edits.
 
 `vacuum_moment` memoizes states per FockData, so reading every word up to
-the depth costs one application of a coordinate per word. The values must
-equal a replay of each word from the vacuum, done here with plain `@`
-products: equal and of the same type in exact mode, bit for bit in float
-mode. Exact gradations and FockData keep the pairs they were computed on
+the depth costs one application of a coordinate per word (`_word_step`).
+An exact state is int numerators over one denominator, reduced once per
+word. The values must equal a replay of each word from the vacuum, done
+here with plain `@` products on the public blocks: equal and of the same
+type in exact mode, also on large denominators, on blocks holding a float
+entry and on a tampered A^+, and bit for bit in float mode. Exact
+gradations and FockData keep the pairs they were computed on
 until an attribute is first read, and clear its public array afresh after:
 when no array was read, assembly clears no level, and the checks and vacuum
 words clear no block, while an in-place edit is seen by the next call. A
@@ -40,6 +43,8 @@ BUILDERS = {
     "six3d": (lambda: _spec("six3d.json", 3), 3),
     "prod3": (lambda: _spec("prod3.json", 3), 3),
     "circle": (lambda: mvop.circle_functional(max_degree=26), 12),
+    "half-circle": (lambda: mvop.circle_functional(half=True, max_degree=14), 6),
+    "gauss2-float": (lambda: mvop.as_float_functional(mvop.product_functional([mvop.gaussian_functional()] * 2)), 5),
 }
 
 
@@ -81,15 +86,15 @@ def assert_same_word(got, want, exact):
 
 @pytest.fixture
 def applications(monkeypatch):
-    """Counts the applications of a coordinate made through the library."""
+    """Counts the applications of a coordinate to a word state made through the library."""
     count = [0]
-    apply = fock_module.apply_coordinate
+    step = fock_module._word_step
 
     def counting(*args):
         count[0] += 1
-        return apply(*args)
+        return step(*args)
 
-    monkeypatch.setattr(fock_module, "apply_coordinate", counting)
+    monkeypatch.setattr(fock_module, "_word_step", counting)
     return count
 
 
@@ -110,6 +115,44 @@ def test_each_word_costs_one_application(name, applications):
     if fock.exact:
         zero = got[(0,) * fock.dimension]
         assert zero == 1 and type(zero) is int
+
+
+def test_large_denominator_words_equal_the_moments():
+    # coordinate denominators 97 and 128: the word states' denominators grow
+    # by E_i per step and must be reduced back
+    rng = random.Random(97128)
+    atoms = tuple(
+        (Fraction(rng.randint(-60, 60), 97), Fraction(rng.randint(-60, 60), 128)) for _ in range(12)
+    )
+    raw = [rng.randint(1, 9) for _ in atoms]
+    f = mvop.discrete_functional(mvop.DiscreteMeasure(atoms, tuple(Fraction(r, sum(raw)) for r in raw)))
+    fock = mvop.assemble_fock(mvop.build_gradations(f, 6))
+    for w in mvop.monomials_up_to(2, 6):
+        got = mvop.vacuum_moment(fock, w)
+        assert_same_word(got, replay(fock, w), True)
+        assert got == f.moment(w)
+        if any(w):
+            assert type(got) is type(f.moment(w)) is Fraction
+
+
+def float_entry(fock):
+    fock.azero[0][1][0, 1] = fock.azero[0][1][0, 1] + 0.25
+    return fock
+
+
+def tampered_creation(fock):
+    fock.aplus[0][1][0, 1] += Fraction(1, 3)
+    return fock
+
+
+@pytest.mark.parametrize("edit", [float_entry, tampered_creation])
+def test_edited_exact_blocks_give_the_replayed_words(edit):
+    fock = edit(skewed())
+    words = mvop.monomials_up_to(2, fock.depth)
+    got = [mvop.vacuum_moment(fock, w) for w in words]
+    assert got != [mvop.vacuum_moment(skewed(), w) for w in words]
+    for w, value in zip(words, got):
+        assert_same_word(value, replay(fock, w), True)
 
 
 def results(f):

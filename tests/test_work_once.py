@@ -252,11 +252,11 @@ def test_vacuum_states_keep_only_reachable_levels(name):
     words = mvop.monomials_up_to(fock.dimension, fock.depth)
     for w in words:
         mvop.vacuum_moment(fock, w)
-    _, states = fock._vacuum
+    *_, states = fock._vacuum
     assert set(states) == set(words)
-    for w, state in states.items():
-        assert 0 in state
-        assert max(state) == min(sum(w), fock.depth - sum(w))
+    for w, (levels, den) in states.items():
+        assert len(levels) - 1 == min(sum(w), fock.depth - sum(w))
+        assert all(v is not None for v in levels) and den >= 1
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -378,16 +378,28 @@ def test_forward_exact_run_multiplies_no_creation_block(monkeypatch, creation_ar
     atoms = mvop.discrete_functional(mvop.DiscreteMeasure(((-1,), (half,), (2,)), (quarter, half, quarter)))
     f = mvop.product_functional([mvop.gaussian_functional(), atoms, mvop.gaussian_functional()])
     matmuls = _recorded_matmuls(monkeypatch)
+    # vacuum words multiply numerators in their own step: the factors of each one
+    steps = []
+    step = fock_module._word_step
+
+    def recording(blocks, i, state, reach):
+        steps.append(blocks[i])
+        return step(blocks, i, state, reach)
+
+    monkeypatch.setattr(fock_module, "_word_step", recording)
     g = mvop.build_gradations(f, 4)
     fock = mvop.assemble_fock(g)
     assert mvop.check_commutation(fock).passed
     words = mvop.monomials_up_to(3, 4)
-    assert [mvop.vacuum_moment(fock, w) for w in words] == [f.moment(w) for w in words]
+    moments = [f.moment(w) for w in words]
+    assert [mvop.vacuum_moment(fock, w) for w in words] == moments
     basis = mvop.base_generators(g)
     assert any(row["inherited"] for row in basis.reduction_log)
     adjointness = mvop.adjointness_residuals(fock)
     xcomm = x_commutator_residual(fock, 0, 2, 1)
     assert matmuls and creation_arrays == []  # no creation block is even built
+    # every word step scatters through the creation maps
+    assert steps and all(isinstance(b, _linalg.Units) for _, aplus, *_ in steps for b in aplus)
 
     # published blocks pass the canonicity test, and are multiplied no more
     report = mvop.check_commutation(fock)
@@ -402,6 +414,14 @@ def test_forward_exact_run_multiplies_no_creation_block(monkeypatch, creation_ar
         return any(a is block or a.base is block for block in creation_arrays)
 
     assert matmuls and not any(is_creation(m) for mats in matmuls for m in mats)
+
+    # so are words on the published blocks, in a fresh memo
+    steps.clear()
+    fresh = dataclasses.replace(fock)
+    assert [mvop.vacuum_moment(fresh, w) for w in words] == moments
+    assert steps and all(isinstance(b, _linalg.Units) for _, aplus, *_ in steps for b in aplus)
+    products = [b for _, _, azero, aminus in steps for b in azero + aminus[1:]]
+    assert not any(is_creation(b) for b in products)
 
 
 def test_exact_product_run_eliminates_and_solves_by_no_product(monkeypatch):
