@@ -3,33 +3,32 @@ spectral splitting, degenerate-metric solves, and joint diagonalization.
 
 Exact matrices are computed on as `Cleared` pairs (Python-int numerators over
 one denominator): `cleared` makes them from Fraction arrays once where a
-computation starts, `published` makes Fraction arrays at the API edge. A
-`Deferred` holder keeps the pairs of its exact public arrays and publishes
-each attribute on its first read, so an array nobody reads is never built.
-`matmul` takes float arrays, pairs, or exact object arrays (returned as
-Fractions), so callers stay mode-generic; `max_quadratic` gives Gram
-seminorms. One fraction-free elimination per exact Gram (Bareiss 1968) gives
-its pivots, combos, norms and RREF kernel, and the kernel of any exact matrix
-A is that of the Gram A^T A. An exact matrix with one unit entry per column
-is held as its index map (`Units`): the canonical creation blocks, and the
-combos and kernel of an exact Gram with no nonzero numerator off its
-diagonal (every Gram of a product of 1-D functionals, and a zero Gram),
-whose split is read off the diagonal with no elimination. A product with a
-map is an index move, never a multiplication (`times`, `times_sum`), and a
-product with such a Gram is a row scaling (`gram_times`, which tests the
-Gram it is given). A published split holds dense arrays, and a split cleared
-afresh from one takes the products. An object array holding a float entry
-cannot be cleared (TypeError) and is multiplied as plain objects, so
-perturbed exact blocks still yield residuals. A computing form handed from
-one layer to the next is its kept pairs until its public value is first
-read, and from then on that public value cleared afresh on every use
-(`computing`), so an edit is seen by construction.
+computation starts, `published` makes Fraction arrays at the API edge. Every
+array a library value holds is read-only (`read_only`): a `ReadOnly` holder
+keeps the computing form it was built from for good, and publishes an exact
+array on its first read, so an array nobody reads is never built, and a change
+is a new value (`dataclasses.replace`), whose computing form is made once from
+its arrays. `matmul` takes float arrays, pairs, or exact object arrays
+(returned as Fractions), so callers stay mode-generic; `max_quadratic` gives
+Gram seminorms. One fraction-free elimination per exact Gram (Bareiss 1968)
+gives its pivots, combos, norms and RREF kernel, and the kernel of any exact
+matrix A is that of the Gram A^T A. An exact matrix with one unit entry per
+column is held as its index map (`Units`): the canonical creation blocks, and
+the combos and kernel of an exact Gram with no nonzero numerator off its
+diagonal (every Gram of a product of 1-D functionals, and a zero Gram), whose
+split is read off the diagonal with no elimination. A product with a map is an
+index move, never a multiplication (`times`, `times_sum`), and a product with
+such a Gram is a row scaling (`gram_times`); a pair decides once whether it is
+diagonal (`Cleared.diagonal`). A published split holds dense arrays, and a
+split cleared from one takes the products. An object array holding a float
+entry, which only caller arrays carry, cannot be cleared (TypeError) and is
+multiplied as plain objects, so perturbed exact blocks still yield residuals.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 
@@ -78,7 +77,14 @@ class Cleared:
         den = math.lcm(self.den, value.den)
         num = self.num * (den // self.den)
         num[idx] = value.num * (den // value.den)
+        self.__dict__.clear()  # drops the diagonal test of the old entries
         self.__init__(num, den)
+
+    @cached_property
+    def diagonal(self):
+        """The diagonal numerators when no numerator off the diagonal is nonzero, else None: tested once."""
+        diagonal = self.num.diagonal()
+        return diagonal if np.count_nonzero(self.num) == np.count_nonzero(diagonal) else None
 
     def __neg__(self) -> "Cleared":
         return Cleared.reduced(-self.num, self.den)
@@ -126,9 +132,8 @@ class Units:
 
     def matches(self, block) -> bool:
         """Whether block is this map's matrix as a pair: one O(entries) test."""
-        if not isinstance(block, Cleared) or block.den != 1 or block.shape != self.shape:
-            return False
-        return bool((block.num == self.pair().num).all())
+        same = isinstance(block, Cleared) and block.den == 1 and block.shape == self.shape
+        return same and bool((block.num == self.pair().num).all())
 
     def moved(self, num: np.ndarray, left: bool, scale: int = 1) -> tuple:
         """(rows, entries) of scale * (self @ num), or of scale * (num @ self) when not left, on numerators.
@@ -163,7 +168,7 @@ def cleared(x):
 
     Float arrays, pairs, maps and None come back as they are; TypeError on a float entry.
     """
-    if isinstance(x, list):
+    if isinstance(x, (list, tuple)):
         return [cleared(v) for v in x]
     if x is None:
         return None
@@ -181,7 +186,7 @@ def cleared(x):
 
 def published(x):
     """The API-edge form of `cleared`'s output: pairs and maps become Fraction arrays."""
-    if isinstance(x, list):
+    if isinstance(x, (list, tuple)):
         return [published(v) for v in x]
     if isinstance(x, GramSplit):
         return GramSplit(published(x.combos), published(x.norms2), published(x.null))
@@ -191,77 +196,66 @@ def published(x):
     return np.array([Fraction(v, x.den) for v in x.num.flat], dtype=object).reshape(x.shape)
 
 
-class Pending:
-    """A public value not built yet: its computing form and how to publish it.
+def read_only(x):
+    """x with every array in it (a GramSplit's too) made read-only in place; lists become tuples."""
+    if isinstance(x, (list, tuple)):
+        return tuple(map(read_only, x))
+    for a in (x.combos, x.norms2, x.null) if isinstance(x, GramSplit) else (x,):
+        if isinstance(a, np.ndarray):
+            a.setflags(write=False)
+    return x
 
-    form is the computing form, or a function giving the current one when the
-    value is published from other holders' attributes; publish(form) builds
-    the public value, by default `published(form)`.
+
+class ReadOnly:
+    """Base of a frozen dataclass whose `_arrays` fields hold read-only arrays (`read_only`).
+
+    Its computing form is an instance holding those arrays as pairs. Built by
+    `lazy`, it keeps the form it was built from and publishes each array
+    field on its first read; built by its constructor, it makes the arrays
+    it is given read-only, and its form from them once (`computing`). As no
+    array is edited, the form stays valid; a change is a new value
+    (`dataclasses.replace`). Copies and pickles go through the constructor.
     """
 
-    def __init__(self, form, publish=None):
-        self.form, self.publish = form, publish or published
-
-    def current(self):
-        return self.form() if callable(self.form) else self.form
-
-
-class Deferred:
-    """Base of a dataclass holder whose exact public arrays are built on first read.
-
-    A field given as a `Pending` is left unset, and its entry is kept in
-    ``_computing``. The first read of the field publishes it and drops the
-    entry, so an attribute has one form at a time: its kept pairs while
-    pending, its public value after. `computing` gives the computing form.
-    Copies (`__getstate__`, hence `copy`, `deepcopy` and pickling),
-    `dataclasses.replace` and ``==`` read every field, so they hold the
-    public arrays and no kept pairs; assigning a field replaces its pending
-    value (`pending`, `peek`).
-    """
-
-    _memos = ("_computing",)
+    _arrays: tuple = ()
 
     def __post_init__(self):
-        pending = {k: v for k, v in self.__dict__.items() if isinstance(v, Pending)}
-        if pending:
-            for name in pending:
-                del self.__dict__[name]
-            self._computing = pending
+        for name in self._arrays:
+            self.__dict__[name] = read_only(self.__dict__[name])
+
+    def _clear(self):
+        """The computing form of given arrays; None (multiplied as they are) when one holds a float entry."""
+        try:
+            return replace(self, **{name: cleared(getattr(self, name)) for name in self._arrays})
+        except TypeError:
+            return None
+
+    @classmethod
+    def lazy(cls, form, publish: dict):
+        """The public value of computing form form: each field in publish is publish[name]() on first read."""
+        out = cls.__new__(cls)
+        out.__dict__.update({f.name: getattr(form, f.name) for f in fields(form) if f.name not in publish})
+        out.__dict__.update(_computing=form, _publish=publish)
+        return out
 
     def __getattr__(self, name):
-        # reached only for a name the instance lacks, so a pending field is published here
-        entry = self.__dict__.get("_computing", {}).get(name)
-        if entry is None:
+        # reached only for a name the instance lacks, so an unread field is published here
+        publish = self.__dict__.get("_publish", {}).get(name)
+        if publish is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = entry.publish(entry.current())
-        del self._computing[name]
-        return self.__dict__[name]
+        value = self.__dict__[name] = read_only(publish())
+        del self._publish[name]
+        return value
 
-    def __getstate__(self):
-        state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state.update((k, v) for k, v in self.__dict__.items() if k not in state and k not in self._memos)
-        return state
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-def pending(holder: Deferred, name: str) -> bool:
-    """Whether holder.name is still pending: never read, and not assigned since it was built."""
-    return name not in holder.__dict__ and name in holder.__dict__.get("_computing", {})
-
-
-def peek(holder: Deferred, name: str):
-    """holder.name if it is public, else its pending computing form: for shapes, never published."""
-    if name in holder.__dict__:
-        return holder.__dict__[name]
-    return holder._computing[name].current()
-
-
-def computing(holder: Deferred, name: str):
-    """holder.name in computing form: its kept pairs while pending, else its public value cleared afresh.
-
-    A public value is cleared on every use, so an edit to it is seen by
-    construction. Float arrays are their own computing form.
-    """
-    return cleared(peek(holder, name))
+def computing(holder: ReadOnly):
+    """holder's computing form: the one it was built from, else `holder._clear()` made once (None: holder)."""
+    if "_computing" not in holder.__dict__:
+        holder.__dict__["_computing"] = holder._clear()
+    return holder.__dict__["_computing"] or holder
 
 
 def stack(mats: list, axis: int):
@@ -301,16 +295,12 @@ def times(a, b):
     """a @ b, where a or b may be a map (`Units`): always a dense pair or array.
 
     A product with a map is its move (`Units.moved`) of the other factor's
-    numerators; a dense one, and one whose other factor holds a float entry,
-    is `matmul`.
+    numerators, which is exact; a dense one is `matmul`.
     """
     if not (isinstance(a, Units) or isinstance(b, Units)):
         return matmul(a, b)
     left = isinstance(a, Units)
-    try:
-        other = cleared(_dense(b if left else a))
-    except TypeError:  # a float entry: multiplied as plain objects
-        return matmul(_dense(a), _dense(b))
+    other = cleared(_dense(b if left else a))
     rows, entries = (a if left else b).moved(other.num, left)
     if rows is None:
         return Cleared(entries, other.den)
@@ -386,7 +376,7 @@ def gram_product(coef, mat):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramSplit:
     """Positive/null splitting of a symmetric PSD Gram matrix.
 
@@ -445,14 +435,6 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     return GramSplit(evecs[:, keep], evals[keep], evecs[:, ~keep])
 
 
-def _diagonal(gram):
-    """The diagonal numerators of a pair with no nonzero numerator off its diagonal, else None."""
-    if not isinstance(gram, Cleared):
-        return None
-    diagonal = gram.num.diagonal()
-    return diagonal if np.count_nonzero(gram.num) == np.count_nonzero(diagonal) else None
-
-
 def _exact_split(gram: Cleared) -> GramSplit:
     """The split of an exact Gram: read off the diagonal of a diagonal one, else `_eliminate`.
 
@@ -464,7 +446,7 @@ def _exact_split(gram: Cleared) -> GramSplit:
     raises its error with the same pivot norm g_kk / den. A zero Gram is
     the diagonal with no pivot. The unit columns are maps (`Units`).
     """
-    diagonal = _diagonal(gram)
+    diagonal = gram.diagonal
     if diagonal is None:
         return _eliminate(gram)
     pivots, nulls = np.flatnonzero(diagonal), np.flatnonzero(diagonal == 0)
@@ -521,15 +503,10 @@ def _eliminate(gram: Cleared) -> GramSplit:
 
 
 def gram_times(gram, mat):
-    """gram @ mat; for pairs, with no nonzero numerator off gram's diagonal, a row scaling of mat.
-
-    The Gram given is tested, so a Gram edited since it was split is
-    multiplied as it stands.
-    """
-    diagonal = _diagonal(gram)
-    if diagonal is None or not isinstance(mat, Cleared):
-        return matmul(gram, mat)
-    return Cleared(diagonal[:, None] * mat.num, gram.den * mat.den)
+    """gram @ mat; for pairs, with no nonzero numerator off gram's diagonal, a row scaling of mat."""
+    if isinstance(gram, Cleared) and isinstance(mat, Cleared) and gram.diagonal is not None:
+        return Cleared(gram.diagonal[:, None] * mat.num, gram.den * mat.den)
+    return matmul(gram, mat)
 
 
 def pseudo_apply(split: GramSplit, rhs: np.ndarray) -> np.ndarray:

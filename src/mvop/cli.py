@@ -324,7 +324,7 @@ def cmd_null(args, tol: Tolerances):
 
 
 def cmd_moments(args, tol: Tolerances):
-    g, out = _graded(args, tol, extra=2)
+    g, out = _graded(args, tol, extra=1)
     fock = assemble_fock(g)
     rows = []
     worst = 0.0
@@ -346,7 +346,7 @@ def cmd_moments(args, tol: Tolerances):
 
 
 def cmd_capcheck(args, tol: Tolerances):
-    g, out = _graded(args, tol, extra=2)
+    g, out = _graded(args, tol, extra=1)
     fock = assemble_fock(g)
     report = check_commutation(fock)
     out["adjointness"] = _residual_rows(adjointness_residuals(fock))

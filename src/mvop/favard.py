@@ -7,24 +7,24 @@ zero, reconstructs the finitely supported representing measure by jointly
 diagonalizing the coordinate operators on the non-degenerate quotient.
 Supplied blocks are completed by `fock.complete_fock`, the routine that
 completes moment-born ones, and checked with the same residuals. Each
-payload is validated once: a FockInput keeps its last validation with copies
-of the blocks it checked (`_Guarded`), and `validate` and
+payload is validated once: a FockInput keeps its last validation with
+read-only copies of the blocks it checked (`_Guarded`), and `validate` and
 `reconstruct_discrete` reuse it while the blocks, the mode and the
-tolerances stay the same. Reconstruction reads that validation's cleared
-blocks and Gram splits. Exact creation blocks and the unit columns of
-diagonal Grams' splits are index maps, multiplied only by `_linalg.times`.
-The exact blocks of a report are built only when
-`report.fock` is first read: until then the checks read its pairs, after
-that its public arrays, cleared afresh on every use.
+tolerances stay the same. The checks run on those copies, cleared once;
+reconstruction reads that validation's cleared blocks and Gram splits.
+Exact creation blocks and the unit columns of diagonal Grams' splits are
+index maps, multiplied only by `_linalg.times`. A report's blocks are the
+validation's own, read-only: the exact ones are built only when
+`report.fock` is first read, and the checks read its pairs throughout. The
+caller's FockInput stays writable; an edit to it is validated afresh.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .fock import (
     FockData,
     _commutation_report,
     _floored,
-    _pending_blocks,
+    _published_fock,
     _recorded_tolerance,
     _max_abs,
     _residual,
@@ -74,7 +74,7 @@ def _zero_bzero(dimension: int, depth: int) -> list:
 
 
 class _Guarded:
-    """A value derived from some arrays, kept with shallow copies of them.
+    """A value derived from some arrays, kept with read-only shallow copies of them (`copies`).
 
     `holds(arrays)` is true while there are as many arrays as copies and each
     has the dtype, shape and bytes of its copy. An object array's bytes are
@@ -83,8 +83,8 @@ class _Guarded:
     array or a float put in place of an equal rational all fail the test.
     """
 
-    def __init__(self, arrays: list, value):
-        self.copies = [a.copy() for a in arrays]
+    def __init__(self, copies: list, value):
+        self.copies = copies
         self.value = value
 
     def holds(self, arrays: list) -> bool:
@@ -313,42 +313,15 @@ def validate(
     The checks run once per unchanged payload: called again on the same
     FockInput with the same mode and tolerances and bit-identical blocks,
     `validate` (and `reconstruct_discrete`) reuse the run; any edit to a
-    block runs them afresh. Each call returns a new report that shares no
-    array with that run, so editing it changes no later result. Its exact
-    blocks are built on their first read of `report.fock`, from the run's
-    pairs and from the copies of the payload blocks the run was validated on.
+    block runs them afresh. Each call returns a new report holding that
+    run's blocks, read-only: copies of the payload blocks it checked, and
+    the blocks it completed them with. Its exact blocks are built on their
+    first read of `report.fock`.
     """
     run = _validate(fi, mode, tol or Tolerances())
     report = run.report(fi.depth)
-    if run.fock is not None:
-        report.fock = _report_fock(run.fock, fi)
+    report.fock = run.fock
     return report
-
-
-def _report_fock(fock: FockData, fi: FockInput) -> FockData:
-    """A report's blocks, shared with neither fi nor the kept run: payload grams and A^0 are copied.
-
-    Float blocks are copied now, as binary64. Exact ones are published on
-    first read, the payload's from the copies fi's validation memo keeps of
-    the blocks it checked, which nothing edits.
-    """
-    if not fock.exact:
-        copy = partial(np.array, dtype=np.float64)
-        return replace(
-            fock,
-            grams=[copy(g) for g in fi.grams],
-            aplus=[[np.copy(b) for b in per] for per in fock.aplus],
-            azero=[[copy(b) for b in per] for per in fi.bzero],
-            aminus=[[None] + [np.copy(b) for b in per[1:]] for per in fock.aminus],
-        )
-    checked = fi._memo.copies
-    grams, bzero = checked[: fi.depth + 1], iter(checked[fi.depth + 1 :])
-    bzero = [[next(bzero) for _ in per] for per in fock.azero]
-    return _pending_blocks(
-        fock,
-        _linalg.Pending(fock.grams, lambda _: [np.copy(g) for g in grams]),
-        _linalg.Pending(fock.azero, lambda _: [[np.copy(b) for b in per] for per in bzero]),
-    )
 
 
 @dataclass(frozen=True)
@@ -356,8 +329,8 @@ class _Validation:
     """One validation run, held by the FockInput it checked and never handed out.
 
     checks: (name, detail, residual, tolerance) per check, in report order.
-    fock: the completed blocks in computing form (pairs in exact mode), set
-    once positivity passed. splits: the Gram splits, all of them if positive.
+    fock: the completed blocks (the reports'), set once positivity passed.
+    splits: the Gram splits, all of them if positive.
     """
 
     checks: tuple
@@ -373,27 +346,29 @@ def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
 
     The run is reused while the key and the block counts are equal and the
     blocks are unchanged (`_Guarded`): an in-place edit, a reassigned
-    block or a float put in place of an equal rational all miss. The memo's
-    copies of the blocks, grams first, are what an exact report publishes.
+    block or a float put in place of an equal rational all miss. The run
+    checks the memo's read-only copies of the blocks, grams first.
     """
     key = (fi.dimension, fi.depth, mode, tol, len(fi.grams), tuple(map(len, fi.bzero)))
     blocks = [np.asarray(b) for b in (*fi.grams, *(b for per in fi.bzero for b in per))]
     memo = fi._memo
     if memo is not None and memo.value[0] == key and memo.holds(blocks):
         return memo.value[1]
-    run = _run_validation(fi, mode, tol)
-    fi._memo = _Guarded(blocks, (key, run))
-    return run
+    copies = [_linalg.read_only(b.copy()) for b in blocks]
+    fi._memo = _Guarded(copies, (key, _run_validation(fi, copies, mode, tol)))
+    return fi._memo.value[1]
 
 
-def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
-    """The checks of `validate` on fi's blocks, each cleared once."""
+def _run_validation(fi: FockInput, copies: list, mode: str, tol: Tolerances) -> _Validation:
+    """The checks of `validate` on copies of fi's blocks (grams first), each cleared once."""
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
+    payload_grams, payload_bzero = copies[: n_max + 1], iter(copies[n_max + 1 :])
+    payload_bzero = [[next(payload_bzero) for _ in per] for per in fi.bzero]
     # the checks run on the blocks' computing form, each cleared once
     form = _linalg.cleared if exact else _linalg.to_float
-    grams = [form(g) for g in fi.grams]
-    bzero = [[form(b) for b in per] for per in fi.bzero]
+    grams = [form(g) for g in payload_grams]
+    bzero = [[form(b) for b in per] for per in payload_bzero]
     checks = []
 
     def add(name, detail, residual, tolerance, exact_residual=exact):
@@ -402,12 +377,12 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         checks.append((name, detail, residual, tolerance))
 
     # in exact mode grams holds pairs, so the vacuum entry is read off the payload
-    vacuum = (fi.grams if exact else grams)[0][0, 0]
+    vacuum = (payload_grams if exact else grams)[0][0, 0]
     add("normalization", "vacuum Gram", _floored(abs(float(vacuum) - 1.0), vacuum != 1), tol.comm)
 
     def spectrum(n):
         """The negativity and spectral radius of the symmetrized binary64 Gram."""
-        gf = _linalg.to_float(fi.grams[n])
+        gf = _linalg.to_float(payload_grams[n])
         evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
         top = float(np.max(np.abs(evals), initial=0.0))
         return max(0.0, -float(np.min(evals, initial=0.0))), top
@@ -460,6 +435,8 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
             entry.residual,
             entry.tolerance,
         )
+    if exact:
+        fock = _published_fock(fock, lambda: payload_grams, lambda: payload_bzero)
     return _Validation(tuple(checks), fock, splits)
 
 
@@ -532,7 +509,7 @@ def reconstruct_discrete(
     verdict = run.report(fi.depth)
     if not verdict.passed:
         raise ValidationFailedError(f"blocks failed validation: {verdict.summary()}")
-    fock, splits = run.fock, run.splits
+    fock, splits = _linalg.computing(run.fock), run.splits
     cutoff = next((n for n, split in enumerate(splits) if split.rank == 0), None)
     if cutoff is None:
         raise NotFinitelySupportedError(

@@ -19,62 +19,58 @@ alike, and `_residual` is the one (residual, scale) measure of every solve
 and symmetry check.
 
 Exact blocks are computed on as `_linalg.Cleared` pairs through both solves,
-starting from the pairs `build_gradations` kept for its levels. The FockData
-keeps those pairs and publishes each family of blocks on its first read
-(`_linalg.Deferred`): A^0 and A^- as Fraction arrays, A^+ as int arrays, and
-the grams as the levels' own. The checks and vacuum words take each family
-in computing form (`_cleared_fock`): its kept pairs (for A^+ its index
-maps) until it is first read, so a forward run that reads no block builds
-none, and its public arrays cleared afresh on every use after, so an edit
-is seen.
+starting from the pairs `build_gradations` kept for its levels. A FockData
+holds tuples of read-only arrays and is never edited: a changed one is a new
+value (`dataclasses.replace`). An assembled exact FockData keeps the pairs it
+was computed on, which the checks and vacuum words read (`_linalg.computing`),
+and publishes each family of blocks on its first read: A^0 and A^- as Fraction
+arrays, A^+ as int arrays, and the grams as the levels' own, so a forward run
+that reads no block builds none. Blocks given as arrays (a FockData built or
+replaced by a caller) are cleared once, on first need (`FockData._clear`).
 
-A canonical creation block carries no data: it is its index map (`_linalg.Units`),
-so A^+ R is a row scatter of R, L A^+ a column gather of L and (A^+)^T G a
-row gather of G, and none is a product (`_linalg.times`). In exact mode
-`complete_fock` holds its creation blocks as maps, a FockData publishes
-them as int arrays only when `aplus` is read, and public exact blocks
-(read, or assigned) pass an O(entries) test per call (`_cleared_fock`);
-one that fails keeps every creation block a dense matrix, so tampered
-blocks are measured as before. So the exact annihilation right-hand
-sides, vacuum words, commutation checks, validation's kernel checks,
-reconstruction's lift and the null ideal's inherited shifts form no
-product with a creation block. Float mode keeps its creation blocks as
-matrices and multiplies them: a map can keep a negative zero where a
-product gives +0.0, and float A^-, vacuum words and null generators are
-published. In the exact checks CR1 holds by construction and is recorded
-as 0.0 against its usual tolerance, CR2 is four gathers and scatters, and
-CR3 is two of each plus one product of its stacked A^0 A^0 factors; the
-parts are added over one lcm and reduced once (`_linalg.times_sum`). Each
-relation is measured in the target-level Gram seminorm. A float check takes the
-split the gradation made of each Gram while the Gram and the split keep
-the digest the gradation took of them (`_gradation_splits`), and
-decomposes the others once per call (`_seminorms`), keeping nothing, so an
-edit between calls is seen; a caller holding float splits of the Grams
-(validation) has its factors read off them. A level whose seminorm
-vanishes identically (an exact Gram with no nonzero entry, a float Gram
-with no seminorm factor) scores 0, and the block landing on it is never
-formed; an exact residual block with no nonzero numerator
-(`_linalg.is_zero`), the residual of every genuine input, scores 0
-without the seminorm. An exact diagonal Gram level (every level of a
-product of 1-D functionals, and a zero one) costs no elimination: its split
-is read off the diagonal with its unit columns as maps, so a solve
-against it is a gather, a division and a scatter (`_linalg.pseudo_apply`),
-and the solve residual, the adjointness and the hermiticity products with
-it are row scalings (`_linalg.gram_times`, which tests the Gram it is
-given, so an edited Gram is multiplied as it stands). A zero level costs no solve and no
-product at all: the solves with its zero right-hand sides and its
-hermiticity residuals are returned as that work would compute them
-(`_gram_solve`, `symmetry_residuals`), so every residual is unchanged; so
-is the hermiticity of an exact zero A^0.
-Vacuum words are memoized, each state keeping only the levels that can
-still reach the vacuum and forming only the products that land on them
-(see `vacuum_moment`). An exact word state is one int numerator vector per
-level over one denominator: each coordinate's blocks are scaled once to one
-denominator E_i (`_word_blocks`), a step multiplies numerators and den by
-E_i, and the new state is reduced once (`_word_step`), so words build no
-pair. A residual computed on pairs
-is decided on its exact value: its binary64 image stays above 0.0 when it
-is nonzero (`_floored`), and then it fails (`_recorded_tolerance`).
+A canonical creation block carries no data: it is its index map
+(`_linalg.Units`), so A^+ R is a row scatter of R, L A^+ a column gather of L
+and (A^+)^T G a row gather of G, and none is a product (`_linalg.times`). In
+exact mode `complete_fock` holds its creation blocks as maps, a FockData
+publishes them as int arrays only when `aplus` is read, and exact creation
+blocks given as arrays are tested once against the maps (`FockData._clear`);
+one that fails keeps every creation block a dense matrix, so tampered blocks
+are measured as before. So the exact annihilation right-hand sides, vacuum
+words, commutation checks, validation's kernel checks, reconstruction's lift
+and the null ideal's inherited shifts form no product with a creation block.
+Float mode keeps its creation blocks as matrices and multiplies them: a map
+can keep a negative zero where a product gives +0.0, and float A^-, vacuum
+words and null generators are published. In the exact checks CR1 holds by
+construction and is recorded as 0.0 against its usual tolerance, CR2 is four
+gathers and scatters, and CR3 is two of each plus one product of its stacked
+A^0 A^0 factors; the parts are added over one lcm and reduced once
+(`_linalg.times_sum`). Each relation is measured in the target-level Gram
+seminorm. A float check takes the split the gradation made of each Gram that
+is a level's own Gram (`_gradation_splits`), and decomposes the others once
+per call (`_seminorms`); a caller holding float splits of the Grams
+(validation) has its factors read off them. A level whose seminorm vanishes
+identically (an exact Gram with no nonzero entry, a float Gram with no
+seminorm factor) scores 0, and the block landing on it is never formed; an
+exact residual block with no nonzero numerator (`_linalg.is_zero`), the
+residual of every genuine input, scores 0 without the seminorm. An exact
+diagonal Gram level (every level of a product of 1-D functionals, and a zero
+one) costs no elimination: its split is read off the diagonal with its unit
+columns as maps, so a solve against it is a gather, a division and a scatter
+(`_linalg.pseudo_apply`), and the solve residual, the adjointness and the
+hermiticity products with it are row scalings (`_linalg.gram_times`). A zero
+level costs no solve and no product at all: the solves with its zero
+right-hand sides and its hermiticity residuals are returned as that work would
+compute them (`_gram_solve`, `symmetry_residuals`), so every residual is
+unchanged; so is the hermiticity of an exact zero A^0. Vacuum words are
+memoized, each state keeping only the levels that can still reach the vacuum
+and forming only the products that land on them (see `vacuum_moment`). An
+exact word state is one int numerator vector per level over one denominator:
+each coordinate's blocks are scaled once to one denominator E_i
+(`_word_blocks`), a step multiplies numerators and den by E_i, and the new
+state is reduced once (`_word_step`), so words build no pair. A residual
+computed on pairs is decided on its exact value: its binary64 image stays
+above 0.0 when it is nonzero (`_floored`), and then it fails
+(`_recorded_tolerance`).
 """
 
 from __future__ import annotations
@@ -90,7 +86,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, _computing_levels, _moment_rows, _split_digest
+from .gradation import GradationBasis, _moment_rows
 from .polynomial import _check_index, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
 
@@ -152,15 +148,16 @@ def nonzero_spectrum(g: GradationBasis, n: int) -> list:
     return [sum(c) / len(c) for c in distinct]
 
 
-@dataclass
-class FockData(_linalg.Deferred):
+@dataclass(frozen=True)
+class FockData(_linalg.ReadOnly):
     """Block operators of the Fock representation up to a fixed depth.
 
     aplus[i][n] maps degree n to n+1 (n = 0..depth-1); azero[i][n] acts on
     degree n (n = 0..depth); aminus[i][n] maps degree n to n-1 (n = 1..depth,
-    entry 0 is None). gradation is set when the blocks were assembled from a
-    moment functional, None when they came from external data. The checks on
-    the blocks read tolerances, those they were assembled or validated under.
+    entry 0 is None). Each family is a tuple of tuples of read-only arrays.
+    gradation is set when the blocks were assembled from a moment
+    functional, None when they came from external data. The checks on the
+    blocks read tolerances, those they were assembled or validated under.
     Exact blocks of `assemble_fock` and of a `validate` report are published
     on their first read.
     """
@@ -168,58 +165,48 @@ class FockData(_linalg.Deferred):
     dimension: int
     depth: int
     exact: bool
-    grams: list
-    aplus: list
-    azero: list
-    aminus: list
+    grams: tuple
+    aplus: tuple
+    azero: tuple
+    aminus: tuple
     gradation: GradationBasis | None = None
     tolerances: Tolerances = Tolerances()
 
-    _memos = ("_computing", "_vacuum")
+    _arrays = ("grams", "aplus", "azero", "aminus")
 
+    def _clear(self):
+        """The computing form of blocks given as arrays: exact ones as pairs.
 
-def _cleared_fock(fock: FockData) -> FockData:
-    """fock with its blocks in computing form (`_linalg.computing`).
-
-    A pending family gives the pairs it was computed on; a public one is
-    cleared afresh, so an edit is seen. Float blocks, and blocks already
-    held as pairs, are their own computing form. A block holding a float
-    entry cannot be cleared: then fock itself. Exact creation blocks come
-    as index maps (`_linalg.Units`) while they are the canonical shifts:
-    pending ones are held as the maps, public ones pass `Units.matches`
-    block by block, and one block that fails keeps every creation block dense.
-    """
-    try:
-        blocks = {name: _linalg.computing(fock, name) for name in ("grams", "azero", "aminus")}
-        pending = _linalg.pending(fock, "aplus")
-        blocks["aplus"] = _linalg.peek(fock, "aplus") if pending else _linalg.computing(fock, "aplus")
-    except TypeError:
-        return fock
-    if fock.exact and not pending:
-        maps = _shifts(fock.dimension, fock.depth)
-        aplus = blocks["aplus"]
-        if len(aplus) == len(maps) and all(
-            len(a) == len(m) and all(u.matches(b) for b, u in zip(a, m)) for a, m in zip(aplus, maps)
+        Creation blocks that are all the canonical shifts are held as their
+        index maps (`_linalg.Units`), tested once here; otherwise every one
+        stays a dense pair. Float blocks, and exact blocks holding a float
+        entry (multiplied as plain objects), are their own computing form.
+        """
+        form = super()._clear() if self.exact else None
+        if form is None:
+            return None
+        maps = _shifts(self.dimension, self.depth)
+        if len(form.aplus) == len(maps) and all(
+            len(a) == len(m) and all(u.matches(b) for b, u in zip(a, m)) for a, m in zip(form.aplus, maps)
         ):
-            blocks["aplus"] = maps
-    return replace(fock, **blocks)
+            return replace(form, aplus=maps)
+        return form
 
 
 def _creation_blocks(d: int, depth: int) -> list:
-    """Public exact creation blocks: int arrays, shared with nothing, built on publication."""
+    """Public exact creation blocks: int arrays, built on publication."""
     return [[creation_matrix(d, i, n, dtype=object) for n in range(depth)] for i in range(d)]
 
 
-def _pending_blocks(fock: FockData, grams: _linalg.Pending, azero: _linalg.Pending) -> FockData:
-    """An exact FockData whose blocks are published on first read, from fock's pairs.
+def _published_fock(fock: FockData, grams, azero) -> FockData:
+    """An exact FockData of computing form fock (pairs), whose blocks are published on first read.
 
-    The caller gives how the grams and A^0 are published; A^- pairs become
+    grams() and azero() give the public Grams and A^0; A^- pairs become
     Fraction arrays, and A^+, held as its index maps, is built as int arrays.
     """
-    d, depth = fock.dimension, fock.depth
-    aplus = _linalg.Pending(fock.aplus, lambda _: _creation_blocks(d, depth))
-    aminus = _linalg.Pending(fock.aminus)
-    return FockData(d, depth, True, grams, aplus, azero, aminus, fock.gradation, fock.tolerances)
+    aplus = functools.partial(_creation_blocks, fock.dimension, fock.depth)
+    aminus = functools.partial(_linalg.published, fock.aminus)
+    return FockData.lazy(fock, {"grams": grams, "aplus": aplus, "azero": azero, "aminus": aminus})
 
 
 def _floored(value: float, nonzero) -> float:
@@ -378,23 +365,24 @@ def assemble_fock(g: GradationBasis) -> FockData:
     Raises
     ------
     DepthExceededError
-        If the functional does not reliably cover degree 2*depth + 2.
+        If the functional does not reliably cover degree 2*depth + 1, the
+        highest degree the localizing matrices read.
     InternalConsistencyError
         If a defining identity fails its tolerance after the solve.
     """
     depth = g.max_degree
     functional = g.functional
-    if 2 * depth + 2 > functional.max_reliable_degree:
+    if 2 * depth + 1 > functional.max_reliable_degree:
         raise DepthExceededError(
-            f"fock assembly at depth {depth} needs moments to {2 * depth + 2}, "
+            f"fock assembly at depth {depth} needs moments to {2 * depth + 1}, "
             f"but only {functional.max_reliable_degree} are reliable"
         )
-    computed = _computing_levels(g)
+    levels = [_linalg.computing(lev) for lev in g.levels]
     azero = []
-    for i, rhs_per_level in enumerate(_preservation_rhs(g, [coef for coef, *_ in computed])):
+    for i, rhs_per_level in enumerate(_preservation_rhs(g, [lev.coef for lev in levels])):
         per_level = []
-        for lev, (_, gram, split), rhs in zip(g.levels, computed, rhs_per_level):
-            a, residual, scale = _gram_solve(split, gram, rhs)
+        for lev, rhs in zip(levels, rhs_per_level):
+            a, residual, scale = _gram_solve(lev.split, lev.gram, rhs)
             if residual > _recorded_tolerance(residual, g.tol.adj * scale, g.exact):
                 raise InternalConsistencyError(
                     f"preservation solve failed at coordinate {i + 1}, degree {lev.degree}: "
@@ -403,9 +391,8 @@ def assemble_fock(g: GradationBasis) -> FockData:
             per_level.append(a)
         azero.append(per_level)
 
-    fock, residuals = complete_fock(
-        [gram for _, gram, _ in computed], [split for *_, split in computed], azero, g.exact, g.tol, g
-    )
+    grams, splits = [lev.gram for lev in levels], [lev.split for lev in levels]
+    fock, residuals = complete_fock(grams, splits, azero, g.exact, g.tol, g)
     for (i, n), (residual, scale) in residuals.items():
         if residual > _recorded_tolerance(residual, g.tol.adj * scale, g.exact):
             raise InternalConsistencyError(
@@ -414,17 +401,13 @@ def assemble_fock(g: GradationBasis) -> FockData:
             )
     if not g.exact:
         return fock
-    # the grams are the levels' own, so a level gram edited after its first read is seen
-    grams = _linalg.Pending(
-        lambda: [_linalg.computing(lev, "gram") for lev in g.levels],
-        lambda _: [lev.gram for lev in g.levels],
-    )
-    return _pending_blocks(fock, grams, _linalg.Pending(azero))
+    # the public grams are the levels' own
+    return _published_fock(fock, lambda: [lev.gram for lev in g.levels], lambda: _linalg.published(azero))
 
 
 def adjointness_residuals(fock: FockData) -> dict:
     """Max-entry residual of G_{n-1} A_i^- = (A_i^+)^T G_n, keyed by (i+1, n)."""
-    fock = _cleared_fock(fock)
+    fock = _linalg.computing(fock)
     out = {}
     for i in range(fock.dimension):
         for n in range(1, fock.depth + 1):
@@ -453,7 +436,7 @@ def symmetry_residuals(grams: list, azero: list) -> dict:
 
 def azero_symmetry_residuals(fock: FockData) -> dict:
     """Max-entry asymmetry of G_n A_i^0, keyed by (i+1, n)."""
-    fock = _cleared_fock(fock)
+    fock = _linalg.computing(fock)
     return {
         (i + 1, n): residual / scale
         for (i, n), (residual, scale) in symmetry_residuals(fock.grams, fock.azero).items()
@@ -511,10 +494,8 @@ def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
     make_cols is not called: the block is never formed. An exact block with
     no nonzero numerator (`_linalg.is_zero`) scores 0.0 without the
     seminorm. Each level's float factor and vanishing test are made on
-    first need and kept by the returned function only, so a caller taking
-    one per call decomposes each Gram once per call and still sees a Gram
-    edited between calls. The caller's float splits of the Grams, if given,
-    give the factors; a None among them is made afresh.
+    first need, once per returned function. The caller's float splits of the
+    Grams, if given, give the factors; a None among them is made afresh.
     """
 
     @functools.cache
@@ -527,7 +508,7 @@ def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
         if isinstance(gram, _linalg.Cleared):
             return _linalg.is_zero(gram)
         if gram.dtype == object:
-            # the public Grams of blocks `_cleared_fock` could not clear
+            # the public Grams of blocks `FockData._clear` could not clear
             return not any(gram.flat)
         return factor(n) is None
 
@@ -584,33 +565,25 @@ def check_commutation(fock: FockData) -> CommutationReport:
     the null directions of the functional do not register, at the rank
     cutoff of `fock.tolerances`. Residuals of exact blocks pass only at zero.
     Canonical exact creation blocks commute by construction: their CR1
-    entries are recorded as 0.0; edited ones, and float ones, are multiplied
+    entries are recorded as 0.0; other ones, and float ones, are multiplied
     out.
     """
     tol = fock.tolerances
-    splits = _gradation_splits(fock)
-    fock = _cleared_fock(fock)
-    return _commutation_report(fock, tol, _seminorms(fock.grams, tol.rank, splits))
+    form = _linalg.computing(fock)
+    return _commutation_report(form, tol, _seminorms(form.grams, tol.rank, _gradation_splits(fock)))
 
 
 def _gradation_splits(fock: FockData) -> list | None:
-    """The float splits fock's gradation made of its Grams, where a Gram and its split are unchanged.
+    """The splits fock's float gradation made of fock's Grams, where a Gram is its level's own.
 
-    A forward float FockData's Grams are its gradation's levels' own. A level
-    whose Gram in fock and split in the gradation still have the digest the
-    gradation took of them (`GradationBasis.digests`) gives that split; any
-    other gets None, so its split is made afresh, and so does every Gram
-    under another rank cutoff. Exact blocks: None.
+    A forward float FockData's Grams are its gradation's levels' own
+    read-only arrays. Any other Gram, and every Gram under another rank
+    cutoff, gets None, and its split is made afresh. Exact gradations: None.
     """
     g = fock.gradation
-    if fock.exact or g is None or g.digests is None or fock.tolerances.rank != g.tol.rank:
+    if g is None or g.exact or fock.tolerances.rank != g.tol.rank or len(g.levels) != len(fock.grams):
         return None
-    if len(g.digests) != len(fock.grams):
-        return None
-    return [
-        lev.split if _split_digest(gram, lev.split) == digest else None
-        for gram, lev, digest in zip(fock.grams, g.levels, g.digests)
-    ]
+    return [lev.split if gram is lev.gram else None for gram, lev in zip(fock.grams, g.levels)]
 
 
 def _term_sum(terms: list, exact: bool):
@@ -726,14 +699,14 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
 def _word_blocks(fock: FockData) -> tuple:
     """(on_pairs, blocks): the blocks vacuum words apply, blocks[i] = (E_i, A_i^+, A_i^0, A_i^-).
 
-    Exact blocks in computing form (`_cleared_fock`) are taken over one
+    Exact blocks in computing form (`_linalg.computing`) are taken over one
     denominator E_i per coordinate, the lcm of the denominators of its A^0
     and A^- pairs and of any dense A^+ pair (a non-canonical creation block):
     each is its numerators scaled to E_i once, and a creation map stays its
     map. Float blocks, and exact blocks that cannot be cleared (a float
     entry), are taken as they are, with E_i = 1; on_pairs is False for them.
     """
-    cleared = _cleared_fock(fock)
+    cleared = _linalg.computing(fock)
     coordinates = list(zip(cleared.aplus, cleared.azero, cleared.aminus))
     if not isinstance(cleared.grams[0], _linalg.Cleared):
         return False, [(1, *kinds) for kinds in coordinates]
@@ -809,9 +782,8 @@ def vacuum_moment(fock: FockData, alpha):
     numerator vector per level over one denominator, reduced once per word,
     and a word's value is Fraction(numerator of level 0, den); the empty word
     is the int 1. The memo takes the blocks in computing form at the first
-    call (`_word_blocks`, so edits made before it are seen) and is valid
-    while the blocks are not edited in place; a copy or
-    `dataclasses.replace` of the FockData starts a fresh one. Exact words
+    call (`_word_blocks`); the blocks are read-only, so it stays valid, and
+    a copy or `dataclasses.replace` of the FockData starts a fresh one. Exact words
     scatter through canonical creation blocks; float words take the
     products.
     """
@@ -823,7 +795,7 @@ def vacuum_moment(fock: FockData, alpha):
         )
     if "_vacuum" not in fock.__dict__:
         vacuum = np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)
-        fock._vacuum = (*_word_blocks(fock), {(0,) * fock.dimension: ([vacuum], 1)})
+        fock.__dict__["_vacuum"] = (*_word_blocks(fock), {(0,) * fock.dimension: ([vacuum], 1)})
     on_pairs, blocks, states = fock._vacuum
 
     def state(word):

@@ -32,13 +32,13 @@ each split. A diagonal G_n, as every level of a product of 1-D
 functionals has, is split without elimination into unit combo and kernel
 columns held as index maps (`_linalg.Units`), so the projection coef U_n
 and the null-moment check's coef K_n are column gathers of coef
-(`_linalg.times`). Each level keeps those
-pairs and publishes its `coef`, `gram` and `split` as Fraction arrays on
-their first read (`_linalg.Deferred`).
-`assemble_fock`, the ranks and the null-ideal generators take each
-attribute's computing form (`_computing_levels`): the kept pairs while it
-is unread, so a level nobody reads builds no Fraction array, and its public
-array cleared afresh once it has been read, so an edit is seen.
+(`_linalg.times`). Each level keeps those pairs as its computing form, which
+`assemble_fock`, the ranks and the null-ideal generators read
+(`_linalg.computing`), and publishes its `coef`, `gram` and `split` as
+read-only Fraction arrays on their first read, so a level nobody reads builds
+no Fraction array. The arrays of a float level are its computing form, and
+read-only too. A level or a gradation is never edited: a changed one is a new
+value (`dataclasses.replace`).
 """
 
 from __future__ import annotations
@@ -105,14 +105,15 @@ def _moment_rows(functional: MomentFunctional, lo: int, hi: int, degree: int):
     return values[where]
 
 
-@dataclass
-class DegreeBasis(_linalg.Deferred):
+@dataclass(frozen=True)
+class DegreeBasis(_linalg.ReadOnly):
     """One degree slice: candidate coefficients, their Gram matrix, and its splitting.
 
     coef holds one candidate per column, over the monomials of degree
     <= degree (graded-lex rows): column j is x^monomials[j] minus its
-    projection onto the lower slices. An exact level built by
-    `build_gradations` publishes coef, gram and split on their first read.
+    projection onto the lower slices. Its arrays are read-only; an exact
+    level built by `build_gradations` publishes coef, gram and split on
+    their first read, from the level of pairs it keeps as computing form.
     """
 
     degree: int
@@ -122,20 +123,22 @@ class DegreeBasis(_linalg.Deferred):
     gram: np.ndarray
     split: _linalg.GramSplit
 
+    _arrays = ("coef", "gram", "split")
+
     @property
     def dimension(self) -> int:
         return len(self.monomials)
 
     @property
     def rank(self) -> int:
-        return _linalg.peek(self, "split").rank
+        return _linalg.computing(self).split.rank
 
     @property
     def nullity(self) -> int:
-        return _linalg.peek(self, "split").nullity
+        return _linalg.computing(self).split.nullity
 
     def omega(self) -> np.ndarray:
-        """Form generator: the Gram matrix with rows rescaled by 1/w(alpha)."""
+        """Form generator: the Gram matrix with rows rescaled by 1/w(alpha), a fresh array."""
         out = self.gram.copy()
         for i, w in enumerate(self.weights):
             scale = w if self.gram.dtype == object else float(w)
@@ -149,10 +152,7 @@ class DegreeBasis(_linalg.Deferred):
 
     def combine(self, columns) -> list:
         """One polynomial per column (an array, a pair or a map): the candidates weighted by its entries."""
-        try:
-            coef = _linalg.computing(self, "coef")
-        except TypeError:
-            coef = self.coef  # a float entry: multiplied as plain objects
+        coef = _linalg.computing(self).coef
         return self._polynomials(_linalg.published(_linalg.times(coef, columns)))
 
     @property
@@ -169,21 +169,18 @@ class DegreeBasis(_linalg.Deferred):
         return self.combine(self.split.null)
 
 
+@dataclass(frozen=True, eq=False)
 class GradationBasis:
-    """Orthogonal gradation of a functional up to a fixed maximal degree.
+    """Orthogonal gradation of a functional up to a fixed maximal degree: a tuple of levels."""
 
-    A float gradation of `build_gradations` keeps a digest of each level's
-    Gram and split (`digests`, `_split_digest`), so that checks on its Fock
-    blocks read a level's split while both are unchanged; otherwise None.
-    """
+    functional: MomentFunctional
+    max_degree: int
+    mode: str
+    tol: Tolerances
+    levels: tuple
 
-    def __init__(self, functional, max_degree, mode, tol, levels, digests=None):
-        self.functional = functional
-        self.max_degree = max_degree
-        self.mode = mode
-        self.tol = tol
-        self.levels = levels
-        self.digests = digests
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))
 
     @property
     def dimension(self) -> int:
@@ -200,28 +197,6 @@ class GradationBasis:
 
     def dimension_table(self) -> list:
         return [(lev.degree, lev.dimension, lev.rank, lev.nullity) for lev in self.levels]
-
-
-def _split_digest(gram, split: _linalg.GramSplit) -> int:
-    """A digest of the dtype, shape and bytes of a float Gram and of its split's arrays.
-
-    Python's keyed 64-bit `hash` of them (`hashlib` would add 3.5 MiB to the
-    process). The key is drawn per process unless `PYTHONHASHSEED` fixes
-    it, so a digest pickled into another process misses, and the split is
-    then made afresh.
-    """
-    arrays = map(np.asarray, (gram, split.combos, split.norms2, split.null))
-    return hash(tuple((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
-
-
-def _computing_levels(g: GradationBasis) -> list:
-    """(coef, gram, split) of every level of g in computing form (`_linalg.computing`).
-
-    Exact levels give the pairs `build_gradations` computed on while an
-    attribute is unread, and its public array cleared afresh after. Float
-    levels are their own computing form.
-    """
-    return [[_linalg.computing(lev, name) for name in ("coef", "gram", "split")] for lev in g.levels]
 
 
 def _public_coef(unit: np.ndarray, top: int, coef):
@@ -279,7 +254,6 @@ def build_gradations(
     moments = _moment_rows(functional, 0, max_degree, max_degree)
 
     levels = []
-    digests = []  # float: `_split_digest` of each level
     # per level m, of its orthogonal basis U_m: (its first row, U_m diag(1/nu_m), U_m^T M),
     # the last on the columns of degree >= m only in exact mode
     lower = []
@@ -327,19 +301,14 @@ def build_gradations(
             else:
                 paired = _linalg.matmul(ortho.T, moments[:size])
             lower.append((lo, ortho / split.norms2[None, :], paired))
-        if exact:
-            arrays = {
-                "coef": _linalg.Pending(coef, partial(_public_coef, unit, top)),
-                "gram": _linalg.Pending(gram),
-                "split": _linalg.Pending(split),
+        level = DegreeBasis(n, monos, tuple(index_weight(a) for a in monos), coef, gram, split)
+        if exact:  # the level of pairs is the computing form
+            publish = {
+                "coef": partial(_public_coef, unit, top, coef),
+                "gram": partial(_linalg.published, gram),
+                "split": partial(_linalg.published, split),
             }
-        else:
-            arrays = {"coef": unit, "gram": gram, "split": split}
-            digests.append(_split_digest(gram, split))
-        levels.append(
-            DegreeBasis(
-                degree=n, monomials=monos, weights=tuple(index_weight(a) for a in monos), **arrays
-            )
-        )
+            level = DegreeBasis.lazy(level, publish)
+        levels.append(level)
 
-    return GradationBasis(functional, max_degree, mode, tol, levels, None if exact else digests)
+    return GradationBasis(functional, max_degree, mode, tol, levels)

@@ -116,11 +116,11 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
     log = []
     for n in range(g.max_degree + 1):
         lev = g.level(n)
-        kernel = _linalg.computing(lev, "split").null
+        kernel = _linalg.computing(lev).split.null
         if kernel.shape[1] == 0:
             continue
         # the degree-0 Gram is the positive vacuum norm, so n >= 1 here
-        below = _linalg.computing(g.level(n - 1), "split").null
+        below = _linalg.computing(g.level(n - 1)).split.null
         # A_i^+ K_{n-1}: an exact shift is a row scatter; float shifts stay
         # products, since the SVD below can see the sign of a zero
         shift = _shift if exact else creation_matrix

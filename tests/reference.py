@@ -4,15 +4,19 @@ Plain, unoptimized definitions: the moment and localizing matrices entry by
 entry, Lambda of a polynomial term by term, and the commutator [X_j, X_k]
 applied basis vector by basis vector. The library computes none of these
 this way; it reads its moments from `gradation._moment_rows` and checks the
-commutation relations block by block (`check_commutation`).
+commutation relations block by block (`check_commutation`). `edited` and
+`replaced` make the changed copies of read-only library values that tests
+compare with the originals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 import mvop
-from mvop.fock import _cleared_fock, _gradation_splits, _seminorms
+from mvop._linalg import computing
+from mvop.fock import _gradation_splits, _seminorms
 
 
 def moment_matrix(functional, degree: int, shift=None) -> np.ndarray:
@@ -29,6 +33,28 @@ def moment_matrix(functional, degree: int, shift=None) -> np.ndarray:
         [[functional.moment(tuple(map(sum, zip(a, b, shift)))) for b in monos] for a in monos],
         dtype=object if functional.exact else float,
     )
+
+
+def edited(blocks, *path, change):
+    """A copy of a block, or of a (nested) family of blocks, with change(entry) at path.
+
+    path indexes down through the family to a block, then names the entry
+    in it. Only the blocks on the path are copied, as writable arrays, and
+    the families holding them as lists; every other block is shared.
+    """
+    index, *rest = path
+    if not rest:
+        out = blocks.copy()
+        out[index] = change(out[index])
+        return out
+    out = list(blocks)
+    out[index] = edited(blocks[index], *rest, change=change)
+    return out
+
+
+def replaced(value, name, *path, change):
+    """dataclasses.replace of value with field name `edited` at path."""
+    return dataclasses.replace(value, **{name: edited(getattr(value, name), *path, change=change)})
 
 
 def expectation(functional, f):
@@ -55,7 +81,7 @@ def x_commutator_residual(fock, j: int, k: int, n: int) -> float:
         raise mvop.DepthExceededError(
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
         )
-    blocks = _cleared_fock(fock)
+    blocks = computing(fock)
     seminorm = _seminorms(blocks.grams, fock.tolerances.rank, _gradation_splits(fock))
     size = blocks.grams[n].shape[0]
     worst = 0.0

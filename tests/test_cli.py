@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -106,6 +107,32 @@ def test_rank_gaussian_specs(capsys, tmp_path):
         assert [row["dimension"] for row in out["table"]] == dims
         assert [row["rank"] for row in out["table"]] == dims
         assert out["has_deficiency"] is False
+
+
+def gauss2_table(degree):
+    """The moments_table spec of the standard Gaussian squared, holding every moment up to degree."""
+
+    def moment(a):
+        return 0 if a % 2 else math.prod(range(a - 1, 0, -2))
+
+    entries = {f"{a},{b}": moment(a) * moment(b) for a in range(degree + 1) for b in range(degree + 1 - a)}
+    return {"type": "moments_table", "dimension": 2, "depth": degree, "entries": entries}
+
+
+def test_assembly_needs_moments_to_degree_2n_plus_1(capsys, tmp_path):
+    # the localizing matrices of depth n read moments up to degree 2n + 1, so
+    # a table ending there gives what a deeper table of the same measure gives
+    outputs = {}
+    for degree in (7, 8):
+        path = tmp_path / f"gauss2-{degree}.json"
+        path.write_text(json.dumps(gauss2_table(degree)))
+        for command in ("capcheck", "moments"):
+            argv = [command, "--spec", str(path), "--max-degree", "3", "--mode", "exact"]
+            code, out = run_cli(capsys, argv)
+            assert code == 0, out
+            outputs[degree, command] = out
+    for command in ("capcheck", "moments"):
+        assert outputs[7, command] == outputs[8, command]
 
 
 def test_null_circle(capsys, circle_spec):

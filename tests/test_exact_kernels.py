@@ -6,7 +6,7 @@ direct way: Fraction object products with `@`, the full quadratic form, and
 row reduction followed by metric Gram-Schmidt for the split.
 """
 
-import copy
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -24,7 +24,7 @@ from mvop.errors import InconsistentMomentsError
 from mvop.fock import annihilation_blocks, creation_matrix
 from mvop.nullideal import _new_kernel_directions
 from mvop.scalars import Tolerances
-from reference import x_commutator_residual
+from reference import edited, replaced, x_commutator_residual
 
 # ---------------------------------------------------------------- references
 
@@ -602,8 +602,7 @@ def test_float_entry_in_fock_input_is_reported(square_exact_fock):
 
 
 def test_float_entry_in_exact_blocks_falls_back(skewed_fock):
-    fock = copy.deepcopy(skewed_fock)
-    fock.azero[0][1][0, 1] += 0.001
+    fock = replaced(skewed_fock, "azero", 0, 1, (0, 1), change=lambda v: v + 0.001)
     report = mvop.check_commutation(fock)
     assert not report.passed
     assert entries(report) == pytest.approx(ref_commutation(fock, fock.tolerances))
@@ -611,9 +610,9 @@ def test_float_entry_in_exact_blocks_falls_back(skewed_fock):
     assert x_commutator_residual(fock, 0, 1, 1) > 1e-4
 
 
-def _tamper_creation(aplus, step):
+def _tamper_creation(fock, aplus, step):
     # A_1^+ y gains a y^2 component, so [A_1^+, A_2^+] misses at degree 0
-    aplus[0][1][2, 1] += step
+    return dataclasses.replace(fock, aplus=edited(aplus, 0, 1, (2, 1), change=lambda v: v + step))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -621,16 +620,18 @@ def test_tampered_creation_block_fails_cr1(exact, skewed_fock):
     # a creation block with one entry changed is no canonical shift: every
     # block is multiplied as a matrix, as for any user-built blocks
     if exact:
-        # published and edited in place, or assigned before any read, on
-        # assembled blocks and on those of a validation report
-        published = copy.deepcopy(skewed_fock)
-        _tamper_creation(published.aplus, Fraction(1, 3))
-        assigned = mvop.assemble_fock(skewed_fock.gradation)
-        reported = mvop.validate(mvop.FockInput.from_fock_data(skewed_fock)).fock
-        for fock in (assigned, reported):
-            aplus = [[creation_matrix(2, i, n, object) for n in range(4)] for i in range(2)]
-            _tamper_creation(aplus, Fraction(1, 3))
-            fock.aplus = aplus
+        # an edited copy of the published blocks, or edited blocks given
+        # before any read, on assembled blocks and on those of a validation
+        # report, each passed through replace
+        published = _tamper_creation(skewed_fock, skewed_fock.aplus, Fraction(1, 3))
+        aplus = [[creation_matrix(2, i, n, object) for n in range(4)] for i in range(2)]
+        assigned, reported = (
+            _tamper_creation(fock, aplus, Fraction(1, 3))
+            for fock in (
+                mvop.assemble_fock(skewed_fock.gradation),
+                mvop.validate(mvop.FockInput.from_fock_data(skewed_fock)).fock,
+            )
+        )
         for fock in (published, assigned, reported):
             report = mvop.check_commutation(fock)
             assert ("CR1", 0) in {(e.relation, e.degree) for e in report.failures()}
@@ -639,7 +640,7 @@ def test_tampered_creation_block_fails_cr1(exact, skewed_fock):
             assert [mvop.vacuum_moment(fock, w) for w in words] == [ref_vacuum(fock, w) for w in words]
         return
     fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=14), 6))
-    _tamper_creation(fock.aplus, 1e-3)
+    fock = _tamper_creation(fock, fock.aplus, 1e-3)
     report = mvop.check_commutation(fock)
     assert ("CR1", 0) in {(e.relation, e.degree) for e in report.failures()}
     # the float CR1 residuals of the dense products, term by term

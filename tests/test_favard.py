@@ -9,6 +9,7 @@ import pytest
 
 import mvop
 from mvop import _linalg
+from reference import replaced
 
 
 SQUARE_FOCK = Path(__file__).parent / "golden" / "square_fock.json"
@@ -580,15 +581,29 @@ def float_input_of(functional, depth):
 
 
 def test_editing_a_report_changes_no_later_result(square_fn):
-    # a float64 payload's blocks could be handed out as they are: they must be copied too
+    # a report holds read-only copies of the payload blocks, float64 ones
+    # too: an edit in place raises, and an edited copy is a new value
     for payload_of in (fock_input_of, float_input_of):
         genuine = payload_of(square_fn, 3)
         expected = mvop.reconstruct_discrete(payload_of(square_fn, 3))
         report = mvop.validate(genuine)
-        report.fock.azero[0][1][0, 1] += 5
-        report.fock.grams[1][0, 0] += 3
-        report.fock.aplus[0][1][0, 0] = 7
-        report.fock.aminus[0][1][0, 0] += 11
+        edits = {
+            "azero": ((0, 1, (0, 1)), lambda v: v + 5),
+            "grams": ((1, (0, 0)), lambda v: v + 3),
+            "aplus": ((0, 1, (0, 0)), lambda v: 7),
+            "aminus": ((0, 1, (0, 0)), lambda v: v + 11),
+        }
+        for name, ((*at, entry), change) in edits.items():
+            block = getattr(report.fock, name)
+            for i in at:
+                block = block[i]
+            with pytest.raises(ValueError, match="read-only"):
+                block[entry] = change(block[entry])
+        changed = report.fock
+        for name, (path, change) in edits.items():
+            changed = replaced(changed, name, *path, change=change)
+        assert not mvop.check_commutation(changed).passed
+        assert all(b.flags.writeable for b in (*genuine.grams, *genuine.bzero[0]))
         report.checks.clear()
         assert mvop.reconstruct_discrete(genuine) == expected
         again = mvop.validate(genuine)

@@ -9,7 +9,7 @@ import pytest
 
 import mvop
 from mvop import fock as fock_module
-from reference import x_commutator_residual
+from reference import replaced, x_commutator_residual
 
 
 def test_creation_matrix_structure():
@@ -121,7 +121,7 @@ def test_commutation_passes_exact(square_gradation, skew_fn):
 
 def test_perturbed_preservation_fails_commutation(square_gradation):
     fock = mvop.assemble_fock(square_gradation)
-    fock.azero[0][1][0, 1] += 0.001
+    fock = replaced(fock, "azero", 0, 1, (0, 1), change=lambda v: v + 0.001)
     report = mvop.check_commutation(fock)
     assert not report.passed
     assert any(e.relation in ("CR2", "CR3") for e in report.failures())
@@ -130,7 +130,7 @@ def test_perturbed_preservation_fails_commutation(square_gradation):
 def test_exact_commutation_fails_on_any_nonzero_residual(square_gradation):
     # 1/10^12 is within the 1e-10 float tolerance; an exact residual passes only at zero
     fock = mvop.assemble_fock(square_gradation)
-    fock.azero[0][1][0, 1] += Fraction(1, 10**12)
+    fock = replaced(fock, "azero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 10**12))
     report = mvop.check_commutation(fock)
     assert not report.passed
     assert [(e.relation, e.degree, e.residual, e.tolerance) for e in report.failures()] == [
@@ -142,7 +142,8 @@ def test_exact_commutation_fails_on_any_nonzero_residual(square_gradation):
 
 def test_exact_solve_check_raises_on_any_nonzero_residual(square_fn):
     g = mvop.build_gradations(square_fn, 3)
-    g.levels[1].gram[0, 0] += Fraction(1, 10**12)
+    level = replaced(g.levels[1], "gram", (0, 0), change=lambda v: v + Fraction(1, 10**12))
+    g = dataclasses.replace(g, levels=[g.levels[0], level, *g.levels[2:]])
     with pytest.raises(mvop.InternalConsistencyError, match="annihilation solve failed"):
         mvop.assemble_fock(g)
 

@@ -1,14 +1,15 @@
-"""Exact arrays are published on first read, and every read sees the same values.
+"""Exact arrays are published on first read, read-only, and a change is a new value.
 
 An exact gradation level keeps the pairs of its `coef`, `gram` and `split`,
 and an exact FockData (assembled, or a `validate` report's) those of its
-blocks, until each attribute is first read; from then on the library clears
-its public array afresh on every use. A forward run that reads no public
-array builds none. Copies publish whatever is pending and hold the arrays a
-twin read first would hold, entry types included, and a pickle carries the
-functional of every backend. An array edited in place before or after the
-library first used its pairs is seen by every later check, vacuum word and
-assembly.
+blocks, for good, and publishes each attribute on its first read. A forward
+run that reads no public array builds none. Every published array is
+read-only, in both modes: an edit in place raises, and an edited copy
+passed through `dataclasses.replace` is a new value, which every later
+check, vacuum word and assembly sees while the original keeps its results.
+Copies publish whatever is unread and hold the arrays a twin read first
+would hold, entry types included, and a pickle carries the functional of
+every backend.
 """
 
 import copy
@@ -22,7 +23,8 @@ import mvop
 from mvop import _linalg
 from mvop import fock as fock_module
 
-from test_vacuum_memo import BUILDERS, results, skewed
+from reference import edited, replaced
+from test_vacuum_memo import BUILDERS, results, skewed, with_level
 
 
 def typed(a):
@@ -175,24 +177,28 @@ def outcome(g):
 
 
 LEVEL_EDITS = {
-    "gram": lambda lev: lev.gram.__setitem__((0, 0), lev.gram[0, 0] + Fraction(1, 3)),
-    "coef": lambda lev: lev.coef.__setitem__((0, -1), lev.coef[0, -1] + Fraction(1, 3)),
-    "norms2": lambda lev: lev.split.norms2.__setitem__(0, 2 * lev.split.norms2[0]),
-    "reassigned-gram": lambda lev: setattr(lev, "gram", lev.gram + Fraction(1, 3)),
+    "gram": lambda lev: replaced(lev, "gram", (0, 0), change=lambda v: v + Fraction(1, 3)),
+    "coef": lambda lev: replaced(lev, "coef", (0, -1), change=lambda v: v + Fraction(1, 3)),
+    "norms2": lambda lev: dataclasses.replace(
+        lev, split=replaced(lev.split, "norms2", 0, change=lambda v: 2 * v)
+    ),
+    "reassigned-gram": lambda lev: dataclasses.replace(lev, gram=lev.gram + Fraction(1, 3)),
 }
 
 
 @pytest.mark.parametrize("used_first", [False, True], ids=["edit-first", "assembled-first"])
 @pytest.mark.parametrize("edit", sorted(LEVEL_EDITS))
 def test_level_edit_is_seen(edit, used_first):
+    # an edited copy of level 2 in a replaced gradation, before or after the original was assembled
     g = gradation("prod3")
     before = outcome(copy.deepcopy(g))
     if used_first:
         assert outcome(g) == before
-    LEVEL_EDITS[edit](g.levels[2])
-    got = outcome(g)
-    assert got == outcome(copy.deepcopy(g))
+    changed = with_level(g, 2, LEVEL_EDITS[edit](g.levels[2]))
+    got = outcome(changed)
+    assert got == outcome(copy.deepcopy(changed))
     assert got != before
+    assert outcome(g) == before
 
 
 def edited_results(f):
@@ -200,41 +206,105 @@ def edited_results(f):
 
 
 FOCK_EDITS = {
-    "azero": lambda f: f.azero[0][1].__setitem__((0, 1), f.azero[0][1][0, 1] + Fraction(1, 7)),
-    "aminus": lambda f: f.aminus[1][2].__setitem__((0, 0), f.aminus[1][2][0, 0] + Fraction(1, 5)),
+    "azero": lambda f: replaced(f, "azero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 7)),
+    "aminus": lambda f: replaced(f, "aminus", 1, 2, (0, 0), change=lambda v: v + Fraction(1, 5)),
 }
 
 
 @pytest.mark.parametrize("used_first", [False, True], ids=["edit-first", "checked-first"])
 @pytest.mark.parametrize("edit", sorted(FOCK_EDITS))
 def test_block_edit_is_seen(edit, used_first):
+    # an edited copy of the blocks through replace, before or after the original was checked
     fock = skewed()
     before = edited_results(copy.deepcopy(fock))
     assembled = outcome(copy.deepcopy(fock.gradation))
     if used_first:
         assert results(fock) == before[0]
-    FOCK_EDITS[edit](fock)
-    got = edited_results(fock)
-    assert got == edited_results(copy.deepcopy(fock))
+    changed = FOCK_EDITS[edit](fock)
+    got = edited_results(changed)
+    assert got == edited_results(copy.deepcopy(changed))
     assert got[0] != before[0]
-    assert outcome(fock.gradation) == assembled
+    assert outcome(changed.gradation) == assembled
+    assert edited_results(fock) == before
 
 
 @pytest.mark.parametrize("used_first", [False, True], ids=["edit-first", "checked-first"])
-def test_report_edit_is_seen(square_fn, used_first):
+def test_report_is_read_only_and_a_replaced_one_is_seen(square_fn, used_first):
     fock = mvop.validate(square_input(square_fn)).fock
     before = edited_results(copy.deepcopy(fock))
     if used_first:
         assert results(fock) == before[0]
-    fock.aminus[0][1][0, 0] += Fraction(1, 5)
-    got = edited_results(fock)
-    assert got == edited_results(copy.deepcopy(fock))
+    with pytest.raises(ValueError, match="read-only"):
+        fock.aminus[0][1][0, 0] += Fraction(1, 5)
+    changed = replaced(fock, "aminus", 0, 1, (0, 0), change=lambda v: v + Fraction(1, 5))
+    got = edited_results(changed)
+    assert got == edited_results(copy.deepcopy(changed))
     assert got[0] != before[0]
+    assert edited_results(fock) == before
 
 
-def test_level_gram_edit_reaches_the_unread_fock_grams():
+def test_level_gram_is_read_only_and_a_replaced_one_is_seen():
     fock = skewed()
-    fock.gradation.levels[1].gram[0, 0] += Fraction(1, 3)
-    got = edited_results(fock)
-    assert got == edited_results(copy.deepcopy(fock))
+    with pytest.raises(ValueError, match="read-only"):
+        fock.gradation.levels[1].gram[0, 0] += Fraction(1, 3)
+    # the fock grams are the level grams, so an edited level gram is an edited fock gram
+    assert all(a is lev.gram for a, lev in zip(fock.grams, fock.gradation.levels))
+    changed = replaced(fock, "grams", 1, (0, 0), change=lambda v: v + Fraction(1, 3))
+    got = edited_results(changed)
+    assert got == edited_results(copy.deepcopy(changed))
     assert got[0] != results(skewed())
+    assert results(fock) == results(skewed())
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_published_arrays_are_read_only(mode):
+    g = mvop.build_gradations(skewed().gradation.functional, 3, mode=mode)
+    fock = mvop.assemble_fock(g)
+    word = mvop.vacuum_moment(fock, (3, 0))
+    fi = mvop.FockInput.from_fock_data(fock)
+    report = mvop.validate(fi, mode=mode).fock
+    splits = [lev.split for lev in g.levels]
+
+    def blocks(f):
+        return [b for family in (f.aplus, f.azero, f.aminus) for per in family for b in per if b is not None]
+
+    families = {
+        "coef": [lev.coef for lev in g.levels],
+        "gram": [lev.gram for lev in g.levels],
+        "combos": [s.combos for s in splits],
+        "norms2": [s.norms2 for s in splits],
+        "null": [s.null for s in splits],
+        "grams": list(fock.grams),
+        "aplus": [b for per in fock.aplus for b in per],
+        "azero": [b for per in fock.azero for b in per],
+        "aminus": [b for per in fock.aminus for b in per[1:]],
+        "report": [*report.grams, *blocks(report)],
+    }
+    for name, arrays in families.items():
+        assert arrays, name
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
+    if mode == "exact":
+        assert {type(v) for b in families["aplus"] for v in b.flat} == {int}
+    for f in (fock, report):
+        assert all(type(family) is tuple for family in (f.grams, f.aplus, f.azero, f.aminus))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.azero = f.azero
+    assert type(g.levels) is tuple
+    # the caller's payload stays writable
+    assert all(b.flags.writeable for b in (*fi.grams, *(b for per in fi.bzero for b in per)))
+
+    # a replaced FockData with an edited copy is a new value, which every check and word sees
+    changed = dataclasses.replace(
+        fock,
+        azero=edited(fock.azero, 0, 1, (0, 0), change=lambda v: v + 1),
+        aminus=edited(fock.aminus, 0, 1, (0, 0), change=lambda v: v + 1),
+    )
+    assert mvop.vacuum_moment(changed, (3, 0)) != word
+    assert mvop.vacuum_moment(changed, (3, 0)) == mvop.vacuum_moment(copy.deepcopy(changed), (3, 0))
+    assert mvop.vacuum_moment(fock, (3, 0)) == word
+    for check in (mvop.azero_symmetry_residuals, mvop.adjointness_residuals):
+        assert check(changed) != check(fock)
+        assert check(changed) == check(copy.deepcopy(changed))
+    assert mvop.check_commutation(fock).passed and not mvop.check_commutation(changed).passed

@@ -1,4 +1,4 @@
-"""Vacuum words share prefixes, layers hand over their pairs, and checks see edits.
+"""Vacuum words share prefixes, layers hand over their pairs, and checks see changed copies.
 
 `vacuum_moment` memoizes states per FockData, so reading every word up to
 the depth costs one application of a coordinate per word (`_word_step`).
@@ -7,11 +7,11 @@ word. The values must equal a replay of each word from the vacuum, done
 here with plain `@` products on the public blocks: equal and of the same
 type in exact mode, also on large denominators, on blocks holding a float
 entry and on a tampered A^+, and bit for bit in float mode. Exact
-gradations and FockData keep the pairs they were computed on
-until an attribute is first read, and clear its public array afresh after:
-when no array was read, assembly clears no level, and the checks and vacuum
-words clear no block, while an in-place edit is seen by the next call. A
-copy of a FockData or GradationBasis starts with no memo.
+gradations and FockData keep the pairs they were computed on for good, so
+assembly clears no level, and the checks and vacuum words clear no block.
+Their arrays are read-only: a change is an edited copy passed through
+`dataclasses.replace`, a new value that every later check, vacuum word and
+assembly sees. A copy of a FockData or GradationBasis starts with no memo.
 """
 
 import copy
@@ -28,7 +28,7 @@ import mvop
 from mvop import _linalg
 from mvop import fock as fock_module
 from mvop.cli import functional_from_payload
-from reference import x_commutator_residual
+from reference import edited, replaced, x_commutator_residual
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,13 +136,11 @@ def test_large_denominator_words_equal_the_moments():
 
 
 def float_entry(fock):
-    fock.azero[0][1][0, 1] = fock.azero[0][1][0, 1] + 0.25
-    return fock
+    return replaced(fock, "azero", 0, 1, (0, 1), change=lambda v: v + 0.25)
 
 
 def tampered_creation(fock):
-    fock.aplus[0][1][0, 1] += Fraction(1, 3)
-    return fock
+    return replaced(fock, "aplus", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 3))
 
 
 @pytest.mark.parametrize("edit", [float_entry, tampered_creation])
@@ -165,10 +163,14 @@ def results(f):
 
 
 def test_checks_see_blocks_edited_in_place():
+    # an edited copy of the blocks, passed through replace, after the original was checked
     fock = skewed()
     before = results(fock)
-    fock.azero[0][1][0, 1] += Fraction(1, 7)
-    fock.aminus[1][2][0, 0] += Fraction(1, 5)
+    fock = dataclasses.replace(
+        fock,
+        azero=edited(fock.azero, 0, 1, (0, 1), change=lambda v: v + Fraction(1, 7)),
+        aminus=edited(fock.aminus, 1, 2, (0, 0), change=lambda v: v + Fraction(1, 5)),
+    )
     after = results(fock)
     assert after == results(copy.deepcopy(fock))
     for old, new in zip(before, after):
@@ -181,7 +183,7 @@ def test_copies_start_their_own_memo():
     before = {w: mvop.vacuum_moment(fock, w) for w in words}
 
     twin = copy.deepcopy(fock)
-    twin.azero[0][0][0, 0] += 1
+    twin = dataclasses.replace(twin, azero=edited(twin.azero, 0, 0, (0, 0), change=lambda v: v + 1))
     for w in words:
         assert_same_word(mvop.vacuum_moment(twin, w), replay(twin, w), True)
     assert mvop.vacuum_moment(twin, (1, 0)) != before[(1, 0)]
@@ -234,7 +236,7 @@ def test_layers_hand_over_their_pairs(name, clearings):
 
 def test_edit_right_after_assembly_is_seen():
     fock = skewed()
-    fock.azero[0][1][0, 1] += Fraction(1, 7)
+    fock = replaced(fock, "azero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 7))
     words = mvop.monomials_up_to(2, fock.depth)
     got = (results(fock), [mvop.vacuum_moment(fock, w) for w in words])
     twin = copy.deepcopy(fock)
@@ -254,19 +256,24 @@ def outcome(g):
     return [[(type(v), v) for v in b.flat] for per in blocks for b in per if b is not None]
 
 
+def with_level(g, n, lev):
+    """g with level n replaced by lev: a new gradation."""
+    return dataclasses.replace(g, levels=[*g.levels[:n], lev, *g.levels[n + 1 :]])
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda lev: lev.gram.__setitem__((0, 0), lev.gram[0, 0] + Fraction(1, 3)),
-        lambda lev: lev.coef.__setitem__((0, -1), lev.coef[0, -1] + Fraction(1, 3)),
-        lambda lev: lev.split.norms2.__setitem__(0, 2 * lev.split.norms2[0]),
+        lambda lev: replaced(lev, "gram", (0, 0), change=lambda v: v + Fraction(1, 3)),
+        lambda lev: replaced(lev, "coef", (0, -1), change=lambda v: v + Fraction(1, 3)),
+        lambda lev: dataclasses.replace(lev, split=replaced(lev.split, "norms2", 0, change=lambda v: 2 * v)),
     ],
     ids=["gram", "coef", "norms2"],
 )
 def test_level_edited_before_assembly_is_seen(edit):
     g = mvop.build_gradations(_spec("prod3.json", 3), 3)
     before = outcome(copy.deepcopy(g))
-    edit(g.levels[2])
+    g = with_level(g, 2, edit(g.levels[2]))
     got = outcome(g)
     assert got == outcome(copy.deepcopy(g))
     assert got != before

@@ -32,7 +32,7 @@ from mvop import _linalg, fock as fock_module, nullideal
 from mvop.cli import main
 from mvop.fock import _preservation_rhs
 from mvop.scalars import Tolerances
-from reference import moment_matrix, x_commutator_residual
+from reference import moment_matrix, replaced, x_commutator_residual
 from test_exact_kernels import ref_validate_checks
 from test_moment_matrix import _discrete
 
@@ -236,7 +236,7 @@ def test_float_check_scores_zero_levels_without_products(monkeypatch, eighs):
 def test_float_gram_edited_between_checks_is_seen():
     fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=18), 8))
     before = mvop.check_commutation(fock).entries
-    fock.grams[3][0, 0] *= 4.0
+    fock = replaced(fock, "grams", 3, (0, 0), change=lambda v: v * 4.0)
     after = mvop.check_commutation(fock).entries
     assert after != before
     assert after == mvop.check_commutation(copy.deepcopy(fock)).entries
@@ -460,10 +460,10 @@ def test_exact_product_run_eliminates_and_solves_by_no_product(monkeypatch):
 
 def test_float_check_splits_only_an_edited_gram_afresh(eighs):
     fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=18), 8))
-    fock.grams[3][0, 0] *= 4.0
+    fock = replaced(fock, "grams", 3, (0, 0), change=lambda v: v * 4.0)
     eighs.clear()
     report = mvop.check_commutation(fock)
-    assert len(eighs) == 1  # level 3 alone: the gradation split the Gram before the edit
+    assert len(eighs) == 1  # level 3 alone: the gradation split the Gram, not its edited copy
     eighs.clear()
     assert report.entries == mvop.check_commutation(dataclasses.replace(fock, gradation=None)).entries
     assert len(eighs) == 9
