@@ -1,16 +1,20 @@
 """Internal linear algebra: exact products, kernels and Gram splits, float
 spectral splitting, degenerate-metric solves, and joint diagonalization.
 
-Exact matrices are computed on as `Cleared` pairs (Python-int numerators over
-one denominator): `cleared` makes them from Fraction arrays once where a
-computation starts, `published` makes Fraction arrays at the API edge. Every
-array a library value holds is read-only (`read_only`): a `ReadOnly` holder
-keeps the computing form it was built from for good, and publishes an exact
-array on its first read, so an array nobody reads is never built, and a change
-is a new value (`dataclasses.replace`), whose computing form is made once from
-its arrays. `matmul` takes float arrays, pairs, or exact object arrays
-(returned as Fractions), so callers stay mode-generic; `max_quadratic` gives
-Gram seminorms. One fraction-free elimination per exact Gram (Bareiss 1968)
+There are two arithmetic regimes, and a value's mode picks one. Exact
+matrices are computed on as `Cleared` pairs (Python-int numerators over one
+denominator) and `Units` maps: `cleared` makes pairs from rational arrays once
+where a computation starts, and raises ValueError on a non-rational entry;
+`published` makes Fraction arrays at the API edge. Float matrices are computed
+on as binary64 arrays (`floated`), also when they are given as Fraction
+arrays. Every array a library value holds is read-only (`read_only`): a
+`ReadOnly` holder keeps the computing form it was built from for good, and
+publishes an exact array on its first read, so an array nobody reads is never
+built, and a change is a new value (`dataclasses.replace`), whose computing
+form is made once from its arrays, pairs if the value is exact, else binary64.
+`matmul` takes float arrays, pairs, or rational object arrays (returned as
+Fractions), so callers stay mode-generic; `max_quadratic` gives exact Gram
+seminorms. One fraction-free elimination per exact Gram (Bareiss 1968)
 gives its pivots, combos, norms and RREF kernel, and the kernel of any exact
 matrix A is that of the Gram A^T A. An exact matrix with one unit entry per
 column is held as its index map (`Units`): the canonical creation blocks, and
@@ -20,9 +24,7 @@ split is read off the diagonal with no elimination. A product with a map is an
 index move, never a multiplication (`times`, `times_sum`), and a product with
 such a Gram is a row scaling (`gram_times`); a pair decides once whether it is
 diagonal (`Cleared.diagonal`). A published split holds dense arrays, and a
-split cleared from one takes the products. An object array holding a float
-entry, which only caller arrays carry, cannot be cleared (TypeError) and is
-multiplied as plain objects, so perturbed exact blocks still yield residuals.
+split cleared from one takes the products.
 """
 
 from __future__ import annotations
@@ -164,24 +166,32 @@ def is_zero(x) -> bool:
 
 
 def cleared(x):
-    """The computing form of an array, GramSplit or (nested) list of them: int/Fraction arrays become pairs.
+    """The exact computing form of an array, GramSplit or (nested) list of them: arrays become pairs.
 
-    Float arrays, pairs, maps and None come back as they are; TypeError on a float entry.
+    Pairs, maps and None come back as they are; ValueError on a non-rational entry.
     """
     if isinstance(x, (list, tuple)):
         return [cleared(v) for v in x]
-    if x is None:
-        return None
+    if x is None or isinstance(x, (Cleared, Units)):
+        return x
     if isinstance(x, GramSplit):
         return GramSplit(cleared(x.combos), cleared(x.norms2), cleared(x.null))
-    if isinstance(x, (Cleared, Units)) or x.dtype != object:
-        return x
+    x = x if x.dtype == object else x.astype(object)
     try:
         den = math.lcm(*(v.denominator for v in x.flat))
     except AttributeError:
-        raise TypeError("exact matrix holds a float entry") from None
+        raise ValueError("an exact matrix holds a non-rational entry") from None
     num = [v.numerator * (den // v.denominator) for v in x.flat]
     return Cleared(np.array(num, dtype=object).reshape(x.shape), den)
+
+
+def floated(x):
+    """The float computing form of an array, GramSplit or (nested) list of them: binary64 arrays; None is kept."""
+    if isinstance(x, (list, tuple)):
+        return [floated(v) for v in x]
+    if isinstance(x, GramSplit):
+        return GramSplit(to_float(x.combos), to_float(x.norms2), to_float(x.null))
+    return None if x is None else to_float(x)
 
 
 def published(x):
@@ -209,11 +219,13 @@ def read_only(x):
 class ReadOnly:
     """Base of a frozen dataclass whose `_arrays` fields hold read-only arrays (`read_only`).
 
-    Its computing form is an instance holding those arrays as pairs. Built by
-    `lazy`, it keeps the form it was built from and publishes each array
-    field on its first read; built by its constructor, it makes the arrays
-    it is given read-only, and its form from them once (`computing`). As no
-    array is edited, the form stays valid; a change is a new value
+    Its computing form is an instance holding those arrays as pairs and maps
+    if the value is `exact`, else as binary64 arrays. Built by `lazy`, it
+    keeps the form it was built from and publishes each array field on its
+    first read; built by its constructor, it makes the arrays it is given
+    read-only, and its form from them once (`computing`), where an exact
+    value with a non-rational entry raises ValueError. As no array is
+    edited, the form stays valid; a change is a new value
     (`dataclasses.replace`). Copies and pickles go through the constructor.
     """
 
@@ -224,11 +236,9 @@ class ReadOnly:
             self.__dict__[name] = read_only(self.__dict__[name])
 
     def _clear(self):
-        """The computing form of given arrays; None (multiplied as they are) when one holds a float entry."""
-        try:
-            return replace(self, **{name: cleared(getattr(self, name)) for name in self._arrays})
-        except TypeError:
-            return None
+        """The computing form of given arrays: pairs if exact (ValueError on a non-rational entry), else binary64."""
+        form = cleared if self.exact else floated
+        return replace(self, **{name: form(getattr(self, name)) for name in self._arrays})
 
     @classmethod
     def lazy(cls, form, publish: dict):
@@ -252,10 +262,10 @@ class ReadOnly:
 
 
 def computing(holder: ReadOnly):
-    """holder's computing form: the one it was built from, else `holder._clear()` made once (None: holder)."""
+    """holder's computing form: the one it was built from, else `holder._clear()`, made once."""
     if "_computing" not in holder.__dict__:
         holder.__dict__["_computing"] = holder._clear()
-    return holder.__dict__["_computing"] or holder
+    return holder.__dict__["_computing"]
 
 
 def stack(mats: list, axis: int):
@@ -277,15 +287,12 @@ def matmul(*mats):
 
     Float arrays multiply as usual, and pairs as one integer product. Exact
     object arrays, and int arrays among them, are multiplied as pairs and
-    returned as a Fraction array; a float array or entry among them
-    multiplies as plain objects, with any pair published.
+    returned as a Fraction array; a float array or entry among them raises
+    ValueError (`cleared`).
     """
     if all(m.dtype != object for m in mats):
         return _chain(mats)
-    try:
-        pairs = [cleared(m if m.dtype == object else m.astype(object)) for m in mats]
-    except TypeError:
-        return _chain([published(m) for m in mats])
+    pairs = [cleared(m) for m in mats]
     num = reduce(lambda acc, m: m.num @ acc, reversed(pairs[:-1]), pairs[-1].num)
     product = Cleared(num, math.prod(m.den for m in pairs))
     return product if any(isinstance(m, Cleared) for m in mats) else published(product)
@@ -347,14 +354,9 @@ def max_quadratic(cols, gram):
 
     On integer numerators only the diagonal of cols^T gram cols is formed,
     and its entries share one positive denominator, so a single Fraction is
-    built, from the largest numerator. A float entry falls back to the object
-    product.
+    built, from the largest numerator.
     """
-    try:
-        c, g = cleared(cols), cleared(gram)
-    except TypeError:
-        quad = cols.T @ gram @ cols
-        return max(quad[i, i] for i in range(quad.shape[0]))
+    c, g = cleared(cols), cleared(gram)
     return Fraction(max((c.num * (g.num @ c.num)).sum(axis=0)), c.den * c.den * g.den)
 
 
@@ -368,11 +370,10 @@ def _upper_triangle(k: int) -> tuple:
 
 
 def gram_product(coef, mat):
-    """coef^T @ mat @ coef for symmetric mat; a float one is mirrored to be exactly symmetric."""
-    out = matmul(coef.T, mat, coef)
-    if not isinstance(out, Cleared):
-        rows, cols = _upper_triangle(out.shape[0])
-        out[cols, rows] = out[rows, cols]
+    """coef^T @ mat @ coef for symmetric float mat, mirrored to be exactly symmetric."""
+    out = coef.T @ (mat @ coef)
+    rows, cols = _upper_triangle(out.shape[0])
+    out[cols, rows] = out[rows, cols]
     return out
 
 

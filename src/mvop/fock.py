@@ -25,8 +25,11 @@ value (`dataclasses.replace`). An assembled exact FockData keeps the pairs it
 was computed on, which the checks and vacuum words read (`_linalg.computing`),
 and publishes each family of blocks on its first read: A^0 and A^- as Fraction
 arrays, A^+ as int arrays, and the grams as the levels' own, so a forward run
-that reads no block builds none. Blocks given as arrays (a FockData built or
-replaced by a caller) are cleared once, on first need (`FockData._clear`).
+that reads no block builds none. A FockData's `exact` decides its arithmetic:
+blocks given as arrays (a FockData built or replaced by a caller) are made
+its computing form once, on first need (`FockData._clear`), pairs if it is
+exact, where a non-rational entry raises ValueError, and binary64 arrays if
+not, also when they are given as Fraction arrays.
 
 A canonical creation block carries no data: it is its index map
 (`_linalg.Units`), so A^+ R is a row scatter of R, L A^+ a column gather of L
@@ -175,16 +178,16 @@ class FockData(_linalg.ReadOnly):
     _arrays = ("grams", "aplus", "azero", "aminus")
 
     def _clear(self):
-        """The computing form of blocks given as arrays: exact ones as pairs.
+        """The computing form of blocks given as arrays: pairs if exact, else binary64 arrays.
 
-        Creation blocks that are all the canonical shifts are held as their
-        index maps (`_linalg.Units`), tested once here; otherwise every one
-        stays a dense pair. Float blocks, and exact blocks holding a float
-        entry (multiplied as plain objects), are their own computing form.
+        Exact creation blocks that are all the canonical shifts are held as
+        their index maps (`_linalg.Units`), tested once here; otherwise every
+        one stays a dense pair. An exact block with a non-rational entry
+        raises ValueError.
         """
-        form = super()._clear() if self.exact else None
-        if form is None:
-            return None
+        form = super()._clear()
+        if not self.exact:
+            return form
         maps = _shifts(self.dimension, self.depth)
         if len(form.aplus) == len(maps) and all(
             len(a) == len(m) and all(u.matches(b) for b, u in zip(a, m)) for a, m in zip(form.aplus, maps)
@@ -304,7 +307,8 @@ def complete_fock(
         aplus = [[creation_matrix(d, i, n) for n in range(depth)] for i in range(d)]
     aminus, residuals = annihilation_blocks(aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation, tol)
-    return fock, residuals
+    # float blocks are binary64 arrays: their own computing form
+    return fock if exact else FockData.lazy(fock, {}), residuals
 
 
 def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
@@ -371,12 +375,7 @@ def assemble_fock(g: GradationBasis) -> FockData:
         If a defining identity fails its tolerance after the solve.
     """
     depth = g.max_degree
-    functional = g.functional
-    if 2 * depth + 1 > functional.max_reliable_degree:
-        raise DepthExceededError(
-            f"fock assembly at depth {depth} needs moments to {2 * depth + 1}, "
-            f"but only {functional.max_reliable_degree} are reliable"
-        )
+    g.functional.require(2 * depth + 1, f"fock assembly at depth {depth}")
     levels = [_linalg.computing(lev) for lev in g.levels]
     azero = []
     for i, rhs_per_level in enumerate(_preservation_rhs(g, [lev.coef for lev in levels])):
@@ -476,7 +475,7 @@ def _seminorm_residual(cols, gram, factor) -> float:
     """
     if 0 in cols.shape:
         return 0.0
-    if cols.dtype == object and gram.dtype == object:
+    if isinstance(gram, _linalg.Cleared):
         quad = _linalg.max_quadratic(cols, gram)
         return _floored(math.sqrt(max(0.0, float(quad))), quad > 0)
     f = factor()
@@ -504,12 +503,8 @@ def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
 
     @functools.cache
     def vanishes(n):
-        gram = grams[n]
-        if isinstance(gram, _linalg.Cleared):
-            return _linalg.is_zero(gram)
-        if gram.dtype == object:
-            # the public Grams of blocks `FockData._clear` could not clear
-            return not any(gram.flat)
+        if isinstance(grams[n], _linalg.Cleared):
+            return _linalg.is_zero(grams[n])
         return factor(n) is None
 
     def residual(make_cols, n):
@@ -605,7 +600,6 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
     report = CommutationReport(depth=n_max)
     if n_max == 0 or fock.dimension < 2:
         return report
-    on_pairs = isinstance(fock.grams[0], _linalg.Cleared)
     shifts = isinstance(fock.aplus[0][0], _linalg.Units)
     blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
 
@@ -635,7 +629,7 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
                 pair=pair,
                 degree=n,
                 residual=residual,
-                tolerance=_recorded_tolerance(residual, tolerance, on_pairs),
+                tolerance=_recorded_tolerance(residual, tolerance, fock.exact),
             )
         )
 
@@ -675,9 +669,9 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
     if not 0 <= i < fock.dimension:
         raise ValueError(f"coordinate {i} outside 0..{fock.dimension - 1}")
     out: dict = {}
-    # float products are small matrix-vector ones, where matmul's dispatch
-    # would cost more than the product
-    mul = _linalg.times if fock.exact else np.matmul
+    # float blocks are taken in binary64, and their products are small
+    # matrix-vector ones, where matmul's dispatch would cost more than the product
+    blocks, mul = (fock, _linalg.times) if fock.exact else (_linalg.computing(fock), np.matmul)
 
     def accumulate(level, vec):
         out[level] = out[level] + vec if level in out else vec
@@ -689,27 +683,26 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
             )
-        accumulate(n + 1, mul(fock.aplus[i][n], v))
-        accumulate(n, mul(fock.azero[i][n], v))
+        accumulate(n + 1, mul(blocks.aplus[i][n], v))
+        accumulate(n, mul(blocks.azero[i][n], v))
         if n >= 1:
-            accumulate(n - 1, mul(fock.aminus[i][n], v))
+            accumulate(n - 1, mul(blocks.aminus[i][n], v))
     return out
 
 
-def _word_blocks(fock: FockData) -> tuple:
-    """(on_pairs, blocks): the blocks vacuum words apply, blocks[i] = (E_i, A_i^+, A_i^0, A_i^-).
+def _word_blocks(fock: FockData) -> list:
+    """The blocks vacuum words apply, blocks[i] = (E_i, A_i^+, A_i^0, A_i^-), from the computing form.
 
-    Exact blocks in computing form (`_linalg.computing`) are taken over one
-    denominator E_i per coordinate, the lcm of the denominators of its A^0
-    and A^- pairs and of any dense A^+ pair (a non-canonical creation block):
-    each is its numerators scaled to E_i once, and a creation map stays its
-    map. Float blocks, and exact blocks that cannot be cleared (a float
-    entry), are taken as they are, with E_i = 1; on_pairs is False for them.
+    Exact blocks (`_linalg.computing`) are taken over one denominator E_i
+    per coordinate, the lcm of the denominators of its A^0 and A^- pairs and
+    of any dense A^+ pair (a non-canonical creation block): each is its
+    numerators scaled to E_i once, and a creation map stays its map. Float
+    blocks are taken as they are, with E_i = 1.
     """
     cleared = _linalg.computing(fock)
     coordinates = list(zip(cleared.aplus, cleared.azero, cleared.aminus))
-    if not isinstance(cleared.grams[0], _linalg.Cleared):
-        return False, [(1, *kinds) for kinds in coordinates]
+    if not fock.exact:
+        return [(1, *kinds) for kinds in coordinates]
     out = []
     for kinds in coordinates:
         scale = math.lcm(*(b.den for kind in kinds for b in kind if isinstance(b, _linalg.Cleared)))
@@ -718,7 +711,7 @@ def _word_blocks(fock: FockData) -> tuple:
             return b.num * (scale // b.den) if isinstance(b, _linalg.Cleared) else b
 
         out.append((scale, *([scaled(b) for b in kind] for kind in kinds)))
-    return True, out
+    return out
 
 
 def _word_step(blocks: list, i: int, state: tuple, reach: int) -> tuple:
@@ -795,8 +788,8 @@ def vacuum_moment(fock: FockData, alpha):
         )
     if "_vacuum" not in fock.__dict__:
         vacuum = np.array([1 if fock.exact else 1.0], dtype=object if fock.exact else float)
-        fock.__dict__["_vacuum"] = (*_word_blocks(fock), {(0,) * fock.dimension: ([vacuum], 1)})
-    on_pairs, blocks, states = fock._vacuum
+        fock.__dict__["_vacuum"] = (_word_blocks(fock), {(0,) * fock.dimension: ([vacuum], 1)})
+    blocks, states = fock._vacuum
 
     def state(word):
         if word not in states:
@@ -807,4 +800,4 @@ def vacuum_moment(fock: FockData, alpha):
 
     # level 0 is never empty: A^0 maps it to itself
     levels, den = state(alpha)
-    return Fraction(levels[0][0], den) if on_pairs and any(alpha) else levels[0][0]
+    return Fraction(levels[0][0], den) if fock.exact and any(alpha) else levels[0][0]

@@ -51,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from . import _linalg
-from .errors import DepthExceededError, InconsistentMomentsError
+from .errors import InconsistentMomentsError
 from .measures import MomentFunctional, as_float_functional
 from .polynomial import Polynomial, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
@@ -93,16 +93,12 @@ def _moment_rows(functional: MomentFunctional, lo: int, hi: int, degree: int):
     rows, cols = keys[len(monomials_up_to(d, lo - 1)) :], keys[: len(monomials_up_to(d, degree))]
     distinct, where = np.unique(rows[:, None] + cols[None, :], return_inverse=True)
     digits = (distinct[:, None] // radix % base).tolist()
-    values = _linalg.cleared(
-        np.array(
-            [functional.moment(tuple(alpha)) for alpha in digits],
-            dtype=object if functional.exact else float,
-        )
-    )
+    values = [functional.moment(tuple(alpha)) for alpha in digits]
     where = where.reshape(len(rows), len(cols))
-    if isinstance(values, _linalg.Cleared):
-        return _linalg.Cleared.reduced(values.num[where], values.den)
-    return values[where]
+    if not functional.exact:
+        return np.array(values, dtype=float)[where]
+    values = _linalg.cleared(np.array(values, dtype=object))
+    return _linalg.Cleared.reduced(values.num[where], values.den)
 
 
 @dataclass(frozen=True)
@@ -130,6 +126,11 @@ class DegreeBasis(_linalg.ReadOnly):
         return len(self.monomials)
 
     @property
+    def exact(self) -> bool:
+        """Whether the level computes on pairs: its arrays are object arrays (pairs in computing form)."""
+        return self.__dict__.get("_computing", self).coef.dtype == object
+
+    @property
     def rank(self) -> int:
         return _linalg.computing(self).split.rank
 
@@ -151,8 +152,17 @@ class DegreeBasis(_linalg.ReadOnly):
         return [Polynomial(d, dict(zip(rows, vecs[:, j]))) for j in range(vecs.shape[1])]
 
     def combine(self, columns) -> list:
-        """One polynomial per column (an array, a pair or a map): the candidates weighted by its entries."""
+        """One polynomial per column (an array, a pair or a map): the candidates weighted by its entries.
+
+        A float level takes the columns in binary64. Float columns on an
+        exact level give float coefficients: the public Fraction candidates
+        times the floats.
+        """
         coef = _linalg.computing(self).coef
+        if not self.exact:
+            return self._polynomials(coef @ _linalg.to_float(columns))
+        if getattr(columns, "dtype", None) == float:
+            return self._polynomials(self.coef @ columns)
         return self._polynomials(_linalg.published(_linalg.times(coef, columns)))
 
     @property
@@ -242,11 +252,7 @@ def build_gradations(
         raise ValueError("max_degree must be >= 0")
     tol = tol or Tolerances()
     mode = resolve_mode(functional.exact, mode)
-    if 2 * max_degree > functional.max_reliable_degree:
-        raise DepthExceededError(
-            f"gradation to degree {max_degree} needs moments to {2 * max_degree}, "
-            f"but only {functional.max_reliable_degree} are reliable"
-        )
+    functional.require(2 * max_degree, f"gradation to degree {max_degree}")
     if mode == "float" and functional.exact:
         functional = as_float_functional(functional)
     exact = mode == "exact"
@@ -264,7 +270,7 @@ def build_gradations(
         unit = np.zeros((size, k), dtype=object if exact else float)
         for j in range(k):
             unit[size - k + j, j] = 1
-        coef = _linalg.cleared(unit)
+        coef = _linalg.cleared(unit) if exact else unit
         for lo, scaled, paired in lower:
             if exact:
                 # exact paired starts at column lo, so only coef's rows from lo on
@@ -302,13 +308,12 @@ def build_gradations(
                 paired = _linalg.matmul(ortho.T, moments[:size])
             lower.append((lo, ortho / split.norms2[None, :], paired))
         level = DegreeBasis(n, monos, tuple(index_weight(a) for a in monos), coef, gram, split)
-        if exact:  # the level of pairs is the computing form
-            publish = {
-                "coef": partial(_public_coef, unit, top, coef),
-                "gram": partial(_linalg.published, gram),
-                "split": partial(_linalg.published, split),
-            }
-            level = DegreeBasis.lazy(level, publish)
-        levels.append(level)
+        # the level of pairs, or of binary64 arrays, is the computing form
+        publish = {
+            "coef": partial(_public_coef, unit, top, coef),
+            "gram": partial(_linalg.published, gram),
+            "split": partial(_linalg.published, split),
+        } if exact else {}
+        levels.append(DegreeBasis.lazy(level, publish))
 
     return GradationBasis(functional, max_degree, mode, tol, levels)

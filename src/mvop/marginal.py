@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .errors import DepthExceededError, InconsistentMomentsError
+from .errors import InconsistentMomentsError
 from .gradation import resolve_mode
 from .measures import JacobiPair1D, MomentFunctional
 from .scalars import Tolerances
@@ -88,11 +88,7 @@ def jacobi_1d(functional: MomentFunctional, depth: int, *, mode: str = "auto") -
     if depth < 0:
         raise ValueError("depth must be >= 0")
     mode = resolve_mode(functional.exact, mode)
-    if 2 * depth > functional.max_reliable_degree:
-        raise DepthExceededError(
-            f"recurrence to depth {depth} needs moments to {2 * depth}, "
-            f"but only {functional.max_reliable_degree} are reliable"
-        )
+    functional.require(2 * depth, f"recurrence to depth {depth}")
     exact = mode == "exact"
     scalar = Fraction if exact else float
     size = 2 * depth + 1

@@ -78,6 +78,13 @@ class MomentFunctional:
         self._cache[alpha] = self._compute(alpha)
         return self._cache[alpha]
 
+    def require(self, degree: int, task: str) -> None:
+        """Raise DepthExceededError, "<task> needs moments to <degree> ...", unless degree is reliable."""
+        if degree > self.max_reliable_degree:
+            raise DepthExceededError(
+                f"{task} needs moments to {degree}, but only {self.max_reliable_degree} are reliable"
+            )
+
     def __repr__(self):
         return (
             f"MomentFunctional(d={self.dimension}, tag={self.tag!r}, "
@@ -157,11 +164,10 @@ def _discrete_moment(m: DiscreteMeasure, alpha):
     return total
 
 
-def discrete_functional(m: DiscreteMeasure, max_degree: int | None = None) -> MomentFunctional:
+def discrete_functional(m: DiscreteMeasure) -> MomentFunctional:
     """Moments of a finitely supported measure: sum of weighted atom powers."""
-    cap = UNBOUNDED_DEPTH if max_degree is None else max_degree
     compute = partial(_discrete_moment, m)
-    return MomentFunctional(m.dimension, compute, cap, exact=m.is_exact, tag="discrete")
+    return MomentFunctional(m.dimension, compute, UNBOUNDED_DEPTH, exact=m.is_exact, tag="discrete")
 
 
 def _product_moment(blocks: tuple, alpha):
@@ -296,47 +302,27 @@ def jacobi_to_moments(pair: JacobiPair1D, depth: int) -> MomentFunctional:
     of size depth+1 (monic normalization: unit subdiagonal, alphas on the
     diagonal, omegas on the superdiagonal); rational inputs stay rational.
     Row i of it adds v[i-1], alpha_i v[i] and omega_i v[i+1], in that order.
-    Exact inputs run on Python ints: with D the lcm of the coefficients'
-    denominators, u_k = D^k v_k follows the same recurrence with D, D alpha_i
-    and D omega_i, and m_k = u_k[0] / D^k.
+    Both modes run one recurrence: with D the lcm of the coefficients'
+    denominators, u_k = D^k v_k follows it with D, D alpha_i and D omega_i,
+    and m_k = u_k[0] / D^k. Exact inputs run on Python ints; float inputs run
+    in binary64 with D = 1.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     omegas, alphas = pair.extended(depth)
     exact = pair.is_exact
-    if exact:
-        moments = _integer_moments(omegas, alphas, depth)
-    else:
-        omegas, alphas = [float(w) for w in omegas], [float(a) for a in alphas]
-        v = [1.0] + [0.0] * depth
-        moments = [v[0]]
-        for _ in range(depth):
-            v = [
-                sum(
-                    ([v[i - 1]] if i else [])
-                    + ([alphas[i] * v[i], omegas[i] * v[i + 1]] if i < depth else [])
-                )
-                for i in range(depth + 1)
-            ]
-            moments.append(v[0])
-
-    compute = partial(_listed_moment, tuple(moments))
-    return MomentFunctional(1, compute, depth, exact=exact, tag="jacobi")
-
-
-def _integer_moments(omegas, alphas, depth: int) -> list:
-    """m_0..m_depth of `jacobi_to_moments` for rational coefficients: Fractions, computed on ints."""
-    den = math.lcm(*(c.denominator for c in omegas + alphas))
+    den = math.lcm(*(c.denominator for c in omegas + alphas)) if exact else 1
+    scaled = (lambda c: c.numerator * (den // c.denominator)) if exact else float
     # the last row of the truncated matrix has only its subdiagonal entry
-    omegas = [w.numerator * (den // w.denominator) for w in omegas] + [0]
-    alphas = [a.numerator * (den // a.denominator) for a in alphas] + [0]
-    u = [1] + [0] * depth
-    moments = [Fraction(1)]
+    omegas, alphas = [*map(scaled, omegas), 0], [*map(scaled, alphas), 0]
+    u = [1 if exact else 1.0] + [0] * depth
+    moments = [Fraction(1) if exact else 1.0]
     for k in range(1, depth + 1):
         rows = zip([0] + u, alphas, u, omegas, u[1:] + [0])
         u = [den * below + a * here + w * above for below, a, here, w, above in rows]
-        moments.append(Fraction(u[0], den**k))
-    return moments
+        moments.append(Fraction(u[0], den**k) if exact else u[0])
+    compute = partial(_listed_moment, tuple(moments))
+    return MomentFunctional(1, compute, depth, exact=exact, tag="jacobi")
 
 
 def table_functional(dimension: int, entries: dict, depth: int) -> MomentFunctional:

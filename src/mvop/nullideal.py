@@ -20,6 +20,8 @@ from .fock import _shift, creation_matrix
 from .gradation import GradationBasis
 from .polynomial import Polynomial
 
+TOL_EVAL = 1e-8
+
 
 @dataclass(frozen=True)
 class RankSequence:
@@ -147,15 +149,18 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
     )
 
 
-def support_membership(basis: NullIdealBasis, point, tol_eval: float = 1e-8) -> bool:
-    """Whether a point annihilates every generator (candidate support point)."""
+def support_membership(basis: NullIdealBasis, point) -> bool:
+    """Whether a point annihilates every generator (candidate support point).
+
+    A float value counts as zero within `TOL_EVAL` in absolute value.
+    """
     point = tuple(point)
     if len(point) != basis.dimension:
         raise ValueError(f"point has length {len(point)}, expected {basis.dimension}")
     for f in basis.generators:
         value = f.evaluate(point)
         if isinstance(value, float):
-            if abs(value) > tol_eval:
+            if abs(value) > TOL_EVAL:
                 return False
         elif value != 0:
             return False

@@ -1,8 +1,9 @@
 """Reference oracles the tests compare the library against.
 
 Plain, unoptimized definitions: the moment and localizing matrices entry by
-entry, Lambda of a polynomial term by term, and the commutator [X_j, X_k]
-applied basis vector by basis vector. The library computes none of these
+entry, Lambda of a polynomial term by term, the commutator [X_j, X_k]
+applied basis vector by basis vector, and the float moments of a recurrence
+by a list recursion. The library computes none of these
 this way; it reads its moments from `gradation._moment_rows` and checks the
 commutation relations block by block (`check_commutation`). `edited` and
 `replaced` make the changed copies of read-only library values that tests
@@ -97,3 +98,22 @@ def x_commutator_residual(fock, j: int, k: int, n: int) -> float:
             total += seminorm(lambda: (jk[level] - kj[level])[:, None], level) ** 2
         worst = max(worst, math.sqrt(total))
     return worst
+
+
+def float_jacobi_moments(pair, depth: int) -> list:
+    """m_0..m_depth of a float recurrence pair in binary64, by the plain list recursion.
+
+    Row i of the truncated transfer matrix sums v[i-1], alpha_i v[i] and
+    omega_i v[i+1], in that order, starting from 0.
+    """
+    omegas, alphas = pair.extended(depth)
+    omegas, alphas = [float(w) for w in omegas], [float(a) for a in alphas]
+    v = [1.0] + [0.0] * depth
+    moments = [v[0]]
+    for _ in range(depth):
+        v = [
+            sum(([v[i - 1]] if i else []) + ([alphas[i] * v[i], omegas[i] * v[i + 1]] if i < depth else []))
+            for i in range(depth + 1)
+        ]
+        moments.append(v[0])
+    return moments

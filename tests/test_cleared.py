@@ -129,10 +129,11 @@ def test_max_abs_rounds_once_like_the_entries():
 
 
 def test_float_entry_cannot_be_cleared():
-    with pytest.raises(TypeError):
-        _linalg.cleared(np.array([[Fraction(1, 3), 0.5]], dtype=object))
     floats = np.array([[0.5]])
-    assert _linalg.cleared(floats) is floats
+    for mat in (np.array([[Fraction(1, 3), 0.5]], dtype=object), floats):
+        with pytest.raises(ValueError, match="non-rational entry"):
+            _linalg.cleared(mat)
+    assert _linalg.floated(floats) is floats
 
 
 def test_empty_and_zero_pairs():

@@ -602,12 +602,65 @@ def test_float_entry_in_fock_input_is_reported(square_exact_fock):
 
 
 def test_float_entry_in_exact_blocks_falls_back(skewed_fock):
-    fock = replaced(skewed_fock, "azero", 0, 1, (0, 1), change=lambda v: v + 0.001)
+    # blocks holding a float entry are a float copy (exact=False), which
+    # computes on binary64 copies of its Fraction arrays
+    azero = edited(skewed_fock.azero, 0, 1, (0, 1), change=lambda v: v + 0.001)
+    fock = dataclasses.replace(skewed_fock, exact=False, azero=azero)
     report = mvop.check_commutation(fock)
     assert not report.passed
-    assert entries(report) == pytest.approx(ref_commutation(fock, fock.tolerances))
+    # binary64 residuals against the Fraction products' to within rounding
+    got, want = entries(report), ref_commutation(fock, fock.tolerances)
+    assert [e[:3] + e[4:] for e in got] == [e[:3] + e[4:] for e in want]
+    assert [e[3] for e in got] == pytest.approx([e[3] for e in want], rel=1e-6, abs=1e-12)
     assert max(mvop.azero_symmetry_residuals(fock).values()) > 1e-4
     assert x_commutator_residual(fock, 0, 1, 1) > 1e-4
+
+
+def test_exact_values_hold_rationals_and_float_values_compute_in_binary64(skewed_fock):
+    # an exact FockData holding a float entry raises, built directly or
+    # through replace, on its first computation
+    bump = lambda v: v + 0.001
+    azero = edited(skewed_fock.azero, 0, 1, (0, 1), change=bump)
+    blocks = (skewed_fock.grams, skewed_fock.aplus, azero, skewed_fock.aminus)
+    uses = (
+        mvop.check_commutation,
+        mvop.adjointness_residuals,
+        mvop.azero_symmetry_residuals,
+        lambda fock: mvop.vacuum_moment(fock, (1, 1)),
+        lambda fock: mvop.apply_coordinate(fock, 0, {1: np.array([1, 0], dtype=object)}),
+    )
+    for fock in (mvop.FockData(2, 4, True, *blocks), dataclasses.replace(skewed_fock, azero=azero)):
+        for use in uses:
+            with pytest.raises(ValueError, match="non-rational entry"):
+                use(fock)
+
+    # so does an exact level: its ranks, and the assembly that reads it
+    g = skewed_fock.gradation
+    level = replaced(g.levels[2], "gram", (0, 0), change=bump)
+    assert level.exact and g.levels[2].exact
+    levels = [*g.levels[:2], level, *g.levels[3:]]
+    for use in (lambda: level.rank, lambda: mvop.assemble_fock(dataclasses.replace(g, levels=levels))):
+        with pytest.raises(ValueError, match="non-rational entry"):
+            use()
+
+    # a float FockData given Fraction arrays computes on their binary64 copies
+    def floats(family):
+        return [[None if b is None else b.astype(float) for b in per] for per in family]
+
+    given = mvop.FockData(2, 4, False, *blocks)
+    copy = mvop.FockData(2, 4, False, [a.astype(float) for a in blocks[0]], *map(floats, blocks[1:]))
+    assert entries(mvop.check_commutation(given)) == entries(mvop.check_commutation(copy))
+    assert not mvop.check_commutation(given).passed
+    assert mvop.vacuum_moment(given, (2, 1)) == mvop.vacuum_moment(copy, (2, 1))
+    state = {1: np.array([1.0, -2.0])}
+    for n, v in mvop.apply_coordinate(given, 0, state).items():
+        assert v.dtype == float and v.tobytes() == mvop.apply_coordinate(copy, 0, state)[n].tobytes()
+    # and a float level combines Fraction columns in binary64
+    float_level = mvop.build_gradations(g.functional, 2, mode="float").levels[2]
+    eye = np.eye(float_level.dimension)
+    got = float_level.combine(eye.astype(object) * Fraction(1))
+    assert [p.terms for p in got] == [p.terms for p in float_level.combine(eye)]
+    assert all(type(c) is float for p in got for c in p.terms.values())
 
 
 def _tamper_creation(fock, aplus, step):
@@ -654,11 +707,16 @@ def test_tampered_creation_block_fails_cr1(exact, skewed_fock):
 
 
 def test_matmul_on_mixed_object_array():
+    # exact products run on pairs only: a float entry among exact ones raises
     a = np.array([[Fraction(1, 3), 2], [0.5, Fraction(-3, 4)]], dtype=object)
     b = np.array([[Fraction(2, 5), 1], [3, Fraction(1, 7)]], dtype=object)
-    assert _linalg.matmul(a, b).tolist() == (a @ b).tolist()
-    assert _linalg.matmul(b, a, b).tolist() == (b @ (a @ b)).tolist()
-    assert _linalg.max_quadratic(a, b) == max((a.T @ b @ a)[i, i] for i in range(2))
+    for mats in ((a, b), (b, a, b)):
+        with pytest.raises(ValueError, match="non-rational entry"):
+            _linalg.matmul(*mats)
+    with pytest.raises(ValueError, match="non-rational entry"):
+        _linalg.max_quadratic(a, b)
+    assert _linalg.matmul(b, b, b).tolist() == (b @ (b @ b)).tolist()
+    assert _linalg.max_quadratic(b, b) == max((b.T @ b @ b)[i, i] for i in range(2))
 
 
 def test_matmul_takes_int_and_float_arrays_among_exact_ones(skew_fn):
@@ -667,8 +725,10 @@ def test_matmul_takes_int_and_float_arrays_among_exact_ones(skew_fn):
     ints, floats = np.array([[2, -1], [5, 3]]), np.array([[0.5, 1.0], [-2.0, 0.25]])
     assert _linalg.published(_linalg.matmul(pair, ints)).tolist() == (frac @ ints.astype(object)).tolist()
     assert _linalg.matmul(ints, frac).tolist() == (ints.astype(object) @ frac).tolist()
-    assert _linalg.matmul(pair, floats).tolist() == (frac @ floats).tolist()
-    assert _linalg.matmul(frac, floats).tolist() == (frac @ floats).tolist()
+    # a float array among exact ones has non-rational entries
+    for exact in (pair, frac):
+        with pytest.raises(ValueError, match="non-rational entry"):
+            _linalg.matmul(exact, floats)
 
     # DegreeBasis.combine: int columns give the polynomials of object ones,
     # float columns the same values as floats

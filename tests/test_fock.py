@@ -120,8 +120,9 @@ def test_commutation_passes_exact(square_gradation, skew_fn):
 
 
 def test_perturbed_preservation_fails_commutation(square_gradation):
+    # a float perturbation makes a float copy (exact=False), judged by float tolerances
     fock = mvop.assemble_fock(square_gradation)
-    fock = replaced(fock, "azero", 0, 1, (0, 1), change=lambda v: v + 0.001)
+    fock = replaced(dataclasses.replace(fock, exact=False), "azero", 0, 1, (0, 1), change=lambda v: v + 0.001)
     report = mvop.check_commutation(fock)
     assert not report.passed
     assert any(e.relation in ("CR2", "CR3") for e in report.failures())

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import integrate
 
 import mvop
 from mvop.measures import as_float_functional
+from reference import float_jacobi_moments
 
 
 def double_factorial(k):
@@ -276,6 +278,33 @@ def test_jacobi_to_moments_matches_dense_transfer(depth):
                 assert got == want
             else:
                 assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_float_jacobi_to_moments_is_the_list_recursion():
+    # entries from 1e-300 to 1e300 of both signs, signed zeros, and
+    # terminated pairs padded past their length: bit for bit
+    rng = random.Random(3000)
+
+    def entry():
+        if rng.random() < 0.1:
+            return rng.choice((0.0, -0.0))
+        return rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-300, 300)
+
+    terminated = 0
+    for _ in range(400):
+        n = rng.randint(1, 30)
+        omegas = [abs(entry()) or 1.0 for _ in range(n)]
+        if rng.random() < 0.3:
+            stop = rng.randint(0, n - 1)
+            omegas[stop:] = [rng.choice((0.0, -0.0)) for _ in omegas[stop:]]
+        pair = mvop.JacobiPair1D(tuple(omegas), tuple(entry() for _ in range(n)))
+        depth = rng.randint(0, 30) if pair.terminated else rng.randint(0, n)
+        terminated += pair.terminated and depth > n
+        f = mvop.jacobi_to_moments(pair, depth)
+        got = [f.moment((k,)) for k in range(depth + 1)]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(float_jacobi_moments(pair, depth)).tobytes()
+    assert terminated > 20
 
 
 def fraction_loop_moments(pair, depth):
