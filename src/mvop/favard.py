@@ -47,9 +47,9 @@ from .fock import (
     complete_fock,
     symmetry_residuals,
 )
-from .gradation import index_weight, resolve_mode
+from .gradation import _level_weights, resolve_mode
 from .measures import DiscreteMeasure
-from .polynomial import monomials_of_degree, space_dimension
+from .polynomial import space_dimension
 from .scalars import Tolerances, _json_integer, format_scalar, is_rational, parse_scalar
 
 
@@ -170,7 +170,7 @@ class FockInput:
         """Recover Grams from form generators: G_n = diag(w(alpha)) @ Omega_n."""
         grams = []
         for n, om in enumerate(omegas):
-            weights = [index_weight(a) for a in monomials_of_degree(dimension, n)]
+            weights = _level_weights(dimension, n)
             exact = all(is_rational(v) for v in om.flat)
             g = om.copy()
             for j, w in enumerate(weights):

@@ -22,10 +22,11 @@ Exact blocks are computed on as `_linalg.Cleared` pairs through both solves,
 starting from the pairs `build_gradations` kept for its levels. A FockData
 holds tuples of read-only arrays and is never edited: a changed one is a new
 value (`dataclasses.replace`). An assembled exact FockData keeps the pairs it
-was computed on, which the checks and vacuum words read (`_linalg.computing`),
-and publishes each family of blocks on its first read: A^0 and A^- as Fraction
-arrays, A^+ as int arrays, and the grams as the levels' own, so a forward run
-that reads no block builds none. A FockData's `exact` decides its arithmetic:
+was computed on, which the checks, vacuum words and `apply_coordinate` read
+(`_linalg.computing`), and publishes each family of blocks on its first
+read: A^0 and A^- as Fraction arrays, A^+ as int arrays, and the grams as
+the levels' own, so a forward run that reads no block builds none. A
+FockData's `exact` decides its arithmetic:
 blocks given as arrays (a FockData built or replaced by a caller) are made
 its computing form once, on first need (`FockData._clear`), pairs if it is
 exact, where a non-rational entry raises ValueError, and binary64 arrays if
@@ -665,13 +666,19 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
 
 
 def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
-    """One application of X_i = A_i^+ + A_i^0 + A_i^- to a level-indexed state."""
+    """One application of X_i = A_i^+ + A_i^0 + A_i^- to a level-indexed state.
+
+    The blocks are taken in computing form (`_linalg.computing`): an exact
+    FockData applies its pairs and maps to each state vector cleared once,
+    and returns Fraction arrays; a float one applies its binary64 arrays.
+    """
     if not 0 <= i < fock.dimension:
         raise ValueError(f"coordinate {i} outside 0..{fock.dimension - 1}")
     out: dict = {}
-    # float blocks are taken in binary64, and their products are small
-    # matrix-vector ones, where matmul's dispatch would cost more than the product
-    blocks, mul = (fock, _linalg.times) if fock.exact else (_linalg.computing(fock), np.matmul)
+    blocks = _linalg.computing(fock)
+    # float products are small matrix-vector ones, where matmul's dispatch
+    # would cost more than the product
+    mul = _linalg.times if fock.exact else np.matmul
 
     def accumulate(level, vec):
         out[level] = out[level] + vec if level in out else vec
@@ -683,11 +690,13 @@ def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:
             raise DepthExceededError(
                 f"word reaches degree {n + 1}, beyond built depth {fock.depth}"
             )
+        if fock.exact:
+            v = _linalg.cleared(v)
         accumulate(n + 1, mul(blocks.aplus[i][n], v))
         accumulate(n, mul(blocks.azero[i][n], v))
         if n >= 1:
             accumulate(n - 1, mul(blocks.aminus[i][n], v))
-    return out
+    return {n: _linalg.published(v) for n, v in out.items()} if fock.exact else out
 
 
 def _word_blocks(fock: FockData) -> list:

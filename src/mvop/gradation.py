@@ -25,7 +25,10 @@ instead of a quadratic form. Float mode forms coef^T M coef: in binary64
 those low rows hold rounding noise, not zeros. Polynomial objects are built
 from coefficient columns only on request. The moments come from one supply,
 `_moment_rows`, a block of rows of M with each distinct moment fetched and
-cleared once; here it is M itself, and assembly takes the rows of degree
+cleared once. Its index plan (which distinct moment each entry is) depends
+on the shape alone, so it is built once per shape (`_moment_plan`), as are
+the weights of a level (`_level_weights`); the plans are shared read-only
+arrays. Here the block is M itself, and assembly takes the rows of degree
 1..max_degree + 1, which hold every localizing matrix L_i (row a of L_i is
 row a + e_i of M). Exact mode runs on `_linalg.Cleared` pairs from it, to
 each split. A diagonal G_n, as every level of a product of 1-D
@@ -46,7 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -74,27 +78,49 @@ def resolve_mode(rational: bool, mode: str) -> str:
     return mode
 
 
+@cache
+def _level_weights(dimension: int, degree: int) -> tuple:
+    """w(alpha) of each degree-`degree` monomial, in graded-lex order: built once per shape."""
+    return tuple(index_weight(a) for a in monomials_of_degree(dimension, degree))
+
+
+@cache
+def _moment_plan(dimension: int, lo: int, hi: int, degree: int) -> tuple:
+    """(distinct, where): the index plan of a `_moment_rows` block, built once per shape.
+
+    distinct lists the monomials of degree lo..hi + degree in graded-lex
+    order (the tuples of `monomials_of_degree`), each of which is some
+    gamma + b of the block, and where[r, c] is the position in distinct of
+    row r's gamma plus column c's b, a read-only int array.
+    """
+    # a multi-index is encoded as the integer with digits alpha_j in base
+    # `base`, which exceeds every exponent, so encodings add like multi-indices
+    base = hi + degree + 1
+    kind = np.int64 if base**dimension < 2**63 else object
+    radix = np.array([base**j for j in range(dimension)], dtype=kind)
+    keys = np.array(monomials_up_to(dimension, hi), dtype=kind) @ radix
+    rows = keys[len(monomials_up_to(dimension, lo - 1)) :]
+    cols = keys[: len(monomials_up_to(dimension, degree))]
+    distinct = tuple(chain.from_iterable(monomials_of_degree(dimension, s) for s in range(lo, base)))
+    distinct_keys = np.array(distinct, dtype=kind) @ radix
+    order = np.argsort(distinct_keys)
+    where = order[np.searchsorted(distinct_keys[order], rows[:, None] + cols[None, :])]
+    where.setflags(write=False)
+    return distinct, where
+
+
 def _moment_rows(functional: MomentFunctional, lo: int, hi: int, degree: int):
     """Lambda(x^(gamma+b)) for lo <= |gamma| <= hi and |b| <= degree <= hi, in computing form.
 
     Rows gamma and columns b follow ``monomials_up_to``: with lo = 0 and
     hi = degree this is the moment matrix M, and row gamma + e_i of M is row
-    gamma of the localizing matrix of x_i. Each distinct moment is fetched
-    and cleared once, and every one of them appears, so an exact result is
-    reduced by construction.
+    gamma of the localizing matrix of x_i. The index plan depends on the
+    shape alone and is built once per shape (`_moment_plan`), so a call
+    fetches each distinct moment and clears it once, then gathers. Every
+    distinct moment appears, so an exact result is reduced by construction.
     """
-    d = functional.dimension
-    # a multi-index is encoded as the integer with digits alpha_j in base
-    # `base`, which exceeds every exponent, so encodings add like multi-indices
-    base = hi + degree + 1
-    kind = np.int64 if base**d < 2**63 else object
-    radix = np.array([base**j for j in range(d)], dtype=kind)
-    keys = np.array(monomials_up_to(d, hi), dtype=kind) @ radix
-    rows, cols = keys[len(monomials_up_to(d, lo - 1)) :], keys[: len(monomials_up_to(d, degree))]
-    distinct, where = np.unique(rows[:, None] + cols[None, :], return_inverse=True)
-    digits = (distinct[:, None] // radix % base).tolist()
-    values = [functional.moment(tuple(alpha)) for alpha in digits]
-    where = where.reshape(len(rows), len(cols))
+    distinct, where = _moment_plan(functional.dimension, lo, hi, degree)
+    values = [functional.moment(alpha) for alpha in distinct]
     if not functional.exact:
         return np.array(values, dtype=float)[where]
     values = _linalg.cleared(np.array(values, dtype=object))
@@ -139,11 +165,19 @@ class DegreeBasis(_linalg.ReadOnly):
         return _linalg.computing(self).split.nullity
 
     def omega(self) -> np.ndarray:
-        """Form generator: the Gram matrix with rows rescaled by 1/w(alpha), a fresh array."""
-        out = self.gram.copy()
-        for i, w in enumerate(self.weights):
-            scale = w if self.gram.dtype == object else float(w)
-            out[i, :] = out[i, :] / scale
+        """Form generator: the Gram matrix with rows rescaled by 1/w(alpha), a fresh array.
+
+        The level's mode decides the arithmetic: an exact level divides the
+        Fractions of its Gram pair by the weights, a float level its binary64
+        Gram by their binary64 images, also when it was given Fractions.
+        """
+        gram = _linalg.computing(self).gram
+        if self.exact:
+            out, weights = _linalg.published(gram), self.weights
+        else:
+            out, weights = gram.copy(), [float(w) for w in self.weights]
+        for i, w in enumerate(weights):
+            out[i, :] = out[i, :] / w
         return out
 
     def _polynomials(self, vecs: np.ndarray) -> list:
@@ -307,7 +341,7 @@ def build_gradations(
             else:
                 paired = _linalg.matmul(ortho.T, moments[:size])
             lower.append((lo, ortho / split.norms2[None, :], paired))
-        level = DegreeBasis(n, monos, tuple(index_weight(a) for a in monos), coef, gram, split)
+        level = DegreeBasis(n, monos, _level_weights(d, n), coef, gram, split)
         # the level of pairs, or of binary64 arrays, is the computing form
         publish = {
             "coef": partial(_public_coef, unit, top, coef),

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 import mvop
-from mvop._linalg import computing
+from mvop._linalg import cleared, computing
 from mvop.fock import _gradation_splits, _seminorms
 
 
@@ -90,12 +90,14 @@ def x_commutator_residual(fock, j: int, k: int, n: int) -> float:
         e = np.zeros(size, dtype=object if fock.exact else float)
         e[col] = 1 if fock.exact else 1.0
         state = {n: e}
-        jk = mvop.apply_coordinate(blocks, j, mvop.apply_coordinate(blocks, k, state))
-        kj = mvop.apply_coordinate(blocks, k, mvop.apply_coordinate(blocks, j, state))
+        jk = mvop.apply_coordinate(fock, j, mvop.apply_coordinate(fock, k, state))
+        kj = mvop.apply_coordinate(fock, k, mvop.apply_coordinate(fock, j, state))
         total = 0.0
-        # both words reach the same levels
+        # both words reach the same levels; exact words are Fraction vectors,
+        # whose difference is measured as a pair
         for level in set(jk) | set(kj):
-            total += seminorm(lambda: (jk[level] - kj[level])[:, None], level) ** 2
+            diff = (cleared if fock.exact else np.asarray)(jk[level] - kj[level])
+            total += seminorm(lambda: diff[:, None], level) ** 2
         worst = max(worst, math.sqrt(total))
     return worst
 

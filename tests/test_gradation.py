@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,35 @@ def test_circle_form_generators(circle_gradation):
     want2 = np.array([[1, 0, -1], [0, 2, 0], [-1, 0, 1]]) / 8.0
     assert np.max(np.abs(omega1 - want1)) <= 1e-10
     assert np.max(np.abs(omega2 - want2)) <= 1e-10
+
+
+def _omega_by_gram_dtype(lev):
+    """The form generator with its arithmetic read off the public Gram's dtype."""
+    out = lev.gram.copy()
+    for i, w in enumerate(lev.weights):
+        out[i, :] = out[i, :] / (w if lev.gram.dtype == object else float(w))
+    return out
+
+
+def test_omega_arithmetic_is_the_level_mode(circle_gradation, square_fn, square_gradation):
+    float_square = mvop.build_gradations(square_fn, 3, mode="float")
+    # every library-built level keeps its omega: bits for float levels, entries and types for exact ones
+    for g in (circle_gradation, square_gradation, float_square):
+        for lev in g.levels:
+            got, want = lev.omega(), _omega_by_gram_dtype(lev)
+            assert got.dtype == want.dtype == (object if g.exact else float)
+            assert [(type(v), v) for v in got.flat] == [(type(v), v) for v in want.flat]
+            assert g.exact or got.tobytes() == want.tobytes()
+    # a float level given a Fraction Gram computes in binary64, on the Gram's binary64 image
+    fractions = square_gradation.levels[2].gram * Fraction(1, 3)
+    assert any(float(v) != v for v in fractions.flat)
+    level = dataclasses.replace(float_square.levels[2], gram=fractions)
+    assert not level.exact
+    got = level.omega()
+    want = dataclasses.replace(float_square.levels[2], gram=fractions.astype(float)).omega()
+    assert got.dtype == float and got.tobytes() == want.tobytes()
+    weights = np.array([float(w) for w in level.weights])[:, None]
+    assert got.tobytes() == (fractions.astype(float) / weights).tobytes()
 
 
 def test_circle_gram_level_two(circle_gradation):

@@ -5,6 +5,7 @@ and localizing matrices; here they are recomputed term by term as
 Lambda(c_a c_b) and Lambda(x_i c_a c_b) from the candidate polynomials.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 
 import mvop
 from mvop import _linalg
-from mvop.gradation import _moment_rows
+from mvop.gradation import _moment_plan, _moment_rows
 from reference import expectation, moment_matrix
 
 
@@ -99,6 +100,73 @@ def test_moment_rows_are_the_cleared_rows(lo):
     float_f = mvop.as_float_functional(f)
     float_want = moment_matrix(float_f, 4)[first:, :columns]
     assert _moment_rows(float_f, lo, 4, 3).tobytes() == float_want.tobytes()
+
+
+def _unplanned_moment_rows(functional, lo, hi, degree):
+    """`_moment_rows` with no plan: every key of the block encoded, `np.unique` over them, each decoded."""
+    d = functional.dimension
+    base = hi + degree + 1
+    kind = np.int64 if base**d < 2**63 else object
+    radix = np.array([base**j for j in range(d)], dtype=kind)
+    keys = np.array(mvop.monomials_up_to(d, hi), dtype=kind) @ radix
+    rows, cols = keys[len(mvop.monomials_up_to(d, lo - 1)) :], keys[: len(mvop.monomials_up_to(d, degree))]
+    distinct, where = np.unique(rows[:, None] + cols[None, :], return_inverse=True)
+    values = [functional.moment(tuple(alpha)) for alpha in (distinct[:, None] // radix % base).tolist()]
+    where = where.reshape(len(rows), len(cols))
+    if not functional.exact:
+        return np.array(values, dtype=float)[where]
+    values = _linalg.cleared(np.array(values, dtype=object))
+    return _linalg.Cleared.reduced(values.num[where], values.den)
+
+
+def _block_bytes(block):
+    return pickle.dumps((block.num, block.den) if isinstance(block, _linalg.Cleared) else block)
+
+
+def _rational_product(d):
+    # factors with rational atoms of unequal denominators, and Gaussian ones
+    factors = []
+    for j in range(d):
+        if j % 3 == 2:
+            factors.append(mvop.gaussian_functional())
+            continue
+        atoms = ((Fraction(-1, 2 + j),), (Fraction(2, 3),), (Fraction(5, 4 + j),))
+        weights = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+        factors.append(mvop.discrete_functional(mvop.DiscreteMeasure(atoms=atoms, weights=weights)))
+    return mvop.product_functional(factors)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("lo", [0, 1])
+def test_planned_moment_rows_equal_the_unplanned_ones(d, lo):
+    exact = _rational_product(d)
+    for f in (exact, mvop.as_float_functional(exact)):
+        for hi in range(max(lo, 1), 4):
+            for degree in range(hi + 1):
+                got = _moment_rows(f, lo, hi, degree)
+                assert _block_bytes(got) == _block_bytes(_unplanned_moment_rows(f, lo, hi, degree))
+
+
+@pytest.mark.parametrize("lo", [0, 1])
+def test_planned_moment_rows_on_object_keys(lo):
+    # base 3 to the 64th power passes 2^63: the keys are Python ints
+    d, hi, degree = 64, 1, 1
+    assert (hi + degree + 1) ** d >= 2**63
+    exact = _rational_product(d)
+    for f in (exact, mvop.as_float_functional(exact)):
+        got = _moment_rows(f, lo, hi, degree)
+        assert _block_bytes(got) == _block_bytes(_unplanned_moment_rows(f, lo, hi, degree))
+
+
+def test_moment_plan_holds_the_cached_monomials_and_a_read_only_index():
+    distinct, where = _moment_plan(2, 1, 4, 3)
+    # the distinct multi-indices are the monomials of degree 1..7, the very tuples the monomial cache holds
+    cached = [alpha for s in range(1, 8) for alpha in mvop.monomials_of_degree(2, s)]
+    assert len(distinct) == len(cached) and all(a is b for a, b in zip(distinct, cached))
+    assert where.shape == (len(mvop.monomials_up_to(2, 4)) - 1, len(mvop.monomials_up_to(2, 3)))
+    with pytest.raises(ValueError, match="read-only"):
+        where[0, 0] = 0
+    assert _moment_plan(2, 1, 4, 3)[1] is where
 
 
 def test_exact_matmul_matches_fraction_products():

@@ -14,7 +14,9 @@ cutoff. A memoized vacuum state keeps only the levels that can still reach
 the vacuum. Assembly
 fetches each distinct localizing moment once for all coordinates. Exact
 gradations refuse data whose seminorm-null polynomials have a nonzero
-moment, which no moment functional has.
+moment, which no moment functional has. The index plan of a moment block and
+the weights of a level are built once per shape, and an exact `apply_coordinate`
+clears no block after its first application.
 """
 
 import copy
@@ -28,13 +30,15 @@ import pytest
 
 import mvop
 from conftest import random_rational_measure
-from mvop import _linalg, fock as fock_module, nullideal
+from mvop import _linalg, fock as fock_module, gradation as gradation_module, nullideal
 from mvop.cli import main
 from mvop.fock import _preservation_rhs
+from mvop.gradation import index_weight
 from mvop.scalars import Tolerances
 from reference import moment_matrix, replaced, x_commutator_residual
 from test_exact_kernels import ref_validate_checks
 from test_moment_matrix import _discrete
+from test_vacuum_memo import _spec
 
 # 1-D moments whose Hankel matrix has eigenvalue -0.618: x is seminorm-null, yet <x, x^2> = 1
 NOT_PSD = {
@@ -473,3 +477,96 @@ def test_float_check_splits_only_an_edited_gram_afresh(eighs):
     report = mvop.check_commutation(coarse)
     assert len(eighs) == 9
     assert report.entries == mvop.check_commutation(dataclasses.replace(coarse, gradation=None)).entries
+
+
+def _plan_calls():
+    """(hits, misses) of the moment-plan cache, then (hits, misses) of the level-weight cache."""
+    plan, weights = gradation_module._moment_plan.cache_info(), gradation_module._level_weights.cache_info()
+    return plan.hits, plan.misses, weights.hits, weights.misses
+
+
+@pytest.mark.parametrize(
+    "first, second, depth, mode",
+    [
+        (lambda: _spec("prod3.json", 3), lambda: _spec("six3d.json", 3), 3, "exact"),
+        (lambda: mvop.circle_functional(max_degree=14), lambda: mvop.circle_functional(half=True, max_degree=14), 6, "float"),
+    ],
+    ids=["prod3-six3d-exact", "circles-float"],
+)
+def test_a_repeated_shape_builds_no_plan(first, second, depth, mode):
+    for make in (first, second):
+        g = mvop.build_gradations(make(), depth, mode=mode)
+        mvop.assemble_fock(g)
+        if make is first:
+            before = _plan_calls()
+        # the weights of every level are the reciprocal multinomials of its monomials
+        assert all(lev.weights == tuple(index_weight(a) for a in lev.monomials) for lev in g.levels)
+    # the second run takes its two plans and its depth + 1 weight tuples from the caches
+    after = _plan_calls()
+    assert (after[1], after[3]) == (before[1], before[3])
+    assert (after[0] - before[0], after[2] - before[2]) == (2, depth + 1)
+
+
+def _applied_by_hand(fock, i, state):
+    """X_i applied term by term with the public blocks, exact products as Fraction arrays."""
+    out = {}
+    for n, v in state.items():
+        terms = [(n + 1, fock.aplus[i][n]), (n, fock.azero[i][n])] + ([(n - 1, fock.aminus[i][n])] if n else [])
+        for level, block in terms:
+            vec = block @ v
+            if fock.exact:
+                vec = np.array([Fraction(x) for x in vec], dtype=object)
+            out[level] = out[level] + vec if level in out else vec
+    return out
+
+
+def _states(fock, rng):
+    sizes = [len(mvop.monomials_of_degree(fock.dimension, n)) for n in range(fock.depth)]
+    if fock.exact:
+        def draw(k):
+            return np.array([Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)], dtype=object)
+    else:
+        def draw(k):
+            return np.array([rng.uniform(-2, 2) for _ in range(k)])
+    singles = [{n: draw(k)} for n, k in enumerate(sizes)]
+    return singles + [{n: draw(k) for n, k in enumerate(sizes)}]
+
+
+@pytest.mark.parametrize("name", ["prod3", "square", "circle"])
+def test_apply_coordinate_reads_the_computing_form(name, monkeypatch):
+    if name == "circle":
+        g = mvop.build_gradations(mvop.circle_functional(max_degree=14), 6)
+    else:
+        g = mvop.build_gradations(_spec(f"{name}.json", 3), 3)
+    assembled = mvop.assemble_fock(g)
+    # the same blocks given as public arrays: a value that makes its computing form on first need
+    given = mvop.FockData(
+        assembled.dimension, assembled.depth, assembled.exact, assembled.grams,
+        assembled.aplus, assembled.azero, assembled.aminus,
+    )
+    calls = []
+    clear = _linalg.cleared
+
+    def counting(x):
+        calls.append(x)
+        return clear(x)
+
+    monkeypatch.setattr(_linalg, "cleared", counting)
+    rng = random.Random(28)
+    for fock in (assembled, given):
+        states = _states(fock, rng)
+        mvop.apply_coordinate(fock, 0, states[0])
+        calls.clear()
+        for state in states:
+            for i in range(fock.dimension):
+                got = mvop.apply_coordinate(fock, i, state)
+                want = _applied_by_hand(fock, i, state)
+                assert list(got) == list(want)
+                for level, vec in got.items():
+                    if fock.exact:
+                        assert [(type(x), x) for x in vec] == [(type(x), x) for x in want[level]]
+                        assert all(type(x) is Fraction for x in vec)
+                    else:
+                        assert vec.dtype == float and vec.tobytes() == want[level].tobytes()
+        # after the first application only the state vectors are cleared, never a block
+        assert [x for x in calls if isinstance(x, np.ndarray) and x.ndim == 2] == []
