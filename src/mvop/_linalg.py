@@ -333,8 +333,6 @@ def times_sum(terms: list) -> Cleared:
     if products:
         lefts, rights = zip(*products)
         product = matmul(stack(lefts, axis=1), stack(rights, axis=0))
-        if not moves:
-            return product
     a, b = terms[0]
     total = np.zeros((a.shape[0], *b.shape[1:]), dtype=object)
     den = math.lcm(*(other.den for *_, other in moves), product.den if products else 1)

@@ -32,21 +32,22 @@ its computing form once, on first need (`FockData._clear`), pairs if it is
 exact, where a non-rational entry raises ValueError, and binary64 arrays if
 not, also when they are given as Fraction arrays.
 
-A canonical creation block carries no data: it is its index map
-(`_linalg.Units`), so A^+ R is a row scatter of R, L A^+ a column gather of L
-and (A^+)^T G a row gather of G, and none is a product (`_linalg.times`). In
-exact mode `complete_fock` holds its creation blocks as maps, a FockData
-publishes them as int arrays only when `aplus` is read, and exact creation
-blocks given as arrays are tested once against the maps (`FockData._clear`);
-one that fails keeps every creation block a dense matrix, so tampered blocks
-are measured as before. So the exact annihilation right-hand sides, vacuum
-words, commutation checks, validation's kernel checks, reconstruction's lift
-and the null ideal's inherited shifts form no product with a creation block.
-Float mode keeps its creation blocks as matrices and multiplies them: a map
-can keep a negative zero where a product gives +0.0, and float A^-, vacuum
-words and null generators are published. In the exact checks CR1 holds by
-construction and is recorded as 0.0 against its usual tolerance, CR2 is four
-gathers and scatters, and CR3 is two of each plus one product of its stacked
+The creation blocks carry no data: A_i^+ sends x^alpha to x^(alpha+e_i), a
+constant of the shape that `_creation` builds once, the one source every
+computation reads; a FockData given any other aplus raises ValueError at
+its first computation (`FockData._clear`). An exact creation block is its
+index map (`_linalg.Units`), so A^+ R is a row scatter of R, L A^+ a column
+gather of L and (A^+)^T G a row gather of G, and none is a product
+(`_linalg.times`); a FockData publishes them as int arrays only when `aplus`
+is read. So the exact annihilation right-hand sides, vacuum words,
+commutation checks, validation's kernel checks, reconstruction's lift and
+the null ideal's inherited shifts form no product with a creation block.
+Float creation blocks are read-only matrices, shared by every FockData of
+the shape, and multiplied: a map can keep a negative zero where a product
+gives +0.0, and float A^-, vacuum words and null generators are published.
+The shifts commute, so CR1 is recorded as 0.0 against tolerance comm in
+both modes, with no block formed. In the exact checks CR2 is four gathers
+and scatters, and CR3 is two of each plus one product of its stacked
 A^0 A^0 factors; the parts are added over one lcm and reduced once
 (`_linalg.times_sum`). Each relation is measured in the target-level Gram
 seminorm. A float check takes the split the gradation made of each Gram that
@@ -106,14 +107,19 @@ def _shift_rows(dimension: int, i: int, n: int) -> np.ndarray:
 
 
 @functools.cache
-def _shift(dimension: int, i: int, n: int) -> _linalg.Units:
-    """A_i^+(n) as its index map: column alpha has its unit in row alpha + e_i (`_shift_rows`)."""
-    return _linalg.Units(_shift_rows(dimension, i, n), len(monomials_of_degree(dimension, n + 1)))
+def _creation(dimension: int, depth: int, exact: bool) -> tuple:
+    """creation[i][n] = A_i^+(n) to depth, the one source computations read: built once per shape.
 
+    Exact: index maps (`_linalg.Units`, `_shift_rows`). Float: read-only
+    binary64 matrices, as a gather can keep a -0.0 where a product gives +0.0.
+    """
 
-def _shifts(dimension: int, depth: int) -> list:
-    """The index maps of every creation block up to depth: shifts[i][n] for A_i^+(n)."""
-    return [[_shift(dimension, i, n) for n in range(depth)] for i in range(dimension)]
+    def block(i, n):
+        if exact:
+            return _linalg.Units(_shift_rows(dimension, i, n), len(monomials_of_degree(dimension, n + 1)))
+        return _linalg.read_only(creation_matrix(dimension, i, n))
+
+    return tuple(tuple(block(i, n) for n in range(depth)) for i in range(dimension))
 
 
 def creation_matrix(dimension: int, i: int, n: int, dtype=float) -> np.ndarray:
@@ -158,12 +164,13 @@ class FockData(_linalg.ReadOnly):
 
     aplus[i][n] maps degree n to n+1 (n = 0..depth-1); azero[i][n] acts on
     degree n (n = 0..depth); aminus[i][n] maps degree n to n-1 (n = 1..depth,
-    entry 0 is None). Each family is a tuple of tuples of read-only arrays.
-    gradation is set when the blocks were assembled from a moment
-    functional, None when they came from external data. The checks on the
-    blocks read tolerances, those they were assembled or validated under.
-    Exact blocks of `assemble_fock` and of a `validate` report are published
-    on their first read.
+    entry 0 is None). Each family is a tuple of tuples of read-only arrays,
+    and aplus must be the canonical shifts (`creation_matrix`). gradation is
+    set when the blocks were assembled from a moment functional, None when
+    they came from external data. The checks on the blocks read tolerances,
+    those they were assembled or validated under. Exact blocks of
+    `assemble_fock` and of a `validate` report are published on their first
+    read.
     """
 
     dimension: int
@@ -181,20 +188,19 @@ class FockData(_linalg.ReadOnly):
     def _clear(self):
         """The computing form of blocks given as arrays: pairs if exact, else binary64 arrays.
 
-        Exact creation blocks that are all the canonical shifts are held as
-        their index maps (`_linalg.Units`), tested once here; otherwise every
-        one stays a dense pair. An exact block with a non-rational entry
-        raises ValueError.
+        The given creation blocks are tested once against the canonical
+        shifts, which then stand in for them (`_creation`). Any other aplus
+        (an entry, a shape or a count that differs) raises ValueError, as
+        does an exact block with a non-rational entry.
         """
         form = super()._clear()
-        if not self.exact:
-            return form
-        maps = _shifts(self.dimension, self.depth)
-        if len(form.aplus) == len(maps) and all(
-            len(a) == len(m) and all(u.matches(b) for b, u in zip(a, m)) for a, m in zip(form.aplus, maps)
+        creation = _creation(self.dimension, self.depth, self.exact)
+        canonical = _linalg.Units.matches if self.exact else np.array_equal
+        if len(form.aplus) != len(creation) or not all(
+            len(a) == len(c) and all(map(canonical, c, a)) for a, c in zip(form.aplus, creation)
         ):
-            return replace(form, aplus=maps)
-        return form
+            raise ValueError("aplus is not the canonical creation shifts")
+        return replace(form, aplus=creation)
 
 
 def _creation_blocks(d: int, depth: int) -> list:
@@ -292,20 +298,16 @@ def complete_fock(
     """The Fock representation of Gram and preservation blocks.
 
     Shared by moment-born blocks (`assemble_fock`) and supplied ones
-    (`favard.validate`): the creation blocks are the canonical shifts, the
-    annihilation blocks come from `annihilation_blocks`, all in computing
-    form. Exact creation blocks are their index maps (`_linalg.Units`), so the
-    right-hand sides are row gathers of the Grams; float ones are matrices
-    and the right-hand sides products, since the A^- blocks are published
-    and a gather can keep a negative zero where the product gives +0.0.
+    (`favard.validate`): the creation blocks are the canonical shifts of the
+    shape (`_creation`), the annihilation blocks come from
+    `annihilation_blocks`, all in computing form. Exact creation blocks are
+    index maps, so the right-hand sides are row gathers of the Grams; float
+    ones are matrices and the right-hand sides products.
     Returns (FockData, residuals), residuals as returned by
     `annihilation_blocks`; the FockData carries tol and gradation.
     """
     d, depth = len(azero), len(grams) - 1
-    if exact:
-        aplus = _shifts(d, depth)
-    else:
-        aplus = [[creation_matrix(d, i, n) for n in range(depth)] for i in range(d)]
+    aplus = _creation(d, depth, exact)
     aminus, residuals = annihilation_blocks(aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation, tol)
     # float blocks are binary64 arrays: their own computing form
@@ -560,9 +562,8 @@ def check_commutation(fock: FockData) -> CommutationReport:
     largest target-level Gram seminorm over block columns, so components in
     the null directions of the functional do not register, at the rank
     cutoff of `fock.tolerances`. Residuals of exact blocks pass only at zero.
-    Canonical exact creation blocks commute by construction: their CR1
-    entries are recorded as 0.0; other ones, and float ones, are multiplied
-    out.
+    The creation blocks are the canonical shifts, which commute: CR1 entries
+    are recorded as 0.0 in both modes, with no block formed.
     """
     tol = fock.tolerances
     form = _linalg.computing(fock)
@@ -592,17 +593,16 @@ def _term_sum(terms: list, exact: bool):
 def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> CommutationReport:
     """`check_commutation` of fock, in computing form, measured by seminorm (`_seminorms`).
 
-    With the creation blocks as index maps (`_linalg.Units`), CR1 vanishes by
-    construction: it is recorded as 0.0 against its usual tolerance, with
-    no block formed. A depth or dimension that leaves no relation returns
-    at once.
+    CR1 vanishes for the canonical shifts: it is recorded as 0.0 against
+    tolerance comm, with no block formed. A creation block's largest entry
+    is its unit, so only the A^0 and A^- blocks scale a tolerance. A depth
+    or dimension that leaves no relation returns at once.
     """
     n_max = fock.depth
     report = CommutationReport(depth=n_max)
     if n_max == 0 or fock.dimension < 2:
         return report
-    shifts = isinstance(fock.aplus[0][0], _linalg.Units)
-    blocks = {"+": fock.aplus, "0": fock.azero, "-": fock.aminus}
+    blocks = {"0": fock.azero, "-": fock.aminus}
 
     def ap(i, n):
         return fock.aplus[i][n]
@@ -615,14 +615,11 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
 
     @functools.cache
     def scale(kind, i, n):
-        # a canonical shift's largest entry is its unit
-        return 1.0 if kind == "+" and shifts else _max_abs(blocks[kind][i][n])
+        return _max_abs(blocks[kind][i][n])
 
     def record(relation, pair, n, terms, target_level, parts):
-        if relation == "CR1" and shifts:
-            residual = 0.0  # canonical shifts commute
-        else:
-            residual = seminorm(lambda: _term_sum(terms, fock.exact), target_level)
+        # CR1 has no terms: the canonical shifts commute
+        residual = seminorm(lambda: _term_sum(terms, fock.exact), target_level) if terms else 0.0
         tolerance = tol.comm * max([1.0] + [scale(*p) for p in parts])
         report.entries.append(
             CommutationEntry(
@@ -638,8 +635,7 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
         for k in range(j + 1, fock.dimension):
             pair = (j + 1, k + 1)
             for n in range(n_max - 1):
-                terms = [(ap(j, n + 1), ap(k, n)), (-ap(k, n + 1), ap(j, n))]
-                record("CR1", pair, n, terms, n + 2, [("+", j, n), ("+", k, n + 1)])
+                record("CR1", pair, n, [], n + 2, [])
             for n in range(n_max):
                 terms = [
                     (ap(j, n), az(k, n)),
@@ -647,8 +643,7 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
                     (az(j, n + 1), ap(k, n)),
                     (-ap(k, n), az(j, n)),
                 ]
-                parts = [("+", j, n), ("+", k, n), ("0", j, n + 1), ("0", k, n + 1)]
-                record("CR2", pair, n, terms, n + 1, parts)
+                record("CR2", pair, n, terms, n + 1, [("0", j, n + 1), ("0", k, n + 1)])
             for n in range(n_max):
                 terms = [
                     (am(k, n + 1), -ap(j, n)),
@@ -703,23 +698,19 @@ def _word_blocks(fock: FockData) -> list:
     """The blocks vacuum words apply, blocks[i] = (E_i, A_i^+, A_i^0, A_i^-), from the computing form.
 
     Exact blocks (`_linalg.computing`) are taken over one denominator E_i
-    per coordinate, the lcm of the denominators of its A^0 and A^- pairs and
-    of any dense A^+ pair (a non-canonical creation block): each is its
-    numerators scaled to E_i once, and a creation map stays its map. Float
-    blocks are taken as they are, with E_i = 1.
+    per coordinate, the lcm of the denominators of its A^0 and A^- pairs:
+    each is its numerators scaled to E_i once, and the creation maps are
+    kept. Float blocks are taken as they are, with E_i = 1.
     """
     cleared = _linalg.computing(fock)
     coordinates = list(zip(cleared.aplus, cleared.azero, cleared.aminus))
     if not fock.exact:
         return [(1, *kinds) for kinds in coordinates]
     out = []
-    for kinds in coordinates:
-        scale = math.lcm(*(b.den for kind in kinds for b in kind if isinstance(b, _linalg.Cleared)))
-
-        def scaled(b):
-            return b.num * (scale // b.den) if isinstance(b, _linalg.Cleared) else b
-
-        out.append((scale, *([scaled(b) for b in kind] for kind in kinds)))
+    for aplus, *kinds in coordinates:  # kinds: A^0, and A^- with None at level 0
+        scale = math.lcm(*(b.den for kind in kinds for b in kind if b is not None))
+        scaled = [[None if b is None else b.num * (scale // b.den) for b in kind] for kind in kinds]
+        out.append((scale, aplus, *scaled))
     return out
 
 

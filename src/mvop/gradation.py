@@ -205,12 +205,12 @@ class DegreeBasis(_linalg.ReadOnly):
         return self._polynomials(self.coef)
 
     def ortho_basis(self) -> list:
-        """Orthogonal polynomials spanning the slice; squared norms in split.norms2."""
-        return self.combine(self.split.combos)
+        """Orthogonal polynomials spanning the slice, from the computing split; squared norms in norms2."""
+        return self.combine(_linalg.computing(self).split.combos)
 
     def null_basis(self) -> list:
-        """Polynomials of this degree annihilated by the seminorm."""
-        return self.combine(self.split.null)
+        """Polynomials of this degree annihilated by the seminorm, from the computing split."""
+        return self.combine(_linalg.computing(self).split.null)
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,8 +302,7 @@ def build_gradations(
         k = len(monos)
         size = len(monomials_up_to(d, n))
         unit = np.zeros((size, k), dtype=object if exact else float)
-        for j in range(k):
-            unit[size - k + j, j] = 1
+        np.fill_diagonal(unit[size - k :], 1)  # an exact unit block holds int entries
         coef = _linalg.cleared(unit) if exact else unit
         for lo, scaled, paired in lower:
             if exact:

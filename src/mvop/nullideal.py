@@ -4,7 +4,8 @@ Polynomials annihilated by the seminorm of a functional form an ideal. Per
 degree, the Gram kernel consists of the top coefficient vectors of the null
 polynomials; stripping the directions inherited from the degree below (the
 creation shifts of its kernel, which carry every shifted earlier generator)
-leaves the genuinely new generators of that degree. Exact shifts, and the
+leaves the genuinely new generators of that degree. The shifts are the
+creation blocks of the shape (`fock._creation`). Exact shifts, and the
 kernels of diagonal levels, are index maps, multiplied only by `_linalg.times`.
 Generators are built as Polynomial objects only from those new kernel columns.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _linalg
-from .fock import _shift, creation_matrix
+from .fock import _creation
 from .gradation import GradationBasis
 from .polynomial import Polynomial
 
@@ -125,8 +126,8 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
         below = _linalg.computing(g.level(n - 1)).split.null
         # A_i^+ K_{n-1}: an exact shift is a row scatter; float shifts stay
         # products, since the SVD below can see the sign of a zero
-        shift = _shift if exact else creation_matrix
-        inherited = _linalg.stack([_linalg.times(shift(d, i, n - 1), below) for i in range(d)], axis=1)
+        creation = _creation(d, g.max_degree, exact)
+        inherited = _linalg.stack([_linalg.times(creation[i][n - 1], below) for i in range(d)], axis=1)
         new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]
         generators.extend(fresh)

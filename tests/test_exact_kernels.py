@@ -524,7 +524,7 @@ def test_times_moves_match_the_products():
     for _ in range(40):
         d, n, m = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
         i = rng.randrange(d)
-        shift = fock_module._shift(d, i, n)
+        shift = fock_module._creation(d, n + 1, True)[i][n]
         size, k = shift.shape
         for units, dense in ((shift, creation_matrix(d, i, n, object)), (-shift, -creation_matrix(d, i, n, object))):
             assert units.pair().num.tolist() == dense.tolist()
@@ -663,47 +663,49 @@ def test_exact_values_hold_rationals_and_float_values_compute_in_binary64(skewed
     assert all(type(c) is float for p in got for c in p.terms.values())
 
 
-def _tamper_creation(fock, aplus, step):
-    # A_1^+ y gains a y^2 component, so [A_1^+, A_2^+] misses at degree 0
-    return dataclasses.replace(fock, aplus=edited(aplus, 0, 1, (2, 1), change=lambda v: v + step))
+def _non_canonical(aplus, step):
+    """Creation families that are not the canonical shifts of a d = 2 shape of depth >= 2."""
+    # A_1^+ y gains a y^2 component
+    yield edited(aplus, 0, 1, (2, 1), change=lambda v: v + step)
+    # A_1^+(1) with its last row dropped: the shape of no degree-1 shift
+    yield [[aplus[0][0], aplus[0][1][:-1], *aplus[0][2:]], list(aplus[1])]
+    # one level short, and one coordinate too many
+    yield [list(per[:-1]) for per in aplus]
+    yield [*aplus, aplus[0]]
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_tampered_creation_block_fails_cr1(exact, skewed_fock):
-    # a creation block with one entry changed is no canonical shift: every
-    # block is multiplied as a matrix, as for any user-built blocks
-    if exact:
-        # an edited copy of the published blocks, or edited blocks given
-        # before any read, on assembled blocks and on those of a validation
-        # report, each passed through replace
-        published = _tamper_creation(skewed_fock, skewed_fock.aplus, Fraction(1, 3))
-        aplus = [[creation_matrix(2, i, n, object) for n in range(4)] for i in range(2)]
-        assigned, reported = (
-            _tamper_creation(fock, aplus, Fraction(1, 3))
-            for fock in (
-                mvop.assemble_fock(skewed_fock.gradation),
-                mvop.validate(mvop.FockInput.from_fock_data(skewed_fock)).fock,
-            )
-        )
-        for fock in (published, assigned, reported):
-            report = mvop.check_commutation(fock)
-            assert ("CR1", 0) in {(e.relation, e.degree) for e in report.failures()}
-            assert entries(report) == ref_commutation(fock, fock.tolerances)
-            words = mvop.monomials_up_to(2, 3)
-            assert [mvop.vacuum_moment(fock, w) for w in words] == [ref_vacuum(fock, w) for w in words]
-        return
-    fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=14), 6))
-    fock = _tamper_creation(fock, fock.aplus, 1e-3)
-    report = mvop.check_commutation(fock)
-    assert ("CR1", 0) in {(e.relation, e.degree) for e in report.failures()}
-    # the float CR1 residuals of the dense products, term by term
-    seminorm = fock_module._seminorms(fock.grams, fock.tolerances.rank)
-    ap = fock.aplus
-    want = [
-        seminorm(lambda: ap[0][n + 1] @ ap[1][n] + (-ap[1][n + 1]) @ ap[0][n], n + 2)
-        for n in range(fock.depth - 1)
-    ]
-    assert [e.residual for e in report.entries if e.relation == "CR1"] == want
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_non_canonical_creation_blocks_are_refused(mode, skewed_fock):
+    # A^+ is a constant of the shape: a FockData given any other aplus, built
+    # directly or through replace (of assembled blocks or of a validation
+    # report's), raises at its first computation, and again at the next
+    # depth 3: the float gradation of the 5 atoms degenerates at depth 4
+    assembled = mvop.assemble_fock(mvop.build_gradations(skewed_fock.gradation.functional, 3, mode=mode))
+    reported = mvop.validate(mvop.FockInput.from_fock_data(assembled)).fock
+    exact = mode == "exact"
+    vector = np.array([Fraction(1, 3), -2] if exact else [1.0, -2.0], dtype=object if exact else float)
+    uses = (
+        mvop.check_commutation,
+        mvop.adjointness_residuals,
+        mvop.azero_symmetry_residuals,
+        lambda f: mvop.vacuum_moment(f, (1, 1)),
+        lambda f: mvop.apply_coordinate(f, 0, {1: vector}),
+    )
+
+    def direct(fock, aplus):
+        return mvop.FockData(fock.dimension, fock.depth, fock.exact, fock.grams, aplus, fock.azero, fock.aminus)
+
+    for fock in (assembled, reported):
+        for build in (direct, lambda f, aplus: dataclasses.replace(f, aplus=aplus)):
+            # the canonical shifts, given as arrays, are taken
+            given = build(fock, [[b.copy() for b in per] for per in fock.aplus])
+            assert entries(mvop.check_commutation(given)) == entries(mvop.check_commutation(fock))
+            assert mvop.vacuum_moment(given, (1, 1)) == mvop.vacuum_moment(fock, (1, 1))
+            for aplus in _non_canonical(fock.aplus, Fraction(1, 3) if exact else 1e-3):
+                tampered = build(fock, aplus)
+                for use in uses + uses:
+                    with pytest.raises(ValueError, match="canonical creation shifts"):
+                        use(tampered)
 
 
 def test_matmul_on_mixed_object_array():

@@ -601,8 +601,13 @@ def test_editing_a_report_changes_no_later_result(square_fn):
                 block[entry] = change(block[entry])
         changed = report.fock
         for name, (path, change) in edits.items():
-            changed = replaced(changed, name, *path, change=change)
+            if name != "aplus":
+                changed = replaced(changed, name, *path, change=change)
         assert not mvop.check_commutation(changed).passed
+        # A^+ is no data: an edited copy is refused
+        path, change = edits["aplus"]
+        with pytest.raises(ValueError, match="canonical creation shifts"):
+            mvop.check_commutation(replaced(changed, "aplus", *path, change=change))
         assert all(b.flags.writeable for b in (*genuine.grams, *genuine.bzero[0]))
         report.checks.clear()
         assert mvop.reconstruct_discrete(genuine) == expected

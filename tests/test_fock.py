@@ -98,6 +98,28 @@ def test_commutation_passes_on_deep_float_circle(depth):
     assert report.max_residual <= 1e-12
 
 
+@pytest.mark.parametrize("half, depth", [(False, 12), (True, 6)])
+def test_float_cr1_multiplied_out_is_the_recorded_entry(half, depth):
+    # the public float shifts commute exactly in binary64: the products of
+    # CR1 measured in the target-level seminorm give the recorded 0.0, and
+    # the tolerance scaled by their largest entries the recorded one
+    circle = mvop.circle_functional(half=half, max_degree=2 * depth + 2)
+    fock = mvop.assemble_fock(mvop.build_gradations(circle, depth, mode="float"))
+    seminorm = fock_module._seminorms(fock.grams, fock.tolerances.rank)
+    ap = fock.aplus
+    want = []
+    for n in range(depth - 1):
+        residual = seminorm(lambda: ap[0][n + 1] @ ap[1][n] + (-ap[1][n + 1]) @ ap[0][n], n + 2)
+        scale = max(1.0, float(np.max(np.abs(ap[0][n]))), float(np.max(np.abs(ap[1][n + 1]))))
+        want.append((n, residual.hex(), (fock.tolerances.comm * scale).hex()))
+    got = [
+        (e.degree, e.residual.hex(), e.tolerance.hex())
+        for e in mvop.check_commutation(fock).entries
+        if e.relation == "CR1"
+    ]
+    assert got == want and {residual for _, residual, _ in want} == {(0.0).hex()}
+
+
 def test_commutation_passes_on_wide_float_measure():
     # seven atoms with coordinates up to 30: the degree-3 Gram has rounding
     # eigenvalues ~2e-8 above the split's cutoff, which its top eigenvalue
