@@ -262,10 +262,10 @@ class ReadOnly:
 
 
 def computing(holder: ReadOnly):
-    """holder's computing form: the one it was built from, else `holder._clear()`, made once."""
+    """holder's computing form: the one it was built from (None: holder itself), else `holder._clear()`, made once."""
     if "_computing" not in holder.__dict__:
         holder.__dict__["_computing"] = holder._clear()
-    return holder.__dict__["_computing"]
+    return holder.__dict__["_computing"] or holder
 
 
 def stack(mats: list, axis: int):

@@ -10,8 +10,10 @@ completes moment-born ones, and checked with the same residuals. Each
 payload is validated once: a FockInput keeps its last validation with
 read-only copies of the blocks it checked (`_Guarded`), and `validate` and
 `reconstruct_discrete` reuse it while the blocks, the mode and the
-tolerances stay the same. The checks run on those copies, cleared once;
-reconstruction reads that validation's cleared blocks and Gram splits.
+tolerances stay the same. The checks run on those copies, cleared once.
+The completed blocks keep the Gram splits they were solved with in their
+computing form (`fock._split`), which the kernel and commutation checks and
+reconstruction read.
 Exact creation blocks and the unit columns of diagonal Grams' splits are
 index maps, multiplied only by `_linalg.times`. A report's blocks are the
 validation's own, read-only: the exact ones are built only when
@@ -37,13 +39,14 @@ from .errors import (
 )
 from .fock import (
     FockData,
-    _commutation_report,
     _floored,
     _published_fock,
     _recorded_tolerance,
     _max_abs,
     _residual,
     _seminorms,
+    _split,
+    check_commutation,
     complete_fock,
     symmetry_residuals,
 )
@@ -329,13 +332,12 @@ class _Validation:
     """One validation run, held by the FockInput it checked and never handed out.
 
     checks: (name, detail, residual, tolerance) per check, in report order.
-    fock: the completed blocks (the reports'), set once positivity passed.
-    splits: the Gram splits, all of them if positive.
+    fock: the completed blocks (the reports'), set once positivity passed;
+    its computing form keeps the Gram splits they were completed with.
     """
 
     checks: tuple
     fock: FockData | None
-    splits: list
 
     def report(self, depth: int) -> ValidationReport:
         return ValidationReport(depth, [ValidationCheck(*c) for c in self.checks])
@@ -404,13 +406,13 @@ def _run_validation(fi: FockInput, copies: list, mode: str, tol: Tolerances) -> 
         add("psd", f"degree {n}", residual, tolerance, exact_residual=False)
     normalized = checks[0][2] <= checks[0][3]
     if len(splits) < len(grams) or not normalized:
-        return _Validation(tuple(checks), None, splits)
+        return _Validation(tuple(checks), None)
 
     fock, adjointness = complete_fock(grams, splits, bzero, exact, tol)
 
     # condition (i): kernel directions stay seminorm-zero under creation and
     # preservation
-    seminorm = _seminorms(grams, tol.rank, splits)
+    seminorm = _seminorms(fock)
     for n in range(n_max + 1):
         null = splits[n].null
         if null.shape[1] == 0:
@@ -428,7 +430,7 @@ def _run_validation(fi: FockInput, copies: list, mode: str, tol: Tolerances) -> 
         add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
     for (i, n), (residual, scale) in adjointness.items():
         add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-    for entry in _commutation_report(fock, tol, seminorm).entries:
+    for entry in check_commutation(fock).entries:
         add(
             entry.relation,
             f"pair {entry.pair}, degree {entry.degree}",
@@ -437,7 +439,7 @@ def _run_validation(fi: FockInput, copies: list, mode: str, tol: Tolerances) -> 
         )
     if exact:
         fock = _published_fock(fock, lambda: payload_grams, lambda: payload_bzero)
-    return _Validation(tuple(checks), fock, splits)
+    return _Validation(tuple(checks), fock)
 
 
 def _orthonormal_compression(grams: list, splits: list):
@@ -491,12 +493,12 @@ def reconstruct_discrete(
     raised). The blocks are validated first; a run `validate` made on the
     same unchanged FockInput with the same mode and tolerances is reused (see
     `validate`). Ranks and quotients come from that run's cleared blocks and
-    Gram splits, exact for exact blocks. The coordinate operators are
-    compressed to the orthonormal quotient of the non-degenerate slices and
-    jointly diagonalized in binary64; atoms are read off the diagonals,
-    weights off the squared vacuum row. Coordinates and weights within 1e-8
-    of a fraction with denominator <= 64 are snapped; the raw binary64
-    values are kept alongside.
+    the Gram splits their computing form keeps, exact for exact blocks. The
+    coordinate operators are compressed to the orthonormal quotient of the
+    non-degenerate slices and jointly diagonalized in binary64; atoms are
+    read off the diagonals, weights off the squared vacuum row. Coordinates
+    and weights within 1e-8 of a fraction with denominator <= 64 are
+    snapped; the raw binary64 values are kept alongside.
 
     Raises
     ------
@@ -509,7 +511,8 @@ def reconstruct_discrete(
     verdict = run.report(fi.depth)
     if not verdict.passed:
         raise ValidationFailedError(f"blocks failed validation: {verdict.summary()}")
-    fock, splits = _linalg.computing(run.fock), run.splits
+    fock = _linalg.computing(run.fock)
+    splits = [_split(fock, n) for n in range(fi.depth + 1)]
     cutoff = next((n for n, split in enumerate(splits) if split.rank == 0), None)
     if cutoff is None:
         raise NotFinitelySupportedError(
@@ -689,8 +692,10 @@ def self_adjointness_bound(fock: FockData, degrees=None) -> SelfAdjointnessRepor
     consistent with essential self-adjointness; nothing here constitutes a
     proof. Degenerate data (all a_n zero, finite support) reports divergent
     True with no exponent. The quotients are cut at the rank cutoff of
-    `fock.tolerances`.
+    `fock.tolerances`. A FockData whose aplus is not the canonical shifts
+    raises ValueError, as at its first check.
     """
+    _linalg.computing(fock)  # refuses a non-canonical aplus
     tol = fock.tolerances
     n_max = fock.depth
     degrees = list(range(1, n_max - 1)) if degrees is None else list(degrees)

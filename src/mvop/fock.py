@@ -50,10 +50,9 @@ both modes, with no block formed. In the exact checks CR2 is four gathers
 and scatters, and CR3 is two of each plus one product of its stacked
 A^0 A^0 factors; the parts are added over one lcm and reduced once
 (`_linalg.times_sum`). Each relation is measured in the target-level Gram
-seminorm. A float check takes the split the gradation made of each Gram that
-is a level's own Gram (`_gradation_splits`), and decomposes the others once
-per call (`_seminorms`); a caller holding float splits of the Grams
-(validation) has its factors read off them. A level whose seminorm vanishes
+seminorm, read off the Gram splits the computing form keeps (`_split`): those
+`assemble_fock` or `validate` solved with, else each made on first need, and
+the checks, validation and reconstruction share them. A level whose seminorm vanishes
 identically (an exact Gram with no nonzero entry, a float Gram with no
 seminorm factor) scores 0, and the block landing on it is never formed; an
 exact residual block with no nonzero numerator (`_linalg.is_zero`), the
@@ -167,10 +166,10 @@ class FockData(_linalg.ReadOnly):
     entry 0 is None). Each family is a tuple of tuples of read-only arrays,
     and aplus must be the canonical shifts (`creation_matrix`). gradation is
     set when the blocks were assembled from a moment functional, None when
-    they came from external data. The checks on the blocks read tolerances,
-    those they were assembled or validated under. Exact blocks of
-    `assemble_fock` and of a `validate` report are published on their first
-    read.
+    they came from external data; no computation reads it. The checks on the
+    blocks read tolerances, those they were assembled or validated under.
+    Exact blocks of `assemble_fock` and of a `validate` report are published
+    on their first read.
     """
 
     dimension: int
@@ -304,14 +303,24 @@ def complete_fock(
     index maps, so the right-hand sides are row gathers of the Grams; float
     ones are matrices and the right-hand sides products.
     Returns (FockData, residuals), residuals as returned by
-    `annihilation_blocks`; the FockData carries tol and gradation.
+    `annihilation_blocks`; the FockData carries tol and gradation, and is
+    its own computing form, which keeps splits (`_split`).
     """
     d, depth = len(azero), len(grams) - 1
     aplus = _creation(d, depth, exact)
     aminus, residuals = annihilation_blocks(aplus, grams, splits)
     fock = FockData(d, depth, exact, grams, aplus, azero, aminus, gradation, tol)
-    # float blocks are binary64 arrays: their own computing form
-    return fock if exact else FockData.lazy(fock, {}), residuals
+    # its own computing form, marked None: a reference to itself would be a cycle
+    fock.__dict__.update(_computing=None, _splits=list(splits))
+    return fock, residuals
+
+
+@functools.cache
+def _localizing_rows(dimension: int, depth: int) -> tuple:
+    """rows[i]: row alpha + e_i of M counted from degree 1, alpha of degree 0..depth: read-only, once per shape."""
+    starts = [len(monomials_up_to(dimension, n)) - 1 for n in range(depth + 1)]
+    rows = ([start + _shift_rows(dimension, i, n) for n, start in enumerate(starts)] for i in range(dimension))
+    return tuple(_linalg.read_only(np.concatenate(parts)) for parts in rows)
 
 
 def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
@@ -319,26 +328,21 @@ def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
 
     Both modes read the moments off the rows of M of degree 1..depth + 1
     (`_moment_rows`): row a of L_i is row a + e_i of M. Float: each L_i is
-    gathered from those rows and taken as a quadratic form, mirrored to be
-    exactly symmetric. Exact: row a of L_i coef_n is row a + e_i of M coef_n,
-    which vanishes below degree n, and coef_n is the identity on its degree-n
-    rows. So one product P_n, the rows of degree n and n + 1 of M coef_n,
-    gives rhs[i][n] = coef_n[degree n-1]^T P_n[degree n, alpha + e_i]
+    gathered from those rows (`_localizing_rows`) and taken as a quadratic
+    form, mirrored to be exactly symmetric. Exact: row a of L_i coef_n is
+    row a + e_i of M coef_n, which vanishes below degree n, and coef_n is
+    the identity on its degree-n rows. So one product P_n, the rows of
+    degree n and n + 1 of M coef_n, gives
+    rhs[i][n] = coef_n[degree n-1]^T P_n[degree n, alpha + e_i]
     + P_n[degree n+1, alpha + e_i], with the rows alpha + e_i over the
     degree-(n-1) and degree-n monomials alpha.
     """
     d, depth = g.dimension, g.max_degree
     rows = _moment_rows(g.functional, 1, depth + 1, depth)  # row r of M is row r - 1 here
     if not g.exact:
-        # L_i: row alpha + e_i of M for each alpha of degree 0..depth, in order
-        starts = [len(monomials_up_to(d, n)) - 1 for n in range(depth + 1)]
-        localizing = (
-            rows[np.concatenate([start + _shift_rows(d, i, n) for n, start in enumerate(starts)])]
-            for i in range(d)
-        )
         return [
             [_linalg.gram_product(coef, mat[: coef.shape[0], : coef.shape[0]]) for coef in coefs]
-            for mat in localizing
+            for mat in (rows[index] for index in _localizing_rows(d, depth))
         ]
     out: list = [[] for _ in range(d)]
     for n, coef in enumerate(coefs):
@@ -445,20 +449,27 @@ def azero_symmetry_residuals(fock: FockData) -> dict:
     }
 
 
-def _seminorm_factor(gram, tol_rank: float, split=None):
+def _split(form: FockData, n: int) -> _linalg.GramSplit:
+    """Gram n's split, kept by computing form form: the one it was completed with, else made on first need.
+
+    A split made here has no psd verdict: an indefinite float Gram is
+    measured on its positive part.
+    """
+    splits = form.__dict__.setdefault("_splits", [None] * len(form.grams))
+    if splits[n] is None:
+        splits[n] = _linalg.split_gram(form.grams[n], form.exact, form.tolerances.rank, math.inf)
+    return splits[n]
+
+
+def _seminorm_factor(split: _linalg.GramSplit, tol_rank: float):
     """F with |F c| the float Gram seminorm of a column c, or None where it is zero.
 
     F = (C sqrt(D))^T over the combos C and `norms2` D of the Gram's float
-    `split_gram` (the eigenpairs of the symmetrized binary64 Gram above its
-    rank cutoff) that are also above tol_rank relative to the top one: the
-    rest belong to the quotient kernel, and evaluating the raw quadratic form
+    split (the eigenpairs of the symmetrized binary64 Gram above its rank
+    cutoff) that are also above tol_rank relative to the top one: the rest
+    belong to the quotient kernel, and evaluating the raw quadratic form
     there would turn rounding noise of size eps into a sqrt(eps) artifact.
-    A split already made of the Gram is read, not made again; without one,
-    the split is made with no psd verdict, so an indefinite Gram is
-    measured on its positive part.
     """
-    if split is None:
-        split = _linalg.split_gram(gram, False, tol_rank, math.inf)
     norms2 = split.norms2
     if not len(norms2):
         return None
@@ -471,44 +482,40 @@ def _seminorm_residual(cols, gram, factor) -> float:
 
     Exact blocks are measured in rational arithmetic, on integer numerators,
     so a column lying in the kernel scores exactly zero. Float blocks are
-    measured as |F c| with F = factor(), the Gram's `_seminorm_factor`;
-    where it is None the seminorm vanishes and the block scores 0. Callers
-    go through `_seminorms`, which scores a level whose seminorm vanishes
-    identically 0 without forming the block.
+    measured as |F c| with F the Gram's `_seminorm_factor`; where it is None
+    the seminorm vanishes and the block scores 0. Callers go through
+    `_seminorms`, which scores a level whose seminorm vanishes identically 0
+    without forming the block.
     """
     if 0 in cols.shape:
         return 0.0
     if isinstance(gram, _linalg.Cleared):
         quad = _linalg.max_quadratic(cols, gram)
         return _floored(math.sqrt(max(0.0, float(quad))), quad > 0)
-    f = factor()
-    if f is None:
+    if factor is None:
         return 0.0
-    proj = f @ _linalg.to_float(cols)
+    proj = factor @ _linalg.to_float(cols)
     return float(math.sqrt(max(0.0, float(np.max(np.einsum("ij,ij->j", proj, proj))))))
 
 
-def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
-    """residual(make_cols, n): `_seminorm_residual` of make_cols() against grams[n].
+def _seminorms(form: FockData):
+    """residual(make_cols, n): `_seminorm_residual` of make_cols() against form.grams[n], form in computing form.
 
     A level whose seminorm vanishes identically (an exact Gram with no
     nonzero entry, a float Gram with no `_seminorm_factor`) scores 0.0, and
     make_cols is not called: the block is never formed. An exact block with
     no nonzero numerator (`_linalg.is_zero`) scores 0.0 without the
-    seminorm. Each level's float factor and vanishing test are made on
-    first need, once per returned function. The caller's float splits of the
-    Grams, if given, give the factors; a None among them is made afresh.
+    seminorm. Each level's float factor is made from the form's split
+    (`_split`) on first need, once per value.
     """
+    factors = form.__dict__.setdefault("_factors", {})
 
-    @functools.cache
-    def factor(n):
-        return _seminorm_factor(grams[n], tol_rank, None if splits is None else splits[n])
-
-    @functools.cache
     def vanishes(n):
-        if isinstance(grams[n], _linalg.Cleared):
-            return _linalg.is_zero(grams[n])
-        return factor(n) is None
+        if form.exact:
+            return _linalg.is_zero(form.grams[n])
+        if n not in factors:
+            factors[n] = _seminorm_factor(_split(form, n), form.tolerances.rank)
+        return factors[n] is None
 
     def residual(make_cols, n):
         if vanishes(n):
@@ -516,7 +523,7 @@ def _seminorms(grams: list, tol_rank: float, splits: list | None = None):
         cols = make_cols()
         if _linalg.is_zero(cols):
             return 0.0  # what the seminorm of an exact zero block is
-        return _seminorm_residual(cols, grams[n], functools.partial(factor, n))
+        return _seminorm_residual(cols, form.grams[n], factors.get(n))
 
     return residual
 
@@ -561,47 +568,19 @@ def check_commutation(fock: FockData) -> CommutationReport:
     must vanish (checked up to degree depth-1). Residuals are measured as the
     largest target-level Gram seminorm over block columns, so components in
     the null directions of the functional do not register, at the rank
-    cutoff of `fock.tolerances`. Residuals of exact blocks pass only at zero.
+    cutoff of `fock.tolerances`, on the splits the computing form keeps
+    (`_seminorms`). Residuals of exact blocks pass only at zero.
     The creation blocks are the canonical shifts, which commute: CR1 entries
-    are recorded as 0.0 in both modes, with no block formed.
+    are recorded as 0.0 in both modes, with no block formed. A creation
+    block's largest entry is its unit, so only the A^0 and A^- blocks scale
+    a tolerance. A depth or dimension that leaves no relation returns at once.
     """
-    tol = fock.tolerances
-    form = _linalg.computing(fock)
-    return _commutation_report(form, tol, _seminorms(form.grams, tol.rank, _gradation_splits(fock)))
-
-
-def _gradation_splits(fock: FockData) -> list | None:
-    """The splits fock's float gradation made of fock's Grams, where a Gram is its level's own.
-
-    A forward float FockData's Grams are its gradation's levels' own
-    read-only arrays. Any other Gram, and every Gram under another rank
-    cutoff, gets None, and its split is made afresh. Exact gradations: None.
-    """
-    g = fock.gradation
-    if g is None or g.exact or fock.tolerances.rank != g.tol.rank or len(g.levels) != len(fock.grams):
-        return None
-    return [lev.split if gram is lev.gram else None for gram, lev in zip(fock.grams, g.levels)]
-
-
-def _term_sum(terms: list, exact: bool):
-    """The sum of left @ right: float products added in order, exact terms by `_linalg.times_sum`."""
-    if exact:
-        return _linalg.times_sum(terms)
-    return functools.reduce(operator.add, (left @ right for left, right in terms))
-
-
-def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> CommutationReport:
-    """`check_commutation` of fock, in computing form, measured by seminorm (`_seminorms`).
-
-    CR1 vanishes for the canonical shifts: it is recorded as 0.0 against
-    tolerance comm, with no block formed. A creation block's largest entry
-    is its unit, so only the A^0 and A^- blocks scale a tolerance. A depth
-    or dimension that leaves no relation returns at once.
-    """
-    n_max = fock.depth
+    fock = _linalg.computing(fock)
+    tol, n_max = fock.tolerances, fock.depth
     report = CommutationReport(depth=n_max)
     if n_max == 0 or fock.dimension < 2:
         return report
+    seminorm = _seminorms(fock)
     blocks = {"0": fock.azero, "-": fock.aminus}
 
     def ap(i, n):
@@ -658,6 +637,13 @@ def _commutation_report(fock: FockData, tol: Tolerances, seminorm) -> Commutatio
                 parts = [("0", j, n), ("0", k, n), ("-", j, n + 1), ("-", k, n + 1)]
                 record("CR3", pair, n, terms, n, parts)
     return report
+
+
+def _term_sum(terms: list, exact: bool):
+    """The sum of left @ right: float products added in order, exact terms by `_linalg.times_sum`."""
+    if exact:
+        return _linalg.times_sum(terms)
+    return functools.reduce(operator.add, (left @ right for left, right in terms))
 
 
 def apply_coordinate(fock: FockData, i: int, state: dict) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 import mvop
 from mvop._linalg import cleared, computing
-from mvop.fock import _gradation_splits, _seminorms
+from mvop.fock import _seminorms
 
 
 def moment_matrix(functional, degree: int, shift=None) -> np.ndarray:
@@ -83,7 +83,7 @@ def x_commutator_residual(fock, j: int, k: int, n: int) -> float:
             f"commutator at degree {n} needs depth {n + 2}, built {fock.depth}"
         )
     blocks = computing(fock)
-    seminorm = _seminorms(blocks.grams, fock.tolerances.rank, _gradation_splits(fock))
+    seminorm = _seminorms(blocks)
     size = blocks.grams[n].shape[0]
     worst = 0.0
     for col in range(size):

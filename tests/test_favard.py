@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -436,6 +437,23 @@ def test_self_adjointness_degree_window(circle_fock):
     with pytest.raises(ValueError, match="integers"):
         mvop.self_adjointness_bound(circle_fock, degrees=[1.7, 2.2])
     assert mvop.self_adjointness_bound(circle_fock, degrees=iter([2, 1])).degrees == [1, 2]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_self_adjointness_refuses_a_non_canonical_aplus(mode):
+    # A_1^+(3) with a changed entry is no creation block: the bound refuses
+    # it, as every check does, and canonical blocks given as copies keep
+    # their bounds bit for bit
+    if mode == "float":
+        f, step = mvop.circle_functional(max_degree=18), 5.0
+    else:
+        f, step = mvop.product_functional([mvop.gaussian_functional()] * 2), 5
+    fock = mvop.assemble_fock(mvop.build_gradations(f, 8 if mode == "float" else 5, mode=mode))
+    want = [a.hex() for a in mvop.self_adjointness_bound(fock).bounds]
+    with pytest.raises(ValueError, match="canonical creation shifts"):
+        mvop.self_adjointness_bound(replaced(fock, "aplus", 0, 3, (0, 0), change=lambda v: v + step))
+    given = dataclasses.replace(fock, aplus=[[b.copy() for b in per] for per in fock.aplus])
+    assert [a.hex() for a in mvop.self_adjointness_bound(given).bounds] == want
 
 
 def test_joint_diagonalization_rejects_non_commuting_pair():

@@ -105,7 +105,7 @@ def test_float_cr1_multiplied_out_is_the_recorded_entry(half, depth):
     # the tolerance scaled by their largest entries the recorded one
     circle = mvop.circle_functional(half=half, max_degree=2 * depth + 2)
     fock = mvop.assemble_fock(mvop.build_gradations(circle, depth, mode="float"))
-    seminorm = fock_module._seminorms(fock.grams, fock.tolerances.rank)
+    seminorm = fock_module._seminorms(fock)  # an assembled value is its own computing form
     ap = fock.aplus
     want = []
     for n in range(depth - 1):
@@ -315,7 +315,7 @@ def test_no_coordinate_pair_is_walked_without_a_relation():
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code is fock_module._commutation_report.__code__ else None
+        return local if frame.f_code is fock_module.check_commutation.__code__ else None
 
     previous = sys.gettrace()
     sys.settrace(calls)

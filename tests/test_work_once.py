@@ -1,12 +1,12 @@
-"""Per-op work is done once: Gram factors per check, vacuum states, localizing moments.
+"""Per-op work is done once: Gram factors per value, vacuum states, localizing moments.
 
-A float check on assembled blocks reads the gradation's split of each Gram
-still equal to the one split, and decomposes any other target-level Gram
-once per call, keeping no factor on the FockData, so an in-place edit
-between calls is seen; float validation decomposes each payload Gram once
-in all. A forward exact run multiplies no creation block: the canonical
-shifts act as index maps. On a product of 1-D functionals, whose Grams are
-all diagonal, it runs no elimination and solves with no product. A
+A FockData's computing form keeps its Gram splits: a float check on
+assembled blocks, or on a validation report's, reads the splits they were
+completed with, and a value built or replaced by a caller decomposes each
+target-level Gram once, on its first check; float validation decomposes
+each payload Gram once in all. A forward exact run multiplies no creation
+block: the canonical shifts act as index maps. On a product of 1-D
+functionals, whose Grams are all diagonal, it runs no elimination and solves with no product. A
 seminorm check forms no product on a level whose seminorm vanishes, exact
 validation runs no elimination, solve or product against a zero Gram
 level, and reconstruction compresses only the levels below its rank-zero
@@ -14,16 +14,18 @@ cutoff. A memoized vacuum state keeps only the levels that can still reach
 the vacuum. Assembly
 fetches each distinct localizing moment once for all coordinates. Exact
 gradations refuse data whose seminorm-null polynomials have a nonzero
-moment, which no moment functional has. The index plan of a moment block and
-the weights of a level are built once per shape, so are the float creation
-blocks, and an exact `apply_coordinate`
+moment, which no moment functional has. The index plan of a moment block,
+the weights of a level and the float localizing index are built once per
+shape, so are the float creation blocks, and an exact `apply_coordinate`
 clears no block after its first application.
 """
 
 import copy
 import dataclasses
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -77,13 +79,13 @@ def test_one_eigh_per_target_level_per_check(circle12, eighs):
     assert len(eighs) == 0
     assert mvop.check_commutation(circle12).entries == report.entries
     assert len(eighs) == 0
-    # without the gradation, a call decomposes each target level once
+    # a replaced value keeps no split: its first call decomposes each target level once
     bare = dataclasses.replace(circle12, gradation=None)
     assert mvop.check_commutation(bare).entries == report.entries
     assert len(eighs) == 13
     eighs.clear()
     assert mvop.check_commutation(bare).entries == report.entries
-    assert len(eighs) == 13  # a second call decomposes afresh
+    assert len(eighs) == 0  # a second call reads the splits the first one kept
 
 
 def test_float_validate_decomposes_each_kernel_gram_once(circle12, eighs):
@@ -96,6 +98,48 @@ def test_float_validate_decomposes_each_kernel_gram_once(circle12, eighs):
     kernel_levels = null_levels | {n + 1 for n in null_levels if n < 12}
     assert kernel_levels == set(range(2, 13))
     assert len(eighs) == 13
+
+
+def test_checking_a_float_validation_report_splits_no_gram(circle12, eighs):
+    fi = mvop.FockInput.from_fock_data(circle12)
+    report = mvop.validate(fi)
+    assert report.passed and len(eighs) == 13
+    eighs.clear()
+    # the report's blocks keep the splits validation completed them with
+    checked = mvop.check_commutation(report.fock)
+    assert len(eighs) == 0
+    assert [(e.relation, f"pair {e.pair}, degree {e.degree}", e.residual, e.tolerance) for e in checked.entries] == [
+        (c.name, c.detail, c.residual, c.tolerance) for c in report.checks if c.name.startswith("CR")
+    ]
+
+
+def test_a_caller_built_float_value_splits_each_level_once(circle12, eighs):
+    given = mvop.FockData(
+        circle12.dimension, circle12.depth, False, circle12.grams, circle12.aplus, circle12.azero, circle12.aminus
+    )
+    want = mvop.check_commutation(circle12).entries
+    for _ in range(3):
+        assert mvop.check_commutation(given).entries == want
+    assert x_commutator_residual(given, 0, 1, 4) == x_commutator_residual(circle12, 0, 1, 4)
+    # the first check splits each of the 13 target levels, and the value keeps the splits
+    assert len(eighs) == 13
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_completed_value_is_freed_with_its_last_reference(mode, square_fn):
+    # a value that is its own computing form holds no reference to itself, so
+    # it and its splits go when the caller drops it, not at a later collection
+    fock = mvop.assemble_fock(mvop.build_gradations(square_fn, 3, mode=mode))
+    fi = mvop.FockInput.from_fock_data(fock)
+    gc.disable()
+    try:
+        forms = [_linalg.computing(f) for f in (fock, mvop.validate(fi, mode=mode).fock)]
+        assert all(mvop.check_commutation(form).passed for form in forms)
+        refs = [weakref.ref(form) for form in forms]
+        del fock, fi, forms
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # the level each seminorm check measures on, as an offset from its degree
@@ -201,7 +245,8 @@ def test_exact_favard_multiplies_no_unit_columns(monkeypatch, eight_atoms):
     calls = _recorded_matmuls(monkeypatch)
     assert mvop.validate(fi).passed
     assert len(mvop.reconstruct_discrete(fi).atoms) == 8
-    splits = fi._memo.value[1].splits
+    form = _linalg.computing(fi._memo.value[1].fock)
+    splits = [fock_module._split(form, n) for n in range(fi.depth + 1)]
     diagonal = [n for n, g in enumerate(fi.grams) if not np.count_nonzero(g - np.diag(np.diag(g)))]
     assert {0, 4, 5, 6, 7, 8} <= set(diagonal)
     units = [getattr(splits[n], name) for n in diagonal for name in ("combos", "null")]
@@ -464,27 +509,28 @@ def test_exact_product_run_eliminates_and_solves_by_no_product(monkeypatch):
     assert counts["_eliminate"] == 0 and counts["pseudo_apply"] > 0
 
 
-def test_float_check_splits_only_an_edited_gram_afresh(eighs):
+def test_float_check_splits_a_replaced_value_once(eighs):
     fock = mvop.assemble_fock(mvop.build_gradations(mvop.circle_functional(max_degree=18), 8))
     fock = replaced(fock, "grams", 3, (0, 0), change=lambda v: v * 4.0)
     eighs.clear()
     report = mvop.check_commutation(fock)
-    assert len(eighs) == 1  # level 3 alone: the gradation split the Gram, not its edited copy
-    eighs.clear()
-    assert report.entries == mvop.check_commutation(dataclasses.replace(fock, gradation=None)).entries
+    # a new value keeps no split of the one it came from: every Gram is split once
     assert len(eighs) == 9
-    # another rank cutoff splits every Gram afresh
     eighs.clear()
+    assert report.entries == mvop.check_commutation(fock).entries
+    assert len(eighs) == 0
+    # so is one under another rank cutoff
     coarse = dataclasses.replace(fock, tolerances=Tolerances(rank=1e-6))
     report = mvop.check_commutation(coarse)
     assert len(eighs) == 9
-    assert report.entries == mvop.check_commutation(dataclasses.replace(coarse, gradation=None)).entries
+    assert report.entries == mvop.check_commutation(coarse).entries
+    assert len(eighs) == 9
 
 
 def _plan_calls():
-    """(hits, misses) of the moment-plan cache, then (hits, misses) of the level-weight cache."""
-    plan, weights = gradation_module._moment_plan.cache_info(), gradation_module._level_weights.cache_info()
-    return plan.hits, plan.misses, weights.hits, weights.misses
+    """(hits, misses) of the moment-plan, level-weight and float localizing-index caches, in turn."""
+    caches = (gradation_module._moment_plan, gradation_module._level_weights, fock_module._localizing_rows)
+    return tuple(n for cache in caches for n in cache.cache_info()[:2])
 
 
 @pytest.mark.parametrize(
@@ -503,10 +549,13 @@ def test_a_repeated_shape_builds_no_plan(first, second, depth, mode):
             before = _plan_calls()
         # the weights of every level are the reciprocal multinomials of its monomials
         assert all(lev.weights == tuple(index_weight(a) for a in lev.monomials) for lev in g.levels)
-    # the second run takes its two plans and its depth + 1 weight tuples from the caches
+    # the second run takes its two plans, its depth + 1 weight tuples and,
+    # in float mode, its localizing index from the caches
     after = _plan_calls()
-    assert (after[1], after[3]) == (before[1], before[3])
-    assert (after[0] - before[0], after[2] - before[2]) == (2, depth + 1)
+    assert after[1::2] == before[1::2]
+    hits = tuple(a - b for a, b in zip(after[::2], before[::2]))
+    assert hits == (2, depth + 1, mode == "float")
+    assert not any(index.flags.writeable for index in fock_module._localizing_rows(2, depth))
 
 
 def test_float_creation_blocks_are_built_once_per_shape(monkeypatch):
