@@ -408,8 +408,8 @@ def rank_cutoff(dim: int, lam_max: float, tol_rank: float) -> float:
 def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -> GramSplit:
     """Split a symmetric Gram matrix into positive and null parts.
 
-    Float mode: eigendecomposition; eigenvalues <= the rank cutoff are null,
-    anything below -tol_psd (scaled) means the data is not a moment functional.
+    Float mode: one eigendecomposition (`eigen_split`); an eigenvalue below
+    -tol_psd (scaled) means the data is not a moment functional.
     Exact mode: `_exact_split`, a split of pairs for a `Cleared` Gram, else of
     Fractions; an asymmetric Gram or a non-positive pivot norm means the same
     inconsistency.
@@ -421,17 +421,23 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     if exact:
         split = _exact_split(cleared(gram))
         return split if isinstance(gram, Cleared) else published(split)
-    g = to_float(gram)
-    g = (g + g.T) / 2.0
-    evals, evecs = np.linalg.eigh(g)
-    lam_max = float(evals[-1]) if d else 0.0
-    if evals[0] < -tol_psd * max(1.0, lam_max):
+    evals, split = eigen_split(gram, tol_rank)
+    if evals[0] < -tol_psd * max(1.0, float(evals[-1])):
         raise InconsistentMomentsError(
             f"Gram matrix has eigenvalue {evals[0]:.3e}; data is not a moment functional"
         )
-    cut = rank_cutoff(d, lam_max, tol_rank)
-    keep = evals > cut
-    return GramSplit(evecs[:, keep], evals[keep], evecs[:, ~keep])
+    return split
+
+
+def eigen_split(gram: np.ndarray, tol_rank: float) -> tuple:
+    """(eigenvalues, split) of the symmetrized binary64 image of a non-empty Gram, from one `eigh`.
+
+    Eigenvalues <= the rank cutoff are null; the caller judges positivity.
+    """
+    g = to_float(gram)
+    evals, evecs = np.linalg.eigh((g + g.T) / 2.0)
+    keep = evals > rank_cutoff(len(evals), float(evals[-1]), tol_rank)
+    return evals, GramSplit(evecs[:, keep], evals[keep], evecs[:, ~keep])
 
 
 def _exact_split(gram: Cleared) -> GramSplit:

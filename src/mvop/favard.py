@@ -6,19 +6,19 @@ moment functional, and, when every Gram slice eventually degenerates to rank
 zero, reconstructs the finitely supported representing measure by jointly
 diagonalizing the coordinate operators on the non-degenerate quotient.
 Supplied blocks are completed by `fock.complete_fock`, the routine that
-completes moment-born ones, and checked with the same residuals. Each
-payload is validated once: a FockInput keeps its last validation with
-read-only copies of the blocks it checked (`_Guarded`), and `validate` and
-`reconstruct_discrete` reuse it while the blocks, the mode and the
-tolerances stay the same. The checks run on those copies, cleared once.
-The completed blocks keep the Gram splits they were solved with in their
-computing form (`fock._split`), which the kernel and commutation checks and
-reconstruction read.
-Exact creation blocks and the unit columns of diagonal Grams' splits are
-index maps, multiplied only by `_linalg.times`. A report's blocks are the
-validation's own, read-only: the exact ones are built only when
-`report.fock` is first read, and the checks read its pairs throughout. The
-caller's FockInput stays writable; an edit to it is validated afresh.
+completes moment-born ones, and checked with the same residuals. A
+FockInput is a read-only value like every other (`_linalg.ReadOnly`), so
+each payload is validated once: it keeps its last validation, and
+`validate` and `reconstruct_discrete` reuse it under the same mode and
+tolerances. The checks run on its blocks, cleared once; a float Gram's one
+eigendecomposition gives both its psd record and its split. The completed
+blocks keep the Gram splits they were solved with in their computing form
+(`fock._split`), which the kernel and commutation checks and reconstruction
+read. Exact creation blocks and the unit columns of diagonal Grams' splits
+are index maps, multiplied only by `_linalg.times`. A report's blocks are
+the validation's own, read-only: the payload's arrays and the blocks it
+completed them with; the exact ones are built only when `report.fock` is
+first read, and the checks read its pairs throughout.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -76,48 +77,33 @@ def _zero_bzero(dimension: int, depth: int) -> list:
     ]
 
 
-class _Guarded:
-    """A value derived from some arrays, kept with read-only shallow copies of them (`copies`).
-
-    `holds(arrays)` is true while there are as many arrays as copies and each
-    has the dtype, shape and bytes of its copy. An object array's bytes are
-    its element pointers, and the copy keeps the elements alive, so equal
-    bytes mean the same immutable scalars: an in-place edit, a reassigned
-    array or a float put in place of an equal rational all fail the test.
-    """
-
-    def __init__(self, copies: list, value):
-        self.copies = copies
-        self.value = value
-
-    def holds(self, arrays: list) -> bool:
-        return len(arrays) == len(self.copies) and all(
-            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in zip(self.copies, arrays)
-        )
+def _check_shape(block, dimension: int, n: int, name: str) -> None:
+    k = space_dimension(dimension, n)
+    if block.shape != (k, k):
+        raise ValueError(f"{name} has shape {block.shape}, expected ({k}, {k})")
 
 
-@dataclass
-class FockInput:
+@dataclass(frozen=True)
+class FockInput(_linalg.ReadOnly):
     """Externally supplied Gram and preservation blocks up to a fixed depth.
 
     grams[n] is the symmetric candidate Gram at degree n (n = 0..depth);
     bzero[i][n] is the proposed preservation block of coordinate i+1 acting
-    on degree n. Creation blocks are always the canonical index shifts.
+    on degree n. Creation blocks are always the canonical index shifts. Each
+    family is a tuple of read-only arrays; a change is a new value
+    (`dataclasses.replace`). A value keeps its last validation (`_validate`);
+    copies and pickles start with none.
     """
 
     dimension: int
     depth: int
-    grams: list
-    bzero: list
-    # the (key, _Validation) of the last validation, guarded by the blocks, see `_validate`
-    _memo: _Guarded | None = field(default=None, init=False, repr=False, compare=False)
+    grams: tuple
+    bzero: tuple
 
-    def __getstate__(self):
-        # the memo belongs to these blocks: a copy starts its own
-        return {k: v for k, v in self.__dict__.items() if k != "_memo"}
+    _arrays = ("grams", "bzero")
 
     def __post_init__(self):
+        super().__post_init__()
         d, n_max = self.dimension, self.depth
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
@@ -128,9 +114,7 @@ class FockInput:
         if len(self.bzero) != d:
             raise ValueError(f"expected {d} preservation families, got {len(self.bzero)}")
         for n, g in enumerate(self.grams):
-            k = space_dimension(d, n)
-            if g.shape != (k, k):
-                raise ValueError(f"Gram at degree {n} has shape {g.shape}, expected ({k}, {k})")
+            _check_shape(g, d, n, f"Gram at degree {n}")
             # a rational Gram is symmetric exactly, a float one within rounding
             if all(map(is_rational, g.flat)):
                 asymmetric = (g != g.T).any()
@@ -146,14 +130,9 @@ class FockInput:
                     f"expected {n_max + 1}"
                 )
             for n, b in enumerate(per_level):
-                k = space_dimension(d, n)
-                if b.shape != (k, k):
-                    raise ValueError(
-                        f"preservation block at coordinate {i + 1}, degree {n} "
-                        f"has shape {b.shape}, expected ({k}, {k})"
-                    )
+                _check_shape(b, d, n, f"preservation block at coordinate {i + 1}, degree {n}")
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(
             is_rational(v) for g in self.grams for v in g.flat
@@ -161,18 +140,14 @@ class FockInput:
 
     @classmethod
     def from_fock_data(cls, fock: FockData) -> "FockInput":
-        return cls(
-            dimension=fock.dimension,
-            depth=fock.depth,
-            grams=[g.copy() for g in fock.grams],
-            bzero=[[b.copy() for b in per] for per in fock.azero],
-        )
+        return cls(fock.dimension, fock.depth, fock.grams, fock.azero)
 
     @classmethod
     def from_omegas(cls, dimension: int, omegas: list, bzero: list = None) -> "FockInput":
         """Recover Grams from form generators: G_n = diag(w(alpha)) @ Omega_n."""
         grams = []
         for n, om in enumerate(omegas):
+            _check_shape(om, dimension, n, f"Gram at degree {n}")
             weights = _level_weights(dimension, n)
             exact = all(is_rational(v) for v in om.flat)
             g = om.copy()
@@ -309,17 +284,17 @@ def validate(
     relations of the quantum decomposition. The report carries one entry per
     check; `passed` is the overall verdict. If positivity already fails the
     dependent checks are skipped. In exact mode the exact split alone decides
-    positivity: a pass records residual 0; an asymmetric Gram or a
-    non-positive pivot records the binary64 negativity (at least ulp(0))
-    against tolerance 0. Every other exact check passes only at residual 0.
+    positivity: a pass records residual 0; a non-positive pivot records the
+    binary64 negativity (at least ulp(0)) against tolerance 0. Every other
+    exact check passes only at residual 0.
 
-    The checks run once per unchanged payload: called again on the same
-    FockInput with the same mode and tolerances and bit-identical blocks,
-    `validate` (and `reconstruct_discrete`) reuse the run; any edit to a
-    block runs them afresh. Each call returns a new report holding that
-    run's blocks, read-only: copies of the payload blocks it checked, and
-    the blocks it completed them with. Its exact blocks are built on their
-    first read of `report.fock`.
+    The checks run once per payload: called again on the same FockInput
+    with the same mode and tolerances, `validate` (and
+    `reconstruct_discrete`) reuse the run; a changed payload is a new value
+    (`dataclasses.replace`), validated afresh. Each call returns a new report
+    holding that run's blocks, read-only: the payload's arrays, and the
+    blocks it completed them with. Its exact blocks are built on their first
+    read of `report.fock`.
     """
     run = _validate(fi, mode, tol or Tolerances())
     report = run.report(fi.depth)
@@ -329,7 +304,7 @@ def validate(
 
 @dataclass(frozen=True)
 class _Validation:
-    """One validation run, held by the FockInput it checked and never handed out.
+    """One validation run, kept by the FockInput it checked (`_validate`) and never handed out.
 
     checks: (name, detail, residual, tolerance) per check, in report order.
     fock: the completed blocks (the reports'), set once positivity passed;
@@ -344,29 +319,20 @@ class _Validation:
 
 
 def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
-    """fi's validation under mode and tol, run again only when fi's blocks, mode or tol changed.
-
-    The run is reused while the key and the block counts are equal and the
-    blocks are unchanged (`_Guarded`): an in-place edit, a reassigned
-    block or a float put in place of an equal rational all miss. The run
-    checks the memo's read-only copies of the blocks, grams first.
-    """
-    key = (fi.dimension, fi.depth, mode, tol, len(fi.grams), tuple(map(len, fi.bzero)))
-    blocks = [np.asarray(b) for b in (*fi.grams, *(b for per in fi.bzero for b in per))]
-    memo = fi._memo
-    if memo is not None and memo.value[0] == key and memo.holds(blocks):
-        return memo.value[1]
-    copies = [_linalg.read_only(b.copy()) for b in blocks]
-    fi._memo = _Guarded(copies, (key, _run_validation(fi, copies, mode, tol)))
-    return fi._memo.value[1]
+    """fi's validation under mode and tol: fi keeps its last run, reused under the same mode and tol."""
+    key = (mode, tol)
+    last = fi.__dict__.get("_validation")
+    if last is None or last[0] != key:
+        last = fi.__dict__["_validation"] = (key, _run_validation(fi, mode, tol))
+    return last[1]
 
 
-def _run_validation(fi: FockInput, copies: list, mode: str, tol: Tolerances) -> _Validation:
-    """The checks of `validate` on copies of fi's blocks (grams first), each cleared once."""
+def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
+    """The checks of `validate` on fi's blocks, each cleared once."""
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
-    payload_grams, payload_bzero = copies[: n_max + 1], iter(copies[n_max + 1 :])
-    payload_bzero = [[next(payload_bzero) for _ in per] for per in fi.bzero]
+    # the report's blocks hold the payload families, not fi, which holds the run
+    payload_grams, payload_bzero = fi.grams, fi.bzero
     # the checks run on the blocks' computing form, each cleared once
     form = _linalg.cleared if exact else _linalg.to_float
     grams = [form(g) for g in payload_grams]
@@ -382,27 +348,30 @@ def _run_validation(fi: FockInput, copies: list, mode: str, tol: Tolerances) -> 
     vacuum = (payload_grams if exact else grams)[0][0, 0]
     add("normalization", "vacuum Gram", _floored(abs(float(vacuum) - 1.0), vacuum != 1), tol.comm)
 
-    def spectrum(n):
-        """The negativity and spectral radius of the symmetrized binary64 Gram."""
-        gf = _linalg.to_float(payload_grams[n])
-        evals = np.linalg.eigvalsh(0.5 * (gf + gf.T))
-        top = float(np.max(np.abs(evals), initial=0.0))
-        return max(0.0, -float(np.min(evals, initial=0.0))), top
+    def negativity(evals):
+        return max(0.0, -float(np.min(evals, initial=0.0)))
 
     splits = []
     for n, g in enumerate(grams):
-        # in exact mode the exact split alone decides, and a pass has residual 0
-        residual, top = (0.0, _max_abs(g)) if exact else spectrum(n)
-        tolerance = tol.psd * max(1.0, top)
-        if residual <= tolerance:
+        if exact:
+            # the exact split alone decides, and a pass has residual 0
+            residual, tolerance = 0.0, tol.psd * max(1.0, _max_abs(g))
             try:
-                splits.append(_linalg.split_gram(g, exact, tol.rank, tol.psd))
+                splits.append(_linalg.split_gram(g, True, tol.rank, tol.psd))
             except InconsistentMomentsError:
-                # the split rejects what the binary64 spectrum let pass (in
-                # exact mode: an asymmetric Gram or a non-positive pivot, whose
-                # negative direction may lie below binary64 resolution), so
-                # the check fails with no tolerance
-                residual, tolerance = max(spectrum(n)[0], math.ulp(0.0)), 0.0
+                # a non-positive pivot, whose negative direction may lie below
+                # binary64 resolution: the check records the negativity of the
+                # symmetrized binary64 Gram and fails with no tolerance
+                gf = _linalg.to_float(payload_grams[n])
+                residual = max(negativity(np.linalg.eigvalsh(0.5 * (gf + gf.T))), math.ulp(0.0))
+                tolerance = 0.0
+        else:
+            # one eigendecomposition gives the psd record and the split
+            evals, split = _linalg.eigen_split(g, tol.rank)
+            residual = negativity(evals)
+            tolerance = tol.psd * max(1.0, float(np.max(np.abs(evals), initial=0.0)))
+            if residual <= tolerance:
+                splits.append(split)
         add("psd", f"degree {n}", residual, tolerance, exact_residual=False)
     normalized = checks[0][2] <= checks[0][3]
     if len(splits) < len(grams) or not normalized:
@@ -491,7 +460,7 @@ def reconstruct_discrete(
     Requires some Gram slice of rank zero within the depth (otherwise the
     data does not certify finite support and NotFinitelySupportedError is
     raised). The blocks are validated first; a run `validate` made on the
-    same unchanged FockInput with the same mode and tolerances is reused (see
+    same FockInput with the same mode and tolerances is reused (see
     `validate`). Ranks and quotients come from that run's cleared blocks and
     the Gram splits their computing form keeps, exact for exact blocks. The
     coordinate operators are compressed to the orthonormal quotient of the

@@ -13,6 +13,7 @@ import pytest
 
 import mvop
 from mvop.cli import main
+from reference import replaced
 
 
 def report(line):
@@ -178,7 +179,7 @@ def test_c09_favard_round_trip(rational_measures):
         for raw, raw_w, (atom, weight) in zip(rec.raw_atoms, rec.raw_weights, want):
             assert max(abs(x - float(y)) for x, y in zip(raw, atom)) <= 1e-8
             assert abs(raw_w - float(weight)) <= 1e-8
-        fi.bzero[0][1][0, 1] += Fraction(1, 1000)
+        fi = replaced(fi, "bzero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 1000))
         assert not mvop.validate(fi).passed
     report("C09 25 random rational measures: reconstruct, validate, and reject faults: PASS")
 

@@ -1,8 +1,9 @@
 """CLI stdout, byte for byte, against committed golden files.
 
 Every case runs one exact-mode subcommand on a spec or payload under
-tests/golden/ and compares its stdout with tests/golden/<case>.out. Float
-runs are left out: their last digits depend on the BLAS build.
+tests/golden/ and compares its stdout with tests/golden/<case>.out, or with
+the golden of the case SAME_AS names for it. Float runs are left out: their
+last digits depend on the BLAS build.
 
 ``PYTHONPATH=src python tests/test_cli_bytes.py`` writes the golden of
 every case whose file is missing and prints the cases it skipped, so adding
@@ -53,7 +54,11 @@ CASES += [
 CASES += [
     ("favard-genuine", ["favard", "--fock", "square_fock.json", "--mode", "exact"], 0),
     ("favard-tampered", ["favard", "--fock", "square_fock_tampered.json", "--mode", "exact"], 3),
+    # the genuine payload given by its form generators Omega_n
+    ("favard-omega", ["favard", "--fock", "square_omega.json", "--mode", "exact"], 0),
 ]
+# cases that print the golden of another case
+SAME_AS = {"favard-omega": "favard-genuine"}
 # the csv and pretty renderers, on cases whose JSON is pinned above; the
 # golden of "<case>" in format f is tests/golden/<case>-<f>.out
 CASES += [
@@ -76,6 +81,10 @@ CASES += [
 ]
 
 
+def _golden(name: str) -> Path:
+    return GOLDEN / f"{SAME_AS.get(name, name)}.out"
+
+
 def _run(argv) -> tuple:
     argv = [str(GOLDEN / a) if a.endswith(".json") else a for a in argv]
     buf = io.StringIO()
@@ -88,12 +97,12 @@ def _run(argv) -> tuple:
 def test_cli_stdout_matches_golden(name, argv, code):
     got_code, out = _run(argv)
     assert got_code == code
-    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert out == _golden(name).read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     for name, argv, _ in CASES:
-        path = GOLDEN / f"{name}.out"
+        path = _golden(name)
         if path.exists():
             print(f"skipped {name}: {path.name} exists")
         else:

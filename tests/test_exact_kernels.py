@@ -234,9 +234,8 @@ def focks(gauss3_fock, square_exact_fock, skewed_fock):
 
 def tampered_payload(fock):
     fi = mvop.FockInput.from_fock_data(fock)
-    fi.bzero[0][1][0, 1] += Fraction(1, 1000)
-    fi.bzero[1][2][1, 0] += Fraction(1, 7)
-    return fi
+    fi = replaced(fi, "bzero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 1000))
+    return replaced(fi, "bzero", 1, 2, (1, 0), change=lambda v: v + Fraction(1, 7))
 
 
 def entries(report):
@@ -594,7 +593,7 @@ def test_new_kernel_directions_exact(kernel, data):
 
 def test_float_entry_in_fock_input_is_reported(square_exact_fock):
     fi = mvop.FockInput.from_fock_data(square_exact_fock)
-    fi.bzero[0][1][0, 1] += 0.001
+    fi = replaced(fi, "bzero", 0, 1, (0, 1), change=lambda v: v + 0.001)
     report = mvop.validate(fi)
     failed = {c.name for c in report.failures()}
     assert "hermiticity" in failed

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -71,7 +73,7 @@ def test_diagonal_blocks_without_product_structure_fail():
 
 def test_tampered_preservation_breaks_hermiticity(square_fn):
     fi = fock_input_of(square_fn, 3)
-    fi.bzero[0][1][0, 1] += Fraction(1, 1000)
+    fi = replaced(fi, "bzero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 1000))
     report = mvop.validate(fi)
     assert not report.passed
     assert "hermiticity" in {c.name for c in report.failures()}
@@ -79,7 +81,7 @@ def test_tampered_preservation_breaks_hermiticity(square_fn):
 
 def test_tampered_gram_breaks_kernel_creation(square_fn):
     fi = fock_input_of(square_fn, 3)
-    fi.grams[3] = np.eye(4, dtype=object) * Fraction(1, 100)
+    fi = replaced(fi, "grams", 3, ..., change=lambda g: np.eye(4, dtype=object) * Fraction(1, 100))
     report = mvop.validate(fi)
     assert not report.passed
     assert "kernel_creation" in {c.name for c in report.failures()}
@@ -89,7 +91,7 @@ def test_tampered_gram_breaks_kernel_creation(square_fn):
 def test_tampered_preservation_breaks_kernel_preservation(square_fn):
     fi = fock_input_of(square_fn, 3)
     # send the null direction x^2 - 1 onto xy, which has positive seminorm
-    fi.bzero[0][2][1, 0] += Fraction(1, 10)
+    fi = replaced(fi, "bzero", 0, 2, (1, 0), change=lambda v: v + Fraction(1, 10))
     report = mvop.validate(fi)
     assert not report.passed
     assert "kernel_preservation" in {c.name for c in report.failures()}
@@ -97,7 +99,7 @@ def test_tampered_preservation_breaks_kernel_preservation(square_fn):
 
 def test_non_psd_gram_short_circuits(square_fn):
     fi = fock_input_of(square_fn, 2)
-    fi.grams[1] = np.array([[1, 0], [0, -1]], dtype=object)
+    fi = replaced(fi, "grams", 1, ..., change=lambda g: np.array([[1, 0], [0, -1]], dtype=object))
     report = mvop.validate(fi)
     assert not report.passed
     assert not report.positive
@@ -135,12 +137,12 @@ def test_rational_gram_must_be_exactly_symmetric():
 
 def test_asymmetric_exact_gram_fails_psd(square_fn):
     fi = fock_input_of(square_fn, 2)
-    fi.grams[1] = np.array([[1, Fraction(1, 10**12)], [0, 1]], dtype=object)
+    asymmetric = np.array([[1, Fraction(1, 10**12)], [0, 1]], dtype=object)
     with pytest.raises(mvop.InconsistentMomentsError, match="exact Gram matrix is not symmetric"):
-        _linalg.split_gram(fi.grams[1], exact=True, tol_rank=1e-10, tol_psd=1e-10)
-    report = mvop.validate(fi)
-    assert [(c.name, c.detail, c.tolerance) for c in report.failures()] == [("psd", "degree 1", 0.0)]
-    assert report.fock is None
+        _linalg.split_gram(asymmetric, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+    # the payload refuses it before any validation
+    with pytest.raises(ValueError, match="Gram at degree 1 is not symmetric"):
+        replaced(fi, "grams", 1, ..., change=lambda g: asymmetric)
 
 
 def test_exact_vacuum_normalization_is_exact():
@@ -177,7 +179,7 @@ def test_exact_residuals_fail_when_nonzero():
 
 def test_unnormalized_vacuum_rejected(square_fn):
     fi = fock_input_of(square_fn, 2)
-    fi.grams[0] = np.array([[2]], dtype=object)
+    fi = replaced(fi, "grams", 0, ..., change=lambda g: np.array([[2]], dtype=object))
     report = mvop.validate(fi)
     assert not report.passed
     assert not report.checks[0].passed
@@ -198,6 +200,12 @@ def test_fock_input_shape_validation():
             grams=[np.array([[1.0]]), np.array([[1.0, 0.5], [0.0, 1.0]])],
             bzero=[[np.zeros((1, 1)), np.zeros((2, 2))]] * 2,
         )
+
+
+def test_from_omegas_checks_block_shapes_before_scaling():
+    omegas = [np.array([[1]], dtype=object), np.zeros((0, 0), dtype=object)]
+    with pytest.raises(ValueError, match=r"Gram at degree 1 has shape \(0, 0\), expected \(2, 2\)"):
+        mvop.FockInput.from_omegas(2, omegas)
 
 
 def test_fock_input_json_round_trip(square_fn):
@@ -535,9 +543,11 @@ def test_reconstruction_reads_the_splits_of_validation(monkeypatch, square_fn):
 
 
 def count_splits(monkeypatch) -> list:
+    # a Gram is split by one exact split or one eigendecomposition
     calls = []
-    split_gram = _linalg.split_gram
-    monkeypatch.setattr(_linalg, "split_gram", lambda *a, **k: calls.append(1) or split_gram(*a, **k))
+    for name in ("_exact_split", "eigen_split"):
+        split = getattr(_linalg, name)
+        monkeypatch.setattr(_linalg, name, lambda *a, split=split: calls.append(1) or split(*a))
     return calls
 
 
@@ -550,21 +560,55 @@ def test_validate_then_reconstruct_splits_each_gram_once(monkeypatch, square_fn)
     assert len(split_calls) == fi.depth + 1
 
 
+def test_float_validate_then_reconstruct_decomposes_each_gram_once(monkeypatch, square_fn):
+    fi = float_input_of(square_fn, 3)
+    split_calls = count_splits(monkeypatch)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or eigvalsh(a))
+    assert mvop.validate(fi).passed
+    assert len(mvop.reconstruct_discrete(fi).atoms) == 4
+    # one eigendecomposition per Gram gives both its psd record and its split
+    assert len(split_calls) == fi.depth + 1
+    assert spectra == []
+
+
+@pytest.mark.parametrize(
+    "copy_of",
+    [copy.copy, copy.deepcopy, lambda fi: pickle.loads(pickle.dumps(fi)), dataclasses.replace],
+    ids=["copy", "deepcopy", "pickle", "replace"],
+)
+def test_copies_of_a_validated_payload_carry_no_run(monkeypatch, square_fn, copy_of):
+    fi = fock_input_of(square_fn, 3)
+    assert mvop.validate(fi).passed
+    split_calls = count_splits(monkeypatch)
+    copied = copy_of(fi)
+    assert not any(b.flags.writeable for b in (*copied.grams, *(b for per in copied.bzero for b in per)))
+    assert mvop.validate(copied).passed
+    assert len(split_calls) == fi.depth + 1
+    # the original keeps its own run
+    assert mvop.validate(fi).passed
+    assert len(split_calls) == fi.depth + 1
+
+
 def test_in_place_edit_after_validate_is_validated_again(square_fn):
     fi = fock_input_of(square_fn, 3)
     assert mvop.validate(fi).passed
-    fi.bzero[0][1][0, 1] += Fraction(1, 1000)
+    with pytest.raises(ValueError, match="read-only"):
+        fi.bzero[0][1][0, 1] += Fraction(1, 1000)
+    fi = replaced(fi, "bzero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 1000))
     with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
         mvop.reconstruct_discrete(fi)
 
 
 def _fresh_gram(fi):
     # equal values, new element objects
-    fi.grams[2] = np.array([[Fraction(v) for v in row] for row in fi.grams[2].tolist()], dtype=object)
+    fresh = lambda g: np.array([[Fraction(v) for v in row] for row in g.tolist()], dtype=object)
+    return replaced(fi, "grams", 2, ..., change=fresh)
 
 
 def _equal_float(fi):
-    fi.bzero[0][1][0, 0] = float(fi.bzero[0][1][0, 0])
+    return replaced(fi, "bzero", 0, 1, (0, 0), change=float)
 
 
 @pytest.mark.parametrize(
@@ -582,7 +626,7 @@ def test_changed_payload_or_options_validate_again(monkeypatch, square_fn, squar
     split_calls = count_splits(monkeypatch)
     assert mvop.validate(fi).passed
     if edit is not None:
-        edit(fi)
+        fi = edit(fi)
     measure = mvop.reconstruct_discrete(fi, **kwargs)
     assert sorted(measure.atoms) == sorted(square_measure.atoms)
     assert len(split_calls) == 2 * (fi.depth + 1)
@@ -626,14 +670,14 @@ def test_editing_a_report_changes_no_later_result(square_fn):
         path, change = edits["aplus"]
         with pytest.raises(ValueError, match="canonical creation shifts"):
             mvop.check_commutation(replaced(changed, "aplus", *path, change=change))
-        assert all(b.flags.writeable for b in (*genuine.grams, *genuine.bzero[0]))
+        assert not any(b.flags.writeable for b in (*genuine.grams, *genuine.bzero[0]))
         report.checks.clear()
         assert mvop.reconstruct_discrete(genuine) == expected
         again = mvop.validate(genuine)
         assert again.passed and again.fock.aplus[0][1][0, 0] == 1
 
         tampered = payload_of(square_fn, 3)
-        tampered.bzero[0][1][0, 1] += Fraction(1, 1000)
+        tampered = replaced(tampered, "bzero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 1000))
         report = mvop.validate(tampered)
         report.checks.clear()
         assert report.passed

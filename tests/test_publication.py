@@ -292,8 +292,11 @@ def test_published_arrays_are_read_only(mode):
         with pytest.raises(dataclasses.FrozenInstanceError):
             f.azero = f.azero
     assert type(g.levels) is tuple
-    # the caller's payload stays writable
-    assert all(b.flags.writeable for b in (*fi.grams, *(b for per in fi.bzero for b in per)))
+    # the payload follows the same rule
+    assert not any(b.flags.writeable for b in (*fi.grams, *(b for per in fi.bzero for b in per)))
+    assert type(fi.grams) is tuple and all(type(per) is tuple for per in (fi.bzero, *fi.bzero))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fi.grams = fi.grams
 
     # a replaced FockData with an edited copy is a new value, which every check and word sees
     changed = dataclasses.replace(

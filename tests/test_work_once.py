@@ -245,7 +245,8 @@ def test_exact_favard_multiplies_no_unit_columns(monkeypatch, eight_atoms):
     calls = _recorded_matmuls(monkeypatch)
     assert mvop.validate(fi).passed
     assert len(mvop.reconstruct_discrete(fi).atoms) == 8
-    form = _linalg.computing(fi._memo.value[1].fock)
+    # fi keeps the run validate and reconstruct_discrete shared, and a report holds its blocks
+    form = _linalg.computing(mvop.validate(fi).fock)
     splits = [fock_module._split(form, n) for n in range(fi.depth + 1)]
     diagonal = [n for n, g in enumerate(fi.grams) if not np.count_nonzero(g - np.diag(np.diag(g)))]
     assert {0, 4, 5, 6, 7, 8} <= set(diagonal)
