@@ -22,8 +22,9 @@ the combos and kernel of an exact Gram with no nonzero numerator off its
 diagonal (every Gram of a product of 1-D functionals, and a zero Gram), whose
 split is read off the diagonal with no elimination. A product with a map is an
 index move, never a multiplication (`times`, `times_sum`), and a product with
-such a Gram is a row scaling (`gram_times`); a pair decides once whether it is
-diagonal (`Cleared.diagonal`). A published split holds dense arrays, and a
+such a Gram is a row scaling (`gram_times`). A pair, like a map, never
+changes after it is made, so it decides once whether it is diagonal
+(`Cleared.diagonal`). A published split holds dense arrays, and a
 split cleared from one takes the products.
 """
 
@@ -49,9 +50,11 @@ class Cleared:
     """An exact matrix num / den: int-object numerators over one int den > 0.
 
     Always reduced, gcd(den, every numerator) = 1, so den is the lcm of the
-    entries' denominators. Supports ``.T``, ``[]``, ``[] =``, ``-``, ``+``, ``/``.
-    The constructor reduces; `reduced` takes a pair that is reduced by
-    construction (a transpose, a negation, a `stack`) without the gcd.
+    entries' denominators. Supports ``.T``, ``[]``, ``-``, ``+``, ``/``, each
+    of which makes a new pair: a pair never changes after it is made, and an
+    entry assignment raises TypeError. The constructor reduces; `reduced`
+    takes a pair that is reduced by construction (a transpose, a negation, a
+    `stack`) without the gcd.
     """
 
     dtype = np.dtype(object)
@@ -74,13 +77,6 @@ class Cleared:
 
     def __getitem__(self, idx) -> "Cleared":
         return Cleared(self.num[idx], self.den)
-
-    def __setitem__(self, idx, value: "Cleared") -> None:
-        den = math.lcm(self.den, value.den)
-        num = self.num * (den // self.den)
-        num[idx] = value.num * (den // value.den)
-        self.__dict__.clear()  # drops the diagonal test of the old entries
-        self.__init__(num, den)
 
     @cached_property
     def diagonal(self):
@@ -406,7 +402,7 @@ def rank_cutoff(dim: int, lam_max: float, tol_rank: float) -> float:
 
 
 def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -> GramSplit:
-    """Split a symmetric Gram matrix into positive and null parts.
+    """Split a symmetric Gram matrix, k x k with k >= 1, into positive and null parts.
 
     Float mode: one eigendecomposition (`eigen_split`); an eigenvalue below
     -tol_psd (scaled) means the data is not a moment functional.
@@ -414,10 +410,6 @@ def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -
     Fractions; an asymmetric Gram or a non-positive pivot norm means the same
     inconsistency.
     """
-    d = gram.shape[0]
-    if d == 0:
-        empty = np.empty((0, 0), dtype=object if exact else float)
-        return GramSplit(empty, np.zeros((0,)), empty)
     if exact:
         split = _exact_split(cleared(gram))
         return split if isinstance(gram, Cleared) else published(split)
@@ -532,10 +524,8 @@ def simultaneous_diagonalize(mats: list, seed: int, tol: float) -> np.ndarray:
     Takes the eigenvectors of a seeded random linear combination (up to 5
     draws). Returns W orthogonal with every W^T M W diagonal within tol
     (scaled per matrix). Raises ArithmeticError if no draw passes the check.
+    The matrices are not empty: the levels they act on include level 0, of rank 1.
     """
-    dim = mats[0].shape[0]
-    if dim == 0:
-        return np.zeros((0, 0))
     rng = np.random.default_rng(seed)
     for _ in range(5):
         c = rng.standard_normal(len(mats))

@@ -482,18 +482,15 @@ def _seminorm_residual(cols, gram, factor) -> float:
 
     Exact blocks are measured in rational arithmetic, on integer numerators,
     so a column lying in the kernel scores exactly zero. Float blocks are
-    measured as |F c| with F the Gram's `_seminorm_factor`; where it is None
-    the seminorm vanishes and the block scores 0. Callers go through
-    `_seminorms`, which scores a level whose seminorm vanishes identically 0
-    without forming the block.
+    measured as |F c| with F the Gram's `_seminorm_factor`. Callers go through
+    `_seminorms`, which scores 0, without calling this, a level whose
+    seminorm vanishes identically (a float one then has no factor) and an
+    exact block with no nonzero numerator, an empty one included. Every
+    level has a monomial, so no float block is empty.
     """
-    if 0 in cols.shape:
-        return 0.0
     if isinstance(gram, _linalg.Cleared):
         quad = _linalg.max_quadratic(cols, gram)
         return _floored(math.sqrt(max(0.0, float(quad))), quad > 0)
-    if factor is None:
-        return 0.0
     proj = factor @ _linalg.to_float(cols)
     return float(math.sqrt(max(0.0, float(np.max(np.einsum("ij,ij->j", proj, proj))))))
 

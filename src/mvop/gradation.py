@@ -6,42 +6,47 @@ order and entries M[a, b] = Lambda(x^(a+b)). A polynomial is a coefficient
 column over those monomials, and Lambda(f g) = f^T M g.
 
 For each degree n the candidates are the monomials of degree n corrected by
-their projection onto every lower slice: starting from the unit columns, one
-block Gram-Schmidt step per lower level m subtracts
-U_m diag(1/nu_m) U_m^T M coef, where U_m holds the orthogonal basis of slice m
-and nu_m its squared norms. In exact mode U_m^T M vanishes on the columns of
-degree < m, so only the rows of coef of degree >= m enter that product; in
-binary64 those columns hold rounding noise, and the full product stays. The
-Gram matrix G_n = coef^T M coef of the candidates is the Schur complement
-of M on the degree-n block; its range gives an orthogonal basis of the
-slice, its kernel the degree-n null directions of the functional. A null
-direction p must have Lambda(p x^b) = 0 for every monomial x^b of the
-matrix, as a PSD M ensures; exact mode checks
-it and refuses data where it fails. With every lower null direction past
-that check, and coef M-orthogonal to every lower orthogonal basis, M coef
-vanishes on every row of degree < n; coef is the identity on its degree-n
-rows, so exact mode reads G_n off the degree-n rows of M coef, one product
-instead of a quadratic form. Float mode forms coef^T M coef: in binary64
-those low rows hold rounding noise, not zeros. Polynomial objects are built
-from coefficient columns only on request. The moments come from one supply,
-`_moment_rows`, a block of rows of M with each distinct moment fetched and
-cleared once. Its index plan (which distinct moment each entry is) depends
-on the shape alone, so it is built once per shape (`_moment_plan`), as are
-the weights of a level (`_level_weights`); the plans are shared read-only
-arrays. Here the block is M itself, and assembly takes the rows of degree
-1..max_degree + 1, which hold every localizing matrix L_i (row a of L_i is
-row a + e_i of M). Exact mode runs on `_linalg.Cleared` pairs from it, to
-each split. A diagonal G_n, as every level of a product of 1-D
-functionals has, is split without elimination into unit combo and kernel
-columns held as index maps (`_linalg.Units`), so the projection coef U_n
-and the null-moment check's coef K_n are column gathers of coef
-(`_linalg.times`). Each level keeps those pairs as its computing form, which
-`assemble_fock`, the ranks and the null-ideal generators read
-(`_linalg.computing`), and publishes its `coef`, `gram` and `split` as
-read-only Fraction arrays on their first read, so a level nobody reads builds
-no Fraction array. The arrays of a float level are its computing form, and
-read-only too. A level or a gradation is never edited: a changed one is a new
-value (`dataclasses.replace`).
+their projection onto every lower slice: coef = E - sum_m U_m diag(1/nu_m)
+U_m^T M E, where E holds the unit columns of the degree-n monomials, U_m the
+orthogonal basis of slice m and nu_m its squared norms. The Gram matrix
+G_n = coef^T M coef of the candidates is the Schur complement of M on the
+degree-n block; its range gives an orthogonal basis U_n = coef C_n of the
+slice, its kernel K_n the degree-n null directions z = coef K_n of the
+functional. A null direction must have Lambda(z x^b) = 0 for every monomial
+x^b of the matrix, M z = 0, as a PSD M ensures; exact mode checks it and
+refuses data where it fails.
+
+Exact mode makes two products per level. The lower slices are mutually
+M-orthogonal, so every projection is taken from E at once (classical and
+modified Gram-Schmidt agree): one product of the stacked factors
+U_m diag(1/nu_m) and the degree-n columns of U_m^T M. Then M coef vanishes on
+every row of degree < n, as coef is M-orthogonal to each lower U_m and each
+lower null direction passed the check. So the one product with M,
+Q_n = the rows of degree >= n of M coef, gives the rest: G_n is its
+degree-n rows (coef is the identity there), the check is Q_n K_n = 0, and
+U_n^T M, zero on the columns of degree < n, is (Q_n C_n)^T. Float mode runs
+modified Gram-Schmidt, one step per lower level against all of U_m^T M, and
+forms the quadratic form coef^T M coef: in binary64 the low rows of M coef
+hold rounding noise, not zeros.
+
+Polynomial objects are built from coefficient columns only on request. The
+moments come from one supply, `_moment_rows`, a block of rows of M with each
+distinct moment fetched and cleared once. Its index plan (which distinct
+moment each entry is) depends on the shape alone, so it is built once per
+shape (`_moment_plan`), as are the weights of a level (`_level_weights`);
+the plans are shared read-only arrays. Here the block is M itself, and
+assembly takes the rows of degree 1..max_degree + 1, which hold every
+localizing matrix L_i (row a of L_i is row a + e_i of M). Exact mode runs on
+`_linalg.Cleared` pairs from it, to each split. A diagonal G_n, as every
+level of a product of 1-D functionals has, is split without elimination into
+unit combo and kernel columns held as index maps (`_linalg.Units`), so coef
+C_n, Q_n C_n and Q_n K_n are column gathers (`_linalg.times`). Each level
+keeps those pairs as its computing form, which `assemble_fock`, the ranks
+and the null-ideal generators read (`_linalg.computing`), and publishes its
+`coef`, `gram` and `split` as read-only Fraction arrays on their first read,
+so a level nobody reads builds no Fraction array. The arrays of a float
+level are its computing form, and read-only too. A level or a gradation is
+never edited: a changed one is a new value (`dataclasses.replace`).
 """
 
 from __future__ import annotations
@@ -243,6 +248,12 @@ class GradationBasis:
         return [(lev.degree, lev.dimension, lev.rank, lev.nullity) for lev in self.levels]
 
 
+def _padded(pair, rows: int):
+    """pair with zero rows appended up to rows: Python ints, whose products cannot overflow."""
+    zeros = np.zeros((rows - pair.shape[0], pair.shape[1]), dtype=object)
+    return _linalg.Cleared.reduced(np.concatenate([pair.num, zeros]), pair.den)
+
+
 def _public_coef(unit: np.ndarray, top: int, coef):
     # the rows no projection reaches keep the int entries of the unit block
     unit[:top] = _linalg.published(coef[:top])
@@ -294,51 +305,49 @@ def build_gradations(
     moments = _moment_rows(functional, 0, max_degree, max_degree)
 
     levels = []
-    # per level m, of its orthogonal basis U_m: (its first row, U_m diag(1/nu_m), U_m^T M),
-    # the last on the columns of degree >= m only in exact mode
+    # per level m with a positive slice, of its orthogonal basis U_m: (its first row,
+    # U_m diag(1/nu_m), U_m^T M), the last on the columns of degree >= m only in exact mode
     lower = []
     for n in range(max_degree + 1):
         monos = monomials_of_degree(d, n)
         k = len(monos)
         size = len(monomials_up_to(d, n))
-        unit = np.zeros((size, k), dtype=object if exact else float)
-        np.fill_diagonal(unit[size - k :], 1)  # an exact unit block holds int entries
-        coef = _linalg.cleared(unit) if exact else unit
-        for lo, scaled, paired in lower:
-            if exact:
-                # exact paired starts at column lo, so only coef's rows from lo on
-                # enter: one product of numerators, reduced once
-                num = scaled.num @ (paired.num[:, : size - lo] @ coef.num[lo:])
-                coef[: scaled.shape[0]] -= _linalg.Cleared(num, scaled.den * paired.den * coef.den)
-            else:
-                coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
+        lo = size - k
         top = lower[-1][1].shape[0] if lower else 0  # the rows the projections reach
+        unit = np.zeros((size, k), dtype=object if exact else float)
+        np.fill_diagonal(unit[lo:], 1)  # an exact unit block holds int entries
         if exact:
-            # coef is the identity on its degree-n rows, and M coef vanishes on
-            # the rows of lower degree (each lower null direction z has M z = 0,
-            # checked below), so coef^T M coef is the degree-n rows of M coef
-            gram = _linalg.matmul(moments[size - k : size, :size], coef)
+            coef = _linalg.cleared(unit[top:])
+            if lower:
+                # the lower slices are mutually M-orthogonal, so every projection is
+                # taken from the unit columns: one product of the stacked factors,
+                # on the columns of degree n of each U_m^T M
+                projection = _linalg.times_sum(
+                    [(_padded(scaled, top), paired[:, lo - start : size - start]) for start, scaled, paired in lower]
+                )
+                coef = _linalg.stack([-projection, coef], axis=0)
+            # M coef vanishes on the rows of degree < n: coef is M-orthogonal to each
+            # lower U_m, and each lower null direction z has M z = 0 (checked below).
+            # Its rows of degree >= n give G_n (the degree-n rows, as coef is the
+            # identity there), the null-moment check and U_n^T M
+            product = _linalg.Cleared(moments.num[lo:, :size] @ coef.num, moments.den * coef.den)
+            gram = product[:k]
         else:
+            coef = unit
+            for _, scaled, paired in lower:
+                coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
             # binary64 leaves rounding noise in the low rows: the full quadratic form
             gram = _linalg.gram_product(coef, moments[:size, :size])
         split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
         # a PSD moment matrix maps each seminorm-null polynomial to zero
-        if exact and split.nullity:
-            null_moments = _linalg.matmul(_linalg.times(coef, split.null).T, moments[:size])
-            if null_moments.num.any():
-                raise InconsistentMomentsError(
-                    f"a null polynomial of degree {n} has a nonzero moment against a monomial "
-                    f"of degree <= {max_degree}; data is not a moment functional"
-                )
+        if exact and split.nullity and _linalg.times(product, split.null).num.any():
+            raise InconsistentMomentsError(
+                f"a null polynomial of degree {n} has a nonzero moment against a monomial "
+                f"of degree <= {max_degree}; data is not a moment functional"
+            )
         if split.rank and n < max_degree:  # no level above reads the projection
             ortho = _linalg.times(coef, split.combos)
-            lo = size - k
-            if exact:
-                # U_n^T M vanishes on the columns of degree < n: the lower slices
-                # are M-orthogonal to U_n, and M maps lower null directions to 0
-                paired = _linalg.Cleared(ortho.num.T @ moments.num[:size, lo:], ortho.den * moments.den)
-            else:
-                paired = _linalg.matmul(ortho.T, moments[:size])
+            paired = _linalg.times(product, split.combos).T if exact else _linalg.matmul(ortho.T, moments[:size])
             lower.append((lo, ortho / split.norms2[None, :], paired))
         level = DegreeBasis(n, monos, _level_weights(d, n), coef, gram, split)
         # the level of pairs, or of binary64 arrays, is the computing form

@@ -78,9 +78,12 @@ class NullIdealBasis:
 
 
 def _new_kernel_directions(kernel, inherited, exact: bool, tol_rank: float):
-    """Basis of (column span of kernel) orthogonal to the inherited columns (pairs in exact mode)."""
-    if kernel.shape[1] == 0:
-        return kernel
+    """Basis of (column span of kernel) orthogonal to the inherited columns (pairs in exact mode).
+
+    kernel has a column: the caller skips empty kernels. Float inherited
+    columns are creation shifts of orthonormal columns, and a shift is an
+    isometry, so the largest singular value is 1, above the rank cutoff (< 1).
+    """
     if inherited.shape[1] == 0:
         return kernel
     if exact:
@@ -89,10 +92,8 @@ def _new_kernel_directions(kernel, inherited, exact: bool, tol_rank: float):
         a = _linalg.times(inherited.T, kernel)
         return _linalg.times(kernel, _linalg.split_gram(_linalg.matmul(a.T, a), True, 0.0, 0.0).null)
     u, s, _ = np.linalg.svd(inherited, full_matrices=False)
-    cut = _linalg.rank_cutoff(inherited.shape[0], s[0] if s.size else 0.0, tol_rank)
+    cut = _linalg.rank_cutoff(inherited.shape[0], s[0], tol_rank)
     u = u[:, s > cut]
-    if u.shape[1] == 0:
-        return kernel
     # kernel columns are orthonormal, so the singular values of u^T kernel are
     # cosines of principal angles; trailing near-zero ones are the new
     # directions

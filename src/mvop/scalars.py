@@ -84,6 +84,7 @@ class Tolerances:
     psd: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        # a NaN tolerance fails every comparison and an infinite one accepts everything
-        if not (math.isfinite(self.rank) and self.rank > 0):
-            raise ValueError(f"tolerance rank must be positive and finite, got {self.rank!r}")
+        # NaN fails every comparison; the vacuum norm is 1, so a cutoff >= 1
+        # would declare the constant polynomial null
+        if not 0 < self.rank < 1:
+            raise ValueError(f"tolerance rank must be in (0, 1), got {self.rank!r}")

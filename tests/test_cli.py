@@ -577,7 +577,7 @@ def test_exit_code_on_inconsistent_moments(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1", "10"])
 def test_bad_tolerance_gives_one_error_line(capsys, square_spec, value):
     code = main(["capcheck", "--spec", square_spec, "--max-degree", "3", "--mode", "float", "--tol-rank", value])
     captured = capsys.readouterr()

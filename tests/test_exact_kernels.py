@@ -504,9 +504,10 @@ def test_diagonal_solves_match_the_products():
             assert pair_lists(_linalg.times(coef, getattr(split, name))) == pair_lists(
                 _linalg.matmul(coef, getattr(dense, name))
             )
-        # a Gram edited after its split is multiplied as it stands
-        edited = _linalg.cleared(_linalg.published(gram))
-        edited[0:1, d - 1 : d] = _linalg.cleared(np.array([[Fraction(1, 7)]]))
+        # a Gram edited after its split, a new pair, is multiplied as it stands
+        entries = _linalg.published(gram)
+        entries[0, d - 1] = Fraction(1, 7)
+        edited = _linalg.cleared(entries)
         want = _linalg.published(edited) @ _linalg.published(a)
         assert _linalg.published(_linalg.gram_times(edited, a)).tolist() == want.tolist()
 

@@ -83,6 +83,8 @@ def test_lower_rows_of_the_moment_product_vanish(name, f, depth):
         assert not product[: size - k].any(), lev.degree
         assert (coef[size - k :] == np.eye(k, dtype=int)).all()
         assert (lev.gram == coef.T @ product).all()
+        # the premise of the check: M z = 0 on every row, for each null column z
+        assert not (moments[:, :size] @ (coef @ lev.split.null)).any(), lev.degree
 
 
 @pytest.mark.parametrize("name,f,depth", CASES, ids=[c[0] for c in CASES])
