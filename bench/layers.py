@@ -14,8 +14,14 @@ perfbench/spans.py. The grid has two kinds of rows, both exact:
 Each row runs RUNS times on a fresh functional and records, per layer, the
 median of its wall seconds: the moment prefetch (every moment assembly reads,
 to degree 2 depth + 1, through the public accessor), `build_gradations`,
-`assemble_fock` and `check_commutation`. It also records the gradation's
-ranks and whether the commutation check passed, which it must on every row.
+`assemble_fock` and `check_commutation`. As in perfbench/run.py, the
+reference kernel (`run.Speed`) is timed before and after each run, and the
+run's seconds times REF_NOMINAL_S over the mean of those two times are its
+seconds at the reference speed; their medians are recorded next to the raw
+ones (`reference_s`), with the median of the factors (`speed_scale`), so
+that files written on a slower or busier machine compare. It also records
+the gradation's ranks and whether the commutation check passed, which it
+must on every row.
 The file records the environment (CPU, Python, numpy, BLAS, thread cap).
 `--quick` runs a small grid of the same two kinds in about a second; its
 timings mean nothing, and a test checks only its schema and `passed`.
@@ -35,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import run as perfbench_run  # noqa: E402  perfbench/run.py: BLAS cap, program loading, environment
+import run as perfbench_run  # noqa: E402  perfbench/run.py: BLAS cap, program loading, environment, Speed
 from spans import Tracer  # noqa: E402
 
 RUNS = 3
@@ -74,29 +80,37 @@ def _prefetch(mvop, f, degree: int) -> None:
         f.moment(alpha)
 
 
-def measure_row(mvop, kind: str, size: int, factors) -> dict:
-    """One row: per layer the median seconds over RUNS fresh functionals, the ranks, and `passed`."""
+def measure_row(mvop, kind: str, size: int, factors, speed) -> dict:
+    """One row: per layer the median raw and reference-speed seconds over RUNS fresh functionals, the ranks, and `passed`.
+
+    speed is a `run.Speed` with at least one sample.
+    """
     depth = 2 if kind == "gaussian" else size
     tr = Tracer()
     passed = []
     for op in range(RUNS):
         f = _functional(mvop, kind, size, factors)
+        before = speed.samples[-1]
         with tr.op(op):
             tr.call("measures.prefetch", _prefetch, mvop, f, 2 * depth + 1)
             g = tr.call("gradation.build_gradations", mvop.build_gradations, f, depth, mode="exact")
             fock = tr.call("fock.assemble_fock", mvop.assemble_fock, g)
             report = tr.call("fock.check_commutation", mvop.check_commutation, fock)
+        tr.scales[op] = speed.scale(before, speed.sample())
         passed.append(report.passed)
-    seconds = defaultdict(list)
-    for name, start, end, _, _ in tr.spans:
+    seconds, reference = defaultdict(list), defaultdict(list)
+    for name, start, end, _, op in tr.spans:
         if name != "op":
             seconds[name].append(end - start)
+            reference[name].append((end - start) * tr.scales[op])
     return {
         "name": f"{kind}-{'d' if kind == 'gaussian' else 'depth'}{size}",
         "kind": kind,
         "dimension": f.dimension,
         "depth": depth,
         "median_s": {name: statistics.median(seconds[name]) for name in LAYERS},
+        "reference_s": {name: statistics.median(reference[name]) for name in LAYERS},
+        "speed_scale": statistics.median(tr.scales.values()),
         "ranks": [lev.rank for lev in g.levels],
         "passed": all(passed),
     }
@@ -112,9 +126,11 @@ def main(argv=None) -> int:
     import mvop
 
     factors = _factors(random.Random(SEED))
+    speed = perfbench_run.Speed()
+    speed.sample()
     rows = []
     for kind, size in QUICK_GRID if args.quick else GRID:
-        rows.append(measure_row(mvop, kind, size, factors))
+        rows.append(measure_row(mvop, kind, size, factors, speed))
         print(json.dumps(rows[-1]), flush=True)
     env = perfbench_run.environment(argparse.Namespace(workload="layers", seed=SEED, seconds=None, trace=1))
     out = {"env": env, "quick": args.quick, "runs": RUNS, "layers": list(LAYERS), "rows": rows}

@@ -316,9 +316,10 @@ def times_sum(terms: list) -> Cleared:
     """The sum of a @ b over terms (a, b) of pairs and maps, as one pair reduced once.
 
     A term with a map (`Units`) is a move of its other factor's numerators;
-    the other terms run as one integer product of their stacked factors. The
-    parts are added over the lcm of their denominators: the product first,
-    then the moves in order.
+    the other terms run as one integer product of their stacked factors,
+    which with no move is the sum (`matmul` reduces it). Otherwise the
+    unreduced product and the moves, in order, are added over the lcm of
+    their denominators.
     """
     moves, products = [], []
     for a, b in terms:
@@ -326,14 +327,17 @@ def times_sum(terms: list) -> Cleared:
             moves.append((a, True, cleared(_dense(b))) if isinstance(a, Units) else (b, False, cleared(a)))
         else:
             products.append((a, b))
+    den = math.lcm(*(other.den for *_, other in moves))
     if products:
         lefts, rights = zip(*products)
-        product = matmul(stack(lefts, axis=1), stack(rights, axis=0))
-    a, b = terms[0]
-    total = np.zeros((a.shape[0], *b.shape[1:]), dtype=object)
-    den = math.lcm(*(other.den for *_, other in moves), product.den if products else 1)
-    if products:
-        total += product.num if den == product.den else product.num * (den // product.den)
+        lhs, rhs = stack(lefts, axis=1), stack(rights, axis=0)
+        if not moves:
+            return matmul(lhs, rhs)
+        den = math.lcm(den, lhs.den * rhs.den)
+        total = (lhs.num @ rhs.num) * (den // (lhs.den * rhs.den))
+    else:
+        a, b = terms[0]
+        total = np.zeros((a.shape[0], *b.shape[1:]), dtype=object)
     for units, left, other in moves:
         rows, entries = units.moved(other.num, left, den // other.den)
         if rows is None:

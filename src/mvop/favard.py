@@ -7,25 +7,25 @@ zero, reconstructs the finitely supported representing measure by jointly
 diagonalizing the coordinate operators on the non-degenerate quotient.
 Supplied blocks are completed by `fock.complete_fock`, the routine that
 completes moment-born ones, and checked with the same residuals. A
-FockInput is a read-only value like every other (`_linalg.ReadOnly`), so
-each payload is validated once: it keeps its last validation, and
-`validate` and `reconstruct_discrete` reuse it under the same mode and
-tolerances. The checks run on its blocks, cleared once; a float Gram's one
-eigendecomposition gives both its psd record and its split. The completed
-blocks keep the Gram splits they were solved with in their computing form
-(`fock._split`), which the kernel and commutation checks and reconstruction
-read. Exact creation blocks and the unit columns of diagonal Grams' splits
-are index maps, multiplied only by `_linalg.times`. A report's blocks are
-the validation's own, read-only: the payload's arrays and the blocks it
-completed them with; the exact ones are built only when `report.fock` is
-first read, and the checks read its pairs throughout.
+FockInput is a read-only value like every other (`_linalg.ReadOnly`), and
+so is a validation report, so each payload is validated once: it keeps its
+last report, which `validate` returns again and `reconstruct_discrete`
+reads under the same mode and tolerances. The checks run on its blocks,
+cleared once; a float Gram's one eigendecomposition gives both its psd
+record and its split. The completed blocks keep the Gram splits they were
+solved with in their computing form (`fock._split`), which the kernel and
+commutation checks and reconstruction read. Exact creation blocks and the
+unit columns of diagonal Grams' splits are index maps, multiplied only by
+`_linalg.times`. A report's blocks are read-only: the payload's arrays and
+the blocks it completed them with; the exact ones are built only when
+`report.fock` is first read, and the checks read its pairs throughout.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -91,8 +91,8 @@ class FockInput(_linalg.ReadOnly):
     bzero[i][n] is the proposed preservation block of coordinate i+1 acting
     on degree n. Creation blocks are always the canonical index shifts. Each
     family is a tuple of read-only arrays; a change is a new value
-    (`dataclasses.replace`). A value keeps its last validation (`_validate`);
-    copies and pickles start with none.
+    (`dataclasses.replace`). A value keeps its last validation report
+    (`validate`); copies and pickles start with none.
     """
 
     dimension: int
@@ -217,7 +217,7 @@ class FockInput(_linalg.ReadOnly):
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationCheck:
     name: str
     detail: str
@@ -229,10 +229,10 @@ class ValidationCheck:
         return self.residual <= self.tolerance
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     depth: int
-    checks: list = field(default_factory=list)
+    checks: tuple = ()
     fock: FockData | None = None
 
     def _group(self, names) -> bool:
@@ -288,50 +288,26 @@ def validate(
     binary64 negativity (at least ulp(0)) against tolerance 0. Every other
     exact check passes only at residual 0.
 
-    The checks run once per payload: called again on the same FockInput
-    with the same mode and tolerances, `validate` (and
-    `reconstruct_discrete`) reuse the run; a changed payload is a new value
-    (`dataclasses.replace`), validated afresh. Each call returns a new report
-    holding that run's blocks, read-only: the payload's arrays, and the
-    blocks it completed them with. Its exact blocks are built on their first
-    read of `report.fock`.
+    The checks run once per payload: a FockInput keeps its report under
+    the mode and tolerances it was made with, and `validate` returns that
+    same report when called again with them (`reconstruct_discrete` reads
+    it); a changed payload is a new value (`dataclasses.replace`), validated
+    afresh. A report, like its checks, is read-only, and so are its blocks:
+    the payload's arrays, and the blocks it completed them with. Its exact
+    blocks are built on their first read of `report.fock`.
     """
-    run = _validate(fi, mode, tol or Tolerances())
-    report = run.report(fi.depth)
-    report.fock = run.fock
-    return report
-
-
-@dataclass(frozen=True)
-class _Validation:
-    """One validation run, kept by the FockInput it checked (`_validate`) and never handed out.
-
-    checks: (name, detail, residual, tolerance) per check, in report order.
-    fock: the completed blocks (the reports'), set once positivity passed;
-    its computing form keeps the Gram splits they were completed with.
-    """
-
-    checks: tuple
-    fock: FockData | None
-
-    def report(self, depth: int) -> ValidationReport:
-        return ValidationReport(depth, [ValidationCheck(*c) for c in self.checks])
-
-
-def _validate(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
-    """fi's validation under mode and tol: fi keeps its last run, reused under the same mode and tol."""
-    key = (mode, tol)
+    key = (mode, tol or Tolerances())
     last = fi.__dict__.get("_validation")
     if last is None or last[0] != key:
-        last = fi.__dict__["_validation"] = (key, _run_validation(fi, mode, tol))
+        last = fi.__dict__["_validation"] = (key, _run_validation(fi, *key))
     return last[1]
 
 
-def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
-    """The checks of `validate` on fi's blocks, each cleared once."""
+def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> ValidationReport:
+    """The report of `validate` on fi's blocks, each cleared once."""
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
-    # the report's blocks hold the payload families, not fi, which holds the run
+    # the report's blocks hold the payload families, not fi, which holds the report
     payload_grams, payload_bzero = fi.grams, fi.bzero
     # the checks run on the blocks' computing form, each cleared once
     form = _linalg.cleared if exact else _linalg.to_float
@@ -342,7 +318,7 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
     def add(name, detail, residual, tolerance, exact_residual=exact):
         residual = float(residual)
         tolerance = _recorded_tolerance(residual, tolerance, exact_residual)
-        checks.append((name, detail, residual, tolerance))
+        checks.append(ValidationCheck(name, detail, residual, tolerance))
 
     # in exact mode grams holds pairs, so the vacuum entry is read off the payload
     vacuum = (payload_grams if exact else grams)[0][0, 0]
@@ -373,9 +349,8 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
             if residual <= tolerance:
                 splits.append(split)
         add("psd", f"degree {n}", residual, tolerance, exact_residual=False)
-    normalized = checks[0][2] <= checks[0][3]
-    if len(splits) < len(grams) or not normalized:
-        return _Validation(tuple(checks), None)
+    if len(splits) < len(grams) or not checks[0].passed:
+        return ValidationReport(n_max, tuple(checks))
 
     fock, adjointness = complete_fock(grams, splits, bzero, exact, tol)
 
@@ -399,16 +374,12 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> _Validation:
         add("hermiticity", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
     for (i, n), (residual, scale) in adjointness.items():
         add("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale)
-    for entry in check_commutation(fock).entries:
-        add(
-            entry.relation,
-            f"pair {entry.pair}, degree {entry.degree}",
-            entry.residual,
-            entry.tolerance,
-        )
+    # an entry comes with the tolerance it is recorded against (`_recorded_tolerance`)
+    for e in check_commutation(fock).entries:
+        checks.append(ValidationCheck(e.relation, f"pair {e.pair}, degree {e.degree}", e.residual, e.tolerance))
     if exact:
         fock = _published_fock(fock, lambda: payload_grams, lambda: payload_bzero)
-    return _Validation(tuple(checks), fock)
+    return ValidationReport(n_max, tuple(checks), fock)
 
 
 def _orthonormal_compression(grams: list, splits: list):
@@ -416,7 +387,7 @@ def _orthonormal_compression(grams: list, splits: list):
 
     Q_n = C_n D_n^(-1/2), from the combos C_n and squared norms D_n of the
     given split of G_n; on the quotients the Fock operators are symmetric.
-    Exact splits come with the cleared Grams and blocks of `_validate`: there
+    Exact splits come with the cleared Grams and blocks of `validate`: there
     C_t^T G_t A C_s is formed exactly and rounded once, so it does not
     inherit the conditioning of the monomial Grams. A creation block, and
     the combos of a diagonal Gram, are index maps (`_linalg.Units`), whose
@@ -459,10 +430,10 @@ def reconstruct_discrete(
 
     Requires some Gram slice of rank zero within the depth (otherwise the
     data does not certify finite support and NotFinitelySupportedError is
-    raised). The blocks are validated first; a run `validate` made on the
-    same FockInput with the same mode and tolerances is reused (see
-    `validate`). Ranks and quotients come from that run's cleared blocks and
-    the Gram splits their computing form keeps, exact for exact blocks. The
+    raised). The blocks are validated first; the report `validate` made on
+    the same FockInput with the same mode and tolerances is read again (see
+    `validate`). Ranks and quotients come from that report's cleared blocks
+    and the Gram splits their computing form keeps, exact for exact blocks. The
     coordinate operators are compressed to the orthonormal quotient of the
     non-degenerate slices and jointly diagonalized in binary64; atoms are
     read off the diagonals, weights off the squared vacuum row. Coordinates
@@ -476,11 +447,10 @@ def reconstruct_discrete(
     NotFinitelySupportedError
         If no Gram slice within the depth has rank zero.
     """
-    run = _validate(fi, mode, tol or Tolerances())
-    verdict = run.report(fi.depth)
-    if not verdict.passed:
-        raise ValidationFailedError(f"blocks failed validation: {verdict.summary()}")
-    fock = _linalg.computing(run.fock)
+    report = validate(fi, mode=mode, tol=tol)
+    if not report.passed:
+        raise ValidationFailedError(f"blocks failed validation: {report.summary()}")
+    fock = _linalg.computing(report.fock)
     splits = [_split(fock, n) for n in range(fi.depth + 1)]
     cutoff = next((n for n, split in enumerate(splits) if split.rank == 0), None)
     if cutoff is None:

@@ -83,7 +83,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -525,7 +525,7 @@ def _seminorms(form: FockData):
     return residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutationEntry:
     relation: str
     pair: tuple
@@ -538,10 +538,10 @@ class CommutationEntry:
         return self.residual <= self.tolerance
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutationReport:
     depth: int
-    entries: list = field(default_factory=list)
+    entries: tuple = ()
 
     @property
     def passed(self) -> bool:
@@ -574,11 +574,11 @@ def check_commutation(fock: FockData) -> CommutationReport:
     """
     fock = _linalg.computing(fock)
     tol, n_max = fock.tolerances, fock.depth
-    report = CommutationReport(depth=n_max)
     if n_max == 0 or fock.dimension < 2:
-        return report
+        return CommutationReport(n_max)
     seminorm = _seminorms(fock)
     blocks = {"0": fock.azero, "-": fock.aminus}
+    entries = []
 
     def ap(i, n):
         return fock.aplus[i][n]
@@ -597,14 +597,8 @@ def check_commutation(fock: FockData) -> CommutationReport:
         # CR1 has no terms: the canonical shifts commute
         residual = seminorm(lambda: _term_sum(terms, fock.exact), target_level) if terms else 0.0
         tolerance = tol.comm * max([1.0] + [scale(*p) for p in parts])
-        report.entries.append(
-            CommutationEntry(
-                relation=relation,
-                pair=pair,
-                degree=n,
-                residual=residual,
-                tolerance=_recorded_tolerance(residual, tolerance, fock.exact),
-            )
+        entries.append(
+            CommutationEntry(relation, pair, n, residual, _recorded_tolerance(residual, tolerance, fock.exact))
         )
 
     for j in range(fock.dimension):
@@ -633,7 +627,7 @@ def check_commutation(fock: FockData) -> CommutationReport:
                     terms = [(ap(j, n - 1), am(k, n))] + terms + [(-ap(k, n - 1), am(j, n))]
                 parts = [("0", j, n), ("0", k, n), ("-", j, n + 1), ("-", k, n + 1)]
                 record("CR3", pair, n, terms, n, parts)
-    return report
+    return CommutationReport(n_max, tuple(entries))
 
 
 def _term_sum(terms: list, exact: bool):

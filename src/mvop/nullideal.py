@@ -73,9 +73,6 @@ class NullIdealBasis:
     by_degree: dict
     reduction_log: list = field(default_factory=list)
 
-    def degrees(self) -> list:
-        return sorted(self.by_degree)
-
 
 def _new_kernel_directions(kernel, inherited, exact: bool, tol_rank: float):
     """Basis of (column span of kernel) orthogonal to the inherited columns (pairs in exact mode).

@@ -476,6 +476,16 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
             {"dimension": 1, "depth": 1, "gram": [[[1]], [[1]]], "bzero": [[[[0]], [[0.5], [1, 2]]]]},
             "'bzero' block at coordinate 1, degree 1",
         ),
+        # the payload's block lists are counted against its header
+        ("favard", {"dimension": 1, "gram": [[[1]]]}, "bad fock payload header: 'depth'"),
+        ("favard", {"dimension": 1, "depth": 1, "gram": [[[1]]]}, "'gram' must list 2 blocks"),
+        ("favard", {"dimension": 1, "depth": 0, "gram": {"0": [[1]]}}, "'gram' must list 1 blocks"),
+        ("favard", {"dimension": 2, "depth": 0, "gram": [[[1]]], "bzero": [[[[0]]]]}, "'bzero' must list 2 coordinate"),
+        (
+            "favard",
+            {"dimension": 1, "depth": 1, "gram": [[[1]], [[1]]], "bzero": [[[[0]]]]},
+            "each 'bzero' family must list 2 blocks",
+        ),
     ],
     ids=[
         "block-not-list",
@@ -505,6 +515,11 @@ def test_exit_code_on_unknown_type(capsys, tmp_path):
         "ragged-float-gram-rows",
         "ragged-float-omega-rows",
         "ragged-float-bzero-rows",
+        "fock-no-depth",
+        "fock-short-gram-list",
+        "fock-gram-not-list",
+        "fock-bzero-family-count",
+        "fock-bzero-block-count",
     ],
 )
 def test_exit_code_on_malformed_payload(capsys, tmp_path, command, payload, named):
@@ -575,6 +590,26 @@ def test_exit_code_on_inconsistent_moments(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, _ = run_cli(capsys, ["omega", "--spec", str(path), "--max-degree", "1"])
     assert code == 2
+
+
+def test_float_gram_with_a_negative_eigenvalue_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad_table.json"
+    path.write_text(json.dumps({"type": "moments_table", "dimension": 1, "depth": 2, "entries": {"0": 1, "1": 0, "2": -1}}))
+    code = main(["rank", "--spec", str(path), "--mode", "float", "--max-degree", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: Gram matrix has eigenvalue -1.000e+00; data is not a moment functional\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["rank", "--max-degree", "1"], "this command needs --spec FILE"), (["favard"], "favard needs --fock FILE")],
+    ids=["spec-command", "favard"],
+)
+def test_missing_input_flag_gives_one_error_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1", "10"])

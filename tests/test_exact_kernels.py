@@ -551,6 +551,24 @@ def test_times_moves_match_the_products():
             assert _linalg.published(got).tolist() == want.tolist() and math.gcd(got.den, *got.num.flat) == 1
 
 
+def test_a_sum_of_products_alone_is_reduced_once(monkeypatch):
+    # with no map term the product of the stacked factors is the sum: one gcd
+    rng = random.Random(3131)
+
+    def rational(*shape):
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(math.prod(shape))]
+        return _linalg.cleared(np.array(entries, dtype=object).reshape(shape))
+
+    terms = [(rational(3, 2), rational(2, 4)), (rational(3, 3), rational(3, 4))]
+    want = sum(_linalg.published(a) @ _linalg.published(b) for a, b in terms)
+    reductions = []
+    init = _linalg.Cleared.__init__
+    monkeypatch.setattr(_linalg.Cleared, "__init__", lambda self, *args: reductions.append(1) or init(self, *args))
+    got = _linalg.times_sum(terms)
+    assert len(reductions) == 1
+    assert _linalg.published(got).tolist() == want.tolist() and math.gcd(got.den, *got.num.flat) == 1
+
+
 @st.composite
 def rectangular(draw, cols=None):
     """A rational matrix of drawn rank (0 to full), with zeroed rows and columns and copied rows."""

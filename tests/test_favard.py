@@ -671,7 +671,8 @@ def test_editing_a_report_changes_no_later_result(square_fn):
         with pytest.raises(ValueError, match="canonical creation shifts"):
             mvop.check_commutation(replaced(changed, "aplus", *path, change=change))
         assert not any(b.flags.writeable for b in (*genuine.grams, *genuine.bzero[0]))
-        report.checks.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.checks = ()
         assert mvop.reconstruct_discrete(genuine) == expected
         again = mvop.validate(genuine)
         assert again.passed and again.fock.aplus[0][1][0, 0] == 1
@@ -679,8 +680,9 @@ def test_editing_a_report_changes_no_later_result(square_fn):
         tampered = payload_of(square_fn, 3)
         tampered = replaced(tampered, "bzero", 0, 1, (0, 1), change=lambda v: v + Fraction(1, 1000))
         report = mvop.validate(tampered)
-        report.checks.clear()
-        assert report.passed
+        with pytest.raises(AttributeError):
+            report.checks.clear()
+        assert not report.passed
         with pytest.raises(mvop.ValidationFailedError, match="hermiticity"):
             mvop.reconstruct_discrete(tampered)
 
@@ -691,3 +693,57 @@ def test_report_blocks_carry_the_validation_tolerances(square_fn):
         fi = payload_of(square_fn, 3)
         assert mvop.validate(fi, tol=tol).fock.tolerances == tol
         assert mvop.validate(fi).fock.tolerances == mvop.Tolerances()
+
+
+def test_a_payload_keeps_its_one_report(square_fn):
+    for payload_of in (fock_input_of, float_input_of):
+        fi = payload_of(square_fn, 3)
+        report = mvop.validate(fi)
+        assert mvop.validate(fi) is report
+        assert mvop.validate(fi, mode="auto", tol=mvop.Tolerances()) is report
+        mvop.reconstruct_discrete(fi)
+        assert mvop.validate(fi) is report
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.fock = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.checks[0].residual = 0.0
+        assert isinstance(report.checks, tuple)
+        # other options make another report, which the payload then keeps
+        coarse = mvop.validate(fi, tol=mvop.Tolerances(rank=1e-6))
+        assert coarse is not report and mvop.validate(fi, tol=mvop.Tolerances(rank=1e-6)) is coarse
+    commutation = mvop.check_commutation(mvop.validate(fock_input_of(square_fn, 3)).fock)
+    assert isinstance(commutation.entries, tuple) and commutation.entries
+    for edit in (lambda: setattr(commutation, "entries", ()), lambda: setattr(commutation.entries[0], "residual", 1.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edit()
+
+
+def test_validate_then_reconstruct_builds_one_report(monkeypatch, square_fn):
+    built = {"report": 0, "check": 0}
+    for cls, name in ((mvop.ValidationReport, "report"), (mvop.ValidationCheck, "check")):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, name=name, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for payload_of in (fock_input_of, float_input_of):
+        fi = payload_of(square_fn, 3)
+        built.update(report=0, check=0)
+        report = mvop.validate(fi)
+        assert report.passed and len(mvop.reconstruct_discrete(fi).atoms) == 4
+        assert built == {"report": 1, "check": len(report.checks)}
+
+
+def test_weights_off_the_snapping_grid_come_back_in_binary64():
+    # 1/97 has no fraction with denominator <= 64 within 1e-8, so no weight is snapped
+    weights = (Fraction(1, 97), Fraction(48, 97), Fraction(48, 97))
+    m = mvop.DiscreteMeasure(atoms=((0, 0), (1, 1), (2, 0)), weights=weights)
+    fi = fock_input_of(mvop.discrete_functional(m), 3)
+    assert mvop.validate(fi).passed
+    rec = mvop.reconstruct_discrete(fi)
+    assert rec.atoms == ((0, 0), (1, 1), (2, 0))
+    assert rec.weights == rec.raw_weights
+    assert all(type(w) is float for w in rec.weights)
+    assert max(abs(w - float(t)) for w, t in zip(rec.weights, weights)) <= 1e-12

@@ -326,4 +326,4 @@ def test_no_coordinate_pair_is_walked_without_a_relation():
     assert report.passed and not any(c.name.startswith("CR") for c in report.checks)
     assert 0 < len(lines) < d
     fock = mvop.assemble_fock(mvop.build_gradations(mvop.gaussian_functional(), 3))
-    assert mvop.check_commutation(fock).entries == []  # one coordinate: no pair at all
+    assert mvop.check_commutation(fock).entries == ()  # one coordinate: no pair at all

@@ -26,8 +26,12 @@ def test_quick_grid_writes_the_schema_and_passes(tmp_path):
     assert {"cpu_model", "python", "numpy", "blas", "blas_threads"} <= set(data["env"])
     assert {row["kind"] for row in data["rows"]} == {"gaussian", "product3"}
     for row in data["rows"]:
-        assert set(row) == {"name", "kind", "dimension", "depth", "median_s", "ranks", "passed"}
-        assert set(row["median_s"]) == set(data["layers"])
-        assert all(isinstance(v, float) for v in row["median_s"].values())
+        assert set(row) == {
+            "name", "kind", "dimension", "depth", "median_s", "reference_s", "speed_scale", "ranks", "passed"
+        }
+        for seconds in (row["median_s"], row["reference_s"]):
+            assert set(seconds) == set(data["layers"])
+            assert all(isinstance(v, float) for v in seconds.values())
+        assert isinstance(row["speed_scale"], float)
         assert len(row["ranks"]) == row["depth"] + 1 and row["ranks"][0] == 1
         assert row["passed"] is True
