@@ -83,7 +83,7 @@ def _check_shape(block, dimension: int, n: int, name: str) -> None:
         raise ValueError(f"{name} has shape {block.shape}, expected ({k}, {k})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockInput(_linalg.ReadOnly):
     """Externally supplied Gram and preservation blocks up to a fixed depth.
 
@@ -234,6 +234,9 @@ class ValidationReport:
     depth: int
     checks: tuple = ()
     fock: FockData | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     def _group(self, names) -> bool:
         return all(c.passed for c in self.checks if c.name in names)

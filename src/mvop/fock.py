@@ -157,7 +157,7 @@ def nonzero_spectrum(g: GradationBasis, n: int) -> list:
     return [sum(c) / len(c) for c in distinct]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockData(_linalg.ReadOnly):
     """Block operators of the Fock representation up to a fixed depth.
 
@@ -542,6 +542,9 @@ class CommutationEntry:
 class CommutationReport:
     depth: int
     entries: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def passed(self) -> bool:

@@ -132,7 +132,7 @@ def _moment_rows(functional: MomentFunctional, lo: int, hi: int, degree: int):
     return _linalg.Cleared.reduced(values.num[where], values.den)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeBasis(_linalg.ReadOnly):
     """One degree slice: candidate coefficients, their Gram matrix, and its splitting.
 

@@ -5,6 +5,14 @@ moments of multi-index arguments up to a reliable depth. Backends: discrete
 atom lists, products of lower-dimensional functionals, the uniform measures on
 the unit circle and half circle, explicit moment tables, standard Gaussian
 factors, and moments generated from 1-D recurrence coefficients.
+
+Exact products and exact discrete measures compute on Python ints and build
+one Fraction per moment (an int where every value they multiply is one): a
+product multiplies its factors' numerators and denominators, read through
+the factors' caches (`MomentFunctional._value`) with no second index check,
+and a discrete measure clears its weights and coordinates once, when it is
+made. Float and mixed products, and float discrete measures, multiply and
+sum in binary64 in the order of the factors and atoms.
 """
 
 from __future__ import annotations
@@ -67,16 +75,23 @@ class MomentFunctional:
         """The mixed moment Lambda(x^alpha)."""
         alpha = tuple(alpha)
         # only checked multi-indices enter the cache, so a hit needs no check
-        if alpha in self._cache:
-            return self._cache[alpha]
+        value = self._cache.get(alpha)
+        if value is not None:
+            return value
         _check_index(alpha, self.dimension)
         if sum(alpha) > self.max_reliable_degree:
             raise DepthExceededError(
                 f"moment of degree {sum(alpha)} requested, but only degrees "
                 f"<= {self.max_reliable_degree} are reliable"
             )
-        self._cache[alpha] = self._compute(alpha)
-        return self._cache[alpha]
+        return self._value(alpha)
+
+    def _value(self, alpha: tuple):
+        """Lambda(x^alpha) for a checked alpha within the reliable depth: cached, else computed once."""
+        value = self._cache.get(alpha)
+        if value is None:
+            value = self._cache[alpha] = self._compute(alpha)
+        return value
 
     def require(self, degree: int, task: str) -> None:
         """Raise DepthExceededError, "<task> needs moments to <degree> ...", unless degree is reliable."""
@@ -164,17 +179,72 @@ def _discrete_moment(m: DiscreteMeasure, alpha):
     return total
 
 
+def _cleared_discrete_moment(rows: tuple, r: int, q: tuple, int_weights: bool, int_coords: tuple, alpha):
+    """sum_j r_j prod_i p_ji^alpha_i over r prod_i q_i^alpha_i, as one Fraction.
+
+    rows pairs each atom's integer weight r_j with its cleared coordinates
+    p_ji. The value is an int, the sum itself (r and each q_i it uses are
+    then 1), when every weight is an int and so is every coordinate with a
+    positive exponent, as the atom by atom sum would give.
+    """
+    total = 0
+    for weight, point in rows:
+        for p, e in zip(point, alpha):
+            if e:
+                weight *= p**e
+        total += weight
+    if int_weights and all(is_int for is_int, e in zip(int_coords, alpha) if e):
+        return total
+    den = r
+    for qi, e in zip(q, alpha):
+        if e:
+            den *= qi**e
+    return Fraction(total, den)
+
+
 def discrete_functional(m: DiscreteMeasure) -> MomentFunctional:
     """Moments of a finitely supported measure: sum of weighted atom powers."""
-    compute = partial(_discrete_moment, m)
-    return MomentFunctional(m.dimension, compute, UNBOUNDED_DEPTH, exact=m.is_exact, tag="discrete")
+    if not m.is_exact:
+        compute = partial(_discrete_moment, m)
+        return MomentFunctional(m.dimension, compute, UNBOUNDED_DEPTH, exact=False, tag="discrete")
+    # exact: weights over r and coordinate i over q_i, cleared once
+    columns = tuple(zip(*m.atoms))
+    r = math.lcm(*(w.denominator for w in m.weights))
+    q = tuple(math.lcm(*(x.denominator for x in column)) for column in columns)
+    rows = tuple(
+        (w.numerator * (r // w.denominator), tuple(x.numerator * (qi // x.denominator) for x, qi in zip(a, q)))
+        for a, w in zip(m.atoms, m.weights)
+    )
+    int_weights = all(isinstance(w, int) for w in m.weights)
+    int_coords = tuple(all(isinstance(x, int) for x in column) for column in columns)
+    compute = partial(_cleared_discrete_moment, rows, r, q, int_weights, int_coords)
+    return MomentFunctional(m.dimension, compute, UNBOUNDED_DEPTH, exact=True, tag="discrete")
 
 
 def _product_moment(blocks: tuple, alpha):
+    """A float or mixed product: the factors' values multiplied in order."""
     value = 1
     for f, lo, hi in blocks:
-        value = value * f.moment(alpha[lo:hi])
+        value = value * f._value(alpha[lo:hi])
     return value
+
+
+def _exact_product_moment(blocks: tuple, alpha):
+    """An exact product: numerators and denominators multiplied as ints, then one Fraction.
+
+    An int when every factor value is one, as the product in order would give.
+    """
+    num = den = 1
+    ints = True
+    for f, lo, hi in blocks:
+        value = f._value(alpha[lo:hi])
+        if isinstance(value, int):
+            num *= value
+        else:
+            num *= value.numerator
+            den *= value.denominator
+            ints = False
+    return num if ints else Fraction(num, den)
 
 
 def product_functional(factors: list) -> MomentFunctional:
@@ -192,7 +262,10 @@ def product_functional(factors: list) -> MomentFunctional:
         offsets.append(offsets[-1] + d)
     cap = min(f.max_reliable_degree for f in factors)
     exact = all(f.exact for f in factors)
-    compute = partial(_product_moment, tuple(zip(factors, offsets, offsets[1:])))
+    # moment checks alpha, so each slice is a valid index of its factor
+    # within the factor's depth (cap is the smallest): _value reads it unchecked
+    product = _exact_product_moment if exact else _product_moment
+    compute = partial(product, tuple(zip(factors, offsets, offsets[1:])))
     return MomentFunctional(dimension, compute, cap, exact=exact, tag="product")
 
 

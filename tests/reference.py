@@ -2,8 +2,9 @@
 
 Plain, unoptimized definitions: the moment and localizing matrices entry by
 entry, Lambda of a polynomial term by term, the commutator [X_j, X_k]
-applied basis vector by basis vector, and the float moments of a recurrence
-by a list recursion. The library computes none of these
+applied basis vector by basis vector, the float moments of a recurrence
+by a list recursion, and the moments of products and discrete measures on
+the scalars as given. The library computes none of these
 this way; it reads its moments from `gradation._moment_rows` and checks the
 commutation relations block by block (`check_commutation`). `edited` and
 `replaced` make the changed copies of read-only library values that tests
@@ -100,6 +101,30 @@ def x_commutator_residual(fock, j: int, k: int, n: int) -> float:
             total += seminorm(lambda: diff[:, None], level) ** 2
         worst = max(worst, math.sqrt(total))
     return worst
+
+
+def product_moment(factors, alpha):
+    """Lambda(x^alpha) of a product: each factor's moment of its slice of alpha, multiplied in order from 1."""
+    value, lo = 1, 0
+    for f in factors:
+        value = value * f.moment(alpha[lo : lo + f.dimension])
+        lo += f.dimension
+    return value
+
+
+def discrete_moment(measure, alpha):
+    """Lambda(x^alpha) of a discrete measure: weight times powers, atom by atom, summed from 0.
+
+    A power with a zero exponent is skipped, not multiplied in.
+    """
+    total = 0
+    for atom, w in zip(measure.atoms, measure.weights):
+        value = w
+        for x, e in zip(atom, alpha):
+            if e:
+                value = value * x**e
+        total = total + value
+    return total
 
 
 def float_jacobi_moments(pair, depth: int) -> list:

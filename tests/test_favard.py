@@ -718,6 +718,31 @@ def test_a_payload_keeps_its_one_report(square_fn):
             edit()
 
 
+def test_block_records_compare_by_identity(circle):
+    # records holding arrays compare and hash as objects, so reports that
+    # hold them compare to a bool and hash
+    g = mvop.build_gradations(circle, 3)
+    fi = mvop.FockInput.from_fock_data(mvop.assemble_fock(g))
+    report, other = mvop.validate(fi), mvop.validate(dataclasses.replace(fi))
+    assert report.passed and other.passed
+    assert (report == other) is False and (report == report) is True
+    assert isinstance(hash(report), int)
+    for record in (fi, report.fock, g.levels[1]):
+        assert (record == dataclasses.replace(record)) is False and record == record
+        assert isinstance(hash(record), int)
+
+
+def test_hand_built_reports_hold_tuples():
+    entry = mvop.CommutationEntry("CR3", (1, 2), 0, residual=1.0, tolerance=1e-10)
+    commutation = mvop.CommutationReport(depth=1, entries=[entry])
+    check = mvop.ValidationCheck("psd", "degree 0", residual=0.0, tolerance=1e-10)
+    validation = mvop.ValidationReport(1, [check])
+    assert commutation.entries == (entry,) and validation.checks == (check,)
+    for report, same in ((commutation, mvop.CommutationReport(1, (entry,))), (validation, mvop.ValidationReport(1, (check,)))):
+        assert report == same and hash(report) == hash(same)
+    assert not commutation.passed and validation.passed
+
+
 def test_validate_then_reconstruct_builds_one_report(monkeypatch, square_fn):
     built = {"report": 0, "check": 0}
     for cls, name in ((mvop.ValidationReport, "report"), (mvop.ValidationCheck, "check")):

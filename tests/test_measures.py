@@ -8,7 +8,7 @@ from scipy import integrate
 
 import mvop
 from mvop.measures import as_float_functional
-from reference import float_jacobi_moments
+from reference import discrete_moment, float_jacobi_moments, product_moment
 
 
 def double_factorial(k):
@@ -145,6 +145,103 @@ def test_as_float_functional(square_fn):
     assert not ff.exact
     assert isinstance(ff.moment((2, 0)), float)
     assert ff.moment((2, 0)) == 1.0
+
+
+def typed(v):
+    """(type, value), with a float by its bits."""
+    return (type(v), v.hex() if isinstance(v, float) else v)
+
+
+def random_rational(rng, lo, hi, max_den):
+    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+
+
+def random_factor(rng, kind):
+    """A 1-D exact factor: a Gaussian, a rational recurrence to degree 10, or a 3..6-atom rational measure."""
+    if kind == "gaussian":
+        return mvop.gaussian_functional()
+    if kind == "jacobi":
+        omegas = tuple(random_rational(rng, 1, 9, 4) for _ in range(10))
+        alphas = tuple(random_rational(rng, -4, 4, 4) for _ in range(10))
+        return mvop.jacobi_to_moments(mvop.JacobiPair1D(omegas, alphas), 10)
+    k = rng.randint(3, 6)
+    atoms = set()
+    while len(atoms) < k:
+        atoms.add(random_rational(rng, -8, 8, 4))
+    raw = [rng.randint(1, 9) for _ in range(k)]
+    weights = tuple(Fraction(w, sum(raw)) for w in raw)
+    return mvop.discrete_functional(mvop.DiscreteMeasure(tuple((a,) for a in sorted(atoms)), weights))
+
+
+def assert_moments_match(f, reference, degree=10):
+    for alpha in mvop.monomials_up_to(f.dimension, degree):
+        assert typed(f.moment(alpha)) == typed(reference(alpha)), alpha
+
+
+def test_exact_product_moments_match_the_product_in_order():
+    rng = random.Random(3535)
+    for _ in range(12):
+        factors = [random_factor(rng, rng.choice(("gaussian", "jacobi", "discrete"))) for _ in range(3)]
+        f = mvop.product_functional(factors)
+        assert f.exact
+        assert_moments_match(f, lambda alpha: product_moment(factors, alpha))
+    # a 2-D discrete factor, an int-valued one and a Fraction-valued one
+    F = Fraction
+    plane = mvop.DiscreteMeasure(((F(1, 2), 3), (-2, F(5, 3)), (0, 1)), (F(1, 6), F(1, 2), F(1, 3)))
+    plane = mvop.discrete_functional(plane)
+    point = mvop.discrete_functional(mvop.DiscreteMeasure(((2, -3),), (1,)))
+    jacobi = mvop.jacobi_to_moments(mvop.JacobiPair1D((F(1, 2),) * 10, (F(-1, 3),) * 10), 10)
+    gaussian = mvop.gaussian_functional()
+    for factors in ([plane, gaussian], [gaussian, point], [point, jacobi, plane]):
+        f = mvop.product_functional(factors)
+        assert_moments_match(f, lambda alpha: product_moment(factors, alpha))
+    # every factor value an int gives ints
+    f = mvop.product_functional([point, gaussian])
+    assert all(type(f.moment(alpha)) is int for alpha in mvop.monomials_up_to(3, 10))
+
+
+def test_exact_discrete_moments_match_the_atom_by_atom_sum():
+    F = Fraction
+    rng = random.Random(3536)
+    measures = [
+        mvop.DiscreteMeasure(((7,),), (1,)),
+        mvop.DiscreteMeasure(((2, -3, 0),), (1,)),
+        mvop.DiscreteMeasure(((F(1, 2), 3),), (1,)),
+        mvop.DiscreteMeasure(((F(4, 2), 3),), (F(1),)),
+        mvop.DiscreteMeasure(((1, 1), (-1, 1), (-1, -1), (1, -1)), (F(1, 4),) * 4),
+        mvop.DiscreteMeasure(((0, F(-2, 3), 5), (1, 1, F(1, 7))), (F(2, 5), F(3, 5))),
+    ]
+    for d in (1, 2, 3):
+        for _ in range(4):
+            k = rng.randint(1, 5)
+            atoms = set()
+            while len(atoms) < k:
+                point = [random_rational(rng, -8, 8, 4) if rng.random() < 0.7 else rng.randint(-3, 3) for _ in range(d)]
+                atoms.add(tuple(point))
+            raw = [rng.randint(1, 9) for _ in range(k)]
+            measures.append(mvop.DiscreteMeasure(tuple(atoms), tuple(F(w, sum(raw)) for w in raw)))
+    for m in measures:
+        f = mvop.discrete_functional(m)
+        assert f.exact
+        assert_moments_match(f, lambda alpha: discrete_moment(m, alpha))
+    # a single int atom of weight 1 has int moments; a Fraction coordinate
+    # makes a Fraction exactly where its exponent is positive
+    f = mvop.discrete_functional(measures[2])
+    assert type(f.moment((0, 2))) is int and type(f.moment((1, 0))) is Fraction
+
+
+def test_float_and_mixed_product_moments_are_the_product_in_order(circle):
+    F = Fraction
+    square = mvop.discrete_functional(mvop.DiscreteMeasure(((F(1, 3), -2), (F(1, 4), 1)), (F(1, 3), F(2, 3))))
+    float_measure = mvop.DiscreteMeasure(((0.5, 0.25), (1.5, -2.0)), (0.25, 0.75))
+    floats = mvop.discrete_functional(float_measure)
+    assert_moments_match(floats, lambda alpha: discrete_moment(float_measure, alpha))
+    gaussian = mvop.gaussian_functional()
+    products = [[circle, gaussian], [gaussian, circle], [square, circle, gaussian], [floats, square]]
+    for factors in products + [[as_float_functional(square), gaussian]]:
+        f = mvop.product_functional(factors)
+        assert not f.exact
+        assert_moments_match(f, lambda alpha: product_moment(factors, alpha))
 
 
 def test_table_functional_requires_all_entries():
