@@ -15,11 +15,13 @@ Each row runs RUNS times on a fresh functional and records, per layer, the
 median of its wall seconds: the moment prefetch (every moment assembly reads,
 to degree 2 depth + 1, through the public accessor), `build_gradations`,
 `assemble_fock` and `check_commutation`. As in perfbench/run.py, the
-reference kernel (`run.Speed`) is timed before and after each run, and the
-run's seconds times REF_NOMINAL_S over the mean of those two times are its
-seconds at the reference speed; their medians are recorded next to the raw
-ones (`reference_s`), with the median of the factors (`speed_scale`), so
-that files written on a slower or busier machine compare. It also records
+reference kernel (`run.Speed`) is timed before and after each run, and
+REF_NOMINAL_S over the mean of those two times is the run's speed factor.
+A row records the median of its own factors (`speed_scale`), and its
+seconds at the reference speed (`reference_s`) are its median seconds times
+the median factor of every run in the file, so that files written on a
+slower or busier machine compare: one row's few kernel timings carry the
+kernel's own noise, which moved a row's scaled seconds by ~1.5x. It also records
 the gradation's ranks and whether the commutation check passed, which it
 must on every row.
 The file records the environment (CPU, Python, numpy, BLAS, thread cap).
@@ -80,9 +82,11 @@ def _prefetch(mvop, f, degree: int) -> None:
         f.moment(alpha)
 
 
-def measure_row(mvop, kind: str, size: int, factors, speed) -> dict:
-    """One row: per layer the median raw and reference-speed seconds over RUNS fresh functionals, the ranks, and `passed`.
+def measure_row(mvop, kind: str, size: int, factors, speed) -> tuple:
+    """(row, scales): the row without reference_s, and the speed factor of each of its RUNS runs.
 
+    The row holds per layer the median seconds over RUNS fresh functionals,
+    the ranks and `passed`; `main` adds reference_s once every row has run.
     speed is a `run.Speed` with at least one sample.
     """
     depth = 2 if kind == "gaussian" else size
@@ -98,22 +102,21 @@ def measure_row(mvop, kind: str, size: int, factors, speed) -> dict:
             report = tr.call("fock.check_commutation", mvop.check_commutation, fock)
         tr.scales[op] = speed.scale(before, speed.sample())
         passed.append(report.passed)
-    seconds, reference = defaultdict(list), defaultdict(list)
-    for name, start, end, _, op in tr.spans:
+    seconds = defaultdict(list)
+    for name, start, end, _, _ in tr.spans:
         if name != "op":
             seconds[name].append(end - start)
-            reference[name].append((end - start) * tr.scales[op])
-    return {
+    row = {
         "name": f"{kind}-{'d' if kind == 'gaussian' else 'depth'}{size}",
         "kind": kind,
         "dimension": f.dimension,
         "depth": depth,
         "median_s": {name: statistics.median(seconds[name]) for name in LAYERS},
-        "reference_s": {name: statistics.median(reference[name]) for name in LAYERS},
         "speed_scale": statistics.median(tr.scales.values()),
         "ranks": [lev.rank for lev in g.levels],
         "passed": all(passed),
     }
+    return row, list(tr.scales.values())
 
 
 def main(argv=None) -> int:
@@ -128,10 +131,15 @@ def main(argv=None) -> int:
     factors = _factors(random.Random(SEED))
     speed = perfbench_run.Speed()
     speed.sample()
-    rows = []
+    rows, scales = [], []
     for kind, size in QUICK_GRID if args.quick else GRID:
-        rows.append(measure_row(mvop, kind, size, factors, speed))
-        print(json.dumps(rows[-1]), flush=True)
+        row, row_scales = measure_row(mvop, kind, size, factors, speed)
+        rows.append(row)
+        scales += row_scales
+        print(json.dumps(row), flush=True)
+    scale = statistics.median(scales)
+    for row in rows:
+        row["reference_s"] = {name: seconds * scale for name, seconds in row["median_s"].items()}
     env = perfbench_run.environment(argparse.Namespace(workload="layers", seed=SEED, seconds=None, trace=1))
     out = {"env": env, "quick": args.quick, "runs": RUNS, "layers": list(LAYERS), "rows": rows}
     Path(args.out).write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

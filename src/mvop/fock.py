@@ -9,9 +9,11 @@ localizing matrix L_i[a, b] = Lambda(x^(a+b+e_i)), which is M's rows
 shifted by e_i: row a of L_i is row a + e_i of M. Both modes take the rows
 of M of degree 1..depth + 1 (`gradation._moment_rows`), each distinct
 moment fetched once. Row a of L_i coef_n is row a + e_i of M coef_n, which
-vanishes below degree n, so exact mode reads every R of level n off one
-product, the rows of degree n and n + 1 of M coef_n (`_preservation_rhs`);
-float mode gathers each L_i from the rows and forms the quadratic forms.
+vanishes below degree n, so exact mode reads every R of level n off the
+rows of degree n and n + 1 of M coef_n: G_n, and N_n, which the gradation
+kept for each level below the top (`_preservation_rhs`); only the top
+level, and a level a caller made, multiply moments (`_moment_product`).
+Float mode gathers each L_i from the rows and forms the quadratic forms.
 The annihilation block solves G_{n-1} A_i^- = (A_i^+)^T G_n.
 `complete_fock` adds the creation and annihilation blocks to given Gram and
 preservation blocks, for assembled and for externally supplied blocks
@@ -90,7 +92,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import DepthExceededError, InternalConsistencyError
-from .gradation import GradationBasis, _moment_rows
+from .gradation import GradationBasis, _moment_product, _moment_rows
 from .polynomial import _check_index, monomials_of_degree, monomials_up_to
 from .scalars import Tolerances
 
@@ -330,12 +332,16 @@ def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
     (`_moment_rows`): row a of L_i is row a + e_i of M. Float: each L_i is
     gathered from those rows (`_localizing_rows`) and taken as a quadratic
     form, mirrored to be exactly symmetric. Exact: row a of L_i coef_n is
-    row a + e_i of M coef_n, which vanishes below degree n, and coef_n is
-    the identity on its degree-n rows. So one product P_n, the rows of
-    degree n and n + 1 of M coef_n, gives
-    rhs[i][n] = coef_n[degree n-1]^T P_n[degree n, alpha + e_i]
-    + P_n[degree n+1, alpha + e_i], with the rows alpha + e_i over the
-    degree-(n-1) and degree-n monomials alpha.
+    row a + e_i of M coef_n, which vanishes below degree n; its degree-n
+    rows are G_n, and coef_n is the identity on its degree-n rows. So with
+    N_n, the rows of degree n + 1 of M coef_n,
+    rhs[i][n] = N_n[alpha + e_i] + coef_n[degree n-1]^T G_n[alpha' + e_i],
+    over the degree-n monomials alpha and the degree-(n-1) ones alpha'. The
+    second term is formed over the nonzero rows of coef_n[degree n-1] only,
+    so it is no product at all where they are zero, as at level 0. N_n is
+    the one `build_gradations` kept on the level's computing form; only the
+    top level, and a level a caller made, multiply their moment rows of
+    degree n + 1 (`_moment_product`).
     """
     d, depth = g.dimension, g.max_degree
     rows = _moment_rows(g.functional, 1, depth + 1, depth)  # row r of M is row r - 1 here
@@ -345,20 +351,18 @@ def _preservation_rhs(g: GradationBasis, coefs: list) -> list:
             for mat in (rows[index] for index in _localizing_rows(d, depth))
         ]
     out: list = [[] for _ in range(d)]
-    for n, coef in enumerate(coefs):
+    for n, (coef, form) in enumerate(zip(coefs, map(_linalg.computing, g.levels))):
         size, k = coef.shape
-        below = size - k  # the rows of degree < n
-        top = size + len(monomials_of_degree(d, n + 1))
-        # P_n: the rows of degree n and n + 1 of M coef_n
-        product = _linalg.matmul(rows[max(below, 1) - 1 : top - 1, :size], coef)
-        if not n:  # P_0 has no degree-0 row, and coef_0 no row below
-            for i in range(d):
-                out[i].append(product[_shift_rows(d, i, 0)])
-            continue
-        prev = coef[below - len(monomials_of_degree(d, n - 1)) : below].T
+        top = len(monomials_up_to(d, n + 1)) - 1  # rows size - 1 to top are the rows of degree n + 1
+        # N_n, which the gradation kept below the top level
+        next_rows = vars(form).get("_next_rows") or _moment_product(rows.num[size - 1 : top, :size], rows.den, coef)
+        # nz: the nonzero rows of degree n - 1 of coef_n (none at level 0)
+        start = len(monomials_up_to(d, n - 2))
+        nz = np.flatnonzero(coef.num[start : size - k].any(axis=1))
+        prev = coef[start + nz].T
         for i in range(d):
-            lower = _linalg.matmul(prev, product[_shift_rows(d, i, n - 1)])
-            out[i].append(lower + product[k + _shift_rows(d, i, n)])
+            rhs = next_rows[_shift_rows(d, i, n)]
+            out[i].append(_linalg.matmul(prev, form.gram[_shift_rows(d, i, n - 1)[nz]]) + rhs if len(nz) else rhs)
     return out
 
 
@@ -366,8 +370,9 @@ def assemble_fock(g: GradationBasis) -> FockData:
     """Assemble creation, preservation, and annihilation blocks from a gradation.
 
     Preservation blocks solve G_n A = R with R the localizing-matrix Gram of
-    the candidates (`_preservation_rhs`: in exact mode read off one moment
-    product per level, from the candidates and the moments only); the rest
+    the candidates (`_preservation_rhs`: in exact mode read off G_n and the
+    rows of degree n + 1 of M coef_n, which the gradation kept below the
+    top level); the rest
     is `complete_fock`, and the blocks carry `g.tol`. Both solves use the
     range part of the Gram splitting, and the defining identities are
     re-checked afterwards against `Tolerances.adj` (they must hold because

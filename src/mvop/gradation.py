@@ -24,7 +24,12 @@ every row of degree < n, as coef is M-orthogonal to each lower U_m and each
 lower null direction passed the check. So the one product with M,
 Q_n = the rows of degree >= n of M coef, gives the rest: G_n is its
 degree-n rows (coef is the identity there), the check is Q_n K_n = 0, and
-U_n^T M, zero on the columns of degree < n, is (Q_n C_n)^T. Float mode runs
+U_n^T M, zero on the columns of degree < n, is (Q_n C_n)^T. Each exact
+level below the top keeps N_n, the rows of degree n + 1 of Q_n, on its
+computing form: assembly reads the level's preservation right-hand sides
+off N_n and G_n. `_moment_product` is the one product of moments with a
+level's coef: it multiplies only the nonzero rows of degree < n of coef
+and scales the degree-n columns of the moments. Float mode runs
 modified Gram-Schmidt, one step per lower level against all of U_m^T M, and
 forms the quadratic form coef^T M coef: in binary64 the low rows of M coef
 hold rounding noise, not zeros.
@@ -254,6 +259,23 @@ def _padded(pair, rows: int):
     return _linalg.Cleared.reduced(np.concatenate([pair.num, zeros]), pair.den)
 
 
+def _moment_product(num: np.ndarray, den: int, coef):
+    """(num / den) coef by structure, for moment rows num / den with one column per row of coef.
+
+    The one product of moments with an exact level's coef pair. coef is den I
+    on its degree-n rows, and many of its lower rows, the projections, are
+    zero: so only its nonzero lower rows are multiplied, and the degree-n
+    columns of num are scaled. The numerators, and so the reduced pair, are
+    those of the full product.
+    """
+    # the last coef.shape[1] rows of coef, and columns of num, are of degree n
+    nonzero = np.flatnonzero(coef.num[: -coef.shape[1]].any(axis=1))
+    out = coef.den * num[:, -coef.shape[1] :]
+    if len(nonzero):
+        out = out + num[:, nonzero] @ coef.num[nonzero]
+    return _linalg.Cleared(out, den * coef.den)
+
+
 def _public_coef(unit: np.ndarray, top: int, coef):
     # the rows no projection reaches keep the int entries of the unit block
     unit[:top] = _linalg.published(coef[:top])
@@ -329,8 +351,8 @@ def build_gradations(
             # M coef vanishes on the rows of degree < n: coef is M-orthogonal to each
             # lower U_m, and each lower null direction z has M z = 0 (checked below).
             # Its rows of degree >= n give G_n (the degree-n rows, as coef is the
-            # identity there), the null-moment check and U_n^T M
-            product = _linalg.Cleared(moments.num[lo:, :size] @ coef.num, moments.den * coef.den)
+            # identity there), the null-moment check, U_n^T M and assembly's N_n
+            product = _moment_product(moments.num[lo:, :size], moments.den, coef)
             gram = product[:k]
         else:
             coef = unit
@@ -350,6 +372,8 @@ def build_gradations(
             paired = _linalg.times(product, split.combos).T if exact else _linalg.matmul(ortho.T, moments[:size])
             lower.append((lo, ortho / split.norms2[None, :], paired))
         level = DegreeBasis(n, monos, _level_weights(d, n), coef, gram, split)
+        if exact and n < max_degree:  # N_n, the rows of degree n + 1 of M coef, for assembly
+            level.__dict__["_next_rows"] = product[k : len(monomials_up_to(d, n + 1)) - lo]
         # the level of pairs, or of binary64 arrays, is the computing form
         publish = {
             "coef": partial(_public_coef, unit, top, coef),

@@ -5,9 +5,12 @@ the rows of lower degree of M C vanish, and C is the identity on its
 degree-n rows. Exact mode therefore reads G_n = C^T M C off the degree-n
 rows of M C, and C^T L_i C off its rows of degree n and n + 1. These tests
 check the premise on genuine data and the read-off values against the
-quadratic forms they replace; float mode keeps the quadratic forms.
+quadratic forms they replace; float mode keeps the quadratic forms. A level
+the gradation built keeps its rows of degree n + 1 for assembly, and a
+replaced level, which keeps none, gives the same blocks.
 """
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -19,6 +22,7 @@ import pytest
 import mvop
 from mvop import _linalg
 from mvop.cli import functional_from_payload, main
+from mvop.fock import _preservation_rhs
 from mvop.gradation import _moment_rows
 from reference import moment_matrix
 
@@ -99,6 +103,26 @@ def test_azero_solves_the_localizing_quadratic_form(name, f, depth):
             rhs = lev.coef.T @ localizing[:size, :size] @ lev.coef
             assert (block == _linalg.pseudo_apply(lev.split, rhs)).all(), (i, lev.degree)
             assert (lev.gram @ block == rhs).all()
+
+
+def _pairs(blocks):
+    return [None if b is None else (b.den, b.num.tolist()) for b in blocks]
+
+
+@pytest.mark.parametrize("name,f,depth", CASES, ids=[c[0] for c in CASES])
+def test_replaced_levels_assemble_the_same_blocks(name, f, depth):
+    # a replaced level keeps no rows of degree n + 1 of M coef_n: assembly
+    # multiplies its moment rows instead, to the same pairs
+    g = mvop.build_gradations(f, depth, mode="exact")
+    replaced = dataclasses.replace(g, levels=[dataclasses.replace(lev) for lev in g.levels])
+    kept = ["_next_rows" in _linalg.computing(lev).__dict__ for lev in g.levels]
+    assert kept == [n < depth for n in range(depth + 1)]
+    assert not any("_next_rows" in _linalg.computing(lev).__dict__ for lev in replaced.levels)
+    rhs = [_preservation_rhs(h, [_linalg.computing(lev).coef for lev in h.levels]) for h in (g, replaced)]
+    assert [_pairs(per) for per in rhs[0]] == [_pairs(per) for per in rhs[1]]
+    fresh, other = (_linalg.computing(mvop.assemble_fock(h)) for h in (g, replaced))
+    for family in ("azero", "aminus"):
+        assert [_pairs(per) for per in getattr(fresh, family)] == [_pairs(per) for per in getattr(other, family)]
 
 
 @pytest.fixture

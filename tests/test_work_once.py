@@ -12,7 +12,9 @@ validation runs no elimination, solve or product against a zero Gram
 level, and reconstruction compresses only the levels below its rank-zero
 cutoff. A memoized vacuum state keeps only the levels that can still reach
 the vacuum. Assembly
-fetches each distinct localizing moment once for all coordinates. Exact
+fetches each distinct localizing moment once for all coordinates, and
+multiplies moments by a level's candidates only at the top level: the
+gradation's one product per level holds the rows the levels below need. Exact
 gradations refuse data whose seminorm-null polynomials have a nonzero
 moment, which no moment functional has. The index plan of a moment block,
 the weights of a level and the float localizing index are built once per
@@ -336,6 +338,35 @@ def test_assembly_fetches_each_localizing_moment_once(exact):
         for b in monos
     }
     assert sorted(asked) == sorted(localizing)
+
+
+def test_one_moment_product_per_level(monkeypatch):
+    # a 4-Gaussian product: every projection row of its candidates is zero
+    f = mvop.product_functional([mvop.gaussian_functional()] * 4)
+    products = []
+    product = gradation_module._moment_product
+
+    def counting(num, den, coef):
+        products.append(coef.shape)
+        return product(num, den, coef)
+
+    monkeypatch.setattr(gradation_module, "_moment_product", counting)
+    monkeypatch.setattr(fock_module, "_moment_product", counting)
+    g = mvop.build_gradations(f, 2)
+    assert products == [(1, 1), (5, 4), (15, 10)]  # one per level
+    products.clear()
+    matmuls = _recorded_matmuls(monkeypatch)
+    _preservation_rhs(g, [_linalg.computing(lev).coef for lev in g.levels])
+    # the lower levels kept their rows of degree n + 1: only the top multiplies
+    # its own, and as every row of degree n - 1 of each coef is zero, nothing else
+    assert products == [(15, 10)] and matmuls == []
+    products.clear()
+    assert mvop.check_commutation(mvop.assemble_fock(g)).passed
+    assert products == [(15, 10)]
+    products.clear()
+    # a replaced level keeps none (the blocks are the same: test_readoff)
+    mvop.assemble_fock(dataclasses.replace(g, levels=[dataclasses.replace(lev) for lev in g.levels]))
+    assert products == [(1, 1), (5, 4), (15, 10)]
 
 
 def test_localizing_matrices_are_the_moment_matrices():
