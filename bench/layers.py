@@ -21,7 +21,10 @@ A row records the median of its own factors (`speed_scale`), and its
 seconds at the reference speed (`reference_s`) are its median seconds times
 the median factor of every run in the file, so that files written on a
 slower or busier machine compare: one row's few kernel timings carry the
-kernel's own noise, which moved a row's scaled seconds by ~1.5x. It also records
+kernel's own noise, which moved a row's scaled seconds by ~1.5x. A row whose
+own factor lies outside SCALE_BAND times the median factor of the first
+pass ran during a busy spell: it is measured once more, and the second
+measurement is kept (and printed again). It also records
 the gradation's ranks and whether the commutation check passed, which it
 must on every row.
 The file records the environment (CPU, Python, numpy, BLAS, thread cap).
@@ -48,6 +51,7 @@ from spans import Tracer  # noqa: E402
 
 RUNS = 3
 SEED = 8
+SCALE_BAND = (0.8, 1.25)
 LAYERS = ("measures.prefetch", "gradation.build_gradations", "fock.assemble_fock", "fock.check_commutation")
 # (kind, dimension or depth): gaussian rows give d at depth 2, product3 rows the depth
 GRID = (("gaussian", 10), ("gaussian", 14), ("gaussian", 20), ("product3", 4), ("product3", 6), ("product3", 8))
@@ -131,13 +135,22 @@ def main(argv=None) -> int:
     factors = _factors(random.Random(SEED))
     speed = perfbench_run.Speed()
     speed.sample()
-    rows, scales = [], []
-    for kind, size in QUICK_GRID if args.quick else GRID:
+    grid = QUICK_GRID if args.quick else GRID
+
+    def measured(kind, size):
         row, row_scales = measure_row(mvop, kind, size, factors, speed)
-        rows.append(row)
-        scales += row_scales
         print(json.dumps(row), flush=True)
-    scale = statistics.median(scales)
+        return row, row_scales
+
+    passes = [measured(kind, size) for kind, size in grid]
+    first = statistics.median(s for _, row_scales in passes for s in row_scales)
+    lo, hi = SCALE_BAND
+    passes = [
+        done if lo <= done[0]["speed_scale"] / first <= hi else measured(kind, size)
+        for (kind, size), done in zip(grid, passes)
+    ]
+    rows = [row for row, _ in passes]
+    scale = statistics.median(s for _, row_scales in passes for s in row_scales)
     for row in rows:
         row["reference_s"] = {name: seconds * scale for name, seconds in row["median_s"].items()}
     env = perfbench_run.environment(argparse.Namespace(workload="layers", seed=SEED, seconds=None, trace=1))

@@ -7,17 +7,18 @@ denominator) and `Units` maps: `cleared` makes pairs from rational arrays once
 where a computation starts, and raises ValueError on a non-rational entry;
 `published` makes Fraction arrays at the API edge. Float matrices are computed
 on as binary64 arrays (`floated`), also when they are given as Fraction
-arrays. Every array a library value holds is read-only (`read_only`): a
+arrays; `to_float` rounds a pair once per entry. The kernels take pairs
+and maps, or binary64 arrays, and clear nothing: `matmul` multiplies binary64
+arrays, or pairs as one integer product, and `max_quadratic` gives exact Gram
+seminorms. Every array a library value holds is read-only (`read_only`): a
 `ReadOnly` holder keeps the computing form it was built from for good, and
 publishes an exact array on its first read, so an array nobody reads is never
 built, and a change is a new value (`dataclasses.replace`), whose computing
 form is made once from its arrays, pairs if the value is exact, else binary64.
-`matmul` takes float arrays, pairs, or rational object arrays (returned as
-Fractions), so callers stay mode-generic; `max_quadratic` gives exact Gram
-seminorms. One fraction-free elimination per exact Gram (Bareiss 1968)
-gives its pivots, combos, norms and RREF kernel, and the kernel of any exact
-matrix A is that of the Gram A^T A. An exact matrix with one unit entry per
-column is held as its index map (`Units`): the canonical creation blocks, and
+One fraction-free elimination per exact Gram (Bareiss 1968) gives its
+pivots, combos, norms and RREF kernel, and the kernel of any exact matrix A
+is that of the Gram A^T A. An exact matrix with one unit entry per column
+is held as its index map (`Units`): the canonical creation blocks, and
 the combos and kernel of an exact Gram with no nonzero numerator off its
 diagonal (every Gram of a product of 1-D functionals, and a zero Gram), whose
 split is read off the diagonal with no elimination. A product with a map is an
@@ -42,7 +43,10 @@ from .errors import InconsistentMomentsError
 EPS = float(np.finfo(np.float64).eps)
 
 
-def to_float(a: np.ndarray) -> np.ndarray:
+def to_float(a) -> np.ndarray:
+    """The binary64 image of an array, or of a pair (`Cleared`): each entry num / den, rounded once."""
+    if isinstance(a, Cleared):
+        return np.asarray(a.num / a.den, dtype=np.float64)
     return np.asarray(a, dtype=np.float64)
 
 
@@ -155,8 +159,7 @@ def is_zero(x) -> bool:
 
     The one zero-level test of exact work: a zero Gram level is solved and
     measured against without product, and a zero right-hand side is solved
-    without one. Float and object arrays never pass, so float work is
-    unchanged.
+    without one. Float arrays never pass, so float work is unchanged.
     """
     return isinstance(x, Cleared) and not any(x.num.flat)
 
@@ -274,24 +277,12 @@ def stack(mats: list, axis: int):
     return Cleared.reduced(np.concatenate([m.num * (den // m.den) for m in mats], axis=axis), den)
 
 
-def _chain(mats) -> np.ndarray:
-    return reduce(lambda acc, m: m @ acc, reversed(mats))
-
-
 def matmul(*mats):
-    """Product of a chain of matrices, evaluated right to left.
-
-    Float arrays multiply as usual, and pairs as one integer product. Exact
-    object arrays, and int arrays among them, are multiplied as pairs and
-    returned as a Fraction array; a float array or entry among them raises
-    ValueError (`cleared`).
-    """
-    if all(m.dtype != object for m in mats):
-        return _chain(mats)
-    pairs = [cleared(m) for m in mats]
-    num = reduce(lambda acc, m: m.num @ acc, reversed(pairs[:-1]), pairs[-1].num)
-    product = Cleared(num, math.prod(m.den for m in pairs))
-    return product if any(isinstance(m, Cleared) for m in mats) else published(product)
+    """Product of a chain of binary64 arrays, or of pairs as one integer product, evaluated right to left."""
+    if not isinstance(mats[0], Cleared):
+        return reduce(lambda acc, m: m @ acc, reversed(mats))
+    num = reduce(lambda acc, m: m.num @ acc, reversed(mats[:-1]), mats[-1].num)
+    return Cleared(num, math.prod(m.den for m in mats))
 
 
 def times(a, b):
@@ -303,7 +294,7 @@ def times(a, b):
     if not (isinstance(a, Units) or isinstance(b, Units)):
         return matmul(a, b)
     left = isinstance(a, Units)
-    other = cleared(_dense(b if left else a))
+    other = _dense(b if left else a)
     rows, entries = (a if left else b).moved(other.num, left)
     if rows is None:
         return Cleared(entries, other.den)
@@ -324,7 +315,7 @@ def times_sum(terms: list) -> Cleared:
     moves, products = [], []
     for a, b in terms:
         if isinstance(a, Units) or isinstance(b, Units):
-            moves.append((a, True, cleared(_dense(b))) if isinstance(a, Units) else (b, False, cleared(a)))
+            moves.append((a, True, _dense(b)) if isinstance(a, Units) else (b, False, a))
         else:
             products.append((a, b))
     den = math.lcm(*(other.den for *_, other in moves))
@@ -347,15 +338,15 @@ def times_sum(terms: list) -> Cleared:
     return Cleared(total, den)
 
 
-def max_quadratic(cols, gram):
-    """max over the columns c of c^T gram c, for exact pairs or object arrays.
+def max_quadratic(cols: Cleared, gram: Cleared) -> Fraction:
+    """max over the columns c of c^T gram c, for exact pairs.
 
     On integer numerators only the diagonal of cols^T gram cols is formed,
     and its entries share one positive denominator, so a single Fraction is
     built, from the largest numerator.
     """
-    c, g = cleared(cols), cleared(gram)
-    return Fraction(max((c.num * (g.num @ c.num)).sum(axis=0)), c.den * c.den * g.den)
+    top = max((cols.num * (gram.num @ cols.num)).sum(axis=0))
+    return Fraction(top, cols.den * cols.den * gram.den)
 
 
 @cache
@@ -405,18 +396,16 @@ def rank_cutoff(dim: int, lam_max: float, tol_rank: float) -> float:
     return max(dim * EPS * max(lam_max, 0.0), tol_rank)
 
 
-def split_gram(gram: np.ndarray, exact: bool, tol_rank: float, tol_psd: float) -> GramSplit:
+def split_gram(gram, tol_rank: float, tol_psd: float) -> GramSplit:
     """Split a symmetric Gram matrix, k x k with k >= 1, into positive and null parts.
 
-    Float mode: one eigendecomposition (`eigen_split`); an eigenvalue below
-    -tol_psd (scaled) means the data is not a moment functional.
-    Exact mode: `_exact_split`, a split of pairs for a `Cleared` Gram, else of
-    Fractions; an asymmetric Gram or a non-positive pivot norm means the same
-    inconsistency.
+    A pair (`Cleared`) is split exactly (`_exact_split`): an asymmetric Gram
+    or a non-positive pivot norm means the data is not a moment functional.
+    A binary64 array takes one eigendecomposition (`eigen_split`), where an
+    eigenvalue below -tol_psd (scaled) means the same.
     """
-    if exact:
-        split = _exact_split(cleared(gram))
-        return split if isinstance(gram, Cleared) else published(split)
+    if isinstance(gram, Cleared):
+        return _exact_split(gram)
     evals, split = eigen_split(gram, tol_rank)
     if evals[0] < -tol_psd * max(1.0, float(evals[-1])):
         raise InconsistentMomentsError(

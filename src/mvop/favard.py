@@ -47,6 +47,7 @@ from .fock import (
     _residual,
     _seminorms,
     _split,
+    _term_sum,
     check_commutation,
     complete_fock,
     symmetry_residuals,
@@ -336,12 +337,12 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> ValidationRepo
             # the exact split alone decides, and a pass has residual 0
             residual, tolerance = 0.0, tol.psd * max(1.0, _max_abs(g))
             try:
-                splits.append(_linalg.split_gram(g, True, tol.rank, tol.psd))
+                splits.append(_linalg.split_gram(g, tol.rank, tol.psd))
             except InconsistentMomentsError:
                 # a non-positive pivot, whose negative direction may lie below
                 # binary64 resolution: the check records the negativity of the
                 # symmetrized binary64 Gram and fails with no tolerance
-                gf = _linalg.to_float(payload_grams[n])
+                gf = _linalg.to_float(g)
                 residual = max(negativity(np.linalg.eigvalsh(0.5 * (gf + gf.T))), math.ulp(0.0))
                 tolerance = 0.0
         else:
@@ -394,20 +395,19 @@ def _orthonormal_compression(grams: list, splits: list):
     C_t^T G_t A C_s is formed exactly and rounded once, so it does not
     inherit the conditioning of the monomial Grams. A creation block, and
     the combos of a diagonal Gram, are index maps (`_linalg.Units`), whose
-    products are index moves (`_linalg.times`).
+    products are index moves (`_linalg.times`). Float splits come with
+    binary64 Grams, and an exact block given to their lift is rounded once.
     """
     if isinstance(splits[0].norms2, _linalg.Cleared):
-        # a pair's num / den rounds each entry once (int true division)
         left = [_linalg.times(s.combos.T, g) for s, g in zip(splits, grams)]
-        scales = [1 / np.sqrt(_linalg.to_float(s.norms2.num / s.norms2.den)) for s in splits]
+        scales = [1 / np.sqrt(_linalg.to_float(s.norms2)) for s in splits]
 
         def lift(mat, t, s):
             block = _linalg.times(left[t], _linalg.times(mat, splits[s].combos))
-            return scales[t][:, None] * _linalg.to_float(block.num / block.den) * scales[s]
+            return scales[t][:, None] * _linalg.to_float(block) * scales[s]
 
         return lift
-    grams = [_linalg.to_float(g) for g in grams]
-    qs = [_linalg.to_float(s.combos) / np.sqrt(_linalg.to_float(s.norms2)) for s in splits]
+    qs = [s.combos / np.sqrt(s.norms2) for s in splits]
 
     def lift(mat, t, s):
         return qs[t].T @ grams[t] @ _linalg.to_float(mat) @ qs[s]
@@ -634,10 +634,12 @@ def self_adjointness_bound(fock: FockData, degrees=None) -> SelfAdjointnessRepor
     consistent with essential self-adjointness; nothing here constitutes a
     proof. Degenerate data (all a_n zero, finite support) reports divergent
     True with no exponent. The quotients are cut at the rank cutoff of
-    `fock.tolerances`. A FockData whose aplus is not the canonical shifts
-    raises ValueError, as at its first check.
+    `fock.tolerances`. The blocks are read in computing form
+    (`_linalg.computing`), which refuses an aplus that is not the canonical
+    shifts with ValueError, as at the first check: exact raising blocks are
+    formed on pairs and maps and rounded once, float ones in binary64.
     """
-    _linalg.computing(fock)  # refuses a non-canonical aplus
+    fock = _linalg.computing(fock)
     tol = fock.tolerances
     n_max = fock.depth
     degrees = list(range(1, n_max - 1)) if degrees is None else list(degrees)
@@ -651,17 +653,15 @@ def self_adjointness_bound(fock: FockData, degrees=None) -> SelfAdjointnessRepor
             f"degrees must lie in 1..{n_max - 2} so both raising steps stay in depth"
         )
 
-    splits = [_linalg.split_gram(_linalg.to_float(g), False, tol.rank, tol.psd) for g in fock.grams]
-    lift = _orthonormal_compression(fock.grams, splits)
+    grams = [_linalg.to_float(g) for g in fock.grams]
+    lift = _orthonormal_compression(grams, [_linalg.split_gram(g, tol.rank, tol.psd) for g in grams])
     bounds = []
     for n in degrees:
         worst = 0.0
-        for i in range(fock.dimension):
-            ap = lambda m: fock.aplus[i][m]
-            az = lambda m: fock.azero[i][m]
-            upper_left = lift(ap(n) @ ap(n - 1), n + 1, n - 1)
-            upper_right = lift(ap(n) @ az(n) + az(n + 1) @ ap(n), n + 1, n)
-            lower_right = lift(ap(n + 1) @ ap(n), n + 2, n)
+        for ap, az in zip(fock.aplus, fock.azero):
+            upper_left = lift(_linalg.times(ap[n], ap[n - 1]), n + 1, n - 1)
+            upper_right = lift(_term_sum([(ap[n], az[n]), (az[n + 1], ap[n])], fock.exact), n + 1, n)
+            lower_right = lift(_linalg.times(ap[n + 1], ap[n]), n + 2, n)
             block = np.block(
                 [
                     [upper_left, upper_right],

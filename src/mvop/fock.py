@@ -142,11 +142,12 @@ def nonzero_spectrum(g: GradationBasis, n: int) -> list:
 
     The generator is similar to a symmetric matrix via the weight rescaling,
     so its spectrum is real; eigenvalues are computed in binary64 regardless
-    of mode. Values closer than 1e-9 relative are merged.
+    of mode, from the level's computing Gram, an exact one rounded once.
+    Values closer than 1e-9 relative are merged.
     """
     lev = g.level(n)
     scale = np.array([1.0 / math.sqrt(float(w)) for w in lev.weights])
-    sym = _linalg.to_float(lev.gram) * np.outer(scale, scale)
+    sym = _linalg.to_float(_linalg.computing(lev).gram) * np.outer(scale, scale)
     evals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
     cut = _linalg.rank_cutoff(len(evals), float(np.max(np.abs(evals), initial=0.0)), g.tol.rank)
     kept = sorted(v for v in evals if abs(v) > cut)
@@ -462,7 +463,7 @@ def _split(form: FockData, n: int) -> _linalg.GramSplit:
     """
     splits = form.__dict__.setdefault("_splits", [None] * len(form.grams))
     if splits[n] is None:
-        splits[n] = _linalg.split_gram(form.grams[n], form.exact, form.tolerances.rank, math.inf)
+        splits[n] = _linalg.split_gram(form.grams[n], form.tolerances.rank, math.inf)
     return splits[n]
 
 

@@ -200,14 +200,15 @@ class DegreeBasis(_linalg.ReadOnly):
 
         A float level takes the columns in binary64. Float columns on an
         exact level give float coefficients: the public Fraction candidates
-        times the floats.
+        times the floats. Other columns on an exact level are cleared here,
+        once (`_linalg.cleared`; a pair or a map is taken as it is).
         """
         coef = _linalg.computing(self).coef
         if not self.exact:
             return self._polynomials(coef @ _linalg.to_float(columns))
         if getattr(columns, "dtype", None) == float:
             return self._polynomials(self.coef @ columns)
-        return self._polynomials(_linalg.published(_linalg.times(coef, columns)))
+        return self._polynomials(_linalg.published(_linalg.times(coef, _linalg.cleared(columns))))
 
     @property
     def candidates(self) -> list:
@@ -265,12 +266,14 @@ def _moment_product(num: np.ndarray, den: int, coef):
     The one product of moments with an exact level's coef pair. coef is den I
     on its degree-n rows, and many of its lower rows, the projections, are
     zero: so only its nonzero lower rows are multiplied, and the degree-n
-    columns of num are scaled. The numerators, and so the reduced pair, are
-    those of the full product.
+    columns of num are scaled, unless coef.den is 1. The numerators, and so
+    the reduced pair, are those of the full product.
     """
     # the last coef.shape[1] rows of coef, and columns of num, are of degree n
     nonzero = np.flatnonzero(coef.num[: -coef.shape[1]].any(axis=1))
-    out = coef.den * num[:, -coef.shape[1] :]
+    out = num[:, -coef.shape[1] :]
+    if coef.den != 1:
+        out = coef.den * out
     if len(nonzero):
         out = out + num[:, nonzero] @ coef.num[nonzero]
     return _linalg.Cleared(out, den * coef.den)
@@ -360,7 +363,7 @@ def build_gradations(
                 coef[: scaled.shape[0]] -= _linalg.matmul(scaled, paired[:, :size], coef)
             # binary64 leaves rounding noise in the low rows: the full quadratic form
             gram = _linalg.gram_product(coef, moments[:size, :size])
-        split = _linalg.split_gram(gram, exact=exact, tol_rank=tol.rank, tol_psd=tol.psd)
+        split = _linalg.split_gram(gram, tol_rank=tol.rank, tol_psd=tol.psd)
         # a PSD moment matrix maps each seminorm-null polynomial to zero
         if exact and split.nullity and _linalg.times(product, split.null).num.any():
             raise InconsistentMomentsError(

@@ -74,20 +74,22 @@ class NullIdealBasis:
     reduction_log: list = field(default_factory=list)
 
 
-def _new_kernel_directions(kernel, inherited, exact: bool, tol_rank: float):
-    """Basis of (column span of kernel) orthogonal to the inherited columns (pairs in exact mode).
+def _new_kernel_directions(kernel, inherited, tol_rank: float):
+    """Basis of (column span of kernel) orthogonal to the inherited columns.
 
-    kernel has a column: the caller skips empty kernels. Float inherited
-    columns are creation shifts of orthonormal columns, and a shift is an
-    isometry, so the largest singular value is 1, above the rank cutoff (< 1).
+    An exact kernel (a pair or a map) takes pairs, a float one binary64
+    arrays. kernel has a column: the caller skips empty kernels. Float
+    inherited columns are creation shifts of orthonormal columns, and a
+    shift is an isometry, so the largest singular value is 1, above the
+    rank cutoff (< 1).
     """
     if inherited.shape[1] == 0:
         return kernel
-    if exact:
+    if isinstance(kernel, (_linalg.Cleared, _linalg.Units)):
         # v = kernel @ y with inherited^T v = 0: y in the kernel of a = inherited^T kernel,
         # which is the kernel of the Gram a^T a, with the same RREF basis
         a = _linalg.times(inherited.T, kernel)
-        return _linalg.times(kernel, _linalg.split_gram(_linalg.matmul(a.T, a), True, 0.0, 0.0).null)
+        return _linalg.times(kernel, _linalg.split_gram(_linalg.matmul(a.T, a), 0.0, 0.0).null)
     u, s, _ = np.linalg.svd(inherited, full_matrices=False)
     cut = _linalg.rank_cutoff(inherited.shape[0], s[0], tol_rank)
     u = u[:, s > cut]
@@ -110,7 +112,6 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
     records, per deficient degree, how many kernel directions were inherited
     versus new.
     """
-    exact = g.exact
     d = g.dimension
     generators: list = []
     by_degree: dict = {}
@@ -124,9 +125,9 @@ def base_generators(g: GradationBasis) -> NullIdealBasis:
         below = _linalg.computing(g.level(n - 1)).split.null
         # A_i^+ K_{n-1}: an exact shift is a row scatter; float shifts stay
         # products, since the SVD below can see the sign of a zero
-        creation = _creation(d, g.max_degree, exact)
+        creation = _creation(d, g.max_degree, g.exact)
         inherited = _linalg.stack([_linalg.times(creation[i][n - 1], below) for i in range(d)], axis=1)
-        new_dirs = _new_kernel_directions(kernel, inherited, exact, g.tol.rank)
+        new_dirs = _new_kernel_directions(kernel, inherited, g.tol.rank)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]
         generators.extend(fresh)
         if fresh:

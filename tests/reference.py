@@ -4,9 +4,11 @@ Plain, unoptimized definitions: the moment and localizing matrices entry by
 entry, Lambda of a polynomial term by term, the commutator [X_j, X_k]
 applied basis vector by basis vector, the float moments of a recurrence
 by a list recursion, and the moments of products and discrete measures on
-the scalars as given. The library computes none of these
-this way; it reads its moments from `gradation._moment_rows` and checks the
-commutation relations block by block (`check_commutation`). `edited` and
+the scalars as given, and the self-adjointness bounds and level spectra
+on the public arrays. The library computes none of these this way; it
+reads its moments from `gradation._moment_rows`, checks the commutation
+relations block by block (`check_commutation`), and forms the bounds and
+spectra on the computing form. `edited` and
 `replaced` make the changed copies of read-only library values that tests
 compare with the originals.
 """
@@ -17,7 +19,7 @@ import math
 import numpy as np
 
 import mvop
-from mvop._linalg import cleared, computing
+from mvop._linalg import cleared, computing, rank_cutoff, split_gram
 from mvop.fock import _seminorms
 
 
@@ -144,3 +146,50 @@ def float_jacobi_moments(pair, depth: int) -> list:
         ]
         moments.append(v[0])
     return moments
+
+
+def self_adjointness_bounds(fock, degrees) -> list:
+    """a_n of `self_adjointness_bound` for each degree n, from the public arrays.
+
+    The raising blocks are products of the public blocks with `@`, on
+    Fractions for exact ones, and each is rounded to binary64 entry by
+    entry; the quotients Q_n = C_n D_n^(-1/2) come from the float splits of
+    the binary64 Grams, and the lifted block is Q_t^T G_t A Q_s.
+    """
+    tol = fock.tolerances
+    grams = [np.asarray(g, dtype=float) for g in fock.grams]
+    splits = [split_gram(g, tol.rank, tol.psd) for g in grams]
+    qs = [s.combos / np.sqrt(s.norms2) for s in splits]
+
+    def lift(mat, t, s):
+        return qs[t].T @ grams[t] @ np.asarray(mat, dtype=float) @ qs[s]
+
+    bounds = []
+    for n in degrees:
+        worst = 0.0
+        for ap, az in zip(fock.aplus, fock.azero):
+            upper_left = lift(ap[n] @ ap[n - 1], n + 1, n - 1)
+            upper_right = lift(ap[n] @ az[n] + az[n + 1] @ ap[n], n + 1, n)
+            lower_right = lift(ap[n + 1] @ ap[n], n + 2, n)
+            corner = np.zeros((lower_right.shape[0], upper_left.shape[1]))
+            block = np.block([[upper_left, upper_right], [corner, lower_right]])
+            if block.size:
+                worst = max(worst, float(np.linalg.norm(block, 2)))
+        bounds.append(worst)
+    return bounds
+
+
+def nonzero_spectrum(g, n) -> list:
+    """`mvop.nonzero_spectrum` of level n from its public Gram, rounded to binary64 entry by entry."""
+    lev = g.level(n)
+    scale = np.array([1.0 / math.sqrt(float(w)) for w in lev.weights])
+    sym = np.asarray(lev.gram, dtype=float) * np.outer(scale, scale)
+    evals = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+    cut = rank_cutoff(len(evals), float(np.max(np.abs(evals), initial=0.0)), g.tol.rank)
+    distinct: list = []
+    for v in sorted(v for v in evals if abs(v) > cut):
+        if distinct and abs(v - distinct[-1][-1]) <= 1e-9 * max(1.0, abs(v)):
+            distinct[-1].append(v)
+        else:
+            distinct.append([v])
+    return [sum(c) / len(c) for c in distinct]

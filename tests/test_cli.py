@@ -339,6 +339,15 @@ def test_favard_rejects_invalid_blocks(capsys, tmp_path):
     assert "CR3" in out["reason"]
 
 
+def test_favard_float_rejects_the_tampered_golden(capsys):
+    # the float reject path: binary64 checks see the changed preservation entry
+    path = Path(__file__).parent / "golden" / "square_fock_tampered.json"
+    code, out = run_json(capsys, ["favard", "--fock", str(path), "--mode", "float"])
+    assert code == 3
+    assert out["status"] == "invalid" and out["validation_passed"] is False
+    assert [c["name"] for c in out["checks"] if not c["passed"]] == ["hermiticity", "CR2", "CR2"]
+
+
 def test_favard_rejects_exact_gram_below_float_resolution(capsys, tmp_path):
     # determinant -1e-20: binary64 sees a PSD matrix, the exact split does not
     payload = {

@@ -195,10 +195,10 @@ def ref_validate_checks(fi, tol):
             s = grams[n] @ bzero[i][n]
             tolerance = tol.adj * max(1.0, max_abs(s))
             out.append(("hermiticity", f"coordinate {i + 1}, degree {n}", max_abs(s - s.T), tolerance))
-    aminus, residuals = annihilation_blocks(aplus, grams, splits)
+    aminus, residuals = annihilation_blocks(*map(_linalg.cleared, (aplus, grams, splits)))
     for (i, n), (residual, scale) in residuals.items():
         out.append(("adjointness", f"coordinate {i + 1}, degree {n}", residual, tol.adj * scale))
-    fock = mvop.FockData(d, n_max, True, grams, aplus, bzero, aminus)
+    fock = mvop.FockData(d, n_max, True, grams, aplus, bzero, _linalg.published(aminus))
     for relation, pair, n, residual, tolerance in ref_commutation(fock, tol):
         out.append((relation, f"pair {pair}, degree {n}", residual, tolerance))
     return out
@@ -297,10 +297,10 @@ def assert_split_matches(gram):
         want = ref_split(gram)
     except InconsistentMomentsError as exc:
         with pytest.raises(InconsistentMomentsError) as got:
-            _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+            _linalg.split_gram(_linalg.cleared(gram), tol_rank=1e-10, tol_psd=1e-10)
         assert str(got.value) == str(exc)
         return
-    split = _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+    split = _linalg.published(_linalg.split_gram(_linalg.cleared(gram), tol_rank=1e-10, tol_psd=1e-10))
     combos, norms2, null = want
     d = gram.shape[0]
     assert split.combos.shape == (d, len(norms2)) and split.null.shape[0] == d
@@ -371,14 +371,14 @@ def test_split_on_elimination_branch_points():
     for rows in cases:
         assert_split_matches(np.array(rows, dtype=object))
     with pytest.raises(InconsistentMomentsError, match=r"\(pivot norm 0\)$"):
-        _linalg.split_gram(np.array(cases[3], dtype=object), exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        _linalg.split_gram(_linalg.cleared(np.array(cases[3], dtype=object)), tol_rank=1e-10, tol_psd=1e-10)
 
 
 def test_zero_gram_pair_split():
     # the pair path favard takes: a zero Gram is all null, with the identity as kernel
     for d in range(1, 10):
         zero = np.zeros((d, d), dtype=object)
-        split = _linalg.split_gram(_linalg.cleared(zero), exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        split = _linalg.split_gram(_linalg.cleared(zero), tol_rank=1e-10, tol_psd=1e-10)
         assert split.combos.shape == (d, 0) and split.norms2.shape == (0,)
         assert isinstance(split.null, _linalg.Units)
         null = split.null.pair()
@@ -429,7 +429,7 @@ def test_diagonal_split_is_read_off(eliminations):
         gram = diagonal_gram(rng, d)
         assert_split_matches(gram)
         pair = _linalg.cleared(gram)
-        split = _linalg.split_gram(pair, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        split = _linalg.split_gram(pair, tol_rank=1e-10, tol_psd=1e-10)
         nonzero = [i for i in range(d) if gram[i, i]]
         assert isinstance(split.combos, _linalg.Units) and isinstance(split.null, _linalg.Units)
         assert split.combos.rows.tolist() == nonzero
@@ -460,25 +460,25 @@ def test_negative_diagonal_entry_raises_the_elimination_error(eliminations):
             continue
         raised += 1
         with pytest.raises(InconsistentMomentsError) as got:
-            _linalg.split_gram(pair, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+            _linalg.split_gram(pair, tol_rank=1e-10, tol_psd=1e-10)
         assert str(got.value) == want
     assert raised > 20 and eliminations == []
     # the first negative entry in index order is named, not the largest one
     gram = np.diag([Fraction(1, 2), 0, Fraction(-1, 3), -5]).astype(object)
     with pytest.raises(InconsistentMomentsError, match=r"\(pivot norm -1/3\)$"):
-        _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        _linalg.split_gram(_linalg.cleared(gram), tol_rank=1e-10, tol_psd=1e-10)
 
 
 def test_one_off_diagonal_pair_takes_the_elimination(eliminations):
     gram = np.diag([2, 0, Fraction(3, 2), 1]).astype(object)
     gram[0, 2] = gram[2, 0] = Fraction(1, 2)
     assert_split_matches(gram)
-    split = _linalg.split_gram(_linalg.cleared(gram), exact=True, tol_rank=1e-10, tol_psd=1e-10)
+    split = _linalg.split_gram(_linalg.cleared(gram), tol_rank=1e-10, tol_psd=1e-10)
     assert not holds_maps(split) and len(eliminations) == 2
     # one entry alone makes the Gram asymmetric, which the elimination refuses
     gram[2, 0] = 0
     with pytest.raises(InconsistentMomentsError, match="not symmetric"):
-        _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        _linalg.split_gram(_linalg.cleared(gram), tol_rank=1e-10, tol_psd=1e-10)
     assert len(eliminations) == 3
 
 
@@ -487,7 +487,7 @@ def test_diagonal_solves_match_the_products():
     for _ in range(60):
         d, m = rng.randint(1, 7), rng.randint(1, 4)
         gram = _linalg.cleared(diagonal_gram(rng, d))
-        split = _linalg.split_gram(gram, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        split = _linalg.split_gram(gram, tol_rank=1e-10, tol_psd=1e-10)
         # the same split without its maps takes the products
         dense = _linalg.cleared(_linalg.published(split))
         assert not holds_maps(dense)
@@ -537,8 +537,8 @@ def test_times_moves_match_the_products():
                 (rational(m, k), units.T, None, dense.T),
                 (units, kernel, dense, kernel.pair()),
             ]
-            for a, b, dense_a, dense_b in cases:
-                got = _linalg.times(a, _linalg.cleared(b) if isinstance(b, np.ndarray) and rng.random() < 0.5 else b)
+            for a, b, dense_a, dense_b in map(_linalg.cleared, cases):
+                got = _linalg.times(a, b)
                 want = _linalg.matmul(a if dense_a is None else dense_a, b if dense_b is None else dense_b)
                 assert isinstance(got, _linalg.Cleared)
                 assert _linalg.published(got).tolist() == _linalg.published(want).tolist()
@@ -592,7 +592,8 @@ def rectangular(draw, cols=None):
 @settings(max_examples=150, deadline=None)
 @given(rectangular())
 def test_gram_kernel_is_the_rref_kernel(a):
-    null = _linalg.split_gram(_linalg.matmul(a.T, a), exact=True, tol_rank=1e-10, tol_psd=1e-10).null
+    pair = _linalg.cleared(a)
+    null = _linalg.published(_linalg.split_gram(_linalg.matmul(pair.T, pair), tol_rank=1e-10, tol_psd=1e-10).null)
     assert null.T.tolist() == ref_nullspace(a.tolist())
     assert all(type(v) is Fraction for v in null.flat)
 
@@ -601,7 +602,7 @@ def test_gram_kernel_is_the_rref_kernel(a):
 @given(rectangular(), st.data())
 def test_new_kernel_directions_exact(kernel, data):
     inherited = data.draw(rectangular(cols=kernel.shape[0])).T
-    got = _new_kernel_directions(kernel, inherited, True, 1e-10)
+    got = _linalg.published(_new_kernel_directions(_linalg.cleared(kernel), _linalg.cleared(inherited), 1e-10))
     want = [kernel @ np.array(v, dtype=object) for v in ref_nullspace((inherited.T @ kernel).tolist())]
     assert got.shape == (kernel.shape[0], len(want))
     assert got.T.tolist() == [list(col) for col in want]
@@ -727,28 +728,27 @@ def test_non_canonical_creation_blocks_are_refused(mode, skewed_fock):
 
 
 def test_matmul_on_mixed_object_array():
-    # exact products run on pairs only: a float entry among exact ones raises
+    # exact products run on pairs only: a float entry among exact ones is
+    # refused where the pair is made
     a = np.array([[Fraction(1, 3), 2], [0.5, Fraction(-3, 4)]], dtype=object)
     b = np.array([[Fraction(2, 5), 1], [3, Fraction(1, 7)]], dtype=object)
-    for mats in ((a, b), (b, a, b)):
-        with pytest.raises(ValueError, match="non-rational entry"):
-            _linalg.matmul(*mats)
     with pytest.raises(ValueError, match="non-rational entry"):
-        _linalg.max_quadratic(a, b)
-    assert _linalg.matmul(b, b, b).tolist() == (b @ (b @ b)).tolist()
-    assert _linalg.max_quadratic(b, b) == max((b.T @ b @ b)[i, i] for i in range(2))
+        _linalg.cleared(a)
+    pb = _linalg.cleared(b)
+    assert _linalg.published(_linalg.matmul(pb, pb, pb)).tolist() == (b @ (b @ b)).tolist()
+    assert _linalg.max_quadratic(pb, pb) == max((b.T @ b @ b)[i, i] for i in range(2))
 
 
 def test_matmul_takes_int_and_float_arrays_among_exact_ones(skew_fn):
     pair = _linalg.cleared(np.array([[Fraction(1, 3), 2], [0, Fraction(-3, 4)]], dtype=object))
     frac = _linalg.published(pair)
     ints, floats = np.array([[2, -1], [5, 3]]), np.array([[0.5, 1.0], [-2.0, 0.25]])
-    assert _linalg.published(_linalg.matmul(pair, ints)).tolist() == (frac @ ints.astype(object)).tolist()
-    assert _linalg.matmul(ints, frac).tolist() == (ints.astype(object) @ frac).tolist()
-    # a float array among exact ones has non-rational entries
-    for exact in (pair, frac):
-        with pytest.raises(ValueError, match="non-rational entry"):
-            _linalg.matmul(exact, floats)
+    # an int array is cleared to a pair over den 1, and multiplies as one
+    assert _linalg.published(_linalg.matmul(pair, _linalg.cleared(ints))).tolist() == (frac @ ints.astype(object)).tolist()
+    assert _linalg.published(_linalg.matmul(_linalg.cleared(ints), pair)).tolist() == (ints.astype(object) @ frac).tolist()
+    # a float array has non-rational entries: it makes no pair
+    with pytest.raises(ValueError, match="non-rational entry"):
+        _linalg.cleared(floats)
 
     # DegreeBasis.combine: int columns give the polynomials of object ones,
     # float columns the same values as floats

@@ -12,7 +12,8 @@ import pytest
 
 import mvop
 from mvop import _linalg
-from reference import replaced
+from reference import nonzero_spectrum as ref_spectrum
+from reference import replaced, self_adjointness_bounds
 
 
 SQUARE_FOCK = Path(__file__).parent / "golden" / "square_fock.json"
@@ -139,7 +140,7 @@ def test_asymmetric_exact_gram_fails_psd(square_fn):
     fi = fock_input_of(square_fn, 2)
     asymmetric = np.array([[1, Fraction(1, 10**12)], [0, 1]], dtype=object)
     with pytest.raises(mvop.InconsistentMomentsError, match="exact Gram matrix is not symmetric"):
-        _linalg.split_gram(asymmetric, exact=True, tol_rank=1e-10, tol_psd=1e-10)
+        _linalg.split_gram(_linalg.cleared(asymmetric), tol_rank=1e-10, tol_psd=1e-10)
     # the payload refuses it before any validation
     with pytest.raises(ValueError, match="Gram at degree 1 is not symmetric"):
         replaced(fi, "grams", 1, ..., change=lambda g: asymmetric)
@@ -422,7 +423,7 @@ def test_self_adjointness_cuts_at_the_blocks_rank(monkeypatch):
     )
     ranks = []
     split_gram = _linalg.split_gram
-    monkeypatch.setattr(_linalg, "split_gram", lambda g, e, r, p: ranks.append(r) or split_gram(g, e, r, p))
+    monkeypatch.setattr(_linalg, "split_gram", lambda g, r, p: ranks.append(r) or split_gram(g, r, p))
     mvop.self_adjointness_bound(fock)
     assert ranks == [rank] * (depth + 1)
 
@@ -462,6 +463,40 @@ def test_self_adjointness_refuses_a_non_canonical_aplus(mode):
         mvop.self_adjointness_bound(replaced(fock, "aplus", 0, 3, (0, 0), change=lambda v: v + step))
     given = dataclasses.replace(fock, aplus=[[b.copy() for b in per] for per in fock.aplus])
     assert [a.hex() for a in mvop.self_adjointness_bound(given).bounds] == want
+
+
+@pytest.mark.parametrize("name", ["circle", "gauss2"])
+def test_bounds_and_spectra_match_the_public_array_reference(name):
+    # read off the computing form, exact raising blocks rounded once, the
+    # bounds and level spectra are those of the public arrays, bit for bit
+    if name == "circle":
+        g, degrees = mvop.build_gradations(mvop.circle_functional(max_degree=26), 12), range(1, 11)
+    else:
+        g, degrees = mvop.build_gradations(mvop.product_functional([mvop.gaussian_functional()] * 2), 10), range(2, 9)
+    fock = mvop.assemble_fock(g)
+    assert fock.exact == (name == "gauss2")
+    got = mvop.self_adjointness_bound(fock, degrees=degrees).bounds
+    assert [a.hex() for a in got] == [a.hex() for a in self_adjointness_bounds(fock, degrees)]
+    for n in range(g.max_degree + 1):
+        spectrum = [v.hex() for v in mvop.nonzero_spectrum(g, n)]
+        assert spectrum == [v.hex() for v in ref_spectrum(g, n)]
+
+
+def test_a_float_fock_given_fractions_is_bounded_in_binary64():
+    # a float FockData computes on binary64 arrays, also when it is given
+    # Fraction arrays: its bounds are those of its blocks given in binary64.
+    # On this product of rational recurrences two of them differ in the last
+    # bits from the exact ones, which sum the raising terms before rounding
+    pair = mvop.JacobiPair1D(tuple(Fraction(k + 2, 3) for k in range(22)), tuple(Fraction(1, k + 3) for k in range(22)))
+    factor = mvop.jacobi_to_moments(pair, 22)
+    fock = mvop.assemble_fock(mvop.build_gradations(mvop.product_functional([factor, factor]), 8))
+    given = dataclasses.replace(fock, exact=False)
+    floats = dataclasses.replace(
+        given, **{name: _linalg.floated(getattr(fock, name)) for name in ("grams", "aplus", "azero", "aminus")}
+    )
+    got = [a.hex() for a in mvop.self_adjointness_bound(given).bounds]
+    assert got == [a.hex() for a in mvop.self_adjointness_bound(floats).bounds]
+    assert got != [a.hex() for a in mvop.self_adjointness_bound(fock).bounds]
 
 
 def test_joint_diagonalization_rejects_non_commuting_pair():

@@ -67,7 +67,7 @@ def test_blocks_match_polynomial_products(name):
         for i in range(d):
             # G_n A_i^0 is the preservation right-hand side on the Gram range,
             # which holds all of it for moment-born data
-            lifted = _linalg.matmul(lev.gram, fock.azero[i][lev.degree])
+            lifted = lev.gram @ fock.azero[i][lev.degree]
             x = mvop.Polynomial.variable(d, i)
             _assert_block_matches(lifted, [x * c for c in cands], cands, f, g.exact)
 
@@ -179,7 +179,7 @@ def test_exact_matmul_matches_fraction_products():
         return out
 
     a, b, c = rational_matrix(4, 3), rational_matrix(3, 5), rational_matrix(5, 2)
-    got = _linalg.matmul(a, b, c)
+    got = _linalg.published(_linalg.matmul(*map(_linalg.cleared, (a, b, c))))
     assert got.dtype == object
     assert got.tolist() == (a @ b @ c).tolist()
     assert all(isinstance(v, Fraction) for v in got.flat)

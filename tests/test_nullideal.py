@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvop
+from mvop import _linalg
 from mvop.nullideal import _monic, _new_kernel_directions
 
 
@@ -201,7 +202,7 @@ def ref_base_generators(g):
             for beta in mvop.monomials_of_degree(d, n - m)
         ]
         inherited = np.array(columns, dtype=object).reshape(len(columns), lev.dimension).T
-        new_dirs = _new_kernel_directions(kernel, inherited, True, 0)
+        new_dirs = _new_kernel_directions(_linalg.cleared(kernel), _linalg.cleared(inherited), 0)
         fresh = [_monic(f) for f in lev.combine(new_dirs)]
         generators += [(n, f) for f in fresh]
         nu = kernel.shape[1]

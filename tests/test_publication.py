@@ -87,6 +87,20 @@ def test_validate_publishes_no_unread_report(publications, square_fn):
     assert report.passed and publications == []
 
 
+def test_bounds_and_spectra_publish_nothing(publications, square_fn):
+    # both read the computing form: of an assembled exact FockData, of its
+    # gradation's levels, and of a validation report's blocks
+    g = mvop.build_gradations(mvop.product_functional([mvop.gaussian_functional()] * 2), 6)
+    fock = mvop.assemble_fock(g)
+    fi = square_input(square_fn)
+    publications.clear()
+    bounds = mvop.self_adjointness_bound(fock).bounds
+    spectra = [mvop.nonzero_spectrum(g, n) for n in range(g.max_degree + 1)]
+    reported = mvop.self_adjointness_bound(mvop.validate(fi).fock).bounds
+    assert publications == []
+    assert all(a > 0 for a in bounds) and all(spectra) and len(reported) == 1
+
+
 def test_copies_hold_the_arrays_a_twin_read_first(square_fn):
     def copies(x):
         """(copy, whether it is deep) for each way of copying x."""
