@@ -7,7 +7,8 @@ denominator) and `Units` maps: `cleared` makes pairs from rational arrays once
 where a computation starts, and raises ValueError on a non-rational entry;
 `published` makes Fraction arrays at the API edge. Float matrices are computed
 on as binary64 arrays (`floated`), also when they are given as Fraction
-arrays; `to_float` rounds a pair once per entry. The kernels take pairs
+arrays; `to_float` rounds a pair once per entry (`rounded`, which names an
+exact value beyond the binary64 range). The kernels take pairs
 and maps, or binary64 arrays, and clear nothing: `matmul` multiplies binary64
 arrays, or pairs as one integer product, and `max_quadratic` gives exact Gram
 seminorms. Every array a library value holds is read-only (`read_only`): a
@@ -44,10 +45,24 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def to_float(a) -> np.ndarray:
-    """The binary64 image of an array, or of a pair (`Cleared`): each entry num / den, rounded once."""
+    """The binary64 image of an array, or of a pair (`Cleared`): each entry num / den, rounded once (`rounded`)."""
     if isinstance(a, Cleared):
-        return np.asarray(a.num / a.den, dtype=np.float64)
+        return np.asarray(rounded(a.num, a.den), dtype=np.float64)
     return np.asarray(a, dtype=np.float64)
+
+
+def rounded(num, den: int):
+    """num / den rounded once to binary64, for an int or an int-object array num and an int den > 0.
+
+    An exact value beyond the binary64 range raises OverflowError, naming
+    the size of the largest one.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        top = max(map(abs, np.ravel(num)))
+        exponent = math.floor(math.log10(top) - math.log10(den))
+        raise OverflowError(f"an exact value of about 10^{exponent} is beyond the binary64 range") from None
 
 
 class Cleared:
@@ -64,7 +79,8 @@ class Cleared:
     dtype = np.dtype(object)
 
     def __init__(self, num: np.ndarray, den: int):
-        g = math.gcd(den, *num.flat) * (1 if den > 0 else -1)
+        # over den 1 the pair is reduced: no numerator is unpacked into a gcd
+        g = 1 if den == 1 else math.gcd(den, *num.flat) * (1 if den > 0 else -1)
         self.num, self.den = (num, den) if g == 1 else (num // g, den // g)
         self.shape = num.shape
 

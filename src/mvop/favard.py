@@ -10,10 +10,14 @@ completes moment-born ones, and checked with the same residuals. A
 FockInput is a read-only value like every other (`_linalg.ReadOnly`), and
 so is a validation report, so each payload is validated once: it keeps its
 last report, which `validate` returns again and `reconstruct_discrete`
-reads under the same mode and tolerances. The checks run on its blocks,
-cleared once; a float Gram's one eigendecomposition gives both its psd
-record and its split. The completed blocks keep the Gram splits they were
-solved with in their computing form (`fock._split`), which the kernel and
+reads under the same mode and tolerances. A payload is parsed once
+(`FockInput.from_json_dict`), each block straight to its computing form: a
+cleared pair when the payload is all rational, else a binary64 array; its
+checks of counts, shapes and symmetry run on that form, and its public
+arrays are built on their first read. Validation reads the same form
+(`_linalg.computing`); a float Gram's one eigendecomposition gives both its
+psd record and its split. The completed blocks keep the Gram splits they
+were solved with in their computing form (`fock._split`), which the kernel and
 commutation checks and reconstruction read. Exact creation blocks and the
 unit columns of diagonal Grams' splits are index maps, multiplied only by
 `_linalg.times`. A report's blocks are read-only: the payload's arrays and
@@ -23,11 +27,11 @@ the blocks it completed them with; the exact ones are built only when
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -55,33 +59,114 @@ from .fock import (
 from .gradation import _level_weights, resolve_mode
 from .measures import DiscreteMeasure
 from .polynomial import space_dimension
-from .scalars import Tolerances, _json_integer, format_scalar, is_rational, parse_scalar
+from .scalars import Tolerances, _json_integer, format_scalar, is_rational, parse_ratio
 
 
-def _parse_block(rows, name: str) -> np.ndarray:
-    """The payload block name from its list of rows; object dtype when every entry is rational."""
+def _parsed_block(rows, name: str):
+    """The payload block name from its list of rows, parsed in one pass (`parse_ratio`).
+
+    A pair (`_linalg.Cleared`) when every entry is rational, reduced once;
+    else a binary64 array, each rational entry p / q rounded once.
+    """
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SpecFormatError(f"a block must be a list of rows, got {rows!r}")
     if len({len(row) for row in rows}) > 1:
         raise SpecFormatError(f"{name} has rows of unequal lengths")
-    parsed = [[parse_scalar(v) for v in row] for row in rows]
-    if all(is_rational(v) for row in parsed for v in row):
-        return np.array(parsed, dtype=object)
-    return np.array([[float(v) for v in row] for row in parsed], dtype=float)
+    shape = (len(rows), len(rows[0])) if rows else (0,)
+    # a JSON integer is its own ratio, read without a call
+    ratios = [(v, 1) if type(v) is int else parse_ratio(v) for row in rows for v in row]
+    if float in map(type, ratios):
+        values = [r if type(r) is float else _linalg.rounded(*r) for r in ratios]
+        return np.array(values, dtype=float).reshape(shape)
+    nums, dens = zip(*ratios) if ratios else ((), ())
+    den = math.lcm(*dens)
+    if den != 1:
+        nums = [p * (den // q) for p, q in ratios]
+    return _linalg.Cleared(np.array(nums, dtype=object).reshape(shape), den)
+
+
+def _block_form(block):
+    """A block's parsed form: a pair as it is; an array as a pair if it holds only rationals, else in binary64."""
+    if isinstance(block, _linalg.Cleared):
+        return block
+    if block.dtype == object and all(map(is_rational, block.flat)):
+        return _linalg.cleared(block)
+    return _linalg.to_float(block)
+
+
+def _public(block):
+    """A block as published: an array as it is; a pair's entries int where den divides them, else Fraction.
+
+    These are the entries `parse_scalar` gives for the rationals the pair was parsed from.
+    """
+    if not isinstance(block, _linalg.Cleared):
+        return block
+    den = block.den
+    entries = [v // den if v % den == 0 else Fraction(v, den) for v in block.num.flat]
+    return np.array(entries, dtype=object).reshape(block.shape)
+
+
+def _scaled_rows(block, weights: tuple):
+    """diag(weights) @ block for Fraction weights: a pair's rows scaled exactly, an array's in binary64."""
+    if not isinstance(block, _linalg.Cleared):
+        return block * np.array([float(w) for w in weights])[:, None]
+    den = math.lcm(*(w.denominator for w in weights))
+    scale = np.array([w.numerator * (den // w.denominator) for w in weights], dtype=object)
+    return _linalg.Cleared(block.num * scale[:, None], block.den * den)
 
 
 def _zero_bzero(dimension: int, depth: int) -> list:
-    # object dtype keeps an all-rational payload in exact mode
-    return [
-        [np.zeros((space_dimension(dimension, n),) * 2, dtype=object) for n in range(depth + 1)]
-        for _ in range(dimension)
-    ]
+    # zero pairs keep an all-rational payload in exact mode
+    zero = [np.zeros((space_dimension(dimension, n),) * 2, dtype=object) for n in range(depth + 1)]
+    return [[_linalg.Cleared.reduced(z, 1) for z in zero] for _ in range(dimension)]
 
 
 def _check_shape(block, dimension: int, n: int, name: str) -> None:
     k = space_dimension(dimension, n)
     if block.shape != (k, k):
         raise ValueError(f"{name} has shape {block.shape}, expected ({k}, {k})")
+
+
+def _checked_form(d: int, n_max: int, grams: list, bzero: list) -> "FockInput":
+    """The computing form of parsed blocks (pairs or binary64 arrays), once their counts, shapes, symmetry hold.
+
+    ValueError names the first block that fails. A pair Gram must be
+    symmetric exactly (num against num.T), a binary64 one within rounding.
+    The form holds the pairs when every block is one, else the blocks'
+    binary64 images (`_linalg.to_float`).
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if n_max < 0:
+        raise ValueError(f"depth must be >= 0, got {n_max}")
+    if len(grams) != n_max + 1:
+        raise ValueError(f"expected {n_max + 1} Gram blocks, got {len(grams)}")
+    if len(bzero) != d:
+        raise ValueError(f"expected {d} preservation families, got {len(bzero)}")
+    for n, g in enumerate(grams):
+        _check_shape(g, d, n, f"Gram at degree {n}")
+        if isinstance(g, _linalg.Cleared):
+            asymmetric = (g.num != g.num.T).any()
+        else:
+            asym, scale = _residual(g, g.T)
+            asymmetric = asym > 1e-10 * scale
+        if asymmetric:
+            raise ValueError(f"Gram at degree {n} is not symmetric")
+    for i, per_level in enumerate(bzero):
+        if len(per_level) != n_max + 1:
+            raise ValueError(
+                f"coordinate {i + 1} has {len(per_level)} preservation blocks, "
+                f"expected {n_max + 1}"
+            )
+        for n, b in enumerate(per_level):
+            _check_shape(b, d, n, f"preservation block at coordinate {i + 1}, degree {n}")
+    grams, bzero = tuple(grams), tuple(map(tuple, bzero))
+    if not all(isinstance(b, _linalg.Cleared) for b in (*grams, *(b for per in bzero for b in per))):
+        grams, bzero = _linalg.floated(grams), _linalg.floated(bzero)
+    form = FockInput.__new__(FockInput)
+    # its own computing form, marked None: a reference to itself would be a cycle
+    form.__dict__.update(dimension=d, depth=n_max, grams=grams, bzero=bzero, _computing=None)
+    return form
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +179,12 @@ class FockInput(_linalg.ReadOnly):
     family is a tuple of read-only arrays; a change is a new value
     (`dataclasses.replace`). A value keeps its last validation report
     (`validate`); copies and pickles start with none.
+
+    Its computing form (`_linalg.computing`) is made and checked once, when
+    the value is: pairs when every entry is rational (`exact`), else binary64
+    arrays. The constructor makes it from the arrays it is given;
+    `from_json_dict` and `from_omegas` make it from the parsed blocks and
+    publish the arrays on their first read.
     """
 
     dimension: int
@@ -105,39 +196,27 @@ class FockInput(_linalg.ReadOnly):
 
     def __post_init__(self):
         super().__post_init__()
-        d, n_max = self.dimension, self.depth
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
-        if n_max < 0:
-            raise ValueError(f"depth must be >= 0, got {n_max}")
-        if len(self.grams) != n_max + 1:
-            raise ValueError(f"expected {n_max + 1} Gram blocks, got {len(self.grams)}")
-        if len(self.bzero) != d:
-            raise ValueError(f"expected {d} preservation families, got {len(self.bzero)}")
-        for n, g in enumerate(self.grams):
-            _check_shape(g, d, n, f"Gram at degree {n}")
-            # a rational Gram is symmetric exactly, a float one within rounding
-            if all(map(is_rational, g.flat)):
-                asymmetric = (g != g.T).any()
-            else:
-                asym, scale = _residual(g, g.T)
-                asymmetric = asym > 1e-10 * scale
-            if asymmetric:
-                raise ValueError(f"Gram at degree {n} is not symmetric")
-        for i, per_level in enumerate(self.bzero):
-            if len(per_level) != n_max + 1:
-                raise ValueError(
-                    f"coordinate {i + 1} has {len(per_level)} preservation blocks, "
-                    f"expected {n_max + 1}"
-                )
-            for n, b in enumerate(per_level):
-                _check_shape(b, d, n, f"preservation block at coordinate {i + 1}, degree {n}")
+        grams = [_block_form(g) for g in self.grams]
+        bzero = [[_block_form(b) for b in per] for per in self.bzero]
+        self.__dict__["_computing"] = _checked_form(self.dimension, self.depth, grams, bzero)
 
-    @cached_property
+    @property
     def exact(self) -> bool:
-        return all(
-            is_rational(v) for g in self.grams for v in g.flat
-        ) and all(is_rational(v) for per in self.bzero for b in per for v in b.flat)
+        """Whether every entry is rational: the computing form then holds pairs."""
+        return isinstance(_linalg.computing(self).grams[0], _linalg.Cleared)
+
+    @classmethod
+    def _from_parsed(cls, dimension: int, grams: list, bzero: list, public_grams) -> "FockInput":
+        """The value of parsed Grams and of bzero blocks given parsed or as arrays (`_checked_form`).
+
+        On their first read the Grams are published as public_grams(), and
+        the bzero blocks as `_public` gives them.
+        """
+        forms = [[_block_form(b) for b in per] for per in bzero]
+        form = _checked_form(dimension, len(grams) - 1, grams, forms)
+        publish = {"grams": public_grams, "bzero": lambda: [[_public(b) for b in per] for per in bzero]}
+        # one publication of each family, shared by the value and its reports
+        return cls.lazy(form, {name: functools.cache(make) for name, make in publish.items()})
 
     @classmethod
     def from_fock_data(cls, fock: FockData) -> "FockInput":
@@ -145,22 +224,29 @@ class FockInput(_linalg.ReadOnly):
 
     @classmethod
     def from_omegas(cls, dimension: int, omegas: list, bzero: list = None) -> "FockInput":
-        """Recover Grams from form generators: G_n = diag(w(alpha)) @ Omega_n."""
+        """Recover Grams from form generators: G_n = diag(w(alpha)) @ Omega_n.
+
+        Each Omega_n is parsed once (`_block_form`) and its rows scaled by
+        the weights, a pair's exactly; the Grams publish as Fraction or
+        binary64 arrays, and given bzero blocks as they are.
+        """
         grams = []
         for n, om in enumerate(omegas):
             _check_shape(om, dimension, n, f"Gram at degree {n}")
-            weights = _level_weights(dimension, n)
-            exact = all(is_rational(v) for v in om.flat)
-            g = om.copy()
-            for j, w in enumerate(weights):
-                g[j, :] = g[j, :] * (w if exact else float(w))
-            grams.append(g)
+            grams.append(_scaled_rows(_block_form(om), _level_weights(dimension, n)))
         if bzero is None:
             bzero = _zero_bzero(dimension, len(omegas) - 1)
-        return cls(dimension=dimension, depth=len(omegas) - 1, grams=grams, bzero=bzero)
+        return cls._from_parsed(dimension, grams, bzero, lambda: [_linalg.published(g) for g in grams])
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "FockInput":
+        """The value of a block payload, each block parsed once (`parse_ratio`).
+
+        SpecFormatError names the first field or block that fails. The
+        payload's arrays are published on their first read, gram and bzero
+        entries as `parse_scalar` gives them, and Grams made from omega
+        blocks as `from_omegas` gives them.
+        """
         if not isinstance(payload, dict):
             raise SpecFormatError("fock payload must be a JSON object")
         try:
@@ -178,13 +264,13 @@ class FockInput(_linalg.ReadOnly):
             raise SpecFormatError(f"'{key}' must list {n_max + 1} blocks")
         blocks = []
         for n, rows in enumerate(raw_blocks):
-            mat = _parse_block(rows, f"'{key}' block at degree {n}")
+            block = _parsed_block(rows, f"'{key}' block at degree {n}")
             k = space_dimension(d, n)
-            if mat.shape != (k, k):
+            if block.shape != (k, k):
                 raise SpecFormatError(
-                    f"'{key}' block at degree {n} has shape {mat.shape}, expected ({k}, {k})"
+                    f"'{key}' block at degree {n} has shape {block.shape}, expected ({k}, {k})"
                 )
-            blocks.append(mat)
+            blocks.append(block)
         raw_b = payload.get("bzero")
         if raw_b is None:
             bzero = _zero_bzero(d, n_max)
@@ -196,11 +282,11 @@ class FockInput(_linalg.ReadOnly):
                 if not isinstance(per, list) or len(per) != n_max + 1:
                     raise SpecFormatError(f"each 'bzero' family must list {n_max + 1} blocks")
                 name = f"'bzero' block at coordinate {i + 1}, degree"
-                bzero.append([_parse_block(rows, f"{name} {n}") for n, rows in enumerate(per)])
+                bzero.append([_parsed_block(rows, f"{name} {n}") for n, rows in enumerate(per)])
         try:
             if key == "omega":
                 return cls.from_omegas(d, blocks, bzero)
-            return cls(dimension=d, depth=n_max, grams=blocks, bzero=bzero)
+            return cls._from_parsed(d, blocks, bzero, lambda: [_public(g) for g in blocks])
         except ValueError as exc:
             raise SpecFormatError(str(exc)) from None
 
@@ -307,16 +393,27 @@ def validate(
     return last[1]
 
 
+def _payload_family(fi: FockInput, name: str):
+    """A callable giving fi's public family name, holding its arrays or their pending publication, not fi."""
+    pending = fi.__dict__.get("_publish", {}).get(name)
+    if pending is not None:
+        return pending
+    arrays = fi.__dict__[name]
+    return lambda: arrays
+
+
 def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> ValidationReport:
-    """The report of `validate` on fi's blocks, each cleared once."""
+    """The report of `validate`, run on fi's computing form (`_linalg.computing`).
+
+    An exact payload's pairs are checked as they are in exact mode, and
+    rounded once (`_linalg.to_float`) when float mode is asked of it.
+    """
     exact = resolve_mode(fi.exact, mode) == "exact"
     d, n_max = fi.dimension, fi.depth
-    # the report's blocks hold the payload families, not fi, which holds the report
-    payload_grams, payload_bzero = fi.grams, fi.bzero
-    # the checks run on the blocks' computing form, each cleared once
-    form = _linalg.cleared if exact else _linalg.to_float
-    grams = [form(g) for g in payload_grams]
-    bzero = [[form(b) for b in per] for per in payload_bzero]
+    form = _linalg.computing(fi)
+    grams, bzero = form.grams, form.bzero
+    if fi.exact and not exact:
+        grams, bzero = _linalg.floated(grams), _linalg.floated(bzero)
     checks = []
 
     def add(name, detail, residual, tolerance, exact_residual=exact):
@@ -324,9 +421,10 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> ValidationRepo
         tolerance = _recorded_tolerance(residual, tolerance, exact_residual)
         checks.append(ValidationCheck(name, detail, residual, tolerance))
 
-    # in exact mode grams holds pairs, so the vacuum entry is read off the payload
-    vacuum = (payload_grams if exact else grams)[0][0, 0]
-    add("normalization", "vacuum Gram", _floored(abs(float(vacuum) - 1.0), vacuum != 1), tol.comm)
+    # the vacuum entry of a reduced pair is 1 when its numerator is its den
+    vacuum = float(_linalg.to_float(grams[0])[0, 0])
+    unit = grams[0].num[0, 0] == grams[0].den if exact else vacuum == 1
+    add("normalization", "vacuum Gram", _floored(abs(vacuum - 1.0), not unit), tol.comm)
 
     def negativity(evals):
         return max(0.0, -float(np.min(evals, initial=0.0)))
@@ -382,7 +480,8 @@ def _run_validation(fi: FockInput, mode: str, tol: Tolerances) -> ValidationRepo
     for e in check_commutation(fock).entries:
         checks.append(ValidationCheck(e.relation, f"pair {e.pair}, degree {e.degree}", e.residual, e.tolerance))
     if exact:
-        fock = _published_fock(fock, lambda: payload_grams, lambda: payload_bzero)
+        # the report's blocks publish the payload's families, not through fi, which holds the report
+        fock = _published_fock(fock, _payload_family(fi, "grams"), _payload_family(fi, "bzero"))
     return ValidationReport(n_max, tuple(checks), fock)
 
 

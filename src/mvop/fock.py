@@ -240,13 +240,7 @@ def _max_abs(mat) -> float:
     if isinstance(mat, _linalg.Cleared):
         # rounding is monotone: max |num| / den rounded once is the max rounded entry
         top = max(map(abs, mat.num.flat), default=0)
-        try:
-            return _floored(top / mat.den, top)
-        except OverflowError:
-            exponent = math.floor(math.log10(top) - math.log10(mat.den))
-            raise OverflowError(
-                f"an exact value of about 10^{exponent} is beyond the binary64 range"
-            ) from None
+        return _floored(_linalg.rounded(top, mat.den), top)
     a = _linalg.to_float(mat)
     return float(np.max(np.abs(a))) if a.size else 0.0
 

@@ -8,13 +8,16 @@ the scalars as given, and the self-adjointness bounds and level spectra
 on the public arrays. The library computes none of these this way; it
 reads its moments from `gradation._moment_rows`, checks the commutation
 relations block by block (`check_commutation`), and forms the bounds and
-spectra on the computing form. `edited` and
+spectra on the computing form. `fock_payload` parses a block payload
+entry by entry into object or binary64 arrays, which the library parses
+in one pass into pairs (`FockInput.from_json_dict`). `edited` and
 `replaced` make the changed copies of read-only library values that tests
 compare with the originals.
 """
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -193,3 +196,133 @@ def nonzero_spectrum(g, n) -> list:
         else:
             distinct.append([v])
     return [sum(c) / len(c) for c in distinct]
+
+
+def scalar(value):
+    """A document value as int, Fraction or float: every string read as a Fraction, an integral one as int."""
+    if isinstance(value, bool):
+        raise mvop.SpecFormatError(f"boolean is not a valid scalar: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise mvop.SpecFormatError(f"non-finite scalar {value!r}")
+        return value
+    if isinstance(value, str):
+        try:
+            frac = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise mvop.SpecFormatError(f"cannot parse scalar {value!r}") from exc
+        return int(frac) if frac.denominator == 1 else frac
+    raise mvop.SpecFormatError(f"cannot parse scalar of type {type(value).__name__}")
+
+
+def _rational(v) -> bool:
+    return isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+
+
+def _block(rows, name: str) -> np.ndarray:
+    """One payload block, entry by entry: an object array when every entry is rational, else binary64."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise mvop.SpecFormatError(f"a block must be a list of rows, got {rows!r}")
+    if len({len(row) for row in rows}) > 1:
+        raise mvop.SpecFormatError(f"{name} has rows of unequal lengths")
+    parsed = [[scalar(v) for v in row] for row in rows]
+    if all(_rational(v) for row in parsed for v in row):
+        return np.array(parsed, dtype=object)
+    return np.array([[float(v) for v in row] for row in parsed], dtype=float)
+
+
+def _checked(d: int, n_max: int, grams: list, bzero: list) -> None:
+    """The checks of a FockInput, on its public arrays: ValueError names the first failure."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if n_max < 0:
+        raise ValueError(f"depth must be >= 0, got {n_max}")
+    if len(grams) != n_max + 1:
+        raise ValueError(f"expected {n_max + 1} Gram blocks, got {len(grams)}")
+    if len(bzero) != d:
+        raise ValueError(f"expected {d} preservation families, got {len(bzero)}")
+
+    def shape(block, n, name):
+        k = mvop.space_dimension(d, n)
+        if block.shape != (k, k):
+            raise ValueError(f"{name} has shape {block.shape}, expected ({k}, {k})")
+
+    for n, g in enumerate(grams):
+        shape(g, n, f"Gram at degree {n}")
+        if all(map(_rational, g.flat)):
+            asymmetric = (g != g.T).any()
+        else:
+            gf = g.astype(float)
+            asymmetric = np.abs(gf - gf.T).max() > 1e-10 * max(1.0, np.abs(gf).max())
+        if asymmetric:
+            raise ValueError(f"Gram at degree {n} is not symmetric")
+    for i, per_level in enumerate(bzero):
+        if len(per_level) != n_max + 1:
+            raise ValueError(
+                f"coordinate {i + 1} has {len(per_level)} preservation blocks, expected {n_max + 1}"
+            )
+        for n, b in enumerate(per_level):
+            shape(b, n, f"preservation block at coordinate {i + 1}, degree {n}")
+
+
+def fock_payload(payload) -> tuple:
+    """(grams, bzero, exact) of a block payload, each entry parsed on its own (`scalar`).
+
+    Each block is an object array when all its entries are rational, else a
+    binary64 one; omega blocks are scaled row by row by the index weights.
+    exact is whether every entry of every block is rational. A malformed
+    payload raises SpecFormatError, with the message
+    `FockInput.from_json_dict` gives it.
+    """
+    if not isinstance(payload, dict):
+        raise mvop.SpecFormatError("fock payload must be a JSON object")
+    try:
+        d, n_max = payload["dimension"], payload["depth"]
+    except KeyError as exc:
+        raise mvop.SpecFormatError(f"bad fock payload header: {exc}") from None
+    for name, value in (("dimension", d), ("depth", n_max)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise mvop.SpecFormatError(f"{name!r} must be an integer, got {value!r}")
+    if "gram" in payload and "omega" in payload:
+        raise mvop.SpecFormatError("give either 'gram' or 'omega' blocks, not both")
+    key = "gram" if "gram" in payload else "omega" if "omega" in payload else None
+    if key is None:
+        raise mvop.SpecFormatError("fock payload needs 'gram' or 'omega' blocks")
+    raw = payload[key]
+    if not isinstance(raw, list) or len(raw) != n_max + 1:
+        raise mvop.SpecFormatError(f"'{key}' must list {n_max + 1} blocks")
+    grams = []
+    for n, rows in enumerate(raw):
+        block = _block(rows, f"'{key}' block at degree {n}")
+        k = mvop.space_dimension(d, n)
+        if block.shape != (k, k):
+            raise mvop.SpecFormatError(
+                f"'{key}' block at degree {n} has shape {block.shape}, expected ({k}, {k})"
+            )
+        grams.append(block)
+    raw_b = payload.get("bzero")
+    if raw_b is None:
+        zero = [np.zeros((mvop.space_dimension(d, n),) * 2, dtype=object) for n in range(n_max + 1)]
+        bzero = [list(zero) for _ in range(d)]
+    else:
+        if not isinstance(raw_b, list) or len(raw_b) != d:
+            raise mvop.SpecFormatError(f"'bzero' must list {d} coordinate families")
+        bzero = []
+        for i, per in enumerate(raw_b):
+            if not isinstance(per, list) or len(per) != n_max + 1:
+                raise mvop.SpecFormatError(f"each 'bzero' family must list {n_max + 1} blocks")
+            name = f"'bzero' block at coordinate {i + 1}, degree"
+            bzero.append([_block(rows, f"{name} {n}") for n, rows in enumerate(per)])
+    if key == "omega":
+        for n, g in enumerate(grams):
+            exact = all(map(_rational, g.flat))
+            weights = [mvop.index_weight(a) for a in mvop.monomials_of_degree(d, n)]
+            grams[n] = g * np.array([w if exact else float(w) for w in weights], dtype=object if exact else float)[:, None]
+    try:
+        _checked(d, n_max, grams, bzero)
+    except ValueError as exc:
+        raise mvop.SpecFormatError(str(exc)) from None
+    blocks = [*grams, *(b for per in bzero for b in per)]
+    return grams, bzero, all(_rational(v) for b in blocks for v in b.flat)

@@ -365,6 +365,33 @@ def test_favard_rejects_exact_gram_below_float_resolution(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("key", ["gram", "omega"])
+def test_favard_payload_beyond_binary64_names_the_range(capsys, tmp_path, key, mode):
+    # an exact entry of 10^400 has no binary64 image: exact mode meets it
+    # scaling a tolerance, float mode rounding the pairs, each with one message
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dimension": 1, "depth": 1, key: [[[1]], [[10**400]]]}))
+    code = main(["favard", "--fock", str(path), "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: an exact value of about 10^400 is beyond the binary64 range\n"
+
+
+def test_favard_float_entry_takes_the_payload_to_float_mode(capsys, tmp_path):
+    # exact Grams and one JSON-float preservation entry: the payload is binary64
+    payload = json.loads((Path(__file__).parent / "golden" / "square_fock.json").read_text())
+    payload["bzero"][0][1][0][0] = 0.0
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_json(capsys, ["favard", "--fock", str(path)])
+    assert code == 0
+    assert out["status"] == "reconstructed"
+    assert main(["favard", "--fock", str(path), "--mode", "exact"]) == 1
+    assert capsys.readouterr().err == "error: exact mode requires rational data\n"
+
+
 def test_favard_refuses_full_rank(capsys, tmp_path, gauss2):
     fi = mvop.FockInput.from_fock_data(
         mvop.assemble_fock(mvop.build_gradations(gauss2, 3))

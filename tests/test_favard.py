@@ -57,6 +57,15 @@ def test_validate_completes_the_same_blocks(request, name):
                     assert np.array_equal(a, b)
 
 
+def test_integer_omegas_are_scaled_in_binary64():
+    # int64 blocks are not rational entries: they are scaled as binary64,
+    # not truncated back to integers by the weights 1/2 of degree 2
+    omegas = [np.array([[1]]), np.eye(2, dtype=np.int64), np.eye(3, dtype=np.int64)]
+    fi = mvop.FockInput.from_omegas(2, omegas)
+    assert not fi.exact
+    assert fi.grams[2].dtype == np.float64 and np.diag(fi.grams[2]).tolist() == [1.0, 0.5, 1.0]
+
+
 def test_diagonal_blocks_without_product_structure_fail():
     omegas = [
         np.array([[1.0]]),
